@@ -17,8 +17,7 @@ sqrt(dofs)) through consecutive levels.
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +32,9 @@ __all__ = [
     "CSV_COLUMNS",
     "StudyRow",
     "ConvergenceReport",
+    "resolve_backend",
+    "backend_mode_problems",
+    "time_mesh",
     "error_measure",
     "eoc",
     "exp_coefficient",
@@ -115,22 +117,13 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _metadata(alpha, backend, m, config_hash):
-    return {
-        "alpha": alpha,
-        "backend": backend,
-        "m": m,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "config_hash": config_hash,
-    }
-
-
 def _sine_values(mode_count, x):
     # orthonormal eigenfunctions sqrt(2) sin(j pi x) of the continuous operator
     return np.sqrt(2.0) * np.sin(np.outer(np.arange(1, mode_count + 1) * np.pi, x))
 
 
-def _resolve_backend(backend, problem, fem_elements, fem_degree):
+def resolve_backend(backend, problem, fem_elements, fem_degree):
+    """Spatial backend named by `backend` ("spectral" or "fem"), or `backend` itself."""
     if isinstance(backend, str):
         if backend == "spectral":
             return spectral_backend(problem.mode_count, problem.diffusivity)
@@ -265,32 +258,71 @@ def fem_mode_problems(problem, system):
     return out
 
 
-def _study_problems(problem, system):
+def backend_mode_problems(problem, system):
+    """Scalar mode problems of `problem` on the spatial backend `system`."""
     if system.backend == "spectral":
         return mode_problems(problem)
     return fem_mode_problems(problem, system)
 
 
-def _run_cells(cells, worker, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(cell) for cell in cells]
+def time_mesh(family, gamma_or_delta, p_or_mu, N_or_L, T=1.0, T_1=1.0,
+              first_interval_linear=False):
+    """Graded mesh (gamma, p, N) or geometric mesh (delta, mu, L) on [0, T]."""
+    if family == "graded":
+        return graded_mesh(T, N_or_L, gamma_or_delta, p_or_mu,
+                           first_interval_linear=first_interval_linear)
+    return geometric_mesh(T, T_1, gamma_or_delta, N_or_L, p_or_mu)
 
 
-def _column_rows(results, make_row):
-    """Rows for one mesh column; rates chain across the surviving cells."""
+def _run_study(family, groups, mesh_options, rates, report_alpha, backend, m,
+               fem_elements, fem_degree, diffusivity, config_hash):
+    """Solve every cell of a study and measure its fine-grid error.
+
+    `groups` lists (alpha, columns).  A column is a list of cells, refined
+    in order; a cell is (key, fields) with fields the (gamma_or_delta,
+    p_or_mu, N_or_L) of its row, which with `mesh_options` name its mesh.
+    `rates(rows)`, if given, chains the rate column down the surviving rows
+    of a column.  A failed cell is reported under its key instead of
+    aborting the remaining grid.
+    """
     rows, failures = [], []
-    survivors = [r for r in results if r[-1] is None]
-    for cell, *_rest, failure in results:
-        if failure is not None:
-            failures.append((cell, failure))
-    sizes = [r[1] for r in survivors]
-    errors = [r[3] for r in survivors]
-    rates = eoc(errors, sizes) if survivors else []
-    for (cell, size, dofs, error, seconds, _), rate in zip(survivors, rates):
-        rows.append(make_row(cell, size, dofs, error, rate, seconds))
-    return rows, failures
+    for alpha, columns in groups:
+        problem = two_mode_problem(alpha, diffusivity)
+        system = resolve_backend(backend, problem, fem_elements, fem_degree)
+        problems = backend_mode_problems(problem, system)
+        for column in columns:
+            done = []
+            for key, fields in column:
+                start = time.perf_counter()
+                try:
+                    mesh = time_mesh(family, *fields, **mesh_options)
+                    solution = solve(problems, mesh, alpha)
+                    error = error_measure(solution, problem, system, m)
+                except Exception as exc:
+                    failures.append((key, f"{type(exc).__name__}: {exc}"))
+                    continue
+                seconds = time.perf_counter() - start
+                done.append(StudyRow(family, alpha, system.backend, *fields,
+                                     dof_count(mesh), error, math.nan, seconds))
+            if rates is not None:
+                done = [replace(row, rate_or_b=r) for row, r in zip(done, rates(done))]
+            rows.extend(done)
+    metadata = {
+        "alpha": report_alpha,
+        "backend": backend if isinstance(backend, str) else backend.backend,
+        "m": m,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "config_hash": config_hash,
+    }
+    return ConvergenceReport(tuple(rows), metadata, tuple(failures))
+
+
+def _eoc_rates(rows):
+    return eoc([row.error for row in rows], [row.N_or_L for row in rows])
+
+
+def _exp_rates(rows):
+    return exp_coefficient([row.error for row in rows], [row.dofs for row in rows])
 
 
 def run_h_study(
@@ -305,44 +337,18 @@ def run_h_study(
     fem_elements=64,
     fem_degree=2,
     diffusivity=1.0,
-    threads=1,
     config_hash="",
 ):
     """Graded-mesh study over the Cartesian (gamma, p, N) grid.
 
     Each (p, gamma) pair forms one column refined through the Ns, with
     observed orders chained down the column.  Failed cells are collected
-    in the report instead of aborting the remaining grid.
+    in the report under (p, gamma, N) instead of aborting the grid.
     """
-    problem = two_mode_problem(alpha, diffusivity)
-    system = _resolve_backend(backend, problem, fem_elements, fem_degree)
-    problems = _study_problems(problem, system)
-
-    def run_cell(cell):
-        p, gamma, N = cell
-        start = time.perf_counter()
-        try:
-            mesh = graded_mesh(T, N, gamma, p, first_interval_linear=first_interval_linear)
-            solution = solve(problems, mesh, alpha)
-            error = error_measure(solution, problem, system, m)
-        except Exception as exc:
-            return cell, N, 0, math.nan, 0.0, f"{type(exc).__name__}: {exc}"
-        return cell, N, dof_count(mesh), error, time.perf_counter() - start, None
-
-    rows, failures = [], []
-    for p in ps:
-        for gamma in gammas:
-            results = _run_cells([(p, gamma, N) for N in Ns], run_cell, threads)
-            def make_row(cell, N, dofs, error, rate, seconds):
-                return StudyRow(
-                    "graded", alpha, system.backend, cell[1], cell[0], N,
-                    dofs, error, rate, seconds,
-                )
-            col_rows, col_failures = _column_rows(results, make_row)
-            rows.extend(col_rows)
-            failures.extend(col_failures)
-    return ConvergenceReport(
-        tuple(rows), _metadata(alpha, system.backend, m, config_hash), tuple(failures)
+    columns = [[((p, gamma, N), (gamma, p, N)) for N in Ns] for p in ps for gamma in gammas]
+    return _run_study(
+        "graded", [(alpha, columns)], dict(T=T, first_interval_linear=first_interval_linear),
+        _eoc_rates, alpha, backend, m, fem_elements, fem_degree, diffusivity, config_hash,
     )
 
 
@@ -358,44 +364,17 @@ def run_hp_study(
     fem_elements=64,
     fem_degree=2,
     diffusivity=1.0,
-    threads=1,
     config_hash="",
 ):
     """Geometric-mesh study: one column per delta, levels L within it.
 
     The rate column holds the exponential coefficient b fitted through
-    consecutive levels of the same delta.
+    consecutive levels of the same delta; failures are keyed (delta, L).
     """
-    problem = two_mode_problem(alpha, diffusivity)
-    system = _resolve_backend(backend, problem, fem_elements, fem_degree)
-    problems = _study_problems(problem, system)
-
-    def run_cell(cell):
-        delta, L = cell
-        start = time.perf_counter()
-        try:
-            mesh = geometric_mesh(T, T_1, delta, L, mu)
-            solution = solve(problems, mesh, alpha)
-            error = error_measure(solution, problem, system, m)
-        except Exception as exc:
-            return cell, L, 0, math.nan, 0.0, f"{type(exc).__name__}: {exc}"
-        return cell, L, dof_count(mesh), error, time.perf_counter() - start, None
-
-    rows, failures = [], []
-    for delta in deltas:
-        results = _run_cells([(delta, L) for L in Ls], run_cell, threads)
-        survivors = [r for r in results if r[-1] is None]
-        failures.extend((cell, fail) for cell, *_, fail in results if fail is not None)
-        dofs = [r[2] for r in survivors]
-        errors = [r[3] for r in survivors]
-        bs = exp_coefficient(errors, dofs) if survivors else []
-        for (cell, L, dof, error, seconds, _), b in zip(survivors, bs):
-            rows.append(
-                StudyRow("geometric", alpha, system.backend, delta, mu, L,
-                         dof, error, b, seconds)
-            )
-    return ConvergenceReport(
-        tuple(rows), _metadata(alpha, system.backend, m, config_hash), tuple(failures)
+    columns = [[((delta, L), (delta, mu, L)) for L in Ls] for delta in deltas]
+    return _run_study(
+        "geometric", [(alpha, columns)], dict(T=T, T_1=T_1),
+        _exp_rates, alpha, backend, m, fem_elements, fem_degree, diffusivity, config_hash,
     )
 
 
@@ -411,37 +390,17 @@ def delta_sweep(
     fem_elements=64,
     fem_degree=2,
     diffusivity=1.0,
-    threads=1,
     config_hash="",
 ):
-    """Error against delta at a fixed dof budget, one curve per alpha."""
-    rows, failures = [], []
-    backend_name = backend if isinstance(backend, str) else backend.backend
-    for alpha in alphas:
-        problem = two_mode_problem(alpha, diffusivity)
-        system = _resolve_backend(backend, problem, fem_elements, fem_degree)
-        problems = _study_problems(problem, system)
+    """Error against delta at a fixed dof budget, one curve per alpha.
 
-        def run_cell(delta):
-            start = time.perf_counter()
-            try:
-                mesh = geometric_mesh(T, T_1, delta, L, mu)
-                solution = solve(problems, mesh, alpha)
-                error = error_measure(solution, problem, system, m)
-            except Exception as exc:
-                return delta, 0, math.nan, 0.0, f"{type(exc).__name__}: {exc}"
-            return delta, dof_count(mesh), error, time.perf_counter() - start, None
-
-        for delta, dofs, error, seconds, failure in _run_cells(list(deltas), run_cell, threads):
-            if failure is not None:
-                failures.append(((alpha, delta), failure))
-            else:
-                rows.append(
-                    StudyRow("geometric", alpha, system.backend, delta, mu, L,
-                             dofs, error, math.nan, seconds)
-                )
-    return ConvergenceReport(
-        tuple(rows), _metadata(None, backend_name, m, config_hash), tuple(failures)
+    There is no rate column; failures are keyed (alpha, delta), and the
+    report's metadata carries no single alpha.
+    """
+    groups = [(alpha, [[((alpha, delta), (delta, mu, L)) for delta in deltas]]) for alpha in alphas]
+    return _run_study(
+        "geometric", groups, dict(T=T, T_1=T_1),
+        None, None, backend, m, fem_elements, fem_degree, diffusivity, config_hash,
     )
 
 

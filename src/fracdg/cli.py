@@ -1,8 +1,8 @@
 """Command-line front end for solves, convergence studies, and diagnostics.
 
 Subcommands: `solve | h-study | hp-study | delta-sweep | selftest`, each
-taking `--config PATH` (selftest excepted) plus `--out DIR`, `--threads N`
-and `--seed S` overrides; FRACDG_THREADS sets the default thread count.
+taking `--config PATH` (selftest excepted) plus `--out DIR` and `--seed S`
+overrides.
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 3 expectation-gate failure.
 
@@ -14,28 +14,28 @@ compared byte-for-byte.
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    backend_mode_problems,
     delta_sweep,
     error_measure,
-    fem_mode_problems,
     figure_curves_hp,
     figure_curves_sweep,
+    resolve_backend,
     run_h_study,
     run_hp_study,
+    time_mesh,
     write_plot_data,
 )
 from .config import ConfigError, config_hash, parse_config
 from .kernel import coercivity_constants, l2_form, memory_form
-from .mesh import dof_count, geometric_mesh, graded_mesh
+from .mesh import dof_count
 from .problems import two_mode_problem
-from .spatial import fem_backend, spectral_backend
-from .stepper import mode_problems, solve, stability_report
+from .stepper import solve, stability_report
 
 __all__ = ["main"]
 
@@ -51,46 +51,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads():
-    value = os.environ.get("FRACDG_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def _load(args):
     text = Path(args.config).read_text()
     config = parse_config(text)
     out = Path(args.out) if args.out else Path(config.out)
-    threads = args.threads if args.threads else config.threads
     seed = args.seed if args.seed is not None else config.seed
-    return config, out, threads, seed
+    return config, out, seed
 
 
 def _backend_system(config, problem):
-    if config.backend == "fem":
-        return fem_backend(config.elements, config.degree, problem.diffusivity)[1]
-    if config.modes not in (0, problem.mode_count):
+    """Spatial backend of a run, for `solve` and every study alike."""
+    if config.backend == "spectral" and config.modes not in (0, problem.mode_count):
         raise ConfigError(
             f"modes: problem {problem.name} has {problem.mode_count} modes, got {config.modes}"
         )
-    return spectral_backend(problem.mode_count, problem.diffusivity)
+    return resolve_backend(config.backend, problem, config.elements, config.degree)
 
 
 def _solve_mesh(config):
     if config.family == "graded":
-        return graded_mesh(
-            config.T, config.N, config.gamma, config.p,
-            first_interval_linear=config.first_interval_linear,
-        )
-    return geometric_mesh(config.T, config.T_1, config.delta, config.L, config.mu)
-
-
-def _mode_problems(config, problem, system):
-    if system.backend == "fem":
-        return fem_mode_problems(problem, system)
-    return mode_problems(problem)
+        fields = (config.gamma, config.p, config.N)
+    else:
+        fields = (config.delta, config.mu, config.L)
+    return time_mesh(
+        config.family, *fields,
+        T=config.T, T_1=config.T_1, first_interval_linear=config.first_interval_linear,
+    )
 
 
 def _write(path, text):
@@ -151,6 +137,7 @@ def _coercivity_text(mesh, alpha, seed, trials=20):
 
 
 def _check_gates(expect, errors, rates):
+    """Report each failed expectation on stderr; returns the failures."""
     failures = []
     if "error_max" in expect:
         worst = max(errors)
@@ -163,35 +150,16 @@ def _check_gates(expect, errors, rates):
     if "rate_max" in expect and finite:
         if max(finite) > expect["rate_max"]:
             failures.append(f"rate_max: fastest rate {max(finite):.4f} above {expect['rate_max']}")
+    for failure in failures:
+        print(f"expectation failed: {failure}", file=sys.stderr)
     return failures
 
 
-def _finish_study(report, config, out, csv_name, curves=None, labels=None, timings=True):
-    _write(out / csv_name, report.to_csv(timings=timings, with_hash=True))
-    if curves is not None:
-        write_plot_data(out / "plots", curves, *labels)
-    for cell, message in report.failures:
-        print(f"cell {cell} failed: {message}", file=sys.stderr)
-    if report.failures:
-        return EXIT_NUMERICAL
-    failures = _check_gates(
-        config.expect,
-        [row.error for row in report.rows],
-        [row.rate_or_b for row in report.rows],
-    )
-    for failure in failures:
-        print(f"expectation failed: {failure}", file=sys.stderr)
-    if failures:
-        return EXIT_GATE
-    print(f"wrote {out / csv_name} ({len(report.rows)} rows)")
-    return EXIT_OK
-
-
-def cmd_solve(config, out, threads, seed, timings=True):
+def cmd_solve(config, out, seed):
     problem = two_mode_problem(config.alpha, config.diffusivity)
     system = _backend_system(config, problem)
     mesh = _solve_mesh(config)
-    problems = _mode_problems(config, problem, system)
+    problems = backend_mode_problems(problem, system)
     solution = solve(problems, mesh, config.alpha)
     error = error_measure(solution, problem, system, config.m)
     _write(out / "solution.csv", _solution_csv(solution))
@@ -217,84 +185,62 @@ def cmd_solve(config, out, threads, seed, timings=True):
             status = EXIT_NUMERICAL
     _write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))
-    if status == EXIT_OK:
-        gate_failures = _check_gates(config.expect, [error], [])
-        for failure in gate_failures:
-            print(f"expectation failed: {failure}", file=sys.stderr)
-        if gate_failures:
-            status = EXIT_GATE
+    if status == EXIT_OK and _check_gates(config.expect, [error], []):
+        status = EXIT_GATE
     return status
 
 
-def cmd_h_study(config, out, threads, seed, timings=True):
-    if not config.Ns:
-        raise ConfigError("missing required key Ns")
-    report = run_h_study(
-        config.alpha,
-        config.gammas or (config.gamma,),
-        config.ps or (config.p,),
-        config.Ns,
-        backend=config.backend,
+# study subcommand -> (required key, runner, CSV name, plot curves of the
+# report and their axis labels, the runner's study arguments from a config)
+_STUDIES = {
+    "h-study": (
+        "Ns", run_h_study, "h_study.csv", None, None,
+        lambda c: dict(alpha=c.alpha, gammas=c.gammas or (c.gamma,), ps=c.ps or (c.p,),
+                       Ns=c.Ns, T=c.T, first_interval_linear=c.first_interval_linear),
+    ),
+    "hp-study": (
+        "Ls", run_hp_study, "hp_study.csv", figure_curves_hp, ("sqrt(dofs)", "error"),
+        lambda c: dict(alpha=c.alpha, deltas=c.deltas or (c.delta,), Ls=c.Ls,
+                       mu=c.mu, T_1=c.T_1, T=c.T),
+    ),
+    "delta-sweep": (
+        "deltas", delta_sweep, "delta_sweep.csv", figure_curves_sweep, ("delta", "error"),
+        lambda c: dict(alphas=c.alphas or (c.alpha,), deltas=c.deltas, L=c.L,
+                       mu=c.mu, T_1=c.T_1, T=c.T),
+    ),
+}
+
+
+def cmd_study(command, config, out, timings=True):
+    required, runner, csv_name, curves, labels, arguments = _STUDIES[command]
+    if not getattr(config, required):
+        raise ConfigError(f"missing required key {required}")
+    problem = two_mode_problem(config.alpha, config.diffusivity)
+    report = runner(
+        **arguments(config),
+        backend=_backend_system(config, problem),
         m=config.m,
-        T=config.T,
-        first_interval_linear=config.first_interval_linear,
-        fem_elements=config.elements,
-        fem_degree=config.degree,
         diffusivity=config.diffusivity,
-        threads=threads,
         config_hash=config_hash(config),
     )
-    return _finish_study(report, config, out, "h_study.csv", timings=timings)
+    _write(out / csv_name, report.to_csv(timings=timings, with_hash=True))
+    if curves is not None:
+        write_plot_data(out / "plots", curves(report), *labels)
+    for cell, message in report.failures:
+        print(f"cell {cell} failed: {message}", file=sys.stderr)
+    if report.failures:
+        return EXIT_NUMERICAL
+    errors = [row.error for row in report.rows]
+    if _check_gates(config.expect, errors, [row.rate_or_b for row in report.rows]):
+        return EXIT_GATE
+    print(f"wrote {out / csv_name} ({len(report.rows)} rows)")
+    return EXIT_OK
 
 
-def cmd_hp_study(config, out, threads, seed, timings=True):
-    if not config.Ls:
-        raise ConfigError("missing required key Ls")
-    report = run_hp_study(
-        config.alpha,
-        config.deltas or (config.delta,),
-        config.Ls,
-        mu=config.mu,
-        T_1=config.T_1,
-        T=config.T,
-        backend=config.backend,
-        m=config.m,
-        fem_elements=config.elements,
-        fem_degree=config.degree,
-        diffusivity=config.diffusivity,
-        threads=threads,
-        config_hash=config_hash(config),
-    )
-    curves = figure_curves_hp(report)
-    return _finish_study(
-        report, config, out, "hp_study.csv",
-        curves=curves, labels=("sqrt(dofs)", "error"), timings=timings,
-    )
-
-
-def cmd_delta_sweep(config, out, threads, seed, timings=True):
-    if not config.deltas:
-        raise ConfigError("missing required key deltas")
-    report = delta_sweep(
-        config.alphas or (config.alpha,),
-        config.deltas,
-        L=config.L,
-        mu=config.mu,
-        T_1=config.T_1,
-        T=config.T,
-        backend=config.backend,
-        m=config.m,
-        fem_elements=config.elements,
-        fem_degree=config.degree,
-        diffusivity=config.diffusivity,
-        threads=threads,
-        config_hash=config_hash(config),
-    )
-    curves = figure_curves_sweep(report)
-    return _finish_study(
-        report, config, out, "delta_sweep.csv",
-        curves=curves, labels=("delta", "error"), timings=timings,
-    )
+def _run(command, config, out, seed, timings=True):
+    if command == "solve":
+        return cmd_solve(config, out, seed)
+    return cmd_study(command, config, out, timings)
 
 
 _SELFTEST_CONFIGS = {
@@ -342,20 +288,12 @@ deltas = 0.2, 0.3
 }
 
 
-def cmd_selftest(out, threads, seed):
+def cmd_selftest(out, seed):
     """Run every pipeline twice and compare all output bytes."""
-    handlers = {
-        "solve": cmd_solve,
-        "h-study": cmd_h_study,
-        "hp-study": cmd_hp_study,
-        "delta-sweep": cmd_delta_sweep,
-    }
     for run in ("run1", "run2"):
         for name, text in _SELFTEST_CONFIGS.items():
             config = parse_config(text)
-            status = handlers[name](
-                config, out / run / name, threads, seed, timings=False
-            )
+            status = _run(name, config, out / run / name, seed, timings=False)
             if status != EXIT_OK:
                 print(f"selftest: {name} exited with {status}", file=sys.stderr)
                 return EXIT_NUMERICAL
@@ -378,12 +316,11 @@ def cmd_selftest(out, threads, seed):
 def _build_parser():
     parser = _Parser(prog="fracdg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "h-study", "hp-study", "delta-sweep", "selftest"):
+    for name in ("solve", *_STUDIES, "selftest"):
         cmd = sub.add_parser(name)
         if name != "selftest":
             cmd.add_argument("--config", required=True, help="config file path")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=None, help="study worker threads")
         cmd.add_argument("--seed", type=int, default=None, help="rng seed for diagnostics")
     return parser
 
@@ -393,19 +330,10 @@ def main(argv=None):
     try:
         if args.command == "selftest":
             out = Path(args.out) if args.out else Path("selftest-out")
-            threads = args.threads if args.threads else _default_threads()
             seed = args.seed if args.seed is not None else 1
-            return cmd_selftest(out, threads, seed)
-        config, out, threads, seed = _load(args)
-        if args.threads is None and config.threads == 1:
-            threads = _default_threads()
-        handler = {
-            "solve": cmd_solve,
-            "h-study": cmd_h_study,
-            "hp-study": cmd_hp_study,
-            "delta-sweep": cmd_delta_sweep,
-        }[args.command]
-        return handler(config, out, threads, seed)
+            return cmd_selftest(out, seed)
+        config, out, seed = _load(args)
+        return _run(args.command, config, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,7 @@ sections and keys are fixed:
     [mesh]         family (graded|geometric), T, N, gamma, p,
                    first_interval_linear, T_1, delta, L, mu
     [backend]      type (spectral|fem), modes, elements, degree
-    [study]        m, gammas, ps, Ns, deltas, Ls, alphas, threads
+    [study]        m, gammas, ps, Ns, deltas, Ls, alphas
     [diagnostics]  stability_report, coercivity_check, seed
     [output]       out
     [expect]       error_max, rate_min, rate_max
@@ -58,7 +58,6 @@ class RunConfig:
     deltas: tuple = ()
     Ls: tuple = ()
     alphas: tuple = ()
-    threads: int = 1
     stability_report: bool = False
     coercivity_check: bool = False
     seed: int = 1
@@ -132,7 +131,6 @@ _SCHEMA = {
         "deltas": ("deltas", _parse_floats),
         "Ls": ("Ls", _parse_ints),
         "alphas": ("alphas", _parse_floats),
-        "threads": ("threads", _parse_int),
     },
     "diagnostics": {
         "stability_report": ("stability_report", _parse_bool),
@@ -199,8 +197,6 @@ def _validate(config):
         raise ConfigError(f"degree must be >= 1, got {config.degree}")
     if config.m < 1:
         raise ConfigError(f"m must be >= 1, got {config.m}")
-    if config.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {config.threads}")
 
 
 def parse_config(text):
@@ -267,6 +263,15 @@ def serialize(config):
     return "\n".join(lines)
 
 
+# A removed [study] key, 1 in every canonical text ever hashed: the hash
+# keeps its line at the end of [study] so that written results keep their
+# config hashes.  It is not a key, so no config can set it.
+_HASHED_STUDY_TAIL = "threads = 1"
+
+
 def config_hash(config):
     """Twelve hex digits identifying the canonical config text."""
-    return hashlib.sha256(serialize(config).encode()).hexdigest()[:12]
+    text = serialize(config).replace(
+        "\n\n[diagnostics]\n", f"\n{_HASHED_STUDY_TAIL}\n\n[diagnostics]\n", 1
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:12]

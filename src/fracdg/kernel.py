@@ -364,6 +364,15 @@ def _local_block(tl, tr, alpha, p_n, p_j):
 # puts the truncated sliver below machine precision.
 _NEAR_SIGMA = 0.15
 
+# Far-field switch.  Once the gap between source and target reaches
+# _FAR_RATIO times the larger step, the kernel singularity sits at ellipse
+# parameter rho >= 5 + sqrt(24) ~ 9.9 in both directions, and tensor
+# Gauss-Legendre with max degree + _FAR_PADDING points per direction is
+# accurate to about rho^-8 ~ 1e-8 relative, the tolerance of the far-field
+# oracle tests.
+_FAR_RATIO = 2.0
+_FAR_PADDING = 4
+
 
 def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
     """Block for intervals too close for smooth tensor quadrature.
@@ -403,11 +412,11 @@ def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
     return total * _kernel_scale(alpha)
 
 
-def _far_block(sl, sr, tl, tr, alpha, p_n, p_j, far_padding):
+def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
     """Tensor Gauss-Legendre for well-separated intervals (smooth kernel)."""
     if p_j == 0:
         return np.zeros((p_n + 1, p_j + 1))
-    npts = max(p_n, p_j, 1) + far_padding
+    npts = max(p_n, p_j, 1) + _FAR_PADDING
     t_nodes, t_w = _gauss_legendre(npts, tl, tr)
     s_nodes, s_w = _gauss_legendre(npts, sl, sr)
     kern = (t_nodes[:, None] - s_nodes[None, :]) ** alpha
@@ -417,14 +426,14 @@ def _far_block(sl, sr, tl, tr, alpha, p_n, p_j, far_padding):
     return mat * _kernel_scale(alpha)
 
 
-def memory_block(mesh, j, n, order, degrees=None, separation_threshold=2.0, far_padding=4):
+def memory_block(mesh, j, n, order, degrees=None):
     """Memory-matrix block of source interval j acting on target interval n.
 
     Intervals are 1-based.  `degrees` optionally overrides (p_j, p_n) from the
     mesh.  Near-diagonal blocks (and the jump columns) use exact closed forms;
-    once the gap t_{n-1} - t_j reaches separation_threshold times the larger
-    of the two step sizes, the smooth Gauss-Legendre branch takes over with
-    max degree + far_padding points per direction.
+    once the gap t_{n-1} - t_j reaches _FAR_RATIO times the larger of the two
+    step sizes, the smooth Gauss-Legendre branch takes over with max degree +
+    _FAR_PADDING points per direction.
     """
     if not 1 <= j <= n <= mesh.interval_count:
         raise IndexError(f"interval pair (j={j}, n={n}) outside 1..{mesh.interval_count}")
@@ -442,8 +451,8 @@ def memory_block(mesh, j, n, order, degrees=None, separation_threshold=2.0, far_
         mat = _local_block(tl, tr, alpha, p_n, p_j)
     else:
         gap = tl - sr
-        if gap >= separation_threshold * max(tr - tl, sr - sl):
-            mat = _far_block(sl, sr, tl, tr, alpha, p_n, p_j, far_padding)
+        if gap >= _FAR_RATIO * max(tr - tl, sr - sl):
+            mat = _far_block(sl, sr, tl, tr, alpha, p_n, p_j)
         else:
             mat = _near_block(sl, sr, tl, tr, alpha, p_n, p_j)
     return MemoryBlock(j, n, mat, jump_col)
@@ -466,7 +475,7 @@ def _jump_values(coeffs):
     return vals
 
 
-def memory_form(mesh, order, coeffs_v, coeffs_w, separation_threshold=2.0, far_padding=4):
+def memory_form(mesh, order, coeffs_v, coeffs_w):
     """Bilinear form int_0^T (B v)(t) w(t) dt for broken Legendre coefficients."""
     jumps = _jump_values(coeffs_v)
     total = 0.0
@@ -474,10 +483,7 @@ def memory_form(mesh, order, coeffs_v, coeffs_w, separation_threshold=2.0, far_p
         w_n = coeffs_w[n - 1]
         for j in range(1, n + 1):
             blk = memory_block(
-                mesh, j, n, order,
-                degrees=(len(coeffs_v[j - 1]) - 1, len(w_n) - 1),
-                separation_threshold=separation_threshold,
-                far_padding=far_padding,
+                mesh, j, n, order, degrees=(len(coeffs_v[j - 1]) - 1, len(w_n) - 1)
             )
             total += float(w_n @ (blk.matrix @ coeffs_v[j - 1] + blk.jump_column * jumps[j - 1]))
     return total

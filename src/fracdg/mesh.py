@@ -84,16 +84,6 @@ class TimeMesh:
         idx = int(np.searchsorted(self.nodes, t, side="left"))
         return max(1, min(idx, self.interval_count))
 
-    def to_config_block(self):
-        """Plain-text lines reproducing this mesh under family=manual."""
-        nodes = ",".join(repr(float(x)) for x in self.nodes)
-        degrees = ",".join(str(int(p)) for p in self.degrees)
-        return [
-            "family = manual",
-            f"nodes = {nodes}",
-            f"degrees = {degrees}",
-        ]
-
 
 def graded_mesh(T, N, gamma, p, first_interval_linear=False):
     """Graded nodes t_n = (n k)^gamma, k = T^(1/gamma)/N.

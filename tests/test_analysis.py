@@ -164,12 +164,6 @@ def test_h_study_collects_cell_failures():
     assert math.isfinite(report.rows[1].rate_or_b)
 
 
-def test_h_study_threads_match_serial():
-    serial = run_h_study(-0.5, [1.3], [1], [6, 9], threads=1)
-    parallel = run_h_study(-0.5, [1.3], [1], [6, 9], threads=4)
-    assert [r.error for r in serial.rows] == [r.error for r in parallel.rows]
-
-
 def test_hp_study_matches_table(hp_study):
     errors = [r.error for r in hp_study.rows]
     printed = [2.66e-4, 4.20e-5, 6.65e-6, 1.06e-6, 2.49e-7]

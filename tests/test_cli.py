@@ -159,13 +159,13 @@ def test_selftest_byte_identical(tmp_path, capsys):
     assert all(",0.000," in line for line in csv.splitlines()[1:])
 
 
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("FRACDG_THREADS", "4")
-    assert cli._default_threads() == 4
-    monkeypatch.setenv("FRACDG_THREADS", "junk")
-    assert cli._default_threads() == 1
-    monkeypatch.delenv("FRACDG_THREADS")
-    assert cli._default_threads() == 1
+@pytest.mark.parametrize("command", ["solve", "h-study", "hp-study", "delta-sweep"])
+def test_wrong_mode_count_is_a_config_error(tmp_path, capsys, command):
+    text = MINIMAL.replace("modes = 2", "modes = 5") + "Ns = 4\nLs = 2\ndeltas = 0.3\n"
+    cfg = _write_config(tmp_path, text)
+    status = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_USAGE
+    assert "modes" in capsys.readouterr().err
 
 
 def test_shipped_configs_parse():

@@ -1,7 +1,10 @@
 """Config text: parsing, validation messages, canonical round trip."""
 
+from pathlib import Path
+
 import pytest
 
+from fracdg.cli import _SELFTEST_CONFIGS
 from fracdg.config import ConfigError, RunConfig, config_hash, parse_config, serialize
 
 MINIMAL = """
@@ -83,6 +86,21 @@ def test_hash_separates_configs():
     assert len(config_hash(base)) == 12
 
 
+def test_hash_of_shipped_and_selftest_configs_is_pinned():
+    # study CSVs, summaries and the benchmark reference carry these hashes
+    configs = Path(__file__).parent.parent / "configs"
+    shipped = {"table1": "b2024f1d1de6", "table2": "e28a57b2d684", "fig2": "0b7a44c14d6c"}
+    for name, digest in shipped.items():
+        assert config_hash(parse_config((configs / f"{name}.cfg").read_text())) == digest
+    selftest = {
+        "solve": "af83af7c84c0",
+        "h-study": "b41476efe4ed",
+        "hp-study": "20656159680d",
+        "delta-sweep": "f61f5481682d",
+    }
+    assert {name: config_hash(parse_config(text)) for name, text in _SELFTEST_CONFIGS.items()} == selftest
+
+
 @pytest.mark.parametrize(
     "snippet,fragment",
     [
@@ -95,6 +113,7 @@ def test_hash_separates_configs():
         ("[problem]\nalpha = -0.5\n[study]\nm = 0", "m must be >= 1"),
         ("[problem]\nalpha = -0.5\n[study]\nNs = 4, -2", "Ns entries must be >= 1"),
         ("[problem]\nalpha = -0.5\n[mesh]\nwidth = 1", "mesh.width"),
+        ("[problem]\nalpha = -0.5\n[study]\nthreads = 1", "unknown key study.threads"),
         ("[problem]\nalpha = -0.5\n[grid]\nN = 4", "unknown section"),
         ("[problem]\nalpha = -0.5\n[mesh]\nN = 4.5", "N must be an integer"),
         ("[problem]\nalpha = -0.5\n[diagnostics]\nseed = maybe", "seed must be an integer"),

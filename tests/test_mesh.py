@@ -194,14 +194,3 @@ def test_fine_grid_values_uniform():
 
 def test_dof_count_uniform():
     assert dof_count(uniform_mesh(T=1.0, N=5, p=2)) == 15
-
-
-def test_manual_mesh_config_roundtrip():
-    mesh = geometric_mesh(T=1.0, T_1=1.0, delta=0.3, L=3, mu=1.5)
-    lines = mesh.to_config_block()
-    assert lines[0] == "family = manual"
-    nodes = [float(x) for x in lines[1].split("=", 1)[1].split(",")]
-    degrees = [int(x) for x in lines[2].split("=", 1)[1].split(",")]
-    clone = manual_mesh(nodes, degrees)
-    assert np.array_equal(clone.nodes, mesh.nodes)
-    assert np.array_equal(clone.degrees, mesh.degrees)
