@@ -61,11 +61,13 @@ def _load(args):
 
 def _backend_system(config, problem):
     """Spatial backend of a run, for `solve` and every study alike."""
-    if config.backend == "spectral" and config.modes not in (0, problem.mode_count):
+    system = resolve_backend(config.backend, problem, config.elements, config.degree)
+    if config.modes not in (0, system.mode_count):
         raise ConfigError(
-            f"modes: problem {problem.name} has {problem.mode_count} modes, got {config.modes}"
+            f"modes: the {config.backend} backend of problem {problem.name} has "
+            f"{system.mode_count} modes, got {config.modes}"
         )
-    return resolve_backend(config.backend, problem, config.elements, config.degree)
+    return system
 
 
 def _solve_mesh(config):

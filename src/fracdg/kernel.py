@@ -15,7 +15,9 @@ is a polynomial against a pure power kernel.  This module evaluates those
 integrals with Gauss-Jacobi rules (exact for the singular near-diagonal
 cases), differences of such rules, or Gauss-Legendre once the singularity is
 well separated from the integration interval, and assembles them into the
-memory-matrix blocks that discretize the history term.
+memory-matrix blocks that discretize the history term.  Where many time
+nodes share one source interval (the near-field blocks), the rules of all
+of them are built together: grouped by branch, one array per group.
 """
 
 import math
@@ -148,7 +150,7 @@ def gauss_jacobi_rule(npoints, exponent, interval):
 
 
 def _gauss_jacobi_right(npoints, exponent, a, b):
-    # weight (b-s)^exponent on (a, b)
+    # weight (b-s)^exponent on (a, b); b may be a column of right endpoints
     x, w = _jacobi_right_ref(int(npoints), float(exponent))
     half = 0.5 * (b - a)
     nodes = a + half * (x + 1.0)
@@ -173,8 +175,15 @@ def _gauss_legendre(npoints, a, b):
 _DIFF_RHO = 1.25
 
 
+def _ellipse_rho(dist, length):
+    # Bernstein ellipse parameter of a point `dist` beyond an interval of `length`
+    x = 1.0 + 2.0 * dist / length
+    return x + np.sqrt(x * x - 1.0)
+
+
 def _gl_point_count(deg, rho):
-    return deg // 2 + 2 + math.ceil(22.0 / math.log(rho))
+    # rho a float or an array of them
+    return deg // 2 + 2 + np.ceil(22.0 / np.log(rho)).astype(int)
 
 
 def power_rule(a, b, z, beta, deg):
@@ -193,16 +202,17 @@ def power_rule(a, b, z, beta, deg):
                       (exact; some nodes fall just outside (a,b), polynomial
                       evaluation there is legitimate),
       otherwise       Gauss-Legendre with a rho-dependent point count.
+    A singular point to the right is the one-point case of
+    `_right_power_rules`.
     """
     if beta <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {beta}")
-    npts = deg // 2 + 1
     if z <= a:
         A = a - z
+        npts = deg // 2 + 1
         if A == 0.0:
             return gauss_jacobi_rule(npts, beta, (a, b))
-        x = 1.0 + 2.0 * A / (b - a)
-        rho = x + math.sqrt(x * x - 1.0)
+        rho = _ellipse_rho(A, b - a)
         if rho < _DIFF_RHO:
             n_full, w_full = gauss_jacobi_rule(npts, beta, (z, b))
             n_cut, w_cut = gauss_jacobi_rule(npts, beta, (z, a))
@@ -210,18 +220,44 @@ def power_rule(a, b, z, beta, deg):
         nodes, w = _gauss_legendre(_gl_point_count(deg, rho), a, b)
         return nodes, w * (nodes - z) ** beta
     if z >= b:
-        A = z - b
-        if A == 0.0:
-            return _gauss_jacobi_right(npts, beta, a, b)
-        x = 1.0 + 2.0 * A / (b - a)
-        rho = x + math.sqrt(x * x - 1.0)
-        if rho < _DIFF_RHO:
-            n_full, w_full = _gauss_jacobi_right(npts, beta, a, z)
-            n_cut, w_cut = _gauss_jacobi_right(npts, beta, b, z)
-            return np.concatenate([n_full, n_cut]), np.concatenate([w_full, -w_cut])
-        nodes, w = _gauss_legendre(_gl_point_count(deg, rho), a, b)
-        return nodes, w * (z - nodes) ** beta
+        ((_, nodes, weights),) = _right_power_rules(a, b, np.array([z], dtype=float), beta, deg)
+        return nodes.reshape(-1), weights[0]
     raise ValueError(f"singular point z={z} lies inside the interval ({a}, {b})")
+
+
+def _right_power_rules(a, b, z, beta, deg):
+    """power_rule(a, b, z_q, beta, deg) for every singular point z_q >= b.
+
+    The branch of z_q depends only on its rho, and within a branch every
+    z_q shares one reference rule, so the points are grouped by branch
+    (and Gauss-Legendre point count) and each group is built as one array.
+    Returns a list of (rows, nodes, weights): weights[r] is the rule of
+    z[rows[r]], and nodes is either of the same shape or, for a group whose
+    rules share their nodes, one row of them.
+    """
+    dist = z - b
+    rho = _ellipse_rho(dist, b - a)
+    npts = deg // 2 + 1
+    groups = []
+    exact = dist == 0.0
+    if exact.any():
+        rows = np.flatnonzero(exact)
+        nodes, w = _gauss_jacobi_right(npts, beta, a, b)
+        groups.append((rows, nodes, np.tile(w, (rows.size, 1))))
+    diff = (rho < _DIFF_RHO) & ~exact
+    if diff.any():
+        rows = np.flatnonzero(diff)
+        zr = z[rows, None]
+        n_full, w_full = _gauss_jacobi_right(npts, beta, a, zr)
+        n_cut, w_cut = _gauss_jacobi_right(npts, beta, b, zr)
+        groups.append((rows, np.hstack([n_full, n_cut]), np.hstack([w_full, -w_cut])))
+    smooth = np.flatnonzero(rho >= _DIFF_RHO)
+    counts = _gl_point_count(deg, rho[smooth])
+    for count in np.unique(counts):
+        rows = smooth[counts == count]
+        nodes, w = _gauss_legendre(count, a, b)
+        groups.append((rows, nodes, w * (z[rows, None] - nodes) ** beta))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -374,41 +410,63 @@ _FAR_RATIO = 2.0
 _FAR_PADDING = 4
 
 
-def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
-    """Block for intervals too close for smooth tensor quadrature.
+def _near_t_layers(tl, tr, gap, deg):
+    """Gauss-Legendre rules (nodes, weights) of the t-layers of a near block.
 
-    For each time node the s-integral against the kernel is one signed
-    power rule, stable at any ratio of step sizes.  The inner integral
-    loses analyticity in t as t approaches the source interval, so the
-    t-integral uses Gauss-Legendre on layers grading geometrically toward
-    t_{n-1}; the layer ladder stops at the gap (or at a machine-negligible
+    The inner integral loses analyticity in t as t approaches the source
+    interval, which ends `gap` below tl, so the layers grade geometrically
+    toward tl; the ladder stops at the gap (or at a machine-negligible
     sliver when the intervals are adjacent, which is dropped).
     """
-    if p_j == 0:
-        return np.zeros((p_n + 1, p_j + 1))
-    gap = tl - sr
     k_n = tr - tl
     offsets = [k_n]
     while offsets[-1] * _NEAR_SIGMA > max(gap, 1e-16 * k_n):
         offsets.append(offsets[-1] * _NEAR_SIGMA)
     offsets.append(0.0)
-    deg_proxy = p_n + p_j
-    total = np.zeros((p_n + 1, p_j + 1))
+    layers = []
     for hi_off, lo_off in zip(offsets[:-1], offsets[1:]):
         width = hi_off - lo_off
         if width <= 1e-15 * k_n:
             continue
         lo = tl + lo_off
         # singularity sits at sr = tl - gap, below the layer by gap + lo_off
-        x = 1.0 + 2.0 * (gap + lo_off) / width
-        rho = x + math.sqrt(max(x * x - 1.0, 0.0))
-        t_nodes, t_w = _gauss_legendre(_gl_point_count(deg_proxy, rho), lo, lo + width)
+        rho = _ellipse_rho(gap + lo_off, width)
+        layers.append(_gauss_legendre(_gl_point_count(deg, rho), lo, lo + width))
+    return layers
+
+
+def _near_rows(sl, sr, t, alpha, p_j):
+    """Rows int_sl^sr (t_q - s)^alpha P_l'(s) ds, l <= p_j, for an array t >= sr.
+
+    One basis evaluation at the nodes of every rule, then one product per
+    branch group of the power rules; neither is repeated per t_q.
+    """
+    groups = _right_power_rules(sl, sr, t, alpha, p_j - 1)
+    dvals = legendre_derivative_values(
+        np.concatenate([s_nodes.ravel() for _, s_nodes, _ in groups]), sl, sr, p_j, 1
+    )
+    out = np.empty((t.size, p_j + 1))
+    start = 0
+    for rows, s_nodes, s_w in groups:
+        group_dvals = dvals[start : start + s_nodes.size].reshape(s_nodes.shape + (p_j + 1,))
+        start += s_nodes.size
+        out[rows] = (s_w[:, None, :] @ group_dvals)[:, 0]
+    return out
+
+
+def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
+    """Block for intervals too close for smooth tensor quadrature.
+
+    At every time node the s-integral against the kernel is a signed power
+    rule, stable at any ratio of step sizes; the t-integral sums the graded
+    layers of `_near_t_layers`, each layer's rows built by `_near_rows`.
+    """
+    if p_j == 0:
+        return np.zeros((p_n + 1, p_j + 1))
+    total = np.zeros((p_n + 1, p_j + 1))
+    for t_nodes, t_w in _near_t_layers(tl, tr, tl - sr, p_n + p_j):
         tvals = legendre_values(t_nodes, tl, tr, p_n)
-        inner = np.empty((t_nodes.size, p_j + 1))
-        for q, t in enumerate(t_nodes):
-            s_nodes, s_w = power_rule(sl, sr, t, alpha, p_j - 1)
-            inner[q] = s_w @ legendre_derivative_values(s_nodes, sl, sr, p_j, 1)
-        total += np.einsum("q,qi,ql->il", t_w, tvals, inner)
+        total += np.einsum("q,qi,ql->il", t_w, tvals, _near_rows(sl, sr, t_nodes, alpha, p_j))
     return total * _kernel_scale(alpha)
 
 

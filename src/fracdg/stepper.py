@@ -249,6 +249,28 @@ def _source_jump_values(solution):
     return jumps
 
 
+def _solve_modes(systems, rhs, n):
+    """Coefficients (p+1, modes) of interval n from its stacked local systems.
+
+    Raises RuntimeError naming the interval and the first mode whose system
+    is singular or whose coefficients are not finite.
+    """
+    try:
+        block = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        for m in range(len(systems)):
+            try:
+                np.linalg.solve(systems[m], rhs[m])
+            except np.linalg.LinAlgError:
+                raise RuntimeError(f"singular local system on interval {n}, mode {m + 1}") from exc
+        raise
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        m = int(np.flatnonzero(~finite)[0])
+        raise RuntimeError(f"non-finite coefficients on interval {n}, mode {m + 1}")
+    return np.ascontiguousarray(block.T)
+
+
 def solve(problems, mesh, order, initial_values=None):
     """March the DG scheme over the mesh for all modes at once.
 
@@ -282,18 +304,13 @@ def solve(problems, mesh, order, initial_values=None):
         local_jump = jump_columns[n - 1]
         base = np.outer(parity, parity) + _transport_matrix(p)
         memory = matrices[n - 1, :, : p + 1] + np.outer(local_jump, parity)
-        block = np.empty((p + 1, modes))
+        rhs = np.empty((modes, p + 1))
         for m, pr in enumerate(problems):
             load = _interval_load(pr.forcing, pr.forcing_singularity, a, b, p, n == 1)
-            rhs = incoming[m] * parity + load - lam[m] * history[:, m]
+            rhs[m] = incoming[m] * parity + load - lam[m] * history[:, m]
             if n >= 2:
-                rhs += lam[m] * local_jump * incoming[m]
-            try:
-                block[:, m] = np.linalg.solve(base + lam[m] * memory, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"singular local system on interval {n}, mode {m + 1}"
-                ) from exc
+                rhs[m] += lam[m] * local_jump * incoming[m]
+        block = _solve_modes(base + lam[:, None, None] * memory, rhs, n)
         coeffs.append(block)
         right_limit = parity @ block
         jump_vals[n - 1] = right_limit if n == 1 else right_limit - incoming

@@ -161,11 +161,15 @@ def test_selftest_byte_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "h-study", "hp-study", "delta-sweep"])
 def test_wrong_mode_count_is_a_config_error(tmp_path, capsys, command):
-    text = MINIMAL.replace("modes = 2", "modes = 5") + "Ns = 4\nLs = 2\ndeltas = 0.3\n"
-    cfg = _write_config(tmp_path, text)
-    status = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
-    assert status == EXIT_USAGE
-    assert "modes" in capsys.readouterr().err
+    grids = "Ns = 4\nLs = 2\ndeltas = 0.3\n"
+    spectral = MINIMAL.replace("modes = 2", "modes = 5")
+    # 8 P2 elements carry 15 discrete modes
+    fem = MINIMAL.replace("type = spectral\nmodes = 2", "type = fem\nelements = 8\nmodes = 5")
+    for backend, text in (("spectral", spectral), ("fem", fem)):
+        cfg = _write_config(tmp_path, text + grids, name=f"{backend}.cfg")
+        status = main([command, "--config", cfg, "--out", str(tmp_path / backend)])
+        assert status == EXIT_USAGE, backend
+        assert "modes" in capsys.readouterr().err, backend
 
 
 def test_shipped_configs_parse():

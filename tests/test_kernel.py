@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fracdg import kernel
@@ -299,6 +301,91 @@ def test_memory_block_deterministic():
     b = kernel.memory_block(mesh, 2, 4, -0.45)
     assert np.array_equal(a.matrix, b.matrix)
     assert np.array_equal(a.jump_column, b.jump_column)
+
+
+def _mirrored_rows(sl, sr, t, alpha, p_j):
+    # int_sl^sr (t-s)^alpha P_l'(s) ds one node at a time, reflected by
+    # s -> -s so that power_rule takes its left-singularity branch, a code
+    # path the grouped right-singularity rules do not share; `mass` holds
+    # the same sums over absolute values, the size of their rounding
+    rows = np.empty((t.size, p_j + 1))
+    mass = np.empty((t.size, p_j + 1))
+    for q, tq in enumerate(t):
+        nodes, weights = kernel.power_rule(-sr, -sl, -tq, alpha, p_j - 1)
+        dvals = kernel.legendre_derivative_values(-nodes, sl, sr, p_j, 1)
+        rows[q] = weights @ dvals
+        mass[q] = np.abs(weights) @ np.abs(dvals)
+    return rows, mass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.95, -0.05),
+    gap_ratio=st.one_of(st.just(0.0), st.floats(1e-8, 1.999)),
+    log_step_ratio=st.floats(-6.0, 6.0),
+    p_j=st.integers(1, 8),
+)
+def test_near_rows_match_per_node_power_rules(alpha, gap_ratio, log_step_ratio, p_j):
+    # source (2, 3); target k_n = ratio * k_j, gap below the far-field switch
+    sl, sr = 2.0, 3.0
+    k_n = 10.0**log_step_ratio
+    gap = gap_ratio * max(k_n, sr - sl)
+    tl = sr + gap
+    layers = kernel._near_t_layers(tl, tl + k_n, gap, 2 * p_j)
+    # the layers of the block plus a node on the singular endpoint (A == 0),
+    # two straddling rho = _DIFF_RHO (distance 0.0125 k_j) and three with
+    # different Gauss-Legendre point counts
+    edge = (kernel._DIFF_RHO + 1.0 / kernel._DIFF_RHO) / 2.0 - 1.0
+    probes = sr + (sr - sl) * np.array(
+        [0.0, 0.5 * edge * (1.0 - 1e-6), 0.5 * edge * (1.0 + 1e-6), 0.3, 3.0, 40.0]
+    )
+    t = np.concatenate([nodes for nodes, _ in layers] + [probes])
+    got = kernel._near_rows(sl, sr, t, alpha, p_j)
+    ref, mass = _mirrored_rows(sl, sr, t, alpha, p_j)
+    # rows far from the source cancel, so each column is measured against
+    # its largest absolute-value sum rather than its largest value
+    scale = np.max(mass, axis=0)
+    scale[scale == 0.0] = 1.0
+    tol = 64 * np.finfo(float).eps * (p_j + 1)
+    assert np.max(np.abs(got - ref) / scale) <= tol
+
+
+def test_near_block_evaluates_the_basis_once_per_layer(monkeypatch):
+    # one grouped rule set and one basis evaluation per t-layer, not one
+    # power rule per t node; the only per-block power_rule is the jump column
+    real_rules = kernel._right_power_rules
+    real_values = kernel.legendre_derivative_values
+    real_power_rule = kernel.power_rule
+    layers, counts = [], {"values": 0, "power_rule": 0}
+
+    def rules(a, b, z, beta, deg):
+        groups = real_rules(a, b, z, beta, deg)
+        layers.append((z.size, len(groups)))
+        return groups
+
+    def values(*args):
+        counts["values"] += 1
+        return real_values(*args)
+
+    def power_rule(*args):
+        counts["power_rule"] += 1
+        return real_power_rule(*args)
+
+    monkeypatch.setattr(kernel, "_right_power_rules", rules)
+    monkeypatch.setattr(kernel, "legendre_derivative_values", values)
+    monkeypatch.setattr(kernel, "power_rule", power_rule)
+    mesh = geometric_mesh(T=1.0, T_1=1.0, delta=0.1, L=12, mu=1.0)
+    for j, n in ((5, 6), (3, 6), (11, 12)):
+        layers.clear()
+        counts.update(values=0, power_rule=0)
+        kernel.memory_block(mesh, j, n, -0.7)
+        sl, sr = mesh.interval(j)
+        tl, tr = mesh.interval(n)
+        expected = kernel._near_t_layers(tl, tr, tl - sr, mesh.degree(j) + mesh.degree(n))
+        assert [size for size, _ in layers] == [nodes.size for nodes, _ in expected]
+        assert counts == {"values": len(expected), "power_rule": 1}
+        # the grouping is real: fewer branch groups than t nodes
+        assert sum(groups for _, groups in layers) < sum(size for size, _ in layers)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracdg.kernel import FractionalOrder, l2_form
+from fracdg.kernel import FractionalOrder, MemoryBlock, l2_form
 from fracdg.mesh import fine_grid, graded_mesh, manual_mesh, uniform_mesh
 from fracdg.problems import PowerSum, power_mode_problem, two_mode_problem
 from fracdg.stepper import (
@@ -292,6 +292,31 @@ def test_determinism():
     second = solve(mode_problems(problem), mesh, alpha)
     for a, b in zip(first.coefficients, second.coefficients):
         assert np.array_equal(a, b)
+
+
+def test_non_finite_load_names_interval_and_mode():
+    # mode 2's forcing turns nan past t = 0.5, inside interval 3 of 4
+    def forcing(t):
+        return np.where(t > 0.5, np.nan, 1.0)
+
+    mesh = uniform_mesh(1.0, 4, 1)
+    problems = [ModeProblem(1.0, None, 1.0), ModeProblem(2.0, forcing, 0.0)]
+    with pytest.raises(RuntimeError, match="non-finite coefficients on interval 3, mode 2"):
+        solve(problems, mesh, -0.5)
+
+
+def test_singular_local_system_names_the_first_singular_mode(monkeypatch):
+    # at p = 0 the local system is 1 + lambda (D + J); with D + J = -1 it is
+    # singular exactly for the modes with lambda = 1
+    import fracdg.stepper as stepper_mod
+
+    def block(mesh, j, n, order, **kwargs):
+        return MemoryBlock(j, n, np.full((1, 1), -0.5), np.full(1, -0.5))
+
+    monkeypatch.setattr(stepper_mod, "memory_block", block)
+    problems = [ModeProblem(lam, None, 1.0) for lam in (0.5, 1.0, 1.0)]
+    with pytest.raises(RuntimeError, match="singular local system on interval 1, mode 2"):
+        solve(problems, uniform_mesh(1.0, 3, 0), -0.5)
 
 
 def test_history_cost_scaling(monkeypatch):
