@@ -27,16 +27,15 @@ from .kernel import (
     MAX_MOMENT_DEGREE,
     FractionalOrder,
     MemoryBlock,
-    MomentTable,
+    MemoryOperator,
     coercivity_constants,
     frac_derivative_values,
-    frac_moment,
     fractional_integral_values,
     gauss_jacobi_rule,
     l2_form,
     memory_block,
     memory_form,
-    omega_weight,
+    operator_form,
 )
 from .mesh import (
     TimeMesh,
@@ -51,7 +50,6 @@ from .problems import (
     ManufacturedProblem,
     ModeComponent,
     PowerSum,
-    custom_problem,
     power_mode_problem,
     two_mode_problem,
 )
@@ -59,17 +57,14 @@ from .spatial import (
     FemSpace,
     ModeSystem,
     composite_gauss,
-    decompose,
     fem_backend,
     ritz_projection,
     spectral_backend,
-    synthesize,
 )
 from .stepper import (
     DgSolution,
     ModeProblem,
     StabilityReport,
-    assemble_local_system,
     mode_problems,
     pi_projection,
     solve,

@@ -32,7 +32,7 @@ from .analysis import (
     write_plot_data,
 )
 from .config import ConfigError, config_hash, parse_config
-from .kernel import coercivity_constants, l2_form, memory_form
+from .kernel import MemoryOperator, coercivity_constants, l2_form, operator_form
 from .mesh import dof_count
 from .problems import two_mode_problem
 from .stepper import solve, stability_report
@@ -112,18 +112,23 @@ def _stability_csv(report):
 
 
 def _coercivity_text(mesh, alpha, seed, trials=20):
-    """Spot check of the quadratic-form bounds on random trial functions."""
+    """Spot check of the quadratic-form bounds on random trial functions.
+
+    The trial functions carry the mesh's degrees, so one memory operator
+    serves every trial.
+    """
     rng = np.random.default_rng(seed)
     c_alpha, d_alpha = coercivity_constants(alpha)
+    operator = MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
     horizon = mesh.horizon
     worst_coercive = math.inf
     worst_continuous = math.inf
     for _ in range(trials):
         v = [rng.standard_normal(mesh.degree(n) + 1) for n in range(1, mesh.interval_count + 1)]
         w = [rng.standard_normal(mesh.degree(n) + 1) for n in range(1, mesh.interval_count + 1)]
-        qvv = memory_form(mesh, alpha, v, v)
-        qww = memory_form(mesh, alpha, w, w)
-        qvw = memory_form(mesh, alpha, v, w)
+        qvv = operator_form(operator, v, v)
+        qww = operator_form(operator, w, w)
+        qvw = operator_form(operator, v, w)
         coercive = qvv - c_alpha * horizon**alpha * l2_form(mesh, v, v)
         continuous = d_alpha**2 * qvv * qww - qvw**2
         worst_coercive = min(worst_coercive, coercive)

@@ -18,6 +18,10 @@ well separated from the integration interval, and assembles them into the
 memory-matrix blocks that discretize the history term.  Where many time
 nodes share one source interval (the near-field blocks), the rules of all
 of them are built together: grouped by branch, one array per group.
+
+`MemoryOperator` holds every block of one mesh, order and pair of degree
+vectors, built once; the DG march, the stability report and the bilinear
+form `memory_form` all apply the memory operator through it.
 """
 
 import math
@@ -30,21 +34,21 @@ from scipy.special import roots_jacobi
 
 __all__ = [
     "FractionalOrder",
-    "MomentTable",
     "MemoryBlock",
+    "MemoryOperator",
     "coercivity_constants",
-    "omega_weight",
     "gauss_jacobi_rule",
-    "frac_moment",
     "memory_block",
     "memory_form",
+    "operator_form",
     "l2_form",
     "frac_derivative_values",
     "fractional_integral_values",
     "MAX_MOMENT_DEGREE",
 ]
 
-# Degree cap for moment tables; far beyond anything the hp studies use.
+# Largest Legendre degree the kernel rules are checked to; far beyond
+# anything the hp studies use.
 MAX_MOMENT_DEGREE = 64
 
 
@@ -87,22 +91,6 @@ class FractionalOrder:
 
 def _alpha_of(order):
     return order.alpha if isinstance(order, FractionalOrder) else float(order)
-
-
-def omega_weight(order, beta_shift, t):
-    """Kernel weight w_{alpha+1+shift}(t) = t^(alpha+shift) / Gamma(alpha+1+shift).
-
-    beta_shift 0 gives the convolution kernel itself, beta_shift 1 its
-    antiderivative (the weight that multiplies jump terms after one
-    integration).
-    """
-    alpha = _alpha_of(order)
-    if beta_shift not in (0, 1):
-        raise ValueError(f"beta_shift must be 0 or 1, got {beta_shift}")
-    if t <= 0.0:
-        raise ValueError(f"omega weight requires t > 0, got t={t}")
-    e = alpha + beta_shift
-    return t**e / math.gamma(e + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,52 +284,6 @@ def legendre_derivative_values(s, a, b, max_degree, nderiv):
 
 
 # ---------------------------------------------------------------------------
-# Moments of the kernel against the local basis
-# ---------------------------------------------------------------------------
-
-
-def frac_moment(a, b, t, k, alpha, max_degree=MAX_MOMENT_DEGREE):
-    """int_a^b (t-s)^alpha P_k(s) ds with P_k the Legendre basis on (a, b).
-
-    For a < t < b the upper limit is replaced by t (the integrand is only
-    defined for s < t).
-    """
-    if t <= a:
-        raise ValueError(f"evaluation time t={t} must exceed the interval start a={a}")
-    if k < 0 or k > max_degree:
-        raise ValueError(f"moment degree k={k} outside supported range 0..{max_degree}")
-    upper = min(b, t)
-    nodes, weights = power_rule(a, upper, t, alpha, k)
-    vals = legendre_values(nodes, a, b, k)[:, k]
-    return float(weights @ vals)
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Kernel moments mu_k(t) = int_a^b (t-s)^alpha P_k(s) ds for k <= degrees."""
-
-    interval: tuple
-    degrees: int
-    alpha: float
-
-    def __post_init__(self):
-        a, b = self.interval
-        if not b > a:
-            raise ValueError(f"empty interval ({a}, {b})")
-        if self.degrees < 0 or self.degrees > MAX_MOMENT_DEGREE:
-            raise ValueError(f"moment table degree {self.degrees} outside 0..{MAX_MOMENT_DEGREE}")
-
-    def values(self, t):
-        a, b = self.interval
-        if t <= a:
-            raise ValueError(f"evaluation time t={t} must exceed the interval start a={a}")
-        upper = min(b, t)
-        nodes, weights = power_rule(a, upper, t, self.alpha, self.degrees)
-        vander = legendre_values(nodes, a, b, self.degrees)
-        return vander.T @ weights
-
-
-# ---------------------------------------------------------------------------
 # Memory blocks
 # ---------------------------------------------------------------------------
 
@@ -517,34 +459,96 @@ def memory_block(mesh, j, n, order, degrees=None):
 
 
 # ---------------------------------------------------------------------------
-# Assembled forms and pointwise evaluation (diagnostics and property tests)
+# The assembled memory operator, its bilinear form, pointwise evaluation
 # ---------------------------------------------------------------------------
 
 
+def _parity(p):
+    return (-1.0) ** np.arange(p + 1)
+
+
 def _jump_values(coeffs):
-    """Values multiplying each jump column: v(0+), then [v]^1, [v]^2, ..."""
-    vals = np.empty(len(coeffs))
+    """Values multiplying each source's jump column: v(0+), then [v]^1, [v]^2, ...
+
+    Each entry of `coeffs` is one interval's Legendre coefficients, a vector
+    or a (p+1, modes) block; the result has one row per interval.
+    """
+    vals = []
     left = None
-    for i, c in enumerate(coeffs):
-        signs = (-1.0) ** np.arange(len(c))
-        right_limit = float(signs @ c)
-        vals[i] = right_limit if left is None else right_limit - left
-        left = float(np.sum(c))
-    return vals
+    for c in coeffs:
+        right_limit = _parity(len(c) - 1) @ c
+        vals.append(right_limit if left is None else right_limit - left)
+        left = np.sum(c, axis=0)
+    return np.array(vals)
+
+
+class MemoryOperator:
+    """Every memory block of one mesh and order, built once, stacked per target.
+
+    Source interval j carries degree source_degrees[j-1] and target n degree
+    target_degrees[n-1]; both are the mesh's degrees for the DG march, and
+    those of the two arguments for a bilinear form.  For target n,
+    matrices[n-1] has shape (n, q_n+1, P+1) with q_n its degree and P the
+    largest source degree: slice j-1 holds the block of source j in its
+    first p_j+1 columns and zeros after them.  jump_columns[n-1] has shape
+    (n, q_n+1), row j-1 the jump column of source j.  Each block comes from
+    `memory_block`, once per (j, n).
+    """
+
+    def __init__(self, mesh, order, source_degrees, target_degrees):
+        width = int(max(source_degrees)) + 1
+        matrices = []
+        jump_columns = []
+        for n in range(1, mesh.interval_count + 1):
+            q = int(target_degrees[n - 1])
+            target_matrices = np.zeros((n, q + 1, width))
+            target_jumps = np.empty((n, q + 1))
+            for j in range(1, n + 1):
+                p = int(source_degrees[j - 1])
+                blk = memory_block(mesh, j, n, order, degrees=(p, q))
+                target_matrices[j - 1, :, : p + 1] = blk.matrix
+                target_jumps[j - 1] = blk.jump_column
+            matrices.append(target_matrices)
+            jump_columns.append(target_jumps)
+        self.alpha = _alpha_of(order)
+        self.matrices = tuple(matrices)
+        self.jump_columns = tuple(jump_columns)
+
+    def apply(self, n, coeffs, jumps):
+        """Sum over the sources supplied of M_jn c_j + J_jn (x) [c]_j on target n.
+
+        coeffs[j-1] are the coefficients of source j (a vector, or a block
+        with one column per mode) and jumps[j-1] the values multiplying its
+        jump column (`_jump_values`); sources j = 1..len(coeffs) <= n.
+        """
+        matrices = self.matrices[n - 1]
+        jump_columns = self.jump_columns[n - 1]
+        out = np.zeros(matrices.shape[1:2] + np.shape(jumps)[1:])
+        for j, (c, jump) in enumerate(zip(coeffs, jumps)):
+            out += matrices[j, :, : len(c)] @ c
+            out += np.multiply.outer(jump_columns[j], jump)
+        return out
+
+
+def operator_form(operator, coeffs_v, coeffs_w):
+    """int_0^T (B v)(t) w(t) dt with an operator built for the degrees of v and w."""
+    jumps = _jump_values(coeffs_v)
+    return sum(
+        float(w_n @ operator.apply(n, coeffs_v[:n], jumps[:n]))
+        for n, w_n in enumerate(coeffs_w, start=1)
+    )
 
 
 def memory_form(mesh, order, coeffs_v, coeffs_w):
-    """Bilinear form int_0^T (B v)(t) w(t) dt for broken Legendre coefficients."""
-    jumps = _jump_values(coeffs_v)
-    total = 0.0
-    for n in range(1, mesh.interval_count + 1):
-        w_n = coeffs_w[n - 1]
-        for j in range(1, n + 1):
-            blk = memory_block(
-                mesh, j, n, order, degrees=(len(coeffs_v[j - 1]) - 1, len(w_n) - 1)
-            )
-            total += float(w_n @ (blk.matrix @ coeffs_v[j - 1] + blk.jump_column * jumps[j - 1]))
-    return total
+    """Bilinear form int_0^T (B v)(t) w(t) dt for broken Legendre coefficients.
+
+    The degrees of v and w need not be the mesh's; the operator is built for
+    theirs and applied once.
+    """
+    operator = MemoryOperator(
+        mesh, order, [len(c) - 1 for c in coeffs_v], [len(c) - 1 for c in coeffs_w]
+    )
+    return operator_form(operator, coeffs_v, coeffs_w)
 
 
 def l2_form(mesh, coeffs_v, coeffs_w):

@@ -25,7 +25,6 @@ __all__ = [
     "ManufacturedProblem",
     "two_mode_problem",
     "power_mode_problem",
-    "custom_problem",
 ]
 
 _MERGE_TOL = 1e-15
@@ -183,15 +182,3 @@ def power_mode_problem(lam, nu, alpha):
     modes = (_mode(lam, PowerSum.of((1.0, float(nu))), alpha),)
     sigma = float(nu) if nu > 0.0 else math.inf
     return ManufacturedProblem(f"power_{nu:g}", alpha, sigma, 1.0, modes)
-
-
-def custom_problem(name, alpha, eigenvalues, profiles, sigma, K=1.0):
-    """Assemble a problem from eigenvalues and (coeff, exponent) profiles."""
-    alpha = _alpha_of(alpha)
-    if len(eigenvalues) != len(profiles):
-        raise ValueError("one profile is required per eigenvalue")
-    modes = tuple(
-        _mode(lam, PowerSum.of(*pairs), alpha)
-        for lam, pairs in zip(eigenvalues, profiles)
-    )
-    return ManufacturedProblem(str(name), alpha, float(sigma), float(K), modes)

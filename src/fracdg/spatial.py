@@ -22,8 +22,6 @@ __all__ = [
     "spectral_backend",
     "fem_backend",
     "ritz_projection",
-    "decompose",
-    "synthesize",
     "composite_gauss",
 ]
 
@@ -202,30 +200,3 @@ def composite_gauss(panels, npoints):
     x = (np.arange(panels)[:, None] + xg[None, :]) * width
     w = np.broadcast_to(wg * width, (panels, npoints))
     return x.ravel(), w.ravel()
-
-
-def decompose(system, g):
-    """Mode coefficients <g, phi_m> of a function of x."""
-    if system.backend == "spectral":
-        panels = max(32, 4 * system.mode_count)
-        x, w = composite_gauss(panels, 10)
-        vals = np.asarray(g(x), dtype=float)
-        if vals.shape != x.shape:
-            vals = np.array([g(xi) for xi in x], dtype=float)
-        coeffs = np.empty(system.mode_count)
-        for m in range(1, system.mode_count + 1):
-            coeffs[m - 1] = float(w @ (vals * system.shape_values(m, x)))
-        return coeffs
-    g_nodes = np.asarray([g(x) for x in system.space.nodes[1:-1]], dtype=float)
-    return system.mode_shapes.T @ (system.space.mass @ g_nodes)
-
-
-def synthesize(system, mode_values, x):
-    """Adjoint expansion sum_m v_m phi_m(x)."""
-    mode_values = np.asarray(mode_values, dtype=float)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x)
-    for m in range(1, system.mode_count + 1):
-        out += mode_values[m - 1] * system.shape_values(m, x)
-    return out[0] if scalar else out

@@ -1,5 +1,7 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 from fracdg import cli
@@ -20,6 +22,27 @@ modes = 2
 [study]
 m = 10
 """
+
+
+# geometric mesh with degrees 1, 1, 2, 2, 3, 4 and one coarse interval of degree 4
+GEOMETRIC_MIXED = """
+[problem]
+alpha = -0.4
+[mesh]
+family = geometric
+delta = 0.25
+L = 5
+mu = 0.7
+T = 1.0
+T_1 = 0.5
+[study]
+m = 6
+[diagnostics]
+stability_report = true
+coercivity_check = true
+"""
+
+PINNED = Path(__file__).parent / "data"
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -70,6 +93,23 @@ coercivity_check = true
     assert "ok = true" in coercivity and "seed = 3" in coercivity
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "stability_ok = true" in summary
+
+
+@pytest.mark.parametrize(
+    "name, text, seed",
+    [
+        ("solve_selftest", cli._SELFTEST_CONFIGS["solve"], 1),
+        ("solve_geometric", GEOMETRIC_MIXED, 7),
+    ],
+)
+def test_solve_outputs_match_pinned_bytes(tmp_path, name, text, seed):
+    # every printed digit of the solution, the energy inequality and the
+    # coercivity check, pinned so that a change in summation order shows
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == EXIT_OK
+    for filename in ("solution.csv", "stability.csv", "coercivity.txt"):
+        assert (out / filename).read_bytes() == (PINNED / name / filename).read_bytes(), filename
 
 
 def test_missing_alpha_names_key(tmp_path, capsys):

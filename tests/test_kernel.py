@@ -20,6 +20,12 @@ from fracdg import kernel
 from fracdg.mesh import geometric_mesh, graded_mesh, manual_mesh, uniform_mesh
 
 
+def frac_moment(a, b, t, k, alpha):
+    """int_a^min(b, t) (t-s)^alpha P_k(s) ds with P_k the Legendre basis on (a, b)."""
+    nodes, weights = kernel.power_rule(a, min(b, t), t, alpha, k)
+    return float(weights @ kernel.legendre_values(nodes, a, b, k)[:, k])
+
+
 # ---------------------------------------------------------------------------
 # Constants and weights
 # ---------------------------------------------------------------------------
@@ -59,23 +65,6 @@ def test_fractional_order_carries_constants():
     assert order.c_alpha == c and order.d_alpha == d
     with pytest.raises(ValueError):
         kernel.FractionalOrder.of(-1.2)
-
-
-def test_omega_weight_values():
-    # w_{alpha+1}(1) = 1/Gamma(alpha+1); at alpha = -1/2 that is 1/sqrt(pi)
-    assert math.isclose(kernel.omega_weight(-0.5, 0, 1.0), 1.0 / math.sqrt(math.pi), rel_tol=1e-14)
-    for alpha in (-0.2, -0.7):
-        for t in (0.3, 1.7):
-            assert math.isclose(
-                kernel.omega_weight(alpha, 0, t), t**alpha / math.gamma(alpha + 1.0), rel_tol=1e-14
-            )
-            assert math.isclose(
-                kernel.omega_weight(alpha, 1, t), t ** (alpha + 1.0) / math.gamma(alpha + 2.0), rel_tol=1e-14
-            )
-    with pytest.raises(ValueError):
-        kernel.omega_weight(-0.5, 2, 1.0)
-    with pytest.raises(ValueError):
-        kernel.omega_weight(-0.5, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +128,7 @@ def test_power_rule_right_singularity_against_oracle():
                 a, b, t = 0.3, 1.4, 1.4 + gap
                 ref = oracles.moment_oracle(a, b, t, k, alpha)
                 mass = abs(oracles.kernel_mass(a, b, t, alpha))
-                val = kernel.frac_moment(a, b, t, k, alpha)
+                val = frac_moment(a, b, t, k, alpha)
                 worst = max(worst, abs(val - ref) / (1e-10 * abs(ref) + 1e-13 * mass))
     assert worst <= 1.0
 
@@ -165,25 +154,7 @@ def test_frac_moment_inside_interval():
     # upper limit is min(b, t): t inside the interval integrates only to t
     a, b, t, alpha = 0.0, 1.0, 0.6, -0.4
     ref = oracles.moment_oracle(a, b, t, 3, alpha)
-    assert math.isclose(kernel.frac_moment(a, b, t, 3, alpha), ref, rel_tol=1e-11)
-
-
-def test_moment_table_matches_frac_moment():
-    table = kernel.MomentTable((0.5, 1.25), 4, -0.3)
-    for t in (0.9, 1.25, 2.0, 77.0):
-        vals = table.values(t)
-        mass = abs(oracles.kernel_mass(0.5, 1.25, t, -0.3))
-        for k in range(5):
-            # the table rule is built for the max degree, frac_moment for k,
-            # so they agree only up to summation noise at the mass scale
-            ref = kernel.frac_moment(0.5, 1.25, t, k, -0.3)
-            assert abs(vals[k] - ref) <= 1e-12 * abs(ref) + 1e-14 * mass
-    with pytest.raises(ValueError):
-        table.values(0.5)
-    with pytest.raises(ValueError):
-        kernel.MomentTable((1.0, 1.0), 2, -0.3)
-    with pytest.raises(ValueError):
-        kernel.MomentTable((0.0, 1.0), kernel.MAX_MOMENT_DEGREE + 1, -0.3)
+    assert math.isclose(frac_moment(a, b, t, 3, alpha), ref, rel_tol=1e-11)
 
 
 def test_legendre_derivative_values_match_per_degree_evaluation():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fracdg.problems import (
+    ManufacturedProblem,
     PowerSum,
-    custom_problem,
+    _mode,
     power_mode_problem,
     two_mode_problem,
 )
@@ -130,11 +131,6 @@ def test_power_mode_validation():
         power_mode_problem(1.0, -0.5, -0.5)
 
 
-def test_custom_problem_validation():
-    with pytest.raises(ValueError, match="profile"):
-        custom_problem("bad", -0.5, [1.0, 2.0], [((1.0, 0.0),)], 1.5)
-
-
 def test_forcing_residual_against_quadrature():
     # f_m must equal u_m' + lam B_alpha u_m; B_alpha evaluated by
     # independent singular quadrature, nothing shared with the package
@@ -143,8 +139,12 @@ def test_forcing_residual_against_quadrature():
         two_mode_problem(-0.5),
         two_mode_problem(-0.7),
         power_mode_problem(2.5, 1.75, -0.3),
-        custom_problem(
-            "mixed", -0.4, [1.0, 5.0], [((1.0, 0.0), (0.5, 1.3)), ((-2.0, 2.0),)], 1.3
+        ManufacturedProblem(
+            "mixed", -0.4, 1.3, 1.0,
+            (
+                _mode(1.0, PowerSum.of((1.0, 0.0), (0.5, 1.3)), -0.4),
+                _mode(5.0, PowerSum.of((-2.0, 2.0)), -0.4),
+            ),
         ),
     ]
     times = rng.uniform(0.02, 1.0, 50)

@@ -8,11 +8,9 @@ import pytest
 from fracdg.spatial import (
     ModeSystem,
     composite_gauss,
-    decompose,
     fem_backend,
     ritz_projection,
     spectral_backend,
-    synthesize,
 )
 
 
@@ -135,32 +133,6 @@ def test_ritz_boundary_warning():
     with pytest.warns(UserWarning, match="boundary"):
         coeffs = ritz_projection(space, lambda x: np.asarray(x, dtype=float))
     assert np.all(np.isfinite(coeffs))
-
-
-def test_decompose_spectral():
-    system = spectral_backend(2)
-    coeffs = decompose(system, lambda x: np.sin(2 * math.pi * x))
-    assert coeffs == pytest.approx([0.0, 1.0 / math.sqrt(2.0)], abs=1e-12)
-    initial = decompose(system, lambda x: np.sin(math.pi * x))
-    assert initial[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-    assert abs(initial[1]) < 1e-12
-
-
-def test_roundtrip_spectral():
-    system = spectral_backend(3)
-    target = np.array([0.3, -1.7, 0.9])
-    g = lambda x: synthesize(system, target, x)
-    assert decompose(system, g) == pytest.approx(target, abs=1e-12)
-    x = np.random.default_rng(3).uniform(0, 1, 20)
-    assert synthesize(system, decompose(system, g), x) == pytest.approx(g(x), abs=1e-12)
-
-
-def test_roundtrip_fem():
-    space, system = fem_backend(8, 2)
-    rng = np.random.default_rng(19)
-    target = rng.standard_normal(system.mode_count)
-    g = lambda x: synthesize(system, target, np.asarray(x, dtype=float))
-    assert decompose(system, g) == pytest.approx(target, abs=1e-12)
 
 
 def test_composite_gauss_weights():

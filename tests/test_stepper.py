@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fracdg.kernel import FractionalOrder, MemoryBlock, l2_form
-from fracdg.mesh import fine_grid, graded_mesh, manual_mesh, uniform_mesh
+import fracdg.kernel as kernel_mod
+from fracdg.kernel import FractionalOrder, MemoryBlock, l2_form, memory_block, memory_form
+from fracdg.mesh import fine_grid, geometric_mesh, graded_mesh, manual_mesh, uniform_mesh
 from fracdg.problems import PowerSum, power_mode_problem, two_mode_problem
 from fracdg.stepper import (
     DgSolution,
     ModeProblem,
-    assemble_local_system,
     mode_problems,
     pi_projection,
     solve,
@@ -23,19 +23,10 @@ def test_local_system_transport_only():
     # lambda=0, p=1, f=1, u0=0: classical DG, exact solution t
     mesh = uniform_mesh(1.0, 2, 1)
     problem = ModeProblem(0.0, PowerSum.of((1.0, 0.0)), 0.0)
-    matrix, rhs = assemble_local_system(problem, mesh, 1, -0.5)
-    assert matrix == pytest.approx(np.array([[1.0, 1.0], [-1.0, 1.0]]))
-    assert rhs == pytest.approx([0.5, 0.0])
-    c = np.linalg.solve(matrix, rhs)
-    # U(t) = c0 + c1 (2t/k - 1) = t on (0, 1/2)
-    assert c == pytest.approx([0.25, 0.25])
-
-
-def test_local_system_requires_incoming_trace():
-    mesh = uniform_mesh(1.0, 2, 1)
-    problem = ModeProblem(1.0, None, 1.0)
-    with pytest.raises(ValueError, match="incoming"):
-        assemble_local_system(problem, mesh, 2, -0.5)
+    sol = solve([problem], mesh, -0.5)
+    # U(t) = c0 + c1 (2t/k - 1) = t on (0, 1/2), then on (1/2, 1)
+    assert sol.coefficients_for(1)[:, 0] == pytest.approx([0.25, 0.25])
+    assert sol.coefficients_for(2)[:, 0] == pytest.approx([0.75, 0.25])
 
 
 def test_backward_euler_one_step():
@@ -70,28 +61,6 @@ def test_constant_solution_no_jumps():
     sol = solve([ModeProblem(0.0, None, 3.25)], mesh, -0.5)
     assert np.max(np.abs(sol.jumps())) < 1e-13
     assert sol.final_values()[0] == pytest.approx(3.25, rel=1e-14)
-
-
-def test_assemble_matches_march():
-    # assembling interval 2 by hand with the accumulated history reproduces
-    # the marched coefficients
-    from fracdg.kernel import memory_block
-
-    alpha = -0.6
-    mesh = uniform_mesh(1.0, 2, 2)
-    problem = ModeProblem(2.0, PowerSum.of((1.0, 1.0)), 0.7)
-    sol = solve([problem], mesh, alpha)
-    c1 = sol.coefficients_for(1)[:, 0]
-    blk = memory_block(mesh, 1, 2, alpha)
-    u0_plus = float((-1.0) ** np.arange(3) @ c1)
-    history = blk.matrix @ c1 + blk.jump_column * u0_plus
-    incoming = float(c1.sum())
-    matrix, rhs = assemble_local_system(
-        problem, mesh, 2, alpha, history=history, incoming_trace=incoming
-    )
-    assert np.linalg.solve(matrix, rhs) == pytest.approx(
-        sol.coefficients_for(2)[:, 0], rel=1e-12
-    )
 
 
 def test_evaluate_against_recurrence_oracle():
@@ -308,29 +277,26 @@ def test_non_finite_load_names_interval_and_mode():
 def test_singular_local_system_names_the_first_singular_mode(monkeypatch):
     # at p = 0 the local system is 1 + lambda (D + J); with D + J = -1 it is
     # singular exactly for the modes with lambda = 1
-    import fracdg.stepper as stepper_mod
-
     def block(mesh, j, n, order, **kwargs):
         return MemoryBlock(j, n, np.full((1, 1), -0.5), np.full(1, -0.5))
 
-    monkeypatch.setattr(stepper_mod, "memory_block", block)
+    monkeypatch.setattr(kernel_mod, "memory_block", block)
     problems = [ModeProblem(lam, None, 1.0) for lam in (0.5, 1.0, 1.0)]
     with pytest.raises(RuntimeError, match="singular local system on interval 1, mode 2"):
         solve(problems, uniform_mesh(1.0, 3, 0), -0.5)
 
 
 def test_history_cost_scaling(monkeypatch):
-    # O(N^2) history: each (j, n) block is built once, shared across modes
-    import fracdg.stepper as stepper_mod
-
-    real_block = stepper_mod.memory_block
+    # O(N^2) history: each (j, n) block is built once, shared across modes;
+    # the memory operator builds every block through kernel.memory_block
+    real_block = kernel_mod.memory_block
     calls = []
 
     def counting_block(mesh, j, n, order, **kwargs):
         calls.append((j, n))
         return real_block(mesh, j, n, order, **kwargs)
 
-    monkeypatch.setattr(stepper_mod, "memory_block", counting_block)
+    monkeypatch.setattr(kernel_mod, "memory_block", counting_block)
     for N in (20, 40):
         calls.clear()
         mesh = uniform_mesh(1.0, N, 1)
@@ -340,17 +306,15 @@ def test_history_cost_scaling(monkeypatch):
 
 
 def test_stability_report_reuses_the_blocks_of_solve(monkeypatch):
-    # solve keeps every block it builds; the report applies them unchanged
-    import fracdg.stepper as stepper_mod
-
-    real_block = stepper_mod.memory_block
+    # solve keeps the operator it builds; the report applies it unchanged
+    real_block = kernel_mod.memory_block
     calls = []
 
     def counting_block(mesh, j, n, order, **kwargs):
         calls.append((j, n))
         return real_block(mesh, j, n, order, **kwargs)
 
-    monkeypatch.setattr(stepper_mod, "memory_block", counting_block)
+    monkeypatch.setattr(kernel_mod, "memory_block", counting_block)
     # mixed degrees, so the stacked blocks carry zero padding
     mesh = manual_mesh([0.0, 0.05, 0.2, 0.5, 1.0], [1, 3, 2, 1])
     problems = [
@@ -375,3 +339,47 @@ def test_stability_report_reuses_the_blocks_of_solve(monkeypatch):
     other = stability_report(solution, problems, -0.3)
     assert sorted(calls) == sorted((j, n) for n in range(1, 5) for j in range(1, n + 1))
     assert not np.array_equal(other.lhs, report.lhs)
+
+
+def test_report_memory_energy_is_the_sum_of_the_modes_memory_forms():
+    # int_0^{t_N} A(B U, U) dt = sum_m lambda_m Q(U_m, U_m): the report and
+    # memory_form apply the same operator
+    mesh = manual_mesh([0.0, 0.05, 0.2, 0.5, 0.7, 1.0], [1, 3, 2, 1, 4])
+    problems = [
+        ModeProblem(3.0, PowerSum.of((1.0, 0.0), (-0.5, 1.0)), 1.0),
+        ModeProblem(12.0, None, -0.4),
+        ModeProblem(40.0, PowerSum.of((2.0, 0.3)), 0.2),
+    ]
+    alpha = -0.6
+    solution = solve(problems, mesh, alpha)
+    report = stability_report(solution, problems, alpha)
+    left = solution.left_traces()[-1]
+    right = solution.right_traces()[-1]
+    energy = 0.5 * (report.lhs[-1] - left @ left - right @ right)
+    expected = 0.0
+    for m, pr in enumerate(problems):
+        u_m = [block[:, m] for block in solution.coefficients]
+        expected += pr.eigenvalue * memory_form(mesh, alpha, u_m, u_m)
+    assert energy > 0.1 * report.lhs[-1]
+    assert energy == pytest.approx(expected, rel=1e-12)
+
+
+def test_memory_form_with_other_degrees_matches_a_per_block_loop():
+    # as in acceptance gate 6, v and w carry degrees other than the mesh's
+    rng = np.random.default_rng(17)
+    alpha = -0.35
+    mesh = geometric_mesh(1.0, 1.0, 0.3, 3, 1.0)
+    assert list(mesh.degrees) == [1, 2, 3, 4]
+    v = [rng.standard_normal(k) for k in (3, 1, 4, 2)]
+    w = [rng.standard_normal(k) for k in (2, 4, 1, 5)]
+    total = 0.0
+    for n in range(1, 5):
+        for j in range(1, n + 1):
+            c = v[j - 1]
+            # v(0+) for the first source, the jump [v]^{j-1} after it
+            jump = c @ (-1.0) ** np.arange(len(c))
+            if j > 1:
+                jump -= v[j - 2].sum()
+            blk = memory_block(mesh, j, n, alpha, degrees=(len(c) - 1, len(w[n - 1]) - 1))
+            total += w[n - 1] @ (blk.matrix @ c + blk.jump_column * jump)
+    assert memory_form(mesh, alpha, v, w) == pytest.approx(total, rel=1e-13)
