@@ -16,7 +16,6 @@ from .analysis import (
     figure_curves_hp,
     figure_curves_sweep,
     fem_mode_problems,
-    projection_gamma,
     run_h_study,
     run_hp_study,
     semilog_fit,
@@ -24,12 +23,9 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize
 from .kernel import (
-    MAX_MOMENT_DEGREE,
-    FractionalOrder,
     MemoryBlock,
     MemoryOperator,
     coercivity_constants,
-    frac_derivative_values,
     fractional_integral_values,
     gauss_jacobi_rule,
     l2_form,

@@ -25,7 +25,13 @@ import numpy as np
 
 from .mesh import dof_count, fine_grid, geometric_mesh, graded_mesh
 from .problems import PowerSum, two_mode_problem
-from .spatial import composite_gauss, fem_backend, ritz_projection, spectral_backend
+from .spatial import (
+    _sine_values,
+    composite_gauss,
+    fem_backend,
+    ritz_projection,
+    spectral_backend,
+)
 from .stepper import ModeProblem, mode_problems, solve
 
 __all__ = [
@@ -39,7 +45,6 @@ __all__ = [
     "eoc",
     "exp_coefficient",
     "semilog_fit",
-    "projection_gamma",
     "run_h_study",
     "run_hp_study",
     "delta_sweep",
@@ -117,11 +122,6 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _sine_values(mode_count, x):
-    # orthonormal eigenfunctions sqrt(2) sin(j pi x) of the continuous operator
-    return np.sqrt(2.0) * np.sin(np.outer(np.arange(1, mode_count + 1) * np.pi, x))
-
-
 def resolve_backend(backend, problem, fem_elements, fem_degree):
     """Spatial backend named by `backend` ("spectral" or "fem"), or `backend` itself."""
     if isinstance(backend, str):
@@ -161,9 +161,7 @@ def error_measure(solution, problem, backend, m, method="auto"):
     else:
         space = backend.space
         x, w = composite_gauss(space.element_count, space.degree + 1)
-    shapes = np.vstack(
-        [backend.shape_values(j, x) for j in range(1, backend.mode_count + 1)]
-    )
+    shapes = backend.mode_values(x)
     exact_shapes = _sine_values(problem.mode_count, x)
     diff = numeric @ shapes - exact @ exact_shapes
     return float(np.sqrt(np.maximum(diff**2 @ w, 0.0)).max())
@@ -207,19 +205,6 @@ def semilog_fit(errors, dofs):
     return -coeffs[0], coeffs[1], float(r_squared)
 
 
-def projection_gamma(p, q):
-    """Factorial ratio Gamma(p-q+1)/Gamma(p+q+1) from the projection bound."""
-    if not 0 <= q <= p:
-        raise ValueError(f"need 0 <= q <= p, got q={q}, p={p}")
-    return math.gamma(p - q + 1) / math.gamma(p + q + 1)
-
-
-def _power_singularity(forcing):
-    exponents = [e for _, e in forcing.terms]
-    fractional = [e for e in exponents if e != round(e) and e < 1.0]
-    return min(fractional) if fractional else None
-
-
 def fem_mode_problems(problem, system):
     """Scalar mode problems of the spatially discrete system.
 
@@ -230,9 +215,7 @@ def fem_mode_problems(problem, system):
     """
     space = system.space
     x, w = composite_gauss(space.element_count, space.degree + 4)
-    shapes = np.vstack(
-        [system.shape_values(j, x) for j in range(1, system.mode_count + 1)]
-    )
+    shapes = system.mode_values(x)
     sines = _sine_values(problem.mode_count, x)
     pairing = (sines * w) @ shapes.T
     initial_modes = np.asarray(problem.initial_coefficients())
@@ -247,14 +230,7 @@ def fem_mode_problems(problem, system):
         forcing = PowerSum.of()
         for j, component in enumerate(problem.modes):
             forcing = forcing + component.forcing.scale(pairing[j, m])
-        out.append(
-            ModeProblem(
-                float(system.eigenvalues[m]),
-                forcing,
-                float(initial[m]),
-                _power_singularity(forcing),
-            )
-        )
+        out.append(ModeProblem(float(system.eigenvalues[m]), forcing, float(initial[m])))
     return out
 
 

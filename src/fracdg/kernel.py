@@ -33,7 +33,6 @@ from numpy.polynomial import legendre as _leg
 from scipy.special import roots_jacobi
 
 __all__ = [
-    "FractionalOrder",
     "MemoryBlock",
     "MemoryOperator",
     "coercivity_constants",
@@ -42,14 +41,16 @@ __all__ = [
     "memory_form",
     "operator_form",
     "l2_form",
-    "frac_derivative_values",
     "fractional_integral_values",
-    "MAX_MOMENT_DEGREE",
 ]
 
-# Largest Legendre degree the kernel rules are checked to; far beyond
-# anything the hp studies use.
-MAX_MOMENT_DEGREE = 64
+
+def _check_alpha(alpha):
+    """alpha as a float; ValueError unless it lies in (-1, 0)."""
+    alpha = float(alpha)
+    if not -1.0 < alpha < 0.0:
+        raise ValueError(f"fractional order alpha must lie in (-1, 0), got {alpha}")
+    return alpha
 
 
 def coercivity_constants(alpha):
@@ -62,35 +63,11 @@ def coercivity_constants(alpha):
     Q(v, v) >= c_alpha T^alpha int v^2 and |Q(v, w)|^2 <= d_alpha^2 Q(v,v) Q(w,w).
     Both constants tend to 1 as alpha -> 0-.
     """
-    if not -1.0 < alpha < 0.0:
-        raise ValueError(f"fractional order alpha must lie in (-1, 0), got {alpha}")
+    alpha = _check_alpha(alpha)
     cos_half = math.cos(alpha * math.pi / 2.0)
     c_alpha = (cos_half / math.pi**alpha) * abs(alpha) ** (-alpha) / (1.0 - alpha) ** (1.0 - alpha)
     d_alpha = 1.0 / cos_half
     return c_alpha, d_alpha
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """The order alpha in (-1, 0) together with its derived constants."""
-
-    alpha: float
-    c_alpha: float
-    d_alpha: float
-
-    @classmethod
-    def of(cls, alpha):
-        alpha = float(alpha)
-        c_alpha, d_alpha = coercivity_constants(alpha)
-        return cls(alpha, c_alpha, d_alpha)
-
-    def __post_init__(self):
-        if not -1.0 < self.alpha < 0.0:
-            raise ValueError(f"fractional order alpha must lie in (-1, 0), got {self.alpha}")
-
-
-def _alpha_of(order):
-    return order.alpha if isinstance(order, FractionalOrder) else float(order)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +406,16 @@ def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
 def memory_block(mesh, j, n, order, degrees=None):
     """Memory-matrix block of source interval j acting on target interval n.
 
-    Intervals are 1-based.  `degrees` optionally overrides (p_j, p_n) from the
-    mesh.  Near-diagonal blocks (and the jump columns) use exact closed forms;
-    once the gap t_{n-1} - t_j reaches _FAR_RATIO times the larger of the two
-    step sizes, the smooth Gauss-Legendre branch takes over with max degree +
-    _FAR_PADDING points per direction.
+    Intervals are 1-based and `order` is alpha.  `degrees` optionally
+    overrides (p_j, p_n) from the mesh.  Near-diagonal blocks (and the jump
+    columns) use exact closed forms; once the gap t_{n-1} - t_j reaches
+    _FAR_RATIO times the larger of the two step sizes, the smooth
+    Gauss-Legendre branch takes over with max degree + _FAR_PADDING points
+    per direction.
     """
     if not 1 <= j <= n <= mesh.interval_count:
         raise IndexError(f"interval pair (j={j}, n={n}) outside 1..{mesh.interval_count}")
-    alpha = _alpha_of(order)
+    alpha = _check_alpha(order)
     tl, tr = mesh.interval(n)
     sl, sr = mesh.interval(j)
     if degrees is None:
@@ -459,7 +437,7 @@ def memory_block(mesh, j, n, order, degrees=None):
 
 
 # ---------------------------------------------------------------------------
-# The assembled memory operator, its bilinear form, pointwise evaluation
+# The assembled memory operator and its bilinear form
 # ---------------------------------------------------------------------------
 
 
@@ -495,7 +473,8 @@ class MemoryOperator:
     `memory_block`, once per (j, n).
     """
 
-    def __init__(self, mesh, order, source_degrees, target_degrees):
+    def __init__(self, mesh, alpha, source_degrees, target_degrees):
+        self.alpha = _check_alpha(alpha)
         width = int(max(source_degrees)) + 1
         matrices = []
         jump_columns = []
@@ -505,12 +484,11 @@ class MemoryOperator:
             target_jumps = np.empty((n, q + 1))
             for j in range(1, n + 1):
                 p = int(source_degrees[j - 1])
-                blk = memory_block(mesh, j, n, order, degrees=(p, q))
+                blk = memory_block(mesh, j, n, self.alpha, degrees=(p, q))
                 target_matrices[j - 1, :, : p + 1] = blk.matrix
                 target_jumps[j - 1] = blk.jump_column
             matrices.append(target_matrices)
             jump_columns.append(target_jumps)
-        self.alpha = _alpha_of(order)
         self.matrices = tuple(matrices)
         self.jump_columns = tuple(jump_columns)
 
@@ -539,14 +517,14 @@ def operator_form(operator, coeffs_v, coeffs_w):
     )
 
 
-def memory_form(mesh, order, coeffs_v, coeffs_w):
+def memory_form(mesh, alpha, coeffs_v, coeffs_w):
     """Bilinear form int_0^T (B v)(t) w(t) dt for broken Legendre coefficients.
 
     The degrees of v and w need not be the mesh's; the operator is built for
     theirs and applied once.
     """
     operator = MemoryOperator(
-        mesh, order, [len(c) - 1 for c in coeffs_v], [len(c) - 1 for c in coeffs_w]
+        mesh, alpha, [len(c) - 1 for c in coeffs_v], [len(c) - 1 for c in coeffs_w]
     )
     return operator_form(operator, coeffs_v, coeffs_w)
 
@@ -563,45 +541,20 @@ def l2_form(mesh, coeffs_v, coeffs_w):
     return total
 
 
-def frac_derivative_values(mesh, order, coeffs, times):
-    """Pointwise (B v)(t) for a broken Legendre polynomial via the jump form."""
-    alpha = _alpha_of(order)
-    scale = _kernel_scale(alpha)
-    jumps = _jump_values(coeffs)
-    nodes_arr = mesh.nodes
-    out = np.empty(len(times))
-    for idx, t in enumerate(times):
-        if t <= 0.0 or t > mesh.horizon:
-            raise ValueError(f"evaluation time {t} outside (0, T]")
-        acc = 0.0
-        for j in range(1, mesh.interval_count + 1):
-            a = nodes_arr[j - 1]
-            if a >= t:
-                break
-            acc += jumps[j - 1] * (t - a) ** alpha * scale
-            p_j = len(coeffs[j - 1]) - 1
-            if p_j == 0:
-                continue
-            b = min(nodes_arr[j], t)
-            qn, qw = power_rule(a, b, t, alpha, p_j - 1)
-            dvals = legendre_derivative_values(qn, nodes_arr[j - 1], nodes_arr[j], p_j, 1)
-            acc += scale * float(qw @ (dvals @ coeffs[j - 1]))
-        out[idx] = acc
-    return out
+# Gauss-Jacobi points of the fractional integral's rule
+_FRAC_INTEGRAL_POINTS = 32
 
 
-def fractional_integral_values(alpha, f, times, singular_exponent=None, npoints=32):
+def fractional_integral_values(alpha, f, times, singular_exponent=None):
     """Fractional integral int_0^t (t-s)^(-alpha-1) f(s) ds / Gamma(-alpha).
 
     The inverse of the order-alpha operator.  `singular_exponent` declares an
     algebraic singularity f(s) ~ s^e at the origin so the quadrature can
     absorb it into a two-sided Jacobi weight.
     """
-    alpha = _alpha_of(alpha)
-    if not -1.0 < alpha < 0.0:
-        raise ValueError(f"fractional order alpha must lie in (-1, 0), got {alpha}")
+    alpha = _check_alpha(alpha)
     e = 0.0 if singular_exponent is None else float(singular_exponent)
-    x, w = roots_jacobi(npoints, -alpha - 1.0, e)
+    x, w = roots_jacobi(_FRAC_INTEGRAL_POINTS, -alpha - 1.0, e)
     out = np.empty(len(times))
     inv_gamma = 1.0 / math.gamma(-alpha)
     for idx, t in enumerate(times):

@@ -115,13 +115,13 @@ def graded_mesh(T, N, gamma, p, first_interval_linear=False):
     )
 
 
-def geometric_mesh(T, T_1, delta, L, mu, coarse_count=None, enforce_min_degree=True):
+def geometric_mesh(T, T_1, delta, L, mu, enforce_min_degree=True):
     """Geometrically refined nodes t_n = delta^(L+1-n) T_1 on (0, T_1].
 
     Degrees grow linearly, p_n = floor(mu n), floored at 1 unless
     enforce_min_degree is disabled.  If T_1 < T the remainder is covered by
-    uniform coarse intervals of width at most T_1 (count chosen automatically
-    unless given), all carrying the last geometric degree.
+    the fewest uniform coarse intervals of width at most T_1, all carrying
+    the last geometric degree.
     """
     if T <= 0.0 or T_1 <= 0.0:
         raise ValueError(f"horizons must be positive, got T={T}, T_1={T_1}")
@@ -142,14 +142,11 @@ def geometric_mesh(T, T_1, delta, L, mu, coarse_count=None, enforce_min_degree=T
         degrees.append(p_n)
     nodes = list(geo)
     if T_1 < T:
-        if coarse_count is None:
-            coarse_count = max(1, int(math.ceil((T - T_1) / T_1 - 1e-12)))
-        if coarse_count < 1:
-            raise ValueError(f"coarse interval count must be >= 1, got {coarse_count}")
-        width = (T - T_1) / coarse_count
-        nodes += [T_1 + i * width for i in range(1, coarse_count + 1)]
+        coarse = max(1, int(math.ceil((T - T_1) / T_1 - 1e-12)))
+        width = (T - T_1) / coarse
+        nodes += [T_1 + i * width for i in range(1, coarse + 1)]
         nodes[-1] = T
-        degrees += [degrees[-1]] * coarse_count
+        degrees += [degrees[-1]] * coarse
     return TimeMesh(
         np.array(nodes),
         np.array(degrees, dtype=int),
@@ -177,7 +174,7 @@ def uniform_mesh(T, N, p):
 
 
 def manual_mesh(nodes, degrees):
-    """Hand-built mesh (used by config files and oracle comparisons)."""
+    """Mesh from explicit nodes and per-interval degrees (oracle comparisons)."""
     return TimeMesh(np.asarray(nodes, dtype=float), np.asarray(degrees, dtype=int), "manual")
 
 

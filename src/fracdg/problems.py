@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _alpha_of
+from .kernel import _check_alpha
 
 __all__ = [
     "PowerSum",
@@ -68,9 +68,8 @@ class PowerSum:
     def derivative(self):
         return PowerSum(_merged((c * e, e - 1.0) for c, e in self.terms if e != 0.0))
 
-    def frac_derivative(self, order):
+    def frac_derivative(self, alpha):
         """Apply B_alpha termwise via the power identity."""
-        alpha = _alpha_of(order)
         return PowerSum(
             _merged(
                 (c * math.gamma(e + 1.0) / math.gamma(e + 1.0 + alpha), e + alpha)
@@ -78,9 +77,8 @@ class PowerSum:
             )
         )
 
-    def frac_integral(self, order):
+    def frac_integral(self, alpha):
         """Apply the inverse operator I^{-alpha} termwise."""
-        alpha = _alpha_of(order)
         return PowerSum(
             _merged(
                 (c * math.gamma(e + 1.0) / math.gamma(e + 1.0 - alpha), e - alpha)
@@ -160,7 +158,7 @@ def two_mode_problem(alpha, K=1.0):
     so the coefficient of mode 1 is 1/sqrt(2) and of mode 2 is
     -t^{alpha+2}/sqrt(2).  The regularity exponent is sigma = alpha + 2.
     """
-    alpha = _alpha_of(alpha)
+    alpha = _check_alpha(alpha)
     if K <= 0.0:
         raise ValueError(f"diffusivity K must be positive, got {K}")
     lam = K * math.pi**2 * np.array([1.0, 4.0])
@@ -174,7 +172,7 @@ def two_mode_problem(alpha, K=1.0):
 
 def power_mode_problem(lam, nu, alpha):
     """Single scalar mode u = t^nu with its closed-form forcing."""
-    alpha = _alpha_of(alpha)
+    alpha = _check_alpha(alpha)
     if nu < 0.0:
         raise ValueError(f"exponent nu must be >= 0, got {nu}")
     if nu + alpha <= -1.0:

@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 
+def _sine_values(mode_count, x):
+    # rows m-1: the orthonormal eigenfunctions sqrt(2) sin(m pi x), m <= mode_count
+    return np.sqrt(2.0) * np.sin(np.outer(np.arange(1, mode_count + 1) * np.pi, x))
+
+
 def _reference_lagrange(r):
     # cardinal basis on equispaced reference nodes 0, 1/r, ..., 1
     nodes = np.arange(r + 1) / r
@@ -68,10 +73,6 @@ class FemSpace:
             out[np.arange(x.size), elem * r + j] += poly(xi)
         return out[:, 1:-1]
 
-    def evaluate(self, coeffs, x):
-        """Values of the interior expansion sum_i c_i chi_i at points x."""
-        return self.basis_values(x) @ np.asarray(coeffs, dtype=float)
-
 
 @dataclass(frozen=True)
 class ModeSystem:
@@ -95,14 +96,12 @@ class ModeSystem:
     def mode_count(self):
         return self.eigenvalues.size
 
-    def shape_values(self, m, x):
-        """Values of the m-th (1-based) mode shape at points x."""
-        x = np.asarray(x, dtype=float)
-        if not 1 <= m <= self.mode_count:
-            raise IndexError(f"mode index {m} outside 1..{self.mode_count}")
+    def mode_values(self, x):
+        """Values of every mode shape at points x; row m-1 is mode m."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.backend == "spectral":
-            return math.sqrt(2.0) * np.sin(m * math.pi * x)
-        return self.space.evaluate(self.mode_shapes[:, m - 1], x)
+            return _sine_values(self.mode_count, x)
+        return (self.space.basis_values(x) @ self.mode_shapes).T
 
 
 def spectral_backend(M, K=1.0):

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import (
-    FractionalOrder,
     MemoryOperator,
     _gauss_legendre,
     _jump_values,
     _parity,
+    coercivity_constants,
     fractional_integral_values,
     gauss_jacobi_rule,
     legendre_values,
@@ -48,7 +48,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModeProblem:
-    """One scalar mode: u' + lambda B u = f with initial value u0."""
+    """One scalar mode: u' + lambda B u = f with initial value u0.
+
+    `forcing_singularity` declares f(t) ~ t^e at 0 for a callable forcing;
+    a power-sum forcing is integrated exactly and needs none.
+    """
 
     eigenvalue: float
     forcing: object
@@ -65,8 +69,7 @@ class ModeProblem:
 def mode_problems(problem):
     """ModeProblem list for a manufactured problem's components."""
     return [
-        ModeProblem(m.eigenvalue, m.forcing, m.profile.at_zero(), m.singular_exponent)
-        for m in problem.modes
+        ModeProblem(m.eigenvalue, m.forcing, m.profile.at_zero()) for m in problem.modes
     ]
 
 
@@ -85,21 +88,30 @@ def _call_vec(f, x):
     return vals
 
 
-def _interval_load(forcing, singularity, a, b, p, is_first, extra=6):
+def _power_moments(power_sum, a, b, p):
+    """Moments int_a^b u P_i dt, i <= p, of a power sum u; exact."""
+    moments = np.zeros(p + 1)
+    for coeff, exponent in power_sum.terms:
+        nodes, weights = power_rule(a, b, 0.0, exponent, p)
+        moments += coeff * (weights @ legendre_values(nodes, a, b, p))
+    return moments
+
+
+# Gauss points beyond the degree for loads of callable forcings
+_LOAD_EXTRA_POINTS = 6
+
+
+def _interval_load(forcing, singularity, a, b, p, is_first):
     """Load vector int_In f P_i dt; exact for power-sum forcings."""
     if forcing is None:
         return np.zeros(p + 1)
     if isinstance(forcing, PowerSum):
-        load = np.zeros(p + 1)
-        for coeff, exponent in forcing.terms:
-            nodes, weights = power_rule(a, b, 0.0, exponent, p)
-            load += coeff * (weights @ legendre_values(nodes, a, b, p))
-        return load
+        return _power_moments(forcing, a, b, p)
     if is_first and singularity is not None and singularity != 0.0:
-        nodes, weights = gauss_jacobi_rule(p + extra, singularity, (a, b))
+        nodes, weights = gauss_jacobi_rule(p + _LOAD_EXTRA_POINTS, singularity, (a, b))
         vals = _call_vec(forcing, nodes) / nodes**singularity
     else:
-        nodes, weights = _gauss_legendre(p + extra, a, b)
+        nodes, weights = _gauss_legendre(p + _LOAD_EXTRA_POINTS, a, b)
         vals = _call_vec(forcing, nodes)
     return (weights * vals) @ legendre_values(nodes, a, b, p)
 
@@ -194,7 +206,7 @@ def _solve_modes(systems, rhs, n):
     return np.ascontiguousarray(block.T)
 
 
-def solve(problems, mesh, order, initial_values=None):
+def solve(problems, mesh, alpha, initial_values=None):
     """March the DG scheme over the mesh for all modes at once.
 
     Memory blocks depend only on the interval pair, so the memory operator
@@ -211,7 +223,7 @@ def solve(problems, mesh, order, initial_values=None):
         initial_values = np.asarray(initial_values, dtype=float)
         if initial_values.shape != (modes,):
             raise ValueError("one initial value per mode is required")
-    operator = MemoryOperator(mesh, order, mesh.degrees, mesh.degrees)
+    operator = MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
     coeffs = []
     jump_vals = np.empty((mesh.interval_count, modes))
     incoming = initial_values.copy()
@@ -248,10 +260,7 @@ def pi_projection(profiles, mesh):
         block = np.empty((p + 1, len(profiles)))
         for m, u in enumerate(profiles):
             if isinstance(u, PowerSum):
-                moments = np.zeros(p + 1)
-                for coeff, exponent in u.terms:
-                    nodes, weights = power_rule(a, b, 0.0, exponent, p)
-                    moments += coeff * (weights @ legendre_values(nodes, a, b, p))
+                moments = _power_moments(u, a, b, p)
                 end_value = u(b)
             else:
                 nodes, weights = _gauss_legendre(p + 8, a, b)
@@ -340,7 +349,7 @@ def _forcing_increments(problems, mesh, alpha):
     return out
 
 
-def stability_report(solution, problems, order, slack=1e-8):
+def stability_report(solution, problems, alpha, slack=1e-8):
     """Evaluate the discrete energy inequality
 
         |U_-^n|^2 + |U_+^{n-1}|^2 + 2 int_0^{t_n} A(B U, U) dt
@@ -352,12 +361,11 @@ def stability_report(solution, problems, order, slack=1e-8):
     projection) or carries one for another alpha.
     """
     problems = list(problems)
-    order = order if isinstance(order, FractionalOrder) else FractionalOrder.of(order)
-    alpha = order.alpha
+    _, d_alpha = coercivity_constants(alpha)
     mesh = solution.mesh
     operator = solution.memory_operator
     if operator is None or operator.alpha != alpha:
-        operator = MemoryOperator(mesh, order, mesh.degrees, mesh.degrees)
+        operator = MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
     lam = np.array([pr.eigenvalue for pr in problems])
     coeffs = solution.coefficients
     jumps = _jump_values(coeffs)
@@ -371,7 +379,7 @@ def stability_report(solution, problems, order, slack=1e-8):
     energy = np.cumsum(increments)
     forcing = np.cumsum(_forcing_increments(problems, mesh, alpha))
     lhs = np.sum(left**2, axis=1) + np.sum(right**2, axis=1) + 2.0 * energy
-    rhs = 4.0 * float(np.sum(solution.initial_values**2)) + 4.0 * order.d_alpha**2 * forcing
+    rhs = 4.0 * float(np.sum(solution.initial_values**2)) + 4.0 * d_alpha**2 * forcing
     violations = tuple(
         int(n)
         for n in range(1, mesh.interval_count + 1)

@@ -15,7 +15,6 @@ from fracdg.analysis import (
     fem_mode_problems,
     figure_curves_hp,
     figure_curves_sweep,
-    projection_gamma,
     run_h_study,
     run_hp_study,
     semilog_fit,
@@ -26,6 +25,13 @@ from fracdg.mesh import graded_mesh, uniform_mesh
 from fracdg.problems import power_mode_problem, two_mode_problem
 from fracdg.spatial import fem_backend, spectral_backend
 from fracdg.stepper import DgSolution, mode_problems, pi_projection, solve
+
+
+def projection_gamma(p, q):
+    """Factorial ratio Gamma(p-q+1)/Gamma(p+q+1) from the projection bound."""
+    if not 0 <= q <= p:
+        raise ValueError(f"need 0 <= q <= p, got q={q}, p={p}")
+    return math.gamma(p - q + 1) / math.gamma(p + q + 1)
 
 
 @pytest.fixture(scope="module")

@@ -18,12 +18,44 @@ from hypothesis import strategies as st
 import oracles
 from fracdg import kernel
 from fracdg.mesh import geometric_mesh, graded_mesh, manual_mesh, uniform_mesh
+from fracdg.problems import power_mode_problem, two_mode_problem
+from fracdg.stepper import mode_problems, solve, stability_report
+
+# Largest Legendre degree the kernel rules are checked to; far beyond
+# anything the hp studies use.
+MAX_MOMENT_DEGREE = 64
 
 
 def frac_moment(a, b, t, k, alpha):
     """int_a^min(b, t) (t-s)^alpha P_k(s) ds with P_k the Legendre basis on (a, b)."""
     nodes, weights = kernel.power_rule(a, min(b, t), t, alpha, k)
     return float(weights @ kernel.legendre_values(nodes, a, b, k)[:, k])
+
+
+def frac_derivative_values(mesh, alpha, coeffs, times):
+    """Pointwise (B v)(t) for a broken Legendre polynomial via the jump form."""
+    scale = kernel._kernel_scale(alpha)
+    jumps = kernel._jump_values(coeffs)
+    nodes_arr = mesh.nodes
+    out = np.empty(len(times))
+    for idx, t in enumerate(times):
+        if t <= 0.0 or t > mesh.horizon:
+            raise ValueError(f"evaluation time {t} outside (0, T]")
+        acc = 0.0
+        for j in range(1, mesh.interval_count + 1):
+            a = nodes_arr[j - 1]
+            if a >= t:
+                break
+            acc += jumps[j - 1] * (t - a) ** alpha * scale
+            p_j = len(coeffs[j - 1]) - 1
+            if p_j == 0:
+                continue
+            b = min(nodes_arr[j], t)
+            qn, qw = kernel.power_rule(a, b, t, alpha, p_j - 1)
+            dvals = kernel.legendre_derivative_values(qn, nodes_arr[j - 1], nodes_arr[j], p_j, 1)
+            acc += scale * float(qw @ (dvals @ coeffs[j - 1]))
+        out[idx] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +90,32 @@ def test_coercivity_constants_reject_orders_outside_range():
             kernel.coercivity_constants(bad)
 
 
-def test_fractional_order_carries_constants():
-    order = kernel.FractionalOrder.of(-0.5)
-    c, d = kernel.coercivity_constants(-0.5)
-    assert order.alpha == -0.5
-    assert order.c_alpha == c and order.d_alpha == d
-    with pytest.raises(ValueError):
-        kernel.FractionalOrder.of(-1.2)
+def _alpha_entry_points():
+    # every public entry point that takes alpha, on a small valid input
+    mesh = uniform_mesh(T=1.0, N=2, p=1)
+    coeffs = [np.array([1.0, 0.5]), np.array([0.2, -0.1])]
+    problems = mode_problems(two_mode_problem(-0.5))
+    solution = solve(problems, mesh, -0.5)
+    return {
+        "solve": lambda alpha: solve(problems, mesh, alpha),
+        "stability_report": lambda alpha: stability_report(solution, problems, alpha),
+        "memory_form": lambda alpha: kernel.memory_form(mesh, alpha, coeffs, coeffs),
+        "memory_block": lambda alpha: kernel.memory_block(mesh, 1, 2, alpha),
+        "MemoryOperator": lambda alpha: kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees),
+        "two_mode_problem": lambda alpha: two_mode_problem(alpha),
+        "power_mode_problem": lambda alpha: power_mode_problem(1.0, 2.0, alpha),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["solve", "stability_report", "memory_form", "memory_block", "MemoryOperator",
+     "two_mode_problem", "power_mode_problem"],
+)
+@pytest.mark.parametrize("alpha", [0.0, 0.3, -1.0, math.nan], ids=str)
+def test_entry_points_reject_alpha_outside_range(entry, alpha):
+    with pytest.raises(ValueError, match=r"fractional order alpha must lie in \(-1, 0\), got"):
+        _alpha_entry_points()[entry](alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +217,7 @@ def test_legendre_derivative_values_match_per_degree_evaluation():
     s = np.concatenate([[a, b], np.random.default_rng(5).uniform(a, b, 40)])
     x = (2.0 * s - (a + b)) / (b - a)
     for nderiv in (0, 1, 2):
-        for max_degree in list(range(9)) + [kernel.MAX_MOMENT_DEGREE]:
+        for max_degree in list(range(9)) + [MAX_MOMENT_DEGREE]:
             ref = np.zeros((s.size, max_degree + 1))
             for k in range(max_degree + 1):
                 coeff = leg.legder(np.eye(max_degree + 1)[k], nderiv)
@@ -397,16 +448,16 @@ def test_memory_form_coercivity_and_continuity():
     for trial in range(24):
         mesh = meshes[trial % len(meshes)]
         alpha = float(rng.uniform(-0.95, -0.05))
-        order = kernel.FractionalOrder.of(alpha)
+        c_alpha, d_alpha = kernel.coercivity_constants(alpha)
         v = _random_broken_coeffs(rng, mesh)
         w = _random_broken_coeffs(rng, mesh)
-        qvv = kernel.memory_form(mesh, order, v, v)
-        qww = kernel.memory_form(mesh, order, w, w)
-        qvw = kernel.memory_form(mesh, order, v, w)
+        qvv = kernel.memory_form(mesh, alpha, v, v)
+        qww = kernel.memory_form(mesh, alpha, w, w)
+        qvw = kernel.memory_form(mesh, alpha, v, w)
         norm_v = kernel.l2_form(mesh, v, v)
-        lower = order.c_alpha * mesh.horizon**alpha * norm_v
+        lower = c_alpha * mesh.horizon**alpha * norm_v
         assert qvv >= lower - 1e-8 * max(abs(lower), 1.0)
-        bound = order.d_alpha**2 * qvv * qww
+        bound = d_alpha**2 * qvv * qww
         assert qvw**2 <= bound * (1.0 + 1e-8) + 1e-10
 
 
@@ -441,7 +492,7 @@ def test_frac_derivative_power_identity():
         c0, c1 = (a + b) / 2.0, (b - a) / 2.0
         v.append(np.array([c0**2 + c1**2 / 3.0, 2.0 * c0 * c1, 2.0 * c1**2 / 3.0]))
     times = np.array([0.05, 0.31, 0.5, 0.77, 1.0])
-    vals = kernel.frac_derivative_values(mesh, alpha, v, times)
+    vals = frac_derivative_values(mesh, alpha, v, times)
     ref = math.gamma(3.0) / math.gamma(3.0 + alpha) * times ** (2.0 + alpha)
     assert np.allclose(vals, ref, rtol=1e-10, atol=0.0)
 
@@ -466,7 +517,7 @@ def test_frac_derivative_matches_differentiated_convolution():
             oracles.convolution_values(alpha, v, t + h, pieces)
             - oracles.convolution_values(alpha, v, t - h, pieces)
         ) / (2.0 * h)
-        mine = kernel.frac_derivative_values(mesh, alpha, coeffs, np.array([t]))[0]
+        mine = frac_derivative_values(mesh, alpha, coeffs, np.array([t]))[0]
         assert abs(fd - mine) <= 1e-6 * (abs(mine) + 1.0)
 
 
@@ -474,9 +525,9 @@ def test_frac_derivative_rejects_times_outside_domain():
     mesh = uniform_mesh(T=1.0, N=2, p=1)
     coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
     with pytest.raises(ValueError):
-        kernel.frac_derivative_values(mesh, -0.5, coeffs, np.array([0.0]))
+        frac_derivative_values(mesh, -0.5, coeffs, np.array([0.0]))
     with pytest.raises(ValueError):
-        kernel.frac_derivative_values(mesh, -0.5, coeffs, np.array([1.5]))
+        frac_derivative_values(mesh, -0.5, coeffs, np.array([1.5]))
 
 
 def test_fractional_integral_power_identities():

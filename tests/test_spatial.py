@@ -24,9 +24,10 @@ def test_spectral_eigenvalues():
 def test_spectral_orthonormality():
     system = spectral_backend(4)
     x, w = composite_gauss(64, 10)
+    vals = system.mode_values(x)
     for i in range(1, 5):
         for j in range(1, 5):
-            inner = float(w @ (system.shape_values(i, x) * system.shape_values(j, x)))
+            inner = float(w @ (vals[i - 1] * vals[j - 1]))
             assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
@@ -36,7 +37,7 @@ def test_spectral_modes_satisfy_operator():
     h = 1e-4
     for m in (1, 2, 3):
         for x in (0.217, 0.5, 0.83):
-            vals = system.shape_values(m, np.array([x - h, x, x + h]))
+            vals = system.mode_values(np.array([x - h, x, x + h]))[m - 1]
             second = (vals[0] - 2 * vals[1] + vals[2]) / h**2
             assert -2.0 * second == pytest.approx(
                 system.eigenvalues[m - 1] * vals[1], rel=1e-6
@@ -49,7 +50,7 @@ def test_spectral_validation():
     with pytest.raises(ValueError, match="K"):
         spectral_backend(2, K=0.0)
     with pytest.raises(IndexError):
-        spectral_backend(2).shape_values(3, np.array([0.5]))
+        spectral_backend(2).mode_values(np.array([0.5]))[2]
 
 
 def test_mode_system_validation():
@@ -103,15 +104,15 @@ def test_fem_nodal_basis_property():
     space, _ = fem_backend(5, 3)
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal(space.interior_count)
-    assert space.evaluate(coeffs, space.nodes[1:-1]) == pytest.approx(coeffs, abs=1e-12)
-    assert space.evaluate(coeffs, np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0], abs=1e-14)
+    assert space.basis_values(space.nodes[1:-1]) @ coeffs == pytest.approx(coeffs, abs=1e-12)
+    assert space.basis_values(np.array([0.0, 1.0])) @ coeffs == pytest.approx([0.0, 0.0], abs=1e-14)
 
 
 def test_ritz_reproduces_member_functions():
     space, _ = fem_backend(4, 1)
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(space.interior_count)
-    projected = ritz_projection(space, lambda x: space.evaluate(coeffs, x))
+    projected = ritz_projection(space, lambda x: space.basis_values(x) @ coeffs)
     assert projected == pytest.approx(coeffs, abs=1e-12)
 
 
@@ -123,7 +124,7 @@ def test_ritz_convergence_rate():
     for elements in (64, 128):
         space, _ = fem_backend(elements, 1)
         coeffs = ritz_projection(space, lambda x: np.sin(math.pi * x))
-        errors.append(np.max(np.abs(space.evaluate(coeffs, sample) - np.sin(math.pi * sample))))
+        errors.append(np.max(np.abs(space.basis_values(sample) @ coeffs - np.sin(math.pi * sample))))
     ratio = errors[0] / errors[1]
     assert 3.5 < ratio < 4.5
 
