@@ -17,7 +17,10 @@ cases), differences of such rules, or Gauss-Legendre once the singularity is
 well separated from the integration interval, and assembles them into the
 memory-matrix blocks that discretize the history term.  Where many time
 nodes share one source interval (the near-field blocks), the rules of all
-of them are built together: grouped by branch, one array per group.
+of them are built together: grouped by branch, one array per group.  A
+far-field block is L K R: cached tables of the weighted basis at reference
+Gauss-Legendre nodes on either side of the kernel matrix
+K = (t_q - s_r)^alpha, the only factor built per pair.
 
 `MemoryOperator` holds every block of one mesh, order and pair of degree
 vectors, built once; the DG march, the stability report and the bilinear
@@ -242,10 +245,27 @@ def _legendre_derivative_matrix(max_degree, nderiv):
     return mat
 
 
+def _legvander(x, deg):
+    """numpy's `legvander` for a scalar or 1-D x, bitwise equal and without its
+    generic axis handling: the same forward recurrence, operation for
+    operation, fills a (deg+1, n) array that is returned transposed.
+    """
+    x = np.array(x, copy=None, ndmin=1) + 0.0
+    if x.ndim != 1:
+        raise ValueError(f"Legendre nodes must be a scalar or 1-D, got shape {x.shape}")
+    v = np.empty((deg + 1,) + x.shape, dtype=x.dtype)
+    v[0] = x * 0 + 1
+    if deg > 0:
+        v[1] = x
+        for i in range(2, deg + 1):
+            v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return v.T
+
+
 def legendre_values(s, a, b, max_degree):
     """Matrix of mapped Legendre values, column k = P_k(ref(s)), k <= max_degree."""
     x = _map_to_reference(s, a, b)
-    return _leg.legvander(x, max_degree)
+    return _legvander(x, max_degree)
 
 
 def legendre_derivative_values(s, a, b, max_degree, nderiv):
@@ -254,10 +274,21 @@ def legendre_derivative_values(s, a, b, max_degree, nderiv):
     Returns matrix with column k = d^nderiv/ds^nderiv P_k(ref(s)).  The chain
     rule contributes (2/(b-a))^nderiv per derivative.
     """
-    x = np.atleast_1d(_map_to_reference(s, a, b))
+    x = _map_to_reference(s, a, b)
     scale = (2.0 / (b - a)) ** nderiv
     deriv = _legendre_derivative_matrix(max_degree, nderiv)
-    return _leg.legvander(x, deriv.shape[0] - 1) @ deriv * scale
+    return _legvander(x, deriv.shape[0] - 1) @ deriv * scale
+
+
+@lru_cache(maxsize=256)
+def _weighted_reference_basis(npts, max_degree, nderiv):
+    """Read-only table w_r P_k^(nderiv)(x_r) at the npts-point Gauss-Legendre
+    rule (x, w) on [-1, 1], one row per node r, column k <= max_degree.
+    """
+    x, w = _legendre_ref(npts)
+    table = w[:, None] * legendre_derivative_values(x, -1.0, 1.0, max_degree, nderiv)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +355,8 @@ _NEAR_SIGMA = 0.15
 # parameter rho >= 5 + sqrt(24) ~ 9.9 in both directions, and tensor
 # Gauss-Legendre with max degree + _FAR_PADDING points per direction is
 # accurate to about rho^-8 ~ 1e-8 relative, the tolerance of the far-field
-# oracle tests.
+# oracle tests.  Both directions use the same reference rule, so the block
+# is L K R with L and R cached per (points, degree) (`_far_block`).
 _FAR_RATIO = 2.0
 _FAR_PADDING = 4
 
@@ -390,17 +422,23 @@ def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
 
 
 def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
-    """Tensor Gauss-Legendre for well-separated intervals (smooth kernel)."""
+    """Tensor Gauss-Legendre for well-separated intervals (smooth kernel).
+
+    One reference rule (x, w) mapped to both intervals makes the block
+    L K R (k_n/2): L[i, q] = w_q P_i(x_q) and R[r, l] = w_r P_l'(x_r) are
+    cached reference tables (the source half-step cancels against the chain
+    rule of the derivative), and only K[q, r] = (t_q - s_r)^alpha is built
+    per pair.
+    """
     if p_j == 0:
         return np.zeros((p_n + 1, p_j + 1))
     npts = max(p_n, p_j, 1) + _FAR_PADDING
-    t_nodes, t_w = _gauss_legendre(npts, tl, tr)
-    s_nodes, s_w = _gauss_legendre(npts, sl, sr)
+    t_nodes, _ = _gauss_legendre(npts, tl, tr)
+    s_nodes, _ = _gauss_legendre(npts, sl, sr)
     kern = (t_nodes[:, None] - s_nodes[None, :]) ** alpha
-    tvals = legendre_values(t_nodes, tl, tr, p_n)
-    gvals = legendre_derivative_values(s_nodes, sl, sr, p_j, 1)
-    mat = np.einsum("q,r,qr,qi,rl->il", t_w, s_w, kern, tvals, gvals)
-    return mat * _kernel_scale(alpha)
+    left = _weighted_reference_basis(npts, p_n, 0).T
+    right = _weighted_reference_basis(npts, p_j, 1)
+    return left @ kern @ right * (0.5 * (tr - tl) * _kernel_scale(alpha))
 
 
 def memory_block(mesh, j, n, order, degrees=None):

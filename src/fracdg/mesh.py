@@ -115,13 +115,12 @@ def graded_mesh(T, N, gamma, p, first_interval_linear=False):
     )
 
 
-def geometric_mesh(T, T_1, delta, L, mu, enforce_min_degree=True):
+def geometric_mesh(T, T_1, delta, L, mu):
     """Geometrically refined nodes t_n = delta^(L+1-n) T_1 on (0, T_1].
 
-    Degrees grow linearly, p_n = floor(mu n), floored at 1 unless
-    enforce_min_degree is disabled.  If T_1 < T the remainder is covered by
-    the fewest uniform coarse intervals of width at most T_1, all carrying
-    the last geometric degree.
+    Degrees grow linearly, p_n = floor(mu n), floored at 1.  If T_1 < T the
+    remainder is covered by the fewest uniform coarse intervals of width at
+    most T_1, all carrying the last geometric degree.
     """
     if T <= 0.0 or T_1 <= 0.0:
         raise ValueError(f"horizons must be positive, got T={T}, T_1={T_1}")
@@ -134,12 +133,7 @@ def geometric_mesh(T, T_1, delta, L, mu, enforce_min_degree=True):
     if mu <= 0.0:
         raise ValueError(f"degree slope mu must be positive, got {mu}")
     geo = [0.0] + [delta ** (L + 1 - n) * T_1 for n in range(1, L + 2)]
-    degrees = []
-    for n in range(1, L + 2):
-        p_n = int(math.floor(mu * n + 1e-12))
-        if enforce_min_degree:
-            p_n = max(1, p_n)
-        degrees.append(p_n)
+    degrees = [max(1, int(math.floor(mu * n + 1e-12))) for n in range(1, L + 2)]
     nodes = list(geo)
     if T_1 < T:
         coarse = max(1, int(math.ceil((T - T_1) / T_1 - 1e-12)))

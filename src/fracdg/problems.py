@@ -108,16 +108,6 @@ class ModeComponent:
     profile: PowerSum
     forcing: PowerSum
 
-    @property
-    def forcing_exponents(self):
-        return tuple(e for _, e in self.forcing.terms)
-
-    @property
-    def singular_exponent(self):
-        """Most singular non-integer forcing exponent below 1, if any."""
-        candidates = [e for e in self.forcing_exponents if e < 1.0 and e != round(e)]
-        return min(candidates) if candidates else None
-
 
 def _mode(lam, profile, alpha):
     forcing = profile.derivative() + profile.frac_derivative(alpha).scale(lam)

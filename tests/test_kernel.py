@@ -32,6 +32,35 @@ def frac_moment(a, b, t, k, alpha):
     return float(weights @ kernel.legendre_values(nodes, a, b, k)[:, k])
 
 
+def einsum_far_block(sl, sr, tl, tr, alpha, p_n, p_j):
+    """Far block by one tensor einsum over weights, kernel and mapped bases."""
+    if p_j == 0:
+        return np.zeros((p_n + 1, p_j + 1))
+    npts = max(p_n, p_j, 1) + kernel._FAR_PADDING
+    t_nodes, t_w = kernel._gauss_legendre(npts, tl, tr)
+    s_nodes, s_w = kernel._gauss_legendre(npts, sl, sr)
+    kern = (t_nodes[:, None] - s_nodes[None, :]) ** alpha
+    tvals = kernel.legendre_values(t_nodes, tl, tr, p_n)
+    gvals = kernel.legendre_derivative_values(s_nodes, sl, sr, p_j, 1)
+    mat = np.einsum("q,r,qr,qi,rl->il", t_w, s_w, kern, tvals, gvals)
+    return mat * kernel._kernel_scale(alpha)
+
+
+def longdouble_far_block(sl, sr, tl, tr, alpha, p_n, p_j):
+    """The far block's tensor rule summed in long double, bases at the reference nodes."""
+    from numpy.polynomial import legendre as leg
+
+    npts = max(p_n, p_j, 1) + kernel._FAR_PADDING
+    x, w = (v.astype(np.longdouble) for v in leg.leggauss(npts))
+    t_nodes, _ = kernel._gauss_legendre(npts, tl, tr)
+    s_nodes, _ = kernel._gauss_legendre(npts, sl, sr)
+    kern = (t_nodes[:, None].astype(np.longdouble) - s_nodes[None, :]) ** np.longdouble(alpha)
+    left = (w[:, None] * leg.legvander(x, p_n)).T
+    right = w[:, None] * leg.legvander(x, max(p_j - 1, 0)) @ leg.legder(np.eye(p_j + 1), axis=0)
+    half = np.longdouble(tr - tl) / 2
+    return left @ kern @ right * half / np.longdouble(math.gamma(alpha + 1.0))
+
+
 def frac_derivative_values(mesh, alpha, coeffs, times):
     """Pointwise (B v)(t) for a broken Legendre polynomial via the jump form."""
     scale = kernel._kernel_scale(alpha)
@@ -206,6 +235,21 @@ def test_frac_moment_inside_interval():
     a, b, t, alpha = 0.0, 1.0, 0.6, -0.4
     ref = oracles.moment_oracle(a, b, t, 3, alpha)
     assert math.isclose(frac_moment(a, b, t, 3, alpha), ref, rel_tol=1e-11)
+
+
+def test_legvander_is_bitwise_numpys():
+    from numpy.polynomial import legendre as leg
+
+    x = np.concatenate([[-1.0, 1.0], np.random.default_rng(8).uniform(-1.0, 1.0, 40)])
+    for deg in range(MAX_MOMENT_DEGREE + 1):
+        for nodes in (x, 0.37):
+            got, ref = kernel._legvander(nodes, deg), leg.legvander(nodes, deg)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), deg
+
+
+def test_legendre_values_keep_their_shape():
+    assert kernel.legendre_values(0.4, 0.0, 1.0, 3).shape == (1, 4)
+    assert kernel.legendre_values(np.linspace(0.0, 1.0, 5), 0.0, 1.0, 3).shape == (5, 4)
 
 
 def test_legendre_derivative_values_match_per_degree_evaluation():
@@ -408,6 +452,106 @@ def test_near_block_evaluates_the_basis_once_per_layer(monkeypatch):
         assert counts == {"values": len(expected), "power_rule": 1}
         # the grouping is real: fewer branch groups than t nodes
         assert sum(groups for _, groups in layers) < sum(size for size, _ in layers)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.95, -0.05),
+    gap_ratio=st.floats(2.0, 40.0),
+    log_step_ratio=st.floats(-3.0, 3.0),
+    p_n=st.integers(0, 8),
+    p_j=st.integers(0, 8),
+)
+def test_far_block_matches_tensor_einsum(alpha, gap_ratio, log_step_ratio, p_n, p_j):
+    # source (2, 3); target k_n = ratio * k_j at a gap on or beyond the switch
+    sl, sr = 2.0, 3.0
+    k_n = 10.0**log_step_ratio
+    tl = sr + gap_ratio * max(k_n, sr - sl)
+    tr = tl + k_n
+    got = kernel._far_block(sl, sr, tl, tr, alpha, p_n, p_j)
+    ref = einsum_far_block(sl, sr, tl, tr, alpha, p_n, p_j)
+    assert got.shape == ref.shape
+    # the einsum maps its nodes back to [-1, 1], which loses about
+    # eps * |endpoint| / step; the cached tables hold the reference nodes
+    mapping = max(1.0, abs(tr) / (tr - tl)) + max(1.0, abs(sr) / (sr - sl))
+    tol = 64 * np.finfo(float).eps * (max(p_n, p_j) + 1)
+    assert np.max(np.abs(got - ref)) <= tol * mapping * np.max(np.abs(ref))
+    exact = longdouble_far_block(sl, sr, tl, tr, alpha, p_n, p_j)
+    assert np.max(np.abs(got - exact)) <= tol * np.max(np.abs(ref))
+
+
+# At the switch the kernel singularity sits at rho = 5 + sqrt(24) from both
+# intervals, and the far rule's error on the top-degree entries is about
+# rho^-8 = 1.08e-8 of their size: just over the far tolerance, which at
+# p = 2 and alpha = -0.6 shows once the target step is twice the source's.
+_MISSES_FAR_TOLERANCE = pytest.mark.xfail(
+    strict=True, reason="far rule at the switch: (2, 2) entry off by 1.14x the tolerance"
+)
+
+
+@pytest.mark.parametrize(
+    "branch, k_n",
+    [
+        ("far", 0.25),
+        pytest.param("far", 1.0, marks=_MISSES_FAR_TOLERANCE),
+        ("near", 0.25),
+        ("near", 1.0),
+    ],
+)
+def test_memory_block_at_the_far_switch_against_oracle(monkeypatch, branch, k_n):
+    # source (0, 0.5) and a target of step k_n at a gap of exactly
+    # _FAR_RATIO times the larger step (far) or just below it (near)
+    real_far, real_near = kernel._far_block, kernel._near_block
+    branches = []
+    monkeypatch.setattr(kernel, "_far_block", lambda *a: branches.append("far") or real_far(*a))
+    monkeypatch.setattr(kernel, "_near_block", lambda *a: branches.append("near") or real_near(*a))
+    alpha, p = -0.6, 2
+    sl, sr = 0.0, 0.5
+    gap = kernel._FAR_RATIO * max(k_n, sr - sl)
+    if branch == "near":
+        gap *= 1.0 - 2.0**-30
+    mesh = manual_mesh([sl, sr, sr + gap, sr + gap + k_n], [p, 1, p])
+    blk = kernel.memory_block(mesh, 1, 3, alpha)
+    assert branches == [branch]
+    tl, tr = mesh.interval(3)
+    anchor = oracles.block_anchor(sl, sr, tl, tr, alpha)
+    rel, flo = (1e-8, 1e-12) if branch == "far" else (1e-10, 1e-13)
+    for i in range(p + 1):
+        for l in range(1, p + 1):
+            ref = oracles.block_entry_oracle(sl, sr, tl, tr, alpha, i, l)
+            assert abs(blk.matrix[i, l] - ref) <= rel * abs(ref) + flo * anchor, (i, l)
+
+
+def test_far_block_evaluates_no_basis(monkeypatch):
+    # the far matrix reads cached read-only tables; the one basis
+    # evaluation left in a far memory_block is its jump column's
+    mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
+    pairs = ((1, 40), (10, 30), (25, 40))
+    for j, n in pairs:
+        kernel.memory_block(mesh, j, n, -0.7)
+    counts = {"values": 0, "derivative_values": 0, "legvander": 0, "far": 0}
+
+    def counting(key, func):
+        def wrapped(*args):
+            counts[key] += 1
+            return func(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(kernel, "legendre_values", counting("values", kernel.legendre_values))
+    monkeypatch.setattr(
+        kernel, "legendre_derivative_values", counting("derivative_values", kernel.legendre_derivative_values)
+    )
+    monkeypatch.setattr(kernel, "_legvander", counting("legvander", kernel._legvander))
+    monkeypatch.setattr(kernel, "_far_block", counting("far", kernel._far_block))
+    for j, n in pairs:
+        kernel.memory_block(mesh, j, n, -0.7)
+    assert counts == {"values": 3, "derivative_values": 0, "legvander": 3, "far": 3}
+    for nderiv in (0, 1):
+        table = kernel._weighted_reference_basis(2 + kernel._FAR_PADDING, 2, nderiv)
+        assert table.flags.writeable is False
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,6 @@ def test_geometric_degree_slope_floor():
     mesh = geometric_mesh(T=1.0, T_1=1.0, delta=0.5, L=3, mu=0.75)
     # floor(0.75 * n) = 0, 1, 2, 3 -> floored at 1 for the first interval
     assert list(mesh.degrees) == [1, 1, 2, 3]
-    raw = geometric_mesh(T=1.0, T_1=1.0, delta=0.5, L=3, mu=0.75, enforce_min_degree=False)
-    assert list(raw.degrees) == [0, 1, 2, 3]
 
 
 def test_geometric_coarse_tail():
