@@ -26,7 +26,6 @@ from .kernel import (
     MemoryBlock,
     MemoryOperator,
     coercivity_constants,
-    fractional_integral_values,
     gauss_jacobi_rule,
     l2_form,
     memory_block,

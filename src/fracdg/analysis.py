@@ -40,6 +40,7 @@ __all__ = [
     "ConvergenceReport",
     "resolve_backend",
     "backend_mode_problems",
+    "fem_mode_problems",
     "time_mesh",
     "error_measure",
     "eoc",
@@ -176,6 +177,7 @@ def eoc(errors, Ns):
         if errors[i - 1] > 0.0 and errors[i] > 0.0:
             rates[i] = math.log(errors[i - 1] / errors[i]) / math.log(Ns[i] / Ns[i - 1])
     return rates
+
 
 def exp_coefficient(errors, dofs):
     """hp rate coefficients b = log(e_{L-1}/e_L)/(sqrt(N_L)-sqrt(N_{L-1}))."""

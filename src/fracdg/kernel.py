@@ -44,7 +44,6 @@ __all__ = [
     "memory_form",
     "operator_form",
     "l2_form",
-    "fractional_integral_values",
 ]
 
 
@@ -578,35 +577,3 @@ def l2_form(mesh, coeffs_v, coeffs_w):
         total += float((b - a) * np.sum(v[:size] * w[:size] / (2.0 * ell + 1.0)))
     return total
 
-
-# Gauss-Jacobi points of the fractional integral's rule
-_FRAC_INTEGRAL_POINTS = 32
-
-
-def fractional_integral_values(alpha, f, times, singular_exponent=None):
-    """Fractional integral int_0^t (t-s)^(-alpha-1) f(s) ds / Gamma(-alpha).
-
-    The inverse of the order-alpha operator.  `singular_exponent` declares an
-    algebraic singularity f(s) ~ s^e at the origin so the quadrature can
-    absorb it into a two-sided Jacobi weight.
-    """
-    alpha = _check_alpha(alpha)
-    e = 0.0 if singular_exponent is None else float(singular_exponent)
-    x, w = roots_jacobi(_FRAC_INTEGRAL_POINTS, -alpha - 1.0, e)
-    out = np.empty(len(times))
-    inv_gamma = 1.0 / math.gamma(-alpha)
-    for idx, t in enumerate(times):
-        if t < 0.0:
-            raise ValueError(f"fractional integral requires t >= 0, got {t}")
-        if t == 0.0:
-            out[idx] = 0.0
-            continue
-        half = 0.5 * t
-        s = half * (x + 1.0)
-        weights = w * half ** (-alpha - 1.0 + e + 1.0)
-        if e == 0.0:
-            vals = np.array([f(si) for si in s])
-        else:
-            vals = np.array([f(si) / si**e for si in s])
-        out[idx] = inv_gamma * float(weights @ vals)
-    return out

@@ -7,7 +7,7 @@ for exponential accuracy in the degrees of freedom.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class TimeMesh:
     nodes: np.ndarray
     degrees: np.ndarray
     family: str
-    params: dict = field(default_factory=dict)
     first_interval_linear: bool = False
 
     def __post_init__(self):
@@ -106,13 +105,7 @@ def graded_mesh(T, N, gamma, p, first_interval_linear=False):
     degrees = np.full(N, p, dtype=int)
     if first_interval_linear:
         degrees[0] = 1
-    return TimeMesh(
-        nodes,
-        degrees,
-        "graded",
-        {"gamma": float(gamma), "p": int(p), "N": int(N), "T": float(T)},
-        first_interval_linear=bool(first_interval_linear),
-    )
+    return TimeMesh(nodes, degrees, "graded", first_interval_linear=bool(first_interval_linear))
 
 
 def geometric_mesh(T, T_1, delta, L, mu):
@@ -141,18 +134,7 @@ def geometric_mesh(T, T_1, delta, L, mu):
         nodes += [T_1 + i * width for i in range(1, coarse + 1)]
         nodes[-1] = T
         degrees += [degrees[-1]] * coarse
-    return TimeMesh(
-        np.array(nodes),
-        np.array(degrees, dtype=int),
-        "geometric",
-        {
-            "delta": float(delta),
-            "L": int(L),
-            "T_1": float(T_1),
-            "mu": float(mu),
-            "T": float(T),
-        },
-    )
+    return TimeMesh(np.array(nodes), np.array(degrees, dtype=int), "geometric")
 
 
 def uniform_mesh(T, N, p):
@@ -164,7 +146,7 @@ def uniform_mesh(T, N, p):
     if p < 0:
         raise ValueError(f"polynomial degree p must be >= 0, got {p}")
     nodes = np.linspace(0.0, T, N + 1)
-    return TimeMesh(nodes, np.full(N, p, dtype=int), "uniform", {"N": int(N), "p": int(p), "T": float(T)})
+    return TimeMesh(nodes, np.full(N, p, dtype=int), "uniform")
 
 
 def manual_mesh(nodes, degrees):

@@ -13,6 +13,10 @@ of the memory operator (`kernel.MemoryOperator`) to the stored coefficients,
 so a full march costs O(N^2) block evaluations shared across modes.  The
 march builds the operator once and keeps it on the solution, where the
 stability report applies it again to the energy term int A(B U, U) dt.
+
+Forcings and projected profiles are power sums (`problems.PowerSum`), so
+the load vectors and projection moments come exactly from
+`kernel.power_rule`.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +29,6 @@ from .kernel import (
     _jump_values,
     _parity,
     coercivity_constants,
-    fractional_integral_values,
     gauss_jacobi_rule,
     legendre_values,
     power_rule,
@@ -50,20 +53,21 @@ __all__ = [
 class ModeProblem:
     """One scalar mode: u' + lambda B u = f with initial value u0.
 
-    `forcing_singularity` declares f(t) ~ t^e at 0 for a callable forcing;
-    a power-sum forcing is integrated exactly and needs none.
+    The forcing f is a `PowerSum`, integrated exactly; None means f = 0.
     """
 
     eigenvalue: float
-    forcing: object
+    forcing: PowerSum
     initial_value: float
-    forcing_singularity: float = None
 
     def __post_init__(self):
         if self.eigenvalue < 0.0:
             raise ValueError(f"eigenvalue must be >= 0, got {self.eigenvalue}")
-        if self.forcing_singularity is not None and self.forcing_singularity <= -1.0:
-            raise ValueError("declared forcing singularity must be integrable (> -1)")
+        if self.forcing is None:
+            object.__setattr__(self, "forcing", PowerSum.of())
+        elif not isinstance(self.forcing, PowerSum):
+            kind = type(self.forcing).__name__
+            raise TypeError(f"forcing must be a PowerSum or None, got {kind}")
 
 
 def mode_problems(problem):
@@ -81,13 +85,6 @@ def _transport_matrix(p):
     return mat
 
 
-def _call_vec(f, x):
-    vals = np.asarray(f(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.array([float(f(xi)) for xi in x], dtype=float)
-    return vals
-
-
 def _power_moments(power_sum, a, b, p):
     """Moments int_a^b u P_i dt, i <= p, of a power sum u; exact."""
     moments = np.zeros(p + 1)
@@ -95,25 +92,6 @@ def _power_moments(power_sum, a, b, p):
         nodes, weights = power_rule(a, b, 0.0, exponent, p)
         moments += coeff * (weights @ legendre_values(nodes, a, b, p))
     return moments
-
-
-# Gauss points beyond the degree for loads of callable forcings
-_LOAD_EXTRA_POINTS = 6
-
-
-def _interval_load(forcing, singularity, a, b, p, is_first):
-    """Load vector int_In f P_i dt; exact for power-sum forcings."""
-    if forcing is None:
-        return np.zeros(p + 1)
-    if isinstance(forcing, PowerSum):
-        return _power_moments(forcing, a, b, p)
-    if is_first and singularity is not None and singularity != 0.0:
-        nodes, weights = gauss_jacobi_rule(p + _LOAD_EXTRA_POINTS, singularity, (a, b))
-        vals = _call_vec(forcing, nodes) / nodes**singularity
-    else:
-        nodes, weights = _gauss_legendre(p + _LOAD_EXTRA_POINTS, a, b)
-        vals = _call_vec(forcing, nodes)
-    return (weights * vals) @ legendre_values(nodes, a, b, p)
 
 
 @dataclass(frozen=True)
@@ -237,7 +215,7 @@ def solve(problems, mesh, alpha, initial_values=None):
         memory = operator.matrices[n - 1][n - 1, :, : p + 1] + np.outer(local_jump, parity)
         rhs = np.empty((modes, p + 1))
         for m, pr in enumerate(problems):
-            load = _interval_load(pr.forcing, pr.forcing_singularity, a, b, p, n == 1)
+            load = _power_moments(pr.forcing, a, b, p)
             rhs[m] = incoming[m] * parity + load - lam[m] * history[:, m]
             if n >= 2:
                 rhs[m] += lam[m] * local_jump * incoming[m]
@@ -259,22 +237,14 @@ def pi_projection(profiles, mesh):
         width = b - a
         block = np.empty((p + 1, len(profiles)))
         for m, u in enumerate(profiles):
-            if isinstance(u, PowerSum):
-                moments = _power_moments(u, a, b, p)
-                end_value = u(b)
-            else:
-                nodes, weights = _gauss_legendre(p + 8, a, b)
-                moments = (weights * _call_vec(u, nodes)) @ legendre_values(nodes, a, b, p)
-                end_value = float(u(b))
+            moments = _power_moments(u, a, b, p)
             c = np.zeros(p + 1)
             ell = np.arange(p)
             c[:p] = moments[:p] * (2.0 * ell + 1.0) / width
-            c[p] = end_value - c[:p].sum()
+            c[p] = u(b) - c[:p].sum()
             block[:, m] = c
         coeffs.append(block)
-    initial = np.array(
-        [u.at_zero() if isinstance(u, PowerSum) else float(u(0.0)) for u in profiles]
-    )
+    initial = np.array([u.at_zero() for u in profiles])
     return DgSolution(mesh, initial, tuple(coeffs))
 
 
@@ -293,56 +263,45 @@ class StabilityReport:
 
 
 def _forcing_pair_integrand(problems, alpha):
-    """Pointwise |<g, A^{-1} f>| with g the fractional integral of f."""
+    """Pointwise |<g, A^{-1} f>| with g the fractional integral of f, and the
+    exponent of its leading power at t = 0; (None, None) without forcing."""
     reps = []
     for pr in problems:
         f = pr.forcing
-        if f is None or (isinstance(f, PowerSum) and not f.terms):
+        if not f.terms:
             continue
         if pr.eigenvalue == 0.0:
             raise ValueError("stability bound requires positive eigenvalues with forcing")
-        if isinstance(f, PowerSum):
-            reps.append(("exact", f, f.frac_integral(alpha), pr.eigenvalue))
-        else:
-            reps.append(("quad", f, pr.forcing_singularity, pr.eigenvalue))
-    exponent = None
-    if reps and all(kind == "exact" for kind, *_ in reps):
-        exponent = min(f.min_exponent + g.min_exponent for _, f, g, _ in reps)
+        reps.append((f, f.frac_integral(alpha), pr.eigenvalue))
+    if not reps:
+        return None, None
+    exponent = min(f.min_exponent + g.min_exponent for f, g, _ in reps)
 
     def integrand(ts):
         total = np.zeros(ts.size)
-        for kind, f, aux, lam_m in reps:
-            if kind == "exact":
-                total += f(ts) * aux(ts) / lam_m
-            else:
-                g_vals = fractional_integral_values(alpha, f, ts, singular_exponent=aux)
-                total += _call_vec(f, ts) * g_vals / lam_m
+        for f, g, lam_m in reps:
+            total += f(ts) * g(ts) / lam_m
         return np.abs(total)
 
-    return integrand, exponent, bool(reps)
+    return integrand, exponent
 
 
 def _forcing_increments(problems, mesh, alpha):
-    """Per-interval integrals of |<g, A^{-1} f>| dt."""
-    integrand, exponent, active = _forcing_pair_integrand(problems, alpha)
+    """Per-interval integrals of |<g, A^{-1} f>| dt.
+
+    The integrand behaves like t^e at 0, e the smallest exponent of the
+    products f g, so on the first interval a Gauss-Jacobi rule absorbs that
+    weight; the later intervals are smooth and take Gauss-Legendre.
+    """
+    integrand, exponent = _forcing_pair_integrand(problems, alpha)
     out = np.zeros(mesh.interval_count)
-    if not active:
+    if integrand is None:
         return out
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
-        if n == 1 and exponent is not None and exponent != 0.0:
+        if n == 1:
             nodes, weights = gauss_jacobi_rule(16, exponent, (a, b))
             out[0] = float(weights @ (integrand(nodes) / nodes**exponent))
-        elif n == 1:
-            # split geometrically toward 0 in case f is merely bounded
-            edges = b * 0.2 ** np.arange(12, -1, -1.0)
-            acc = 0.0
-            lo = 0.0
-            for hi in edges:
-                nodes, weights = _gauss_legendre(10, lo, hi)
-                acc += float(weights @ integrand(nodes))
-                lo = hi
-            out[0] = acc
         else:
             nodes, weights = _gauss_legendre(12, a, b)
             out[n - 1] = float(weights @ integrand(nodes))

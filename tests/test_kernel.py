@@ -200,12 +200,35 @@ def test_power_rule_mass_identity():
             assert math.isclose(float(weights.sum()), ref, rel_tol=1e-12)
 
 
+def diff_switch_gaps(a, b):
+    """Gaps just below and just above power_rule's difference-of-rules switch.
+
+    rho = x + sqrt(x^2 - 1) with x = 1 + 2A/(b-a) reaches _DIFF_RHO at
+    x = (rho + 1/rho)/2.
+    """
+    rho = kernel._DIFF_RHO
+    switch = (b - a) / 2.0 * ((rho + 1.0 / rho) / 2.0 - 1.0)
+    return switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)
+
+
+def assert_switch_branch(nodes, a, b, gap, below, k):
+    """Below the switch the rule is two Jacobi rules, above it Gauss-Legendre."""
+    if gap == below:
+        assert nodes.size == 2 * (k // 2 + 1)
+    else:
+        assert nodes.size == kernel._gl_point_count(k, kernel._ellipse_rho(gap, b - a))
+
+
 def test_power_rule_right_singularity_against_oracle():
     worst = 0.0
-    for gap in (0.0, 1e-12, 1e-3, 0.1, 0.5, 2.0, 50.0):
+    below, above = diff_switch_gaps(0.3, 1.4)
+    for gap in (0.0, 1e-12, 1e-3, below, above, 0.1, 0.5, 2.0, 50.0):
         for k in (0, 2, 5, 8):
             for alpha in (-0.2, -0.8):
                 a, b, t = 0.3, 1.4, 1.4 + gap
+                if gap in (below, above):
+                    nodes, _ = kernel.power_rule(a, b, t, alpha, k)
+                    assert_switch_branch(nodes, a, b, gap, below, k)
                 ref = oracles.moment_oracle(a, b, t, k, alpha)
                 mass = abs(oracles.kernel_mass(a, b, t, alpha))
                 val = frac_moment(a, b, t, k, alpha)
@@ -216,13 +239,16 @@ def test_power_rule_right_singularity_against_oracle():
 def test_power_rule_left_singularity_against_oracle():
     from numpy.polynomial import legendre as leg
 
-    for gap in (0.0, 1e-6, 0.05, 0.8, 20.0):
+    below, above = diff_switch_gaps(2.0, 3.5)
+    for gap in (0.0, 1e-6, below, above, 0.05, 0.8, 20.0):
         for k in (0, 3, 7):
             for beta in (-0.6, 0.4):
                 a, b = 2.0, 3.5
                 z = a - gap
                 ref = oracles.left_moment_oracle(a, b, z, k, beta)
                 nodes, weights = kernel.power_rule(a, b, z, beta, k)
+                if gap in (below, above):
+                    assert_switch_branch(nodes, a, b, gap, below, k)
                 coeff = np.zeros(k + 1)
                 coeff[k] = 1.0
                 val = float(weights @ leg.legval((2.0 * nodes - (a + b)) / (b - a), coeff))
@@ -672,28 +698,3 @@ def test_frac_derivative_rejects_times_outside_domain():
         frac_derivative_values(mesh, -0.5, coeffs, np.array([0.0]))
     with pytest.raises(ValueError):
         frac_derivative_values(mesh, -0.5, coeffs, np.array([1.5]))
-
-
-def test_fractional_integral_power_identities():
-    alpha = -0.35
-    times = np.array([0.0, 0.2, 0.8, 1.6])
-    # smooth: I t^2 = Gamma(3)/Gamma(3-alpha) t^(2-alpha)
-    vals = kernel.fractional_integral_values(alpha, lambda s: s**2, times)
-    ref = math.gamma(3.0) / math.gamma(3.0 - alpha) * times ** (2.0 - alpha)
-    assert np.allclose(vals, ref, rtol=1e-12, atol=1e-14)
-    # singular with declared exponent: I t^(alpha+2) = Gamma(alpha+3)/Gamma(3) t^2
-    sig = alpha + 2.0
-    vals = kernel.fractional_integral_values(alpha, lambda s: s**sig, times, singular_exponent=sig)
-    ref = math.gamma(sig + 1.0) / math.gamma(3.0) * times**2
-    assert np.allclose(vals, ref, rtol=1e-12, atol=1e-14)
-    # constant: I 1 = t^(-alpha)/Gamma(1-alpha)
-    vals = kernel.fractional_integral_values(alpha, lambda s: 1.0, times)
-    ref = times ** (-alpha) / math.gamma(1.0 - alpha)
-    assert np.allclose(vals, ref, rtol=1e-12, atol=1e-14)
-
-
-def test_fractional_integral_validation():
-    with pytest.raises(ValueError):
-        kernel.fractional_integral_values(0.5, lambda s: 1.0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        kernel.fractional_integral_values(-0.5, lambda s: 1.0, np.array([-1.0]))
