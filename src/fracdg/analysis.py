@@ -11,37 +11,31 @@ h-version studies sweep a Cartesian (gamma, p, N) grid of graded meshes,
 hp-version studies sweep (delta, L) geometric meshes, and the delta sweep
 fixes the dof budget while varying the refinement factor.  Observed orders
 are log-ratios against N; hp refinement instead fits error ~ C exp(-b
-sqrt(dofs)) through consecutive levels.
+sqrt(dofs)) through consecutive levels.  Each study solves the two-mode
+problem on a spatial system, a `spatial.ModeSystem` whose diffusivity is
+the problem's; by default the spectral backend with K = 1.
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .mesh import dof_count, fine_grid, geometric_mesh, graded_mesh
 from .problems import PowerSum, two_mode_problem
-from .spatial import (
-    _sine_values,
-    composite_gauss,
-    fem_backend,
-    ritz_projection,
-    spectral_backend,
-)
+from .spatial import _sine_values, composite_gauss, ritz_projection, spectral_backend
 from .stepper import ModeProblem, mode_problems, solve
 
 __all__ = [
     "CSV_COLUMNS",
     "StudyRow",
     "ConvergenceReport",
-    "resolve_backend",
     "backend_mode_problems",
     "fem_mode_problems",
-    "time_mesh",
     "error_measure",
     "eoc",
     "exp_coefficient",
@@ -86,22 +80,24 @@ class StudyRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Rows of a convergence study plus run metadata and per-cell failures."""
+    """Rows of a convergence study, its per-cell failures, and the hash of
+    the config that ran it ("" when no config did)."""
 
     rows: tuple
-    metadata: dict = field(default_factory=dict)
     failures: tuple = ()
+    config_hash: str = ""
 
     def __post_init__(self):
         for row in self.rows:
             if not row.error >= 0.0:
                 raise ValueError(f"errors must be nonnegative, got {row.error}")
 
-    def to_csv(self, timings=True, with_hash=False):
-        """CSV text; `timings=False` zeroes the seconds column so that
-        repeated runs of the same configuration are byte-identical."""
+    def to_csv(self, timings=True):
+        """CSV text, with a config_hash column when the report has a hash;
+        `timings=False` zeroes the seconds column so that repeated runs of
+        the same configuration are byte-identical."""
         header = list(CSV_COLUMNS)
-        if with_hash:
+        if self.config_hash:
             header.append("config_hash")
         lines = [",".join(header)]
         for row in self.rows:
@@ -117,21 +113,10 @@ class ConvergenceReport:
                 f"{row.rate_or_b:.4f}" if math.isfinite(row.rate_or_b) else "",
                 f"{row.seconds:.3f}" if timings else "0.000",
             ]
-            if with_hash:
-                fields.append(str(self.metadata.get("config_hash", "")))
+            if self.config_hash:
+                fields.append(self.config_hash)
             lines.append(",".join(fields))
         return "\n".join(lines) + "\n"
-
-
-def resolve_backend(backend, problem, fem_elements, fem_degree):
-    """Spatial backend named by `backend` ("spectral" or "fem"), or `backend` itself."""
-    if isinstance(backend, str):
-        if backend == "spectral":
-            return spectral_backend(problem.mode_count, problem.diffusivity)
-        if backend == "fem":
-            return fem_backend(fem_elements, fem_degree, problem.diffusivity)[1]
-        raise ValueError(f"unknown backend {backend!r}")
-    return backend
 
 
 def error_measure(solution, problem, backend, m, method="auto"):
@@ -243,37 +228,30 @@ def backend_mode_problems(problem, system):
     return fem_mode_problems(problem, system)
 
 
-def time_mesh(family, gamma_or_delta, p_or_mu, N_or_L, T=1.0, T_1=1.0,
-              first_interval_linear=False):
-    """Graded mesh (gamma, p, N) or geometric mesh (delta, mu, L) on [0, T]."""
-    if family == "graded":
-        return graded_mesh(T, N_or_L, gamma_or_delta, p_or_mu,
-                           first_interval_linear=first_interval_linear)
-    return geometric_mesh(T, T_1, gamma_or_delta, N_or_L, p_or_mu)
-
-
-def _run_study(family, groups, mesh_options, rates, report_alpha, backend, m,
-               fem_elements, fem_degree, diffusivity, config_hash):
+def _run_study(family, groups, rates, system, m, config_hash):
     """Solve every cell of a study and measure its fine-grid error.
 
     `groups` lists (alpha, columns).  A column is a list of cells, refined
-    in order; a cell is (key, fields) with fields the (gamma_or_delta,
-    p_or_mu, N_or_L) of its row, which with `mesh_options` name its mesh.
+    in order; a cell is (key, fields, build_mesh) with fields the
+    (gamma_or_delta, p_or_mu, N_or_L) of its row and `build_mesh()` its
+    mesh.  The problem is the two-mode problem with the diffusivity of
+    `system`, a `ModeSystem`; None means its spectral backend with K = 1.
     `rates(rows)`, if given, chains the rate column down the surviving rows
     of a column.  A failed cell is reported under its key instead of
     aborting the remaining grid.
     """
     rows, failures = [], []
     for alpha, columns in groups:
-        problem = two_mode_problem(alpha, diffusivity)
-        system = resolve_backend(backend, problem, fem_elements, fem_degree)
+        problem = two_mode_problem(alpha, 1.0 if system is None else system.diffusivity)
+        if system is None:
+            system = spectral_backend(problem.mode_count)
         problems = backend_mode_problems(problem, system)
         for column in columns:
             done = []
-            for key, fields in column:
+            for key, fields, build_mesh in column:
                 start = time.perf_counter()
                 try:
-                    mesh = time_mesh(family, *fields, **mesh_options)
+                    mesh = build_mesh()
                     solution = solve(problems, mesh, alpha)
                     error = error_measure(solution, problem, system, m)
                 except Exception as exc:
@@ -285,14 +263,7 @@ def _run_study(family, groups, mesh_options, rates, report_alpha, backend, m,
             if rates is not None:
                 done = [replace(row, rate_or_b=r) for row, r in zip(done, rates(done))]
             rows.extend(done)
-    metadata = {
-        "alpha": report_alpha,
-        "backend": backend if isinstance(backend, str) else backend.backend,
-        "m": m,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "config_hash": config_hash,
-    }
-    return ConvergenceReport(tuple(rows), metadata, tuple(failures))
+    return ConvergenceReport(tuple(rows), tuple(failures), config_hash)
 
 
 def _eoc_rates(rows):
@@ -303,83 +274,48 @@ def _exp_rates(rows):
     return exp_coefficient([row.error for row in rows], [row.dofs for row in rows])
 
 
-def run_h_study(
-    alpha,
-    gammas,
-    ps,
-    Ns,
-    backend="spectral",
-    m=10,
-    T=1.0,
-    first_interval_linear=False,
-    fem_elements=64,
-    fem_degree=2,
-    diffusivity=1.0,
-    config_hash="",
-):
+def run_h_study(alpha, gammas, ps, Ns, system=None, m=10, T=1.0,
+                first_interval_linear=False, config_hash=""):
     """Graded-mesh study over the Cartesian (gamma, p, N) grid.
 
     Each (p, gamma) pair forms one column refined through the Ns, with
     observed orders chained down the column.  Failed cells are collected
     in the report under (p, gamma, N) instead of aborting the grid.
     """
-    columns = [[((p, gamma, N), (gamma, p, N)) for N in Ns] for p in ps for gamma in gammas]
-    return _run_study(
-        "graded", [(alpha, columns)], dict(T=T, first_interval_linear=first_interval_linear),
-        _eoc_rates, alpha, backend, m, fem_elements, fem_degree, diffusivity, config_hash,
-    )
+    columns = [
+        [((p, gamma, N), (gamma, p, N),
+          partial(graded_mesh, T, N, gamma, p, first_interval_linear)) for N in Ns]
+        for p in ps for gamma in gammas
+    ]
+    return _run_study("graded", [(alpha, columns)], _eoc_rates, system, m, config_hash)
 
 
-def run_hp_study(
-    alpha,
-    deltas,
-    Ls,
-    mu=1.0,
-    T_1=1.0,
-    T=1.0,
-    backend="spectral",
-    m=60,
-    fem_elements=64,
-    fem_degree=2,
-    diffusivity=1.0,
-    config_hash="",
-):
+def run_hp_study(alpha, deltas, Ls, mu=1.0, T_1=1.0, T=1.0, system=None, m=60,
+                 config_hash=""):
     """Geometric-mesh study: one column per delta, levels L within it.
 
     The rate column holds the exponential coefficient b fitted through
     consecutive levels of the same delta; failures are keyed (delta, L).
     """
-    columns = [[((delta, L), (delta, mu, L)) for L in Ls] for delta in deltas]
-    return _run_study(
-        "geometric", [(alpha, columns)], dict(T=T, T_1=T_1),
-        _exp_rates, alpha, backend, m, fem_elements, fem_degree, diffusivity, config_hash,
-    )
+    columns = [
+        [((delta, L), (delta, mu, L), partial(geometric_mesh, T, T_1, delta, L, mu)) for L in Ls]
+        for delta in deltas
+    ]
+    return _run_study("geometric", [(alpha, columns)], _exp_rates, system, m, config_hash)
 
 
-def delta_sweep(
-    alphas,
-    deltas,
-    L=7,
-    mu=1.0,
-    T_1=1.0,
-    T=1.0,
-    backend="spectral",
-    m=60,
-    fem_elements=64,
-    fem_degree=2,
-    diffusivity=1.0,
-    config_hash="",
-):
+def delta_sweep(alphas, deltas, L=7, mu=1.0, T_1=1.0, T=1.0, system=None, m=60,
+                config_hash=""):
     """Error against delta at a fixed dof budget, one curve per alpha.
 
-    There is no rate column; failures are keyed (alpha, delta), and the
-    report's metadata carries no single alpha.
+    There is no rate column; failures are keyed (alpha, delta).
     """
-    groups = [(alpha, [[((alpha, delta), (delta, mu, L)) for delta in deltas]]) for alpha in alphas]
-    return _run_study(
-        "geometric", groups, dict(T=T, T_1=T_1),
-        None, None, backend, m, fem_elements, fem_degree, diffusivity, config_hash,
-    )
+    groups = [
+        (alpha, [[((alpha, delta), (delta, mu, L), partial(geometric_mesh, T, T_1, delta, L, mu))
+                  for delta in deltas]])
+        for alpha in alphas
+    ]
+    return _run_study("geometric", groups, None, system, m, config_hash)
 
 
 def figure_curves_hp(report):

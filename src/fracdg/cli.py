@@ -25,16 +25,15 @@ from .analysis import (
     error_measure,
     figure_curves_hp,
     figure_curves_sweep,
-    resolve_backend,
     run_h_study,
     run_hp_study,
-    time_mesh,
     write_plot_data,
 )
 from .config import ConfigError, config_hash, parse_config
 from .kernel import MemoryOperator, coercivity_constants, l2_form, operator_form
-from .mesh import dof_count
+from .mesh import dof_count, geometric_mesh, graded_mesh
 from .problems import two_mode_problem
+from .spatial import fem_backend, spectral_backend
 from .stepper import solve, stability_report
 
 __all__ = ["main"]
@@ -52,7 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(args):
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {args.config}: {exc}") from None
     config = parse_config(text)
     out = Path(args.out) if args.out else Path(config.out)
     seed = args.seed if args.seed is not None else config.seed
@@ -61,7 +63,10 @@ def _load(args):
 
 def _backend_system(config, problem):
     """Spatial backend of a run, for `solve` and every study alike."""
-    system = resolve_backend(config.backend, problem, config.elements, config.degree)
+    if config.backend == "spectral":
+        system = spectral_backend(problem.mode_count, problem.diffusivity)
+    else:
+        system = fem_backend(config.elements, config.degree, problem.diffusivity)[1]
     if config.modes not in (0, system.mode_count):
         raise ConfigError(
             f"modes: the {config.backend} backend of problem {problem.name} has "
@@ -72,13 +77,8 @@ def _backend_system(config, problem):
 
 def _solve_mesh(config):
     if config.family == "graded":
-        fields = (config.gamma, config.p, config.N)
-    else:
-        fields = (config.delta, config.mu, config.L)
-    return time_mesh(
-        config.family, *fields,
-        T=config.T, T_1=config.T_1, first_interval_linear=config.first_interval_linear,
-    )
+        return graded_mesh(config.T, config.N, config.gamma, config.p, config.first_interval_linear)
+    return geometric_mesh(config.T, config.T_1, config.delta, config.L, config.mu)
 
 
 def _write(path, text):
@@ -225,12 +225,11 @@ def cmd_study(command, config, out, timings=True):
     problem = two_mode_problem(config.alpha, config.diffusivity)
     report = runner(
         **arguments(config),
-        backend=_backend_system(config, problem),
+        system=_backend_system(config, problem),
         m=config.m,
-        diffusivity=config.diffusivity,
         config_hash=config_hash(config),
     )
-    _write(out / csv_name, report.to_csv(timings=timings, with_hash=True))
+    _write(out / csv_name, report.to_csv(timings=timings))
     if curves is not None:
         write_plot_data(out / "plots", curves(report), *labels)
     for cell, message in report.failures:
@@ -342,9 +341,6 @@ def main(argv=None):
         config, out, seed = _load(args)
         return _run(args.command, config, out, seed)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -21,6 +21,7 @@ parse -> serialize -> parse is the identity and the config hash is stable.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize", "config_hash"]
@@ -81,9 +82,12 @@ def _parse_int(key, text):
 
 def _parse_float(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {text!r}")
+    return value
 
 
 def _parse_floats(key, text):

@@ -29,7 +29,6 @@ class TimeMesh:
     nodes: np.ndarray
     degrees: np.ndarray
     family: str
-    first_interval_linear: bool = False
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -60,10 +59,6 @@ class TimeMesh:
     @property
     def horizon(self):
         return float(self.nodes[-1])
-
-    @property
-    def steps(self):
-        return np.diff(self.nodes)
 
     def interval(self, n):
         """Endpoints (t_{n-1}, t_n) of the 1-based interval n."""
@@ -105,7 +100,7 @@ def graded_mesh(T, N, gamma, p, first_interval_linear=False):
     degrees = np.full(N, p, dtype=int)
     if first_interval_linear:
         degrees[0] = 1
-    return TimeMesh(nodes, degrees, "graded", first_interval_linear=bool(first_interval_linear))
+    return TimeMesh(nodes, degrees, "graded")
 
 
 def geometric_mesh(T, T_1, delta, L, mu):

@@ -41,7 +41,11 @@ def _merged(pairs):
 
 @dataclass(frozen=True)
 class PowerSum:
-    """Finite sum of real powers sum_k c_k t^{e_k} with e_k >= 0."""
+    """Finite sum of real powers sum_k c_k t^{e_k}.
+
+    `of` requires e_k >= 0, as a solution profile has; forcings and
+    derivatives also carry exponents in (-1, 0), for example t^-0.7.
+    """
 
     terms: tuple
 

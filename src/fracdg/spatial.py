@@ -57,10 +57,6 @@ class FemSpace:
     def h(self):
         return 1.0 / self.element_count
 
-    @property
-    def interior_count(self):
-        return self.nodes.size - 2
-
     def basis_values(self, x):
         """Matrix of interior basis values, column i = chi_i(x_q)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -118,11 +118,6 @@ class DgSolution:
     def mode_count(self):
         return self.initial_values.size
 
-    def coefficients_for(self, n):
-        if not 1 <= n <= self.mesh.interval_count:
-            raise IndexError(f"interval {n} outside 1..{self.mesh.interval_count}")
-        return self.coefficients[n - 1]
-
     def evaluate(self, t):
         """Values at times t, shape (len(t), modes); right-closed intervals."""
         scalar = np.isscalar(t) or np.ndim(t) == 0
@@ -158,9 +153,6 @@ class DgSolution:
         jumps[0] -= self.initial_values
         return jumps
 
-    def final_values(self):
-        return self.left_traces()[-1]
-
 
 def _solve_modes(systems, rhs, n):
     """Coefficients (p+1, modes) of interval n from its stacked local systems.
@@ -184,7 +176,7 @@ def _solve_modes(systems, rhs, n):
     return np.ascontiguousarray(block.T)
 
 
-def solve(problems, mesh, alpha, initial_values=None):
+def solve(problems, mesh, alpha):
     """March the DG scheme over the mesh for all modes at once.
 
     Memory blocks depend only on the interval pair, so the memory operator
@@ -195,12 +187,7 @@ def solve(problems, mesh, alpha, initial_values=None):
     problems = list(problems)
     modes = len(problems)
     lam = np.array([pr.eigenvalue for pr in problems])
-    if initial_values is None:
-        initial_values = np.array([pr.initial_value for pr in problems], dtype=float)
-    else:
-        initial_values = np.asarray(initial_values, dtype=float)
-        if initial_values.shape != (modes,):
-            raise ValueError("one initial value per mode is required")
+    initial_values = np.array([pr.initial_value for pr in problems], dtype=float)
     operator = MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
     coeffs = []
     jump_vals = np.empty((mesh.interval_count, modes))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,7 +157,6 @@ def test_h_study_row_fields(h_study_p1):
     assert (row.gamma_or_delta, row.p_or_mu, row.N_or_L) == (1.6, 1, 18)
     assert row.dofs == 36
     assert math.isnan(row.rate_or_b)
-    assert h_study_p1.metadata["m"] == 10
     assert h_study_p1.failures == ()
 
 
@@ -200,11 +200,21 @@ def test_delta_sweep_best_region():
 
 def test_fem_backend_agrees_with_spectral():
     # same Table-1 cell through the discrete eigensystem, within 5 percent
-    fem = run_h_study(-0.7, [1.6], [1], [18], backend="fem",
-                      fem_elements=64, fem_degree=2)
+    fem = run_h_study(-0.7, [1.6], [1], [18], system=fem_backend(64, 2)[1])
     spectral = run_h_study(-0.7, [1.6], [1], [18])
     assert fem.rows[0].error == pytest.approx(spectral.rows[0].error, rel=0.05)
     assert fem.rows[0].backend == "fem"
+
+
+def test_study_solves_the_problem_of_its_system():
+    # the diffusivity comes from the system: a K = 2 FEM system marches the
+    # K = 2 problem, exactly as a direct solve of that problem does
+    system = fem_backend(16, 2, 2.0)[1]
+    report = run_h_study(-0.7, [1.6], [1], [18], system=system)
+    problem = two_mode_problem(-0.7, 2.0)
+    solution = solve(fem_mode_problems(problem, system), graded_mesh(1.0, 18, 1.6, 1), -0.7)
+    assert report.rows[0].error == error_measure(solution, problem, system, 10)
+    assert f"{report.rows[0].error:.6e}" == "2.751259e-04"
 
 
 def test_fem_mode_problems_match_continuous_modes():
@@ -270,7 +280,7 @@ def test_csv_schema(h_study_p1):
     first = lines[1].split(",")
     assert first[:7] == ["graded", "-0.7", "spectral", "1.6", "1", "18", "36"]
     assert first[8] == ""  # no rate on the first row of a column
-    hashed = h_study_p1.to_csv(with_hash=True)
+    hashed = replace(h_study_p1, config_hash="0123456789ab").to_csv()
     assert hashed.splitlines()[0].endswith(",config_hash")
 
 

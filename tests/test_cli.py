@@ -6,6 +6,7 @@ import pytest
 
 from fracdg import cli
 from fracdg.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from fracdg.config import parse_config
 
 MINIMAL = """
 [problem]
@@ -112,6 +113,20 @@ def test_solve_outputs_match_pinned_bytes(tmp_path, name, text, seed):
         assert (out / filename).read_bytes() == (PINNED / name / filename).read_bytes(), filename
 
 
+@pytest.mark.parametrize("name", ["h-study", "hp-study", "delta-sweep"])
+def test_selftest_study_outputs_match_pinned_bytes(tmp_path, name):
+    # the study CSV (timings zeroed), its plot data and manifest, pinned
+    pinned = PINNED / "selftest_studies" / name
+    out = tmp_path / name
+    config = parse_config(cli._SELFTEST_CONFIGS[name])
+    assert cli._run(name, config, out, 1, timings=False) == EXIT_OK
+    written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    expected = sorted(p.relative_to(pinned) for p in pinned.rglob("*") if p.is_file())
+    assert written == expected
+    for relative in expected:
+        assert (out / relative).read_bytes() == (pinned / relative).read_bytes(), relative
+
+
 def test_missing_alpha_names_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, "[problem]\nname = two_mode\n")
     status = main(["solve", "--config", cfg])
@@ -129,6 +144,20 @@ def test_missing_config_file(tmp_path, capsys):
     status = main(["solve", "--config", str(tmp_path / "absent.cfg")])
     assert status == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"[problem]\nalpha = -0.5 \xff\n"])
+def test_unreadable_config_file(tmp_path, capsys, content):
+    # a directory, or a file that is not UTF-8 text
+    path = tmp_path / "run.cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    status = main(["solve", "--config", str(path)])
+    assert status == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read ") and str(path) in err
 
 
 def test_h_study_csv_carries_hash(tmp_path):

@@ -123,6 +123,12 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = -0.5\n[expect]\nbudget = 3", "expect key"),
         ("[problem]\nname = other_problem\nalpha = -0.5", "problem must be two_mode"),
         ("[problem]\nalpha = -0.5\n[backend]\ntype = exact", "spectral or fem"),
+        ("[problem]\nalpha = -0.5\n[mesh]\ngamma = inf", "gamma must be a finite number"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nT = inf", "T must be a finite number"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nmu = inf", "mu must be a finite number"),
+        ("[problem]\nalpha = nan", "alpha must be a finite number"),
+        ("[problem]\nalpha = -0.5\n[study]\ndeltas = 0.2, nan", "deltas must be a finite number"),
+        ("[problem]\nalpha = -0.5\n[expect]\nerror_max = nan", "error_max must be a finite number"),
     ],
 )
 def test_validation_messages(snippet, fragment):

@@ -103,7 +103,7 @@ def test_fem_validation():
 def test_fem_nodal_basis_property():
     space, _ = fem_backend(5, 3)
     rng = np.random.default_rng(7)
-    coeffs = rng.standard_normal(space.interior_count)
+    coeffs = rng.standard_normal(space.stiffness.shape[0])
     assert space.basis_values(space.nodes[1:-1]) @ coeffs == pytest.approx(coeffs, abs=1e-12)
     assert space.basis_values(np.array([0.0, 1.0])) @ coeffs == pytest.approx([0.0, 0.0], abs=1e-14)
 
@@ -111,7 +111,7 @@ def test_fem_nodal_basis_property():
 def test_ritz_reproduces_member_functions():
     space, _ = fem_backend(4, 1)
     rng = np.random.default_rng(11)
-    coeffs = rng.standard_normal(space.interior_count)
+    coeffs = rng.standard_normal(space.stiffness.shape[0])
     projected = ritz_projection(space, lambda x: space.basis_values(x) @ coeffs)
     assert projected == pytest.approx(coeffs, abs=1e-12)
 

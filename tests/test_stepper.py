@@ -26,8 +26,8 @@ def test_local_system_transport_only():
     problem = ModeProblem(0.0, PowerSum.of((1.0, 0.0)), 0.0)
     sol = solve([problem], mesh, -0.5)
     # U(t) = c0 + c1 (2t/k - 1) = t on (0, 1/2), then on (1/2, 1)
-    assert sol.coefficients_for(1)[:, 0] == pytest.approx([0.25, 0.25])
-    assert sol.coefficients_for(2)[:, 0] == pytest.approx([0.75, 0.25])
+    assert sol.coefficients[0][:, 0] == pytest.approx([0.25, 0.25])
+    assert sol.coefficients[1][:, 0] == pytest.approx([0.75, 0.25])
 
 
 def test_backward_euler_one_step():
@@ -36,7 +36,7 @@ def test_backward_euler_one_step():
     mesh = uniform_mesh(0.1, 1, 0)
     sol = solve([ModeProblem(1.0, None, 1.0)], mesh, -0.5)
     expected = 1.0 / (1.0 + 0.1**0.5 / math.gamma(1.5))
-    assert sol.coefficients_for(1)[0, 0] == pytest.approx(expected, rel=1e-14)
+    assert sol.coefficients[0][0, 0] == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(0.7370148178886009, rel=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_constant_solution_no_jumps():
     mesh = uniform_mesh(2.0, 5, 1)
     sol = solve([ModeProblem(0.0, None, 3.25)], mesh, -0.5)
     assert np.max(np.abs(sol.jumps())) < 1e-13
-    assert sol.final_values()[0] == pytest.approx(3.25, rel=1e-14)
+    assert sol.left_traces()[-1][0] == pytest.approx(3.25, rel=1e-14)
 
 
 def test_evaluate_against_recurrence_oracle():
@@ -141,7 +141,7 @@ def test_pi_projection_quadratic_explicit():
     # mean forces c0 = 1/3, endpoint forces c0 + c1 = 1, so Pi u = (4t-1)/3
     mesh = uniform_mesh(1.0, 1, 1)
     proj = pi_projection([PowerSum.of((1.0, 2.0))], mesh)
-    c = proj.coefficients_for(1)[:, 0]
+    c = proj.coefficients[0][:, 0]
     assert c == pytest.approx([1.0 / 3.0, 2.0 / 3.0], rel=1e-13)
     ts = np.array([0.0, 0.25, 1.0])
     assert proj.evaluate(ts)[:, 0] == pytest.approx((4.0 * ts - 1.0) / 3.0, rel=1e-12)
@@ -165,7 +165,7 @@ def test_pi_projection_defining_conditions():
         for coeff, exponent in u.terms:
             nodes, weights = power_rule(a, b, 0.0, exponent, p)
             moments += coeff * (weights @ legendre_values(nodes, a, b, p))
-        c = proj.coefficients_for(n)[:, 0]
+        c = proj.coefficients[n - 1][:, 0]
         ell = np.arange(p + 1)
         residual = moments - c * (b - a) / (2.0 * ell + 1.0)
         assert np.max(np.abs(residual[:p])) < 1e-12
