@@ -19,7 +19,7 @@ the problem's; by default the spectral backend with K = 1.
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -48,19 +48,6 @@ __all__ = [
     "write_plot_data",
 ]
 
-CSV_COLUMNS = (
-    "family",
-    "alpha",
-    "backend",
-    "gamma_or_delta",
-    "p_or_mu",
-    "N_or_L",
-    "dofs",
-    "error",
-    "rate_or_b",
-    "seconds",
-)
-
 
 @dataclass(frozen=True)
 class StudyRow:
@@ -76,6 +63,9 @@ class StudyRow:
     error: float
     rate_or_b: float
     seconds: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ class ConvergenceReport:
             header.append("config_hash")
         lines = [",".join(header)]
         for row in self.rows:
-            fields = [
+            cells = [
                 row.family,
                 f"{row.alpha:g}",
                 row.backend,
@@ -114,8 +104,8 @@ class ConvergenceReport:
                 f"{row.seconds:.3f}" if timings else "0.000",
             ]
             if self.config_hash:
-                fields.append(self.config_hash)
-            lines.append(",".join(fields))
+                cells.append(self.config_hash)
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
 
@@ -222,8 +212,14 @@ def fem_mode_problems(problem, system):
 
 
 def backend_mode_problems(problem, system):
-    """Scalar mode problems of `problem` on the spatial backend `system`."""
+    """Scalar mode problems of `problem` on the spatial backend `system`;
+    a spectral system must be the problem's own eigensystem."""
     if system.backend == "spectral":
+        if (system.mode_count, system.diffusivity) != (problem.mode_count, problem.diffusivity):
+            raise ValueError(
+                f"spectral system has {system.mode_count} modes and diffusivity "
+                f"{system.diffusivity}, the problem {problem.mode_count} and {problem.diffusivity}"
+            )
         return mode_problems(problem)
     return fem_mode_problems(problem, system)
 
@@ -232,7 +228,7 @@ def _run_study(family, groups, rates, system, m, config_hash):
     """Solve every cell of a study and measure its fine-grid error.
 
     `groups` lists (alpha, columns).  A column is a list of cells, refined
-    in order; a cell is (key, fields, build_mesh) with fields the
+    in order; a cell is (key, labels, build_mesh) with labels the
     (gamma_or_delta, p_or_mu, N_or_L) of its row and `build_mesh()` its
     mesh.  The problem is the two-mode problem with the diffusivity of
     `system`, a `ModeSystem`; None means its spectral backend with K = 1.
@@ -248,7 +244,7 @@ def _run_study(family, groups, rates, system, m, config_hash):
         problems = backend_mode_problems(problem, system)
         for column in columns:
             done = []
-            for key, fields, build_mesh in column:
+            for key, labels, build_mesh in column:
                 start = time.perf_counter()
                 try:
                     mesh = build_mesh()
@@ -258,7 +254,7 @@ def _run_study(family, groups, rates, system, m, config_hash):
                     failures.append((key, f"{type(exc).__name__}: {exc}"))
                     continue
                 seconds = time.perf_counter() - start
-                done.append(StudyRow(family, alpha, system.backend, *fields,
+                done.append(StudyRow(family, alpha, system.backend, *labels,
                                      dof_count(mesh), error, math.nan, seconds))
             if rates is not None:
                 done = [replace(row, rate_or_b=r) for row, r in zip(done, rates(done))]

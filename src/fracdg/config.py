@@ -146,61 +146,43 @@ _SCHEMA = {
 _EXPECT_KEYS = ("error_max", "rate_min", "rate_max")
 
 
+# (key, list key, requirement, test): the range of each numeric key, and
+# of every entry of its list key where it has one
+_RANGES = (
+    ("alpha", "alphas", "lie in (-1, 0)", lambda v: -1.0 < v < 0.0),
+    ("diffusivity", None, "be positive", lambda v: v > 0.0),
+    ("T", None, "be positive", lambda v: v > 0.0),
+    ("N", "Ns", "be >= 1", lambda v: v >= 1),
+    ("gamma", "gammas", "be >= 1", lambda v: v >= 1.0),
+    ("p", "ps", "be >= 1", lambda v: v >= 1),
+    ("delta", "deltas", "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    ("L", "Ls", "be >= 1", lambda v: v >= 1),
+    ("mu", None, "be positive", lambda v: v > 0.0),
+    ("modes", None, "be >= 0", lambda v: v >= 0),
+    ("elements", None, "be >= 2", lambda v: v >= 2),
+    ("degree", None, "be >= 1", lambda v: v >= 1),
+    ("m", None, "be >= 1", lambda v: v >= 1),
+)
+
+
 def _validate(config):
     if config.problem != "two_mode":
         raise ConfigError(f"problem must be two_mode, got {config.problem!r}")
     if config.alpha is None:
         raise ConfigError("missing required key alpha")
-    if not -1.0 < config.alpha < 0.0:
-        raise ConfigError(f"alpha must lie in (-1, 0), got {config.alpha}")
-    for a in config.alphas:
-        if not -1.0 < a < 0.0:
-            raise ConfigError(f"alphas entries must lie in (-1, 0), got {a}")
-    if config.diffusivity <= 0.0:
-        raise ConfigError(f"diffusivity must be positive, got {config.diffusivity}")
     if config.family not in ("graded", "geometric"):
         raise ConfigError(f"family must be graded or geometric, got {config.family!r}")
-    if config.T <= 0.0:
-        raise ConfigError(f"T must be positive, got {config.T}")
-    if not 0.0 < config.T_1 <= config.T:
-        raise ConfigError(f"T_1 must lie in (0, T], got {config.T_1}")
-    if config.N < 1:
-        raise ConfigError(f"N must be >= 1, got {config.N}")
-    for n in config.Ns:
-        if n < 1:
-            raise ConfigError(f"Ns entries must be >= 1, got {n}")
-    if config.gamma < 1.0:
-        raise ConfigError(f"gamma must be >= 1, got {config.gamma}")
-    for g in config.gammas:
-        if g < 1.0:
-            raise ConfigError(f"gammas entries must be >= 1, got {g}")
-    if config.p < 1:
-        raise ConfigError(f"p must be >= 1, got {config.p}")
-    for p in config.ps:
-        if p < 1:
-            raise ConfigError(f"ps entries must be >= 1, got {p}")
-    if not 0.0 < config.delta < 1.0:
-        raise ConfigError(f"delta must lie in (0, 1), got {config.delta}")
-    for d in config.deltas:
-        if not 0.0 < d < 1.0:
-            raise ConfigError(f"deltas entries must lie in (0, 1), got {d}")
-    if config.L < 1:
-        raise ConfigError(f"L must be >= 1, got {config.L}")
-    for level in config.Ls:
-        if level < 1:
-            raise ConfigError(f"Ls entries must be >= 1, got {level}")
-    if config.mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {config.mu}")
     if config.backend not in ("spectral", "fem"):
         raise ConfigError(f"type must be spectral or fem, got {config.backend!r}")
-    if config.modes < 0:
-        raise ConfigError(f"modes must be >= 0, got {config.modes}")
-    if config.elements < 2:
-        raise ConfigError(f"elements must be >= 2, got {config.elements}")
-    if config.degree < 1:
-        raise ConfigError(f"degree must be >= 1, got {config.degree}")
-    if config.m < 1:
-        raise ConfigError(f"m must be >= 1, got {config.m}")
+    for key, list_key, rule, holds in _RANGES:
+        value = getattr(config, key)
+        if not holds(value):
+            raise ConfigError(f"{key} must {rule}, got {value}")
+        for entry in getattr(config, list_key) if list_key else ():
+            if not holds(entry):
+                raise ConfigError(f"{list_key} entries must {rule}, got {entry}")
+    if not 0.0 < config.T_1 <= config.T:
+        raise ConfigError(f"T_1 must lie in (0, T], got {config.T_1}")
 
 
 def parse_config(text):

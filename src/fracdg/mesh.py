@@ -1,4 +1,4 @@
-"""Time partitions: graded, geometric, uniform, and manual meshes.
+"""Time partitions: graded, geometric, and uniform meshes.
 
 Graded meshes concentrate steps near t=0 as t_n = (n k)^gamma to compensate
 the startup singularity at fixed polynomial degree; geometric meshes refine
@@ -16,7 +16,6 @@ __all__ = [
     "graded_mesh",
     "geometric_mesh",
     "uniform_mesh",
-    "manual_mesh",
     "fine_grid",
     "dof_count",
 ]
@@ -28,7 +27,6 @@ class TimeMesh:
 
     nodes: np.ndarray
     degrees: np.ndarray
-    family: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -71,13 +69,6 @@ class TimeMesh:
             raise IndexError(f"interval index {n} outside 1..{self.interval_count}")
         return int(self.degrees[n - 1])
 
-    def locate(self, t):
-        """1-based index of the interval containing t (right-closed)."""
-        if t < 0.0 or t > self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        idx = int(np.searchsorted(self.nodes, t, side="left"))
-        return max(1, min(idx, self.interval_count))
-
 
 def graded_mesh(T, N, gamma, p, first_interval_linear=False):
     """Graded nodes t_n = (n k)^gamma, k = T^(1/gamma)/N.
@@ -100,7 +91,7 @@ def graded_mesh(T, N, gamma, p, first_interval_linear=False):
     degrees = np.full(N, p, dtype=int)
     if first_interval_linear:
         degrees[0] = 1
-    return TimeMesh(nodes, degrees, "graded")
+    return TimeMesh(nodes, degrees)
 
 
 def geometric_mesh(T, T_1, delta, L, mu):
@@ -120,16 +111,15 @@ def geometric_mesh(T, T_1, delta, L, mu):
         raise ValueError(f"refinement level count L must be >= 0, got {L}")
     if mu <= 0.0:
         raise ValueError(f"degree slope mu must be positive, got {mu}")
-    geo = [0.0] + [delta ** (L + 1 - n) * T_1 for n in range(1, L + 2)]
+    nodes = [0.0] + [delta ** (L + 1 - n) * T_1 for n in range(1, L + 2)]
     degrees = [max(1, int(math.floor(mu * n + 1e-12))) for n in range(1, L + 2)]
-    nodes = list(geo)
     if T_1 < T:
         coarse = max(1, int(math.ceil((T - T_1) / T_1 - 1e-12)))
         width = (T - T_1) / coarse
         nodes += [T_1 + i * width for i in range(1, coarse + 1)]
         nodes[-1] = T
         degrees += [degrees[-1]] * coarse
-    return TimeMesh(np.array(nodes), np.array(degrees, dtype=int), "geometric")
+    return TimeMesh(nodes, degrees)
 
 
 def uniform_mesh(T, N, p):
@@ -141,12 +131,7 @@ def uniform_mesh(T, N, p):
     if p < 0:
         raise ValueError(f"polynomial degree p must be >= 0, got {p}")
     nodes = np.linspace(0.0, T, N + 1)
-    return TimeMesh(nodes, np.full(N, p, dtype=int), "uniform")
-
-
-def manual_mesh(nodes, degrees):
-    """Mesh from explicit nodes and per-interval degrees (oracle comparisons)."""
-    return TimeMesh(np.asarray(nodes, dtype=float), np.asarray(degrees, dtype=int), "manual")
+    return TimeMesh(nodes, np.full(N, p, dtype=int))
 
 
 def fine_grid(mesh, m):

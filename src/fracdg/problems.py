@@ -82,22 +82,14 @@ class PowerSum:
         )
 
     def frac_integral(self, alpha):
-        """Apply the inverse operator I^{-alpha} termwise."""
-        return PowerSum(
-            _merged(
-                (c * math.gamma(e + 1.0) / math.gamma(e + 1.0 - alpha), e - alpha)
-                for c, e in self.terms
-            )
-        )
+        """Apply the inverse operator I^{-alpha}: B_alpha at order -alpha."""
+        return self.frac_derivative(-alpha)
 
     def scale(self, factor):
         return PowerSum(_merged((factor * c, e) for c, e in self.terms))
 
     def __add__(self, other):
         return PowerSum(_merged(self.terms + other.terms))
-
-    def __neg__(self):
-        return self.scale(-1.0)
 
     @property
     def min_exponent(self):

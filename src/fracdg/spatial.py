@@ -153,7 +153,7 @@ def ritz_projection(space, u0):
     The load integrates by parts element-wise,
     A(u0, chi)|_e = K ([u0 chi']_e - int_e u0 chi''),
     so only values of u0 are needed and members of the space are
-    reproduced to machine precision.
+    reproduced to machine precision.  `u0` maps arrays of points to values.
     """
     if abs(float(np.asarray(u0(0.0)).ravel()[0])) > 1e-12 or abs(
         float(np.asarray(u0(1.0)).ravel()[0])
@@ -175,9 +175,7 @@ def ritz_projection(space, u0):
     load = np.zeros(space.nodes.size)
     for e in range(space.element_count):
         xs = (e + xg) * h
-        uvals = np.asarray(u0(xs), dtype=float)
-        if uvals.shape != xs.shape:
-            uvals = np.array([u0(x) for x in xs], dtype=float)
+        uvals = np.asarray(u0(xs), dtype=float).reshape(xs.shape)
         u_left = float(np.asarray(u0(e * h)).ravel()[0])
         u_right = float(np.asarray(u0((e + 1) * h)).ravel()[0])
         contrib = (u_right * dphi_ends[:, 1] - u_left * dphi_ends[:, 0]) / h

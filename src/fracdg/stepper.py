@@ -249,49 +249,37 @@ class StabilityReport:
         return not self.violations
 
 
-def _forcing_pair_integrand(problems, alpha):
-    """Pointwise |<g, A^{-1} f>| with g the fractional integral of f, and the
-    exponent of its leading power at t = 0; (None, None) without forcing."""
-    reps = []
+def _forcing_increments(problems, mesh, alpha):
+    """Per-interval integrals of |<g, A^{-1} f>| dt, g the fractional
+    integral of f.
+
+    The integrand behaves like t^e at 0, e the smallest exponent of the
+    products f g, so on the first interval a Gauss-Jacobi rule absorbs that
+    weight; the later intervals are smooth and take Gauss-Legendre.
+    """
+    out = np.zeros(mesh.interval_count)
+    triples = []
     for pr in problems:
         f = pr.forcing
         if not f.terms:
             continue
         if pr.eigenvalue == 0.0:
             raise ValueError("stability bound requires positive eigenvalues with forcing")
-        reps.append((f, f.frac_integral(alpha), pr.eigenvalue))
-    if not reps:
-        return None, None
-    exponent = min(f.min_exponent + g.min_exponent for f, g, _ in reps)
-
-    def integrand(ts):
-        total = np.zeros(ts.size)
-        for f, g, lam_m in reps:
-            total += f(ts) * g(ts) / lam_m
-        return np.abs(total)
-
-    return integrand, exponent
-
-
-def _forcing_increments(problems, mesh, alpha):
-    """Per-interval integrals of |<g, A^{-1} f>| dt.
-
-    The integrand behaves like t^e at 0, e the smallest exponent of the
-    products f g, so on the first interval a Gauss-Jacobi rule absorbs that
-    weight; the later intervals are smooth and take Gauss-Legendre.
-    """
-    integrand, exponent = _forcing_pair_integrand(problems, alpha)
-    out = np.zeros(mesh.interval_count)
-    if integrand is None:
+        triples.append((f, f.frac_integral(alpha), pr.eigenvalue))
+    if not triples:
         return out
+    exponent = min(f.min_exponent + g.min_exponent for f, g, _ in triples)
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
         if n == 1:
             nodes, weights = gauss_jacobi_rule(16, exponent, (a, b))
-            out[0] = float(weights @ (integrand(nodes) / nodes**exponent))
         else:
             nodes, weights = _gauss_legendre(12, a, b)
-            out[n - 1] = float(weights @ integrand(nodes))
+        total = np.zeros(nodes.size)
+        for f, g, lam_m in triples:
+            total += f(nodes) * g(nodes) / lam_m
+        # the Gauss-Jacobi weights of interval 1 already carry the t^e
+        out[n - 1] = float(weights @ (np.abs(total) / (nodes**exponent if n == 1 else 1.0)))
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from fracdg.analysis import (
     CSV_COLUMNS,
+    backend_mode_problems,
     eoc,
     error_measure,
     exp_coefficient,
@@ -215,6 +216,19 @@ def test_study_solves_the_problem_of_its_system():
     solution = solve(fem_mode_problems(problem, system), graded_mesh(1.0, 18, 1.6, 1), -0.7)
     assert report.rows[0].error == error_measure(solution, problem, system, 10)
     assert f"{report.rows[0].error:.6e}" == "2.751259e-04"
+
+
+def test_study_rejects_a_spectral_system_of_another_mode_count():
+    # a spectral system is the problem's own eigensystem; five modes for the
+    # two-mode problem is an error, not a solve of the problem's two modes
+    message = "spectral system has 5 modes and diffusivity 1.0, the problem 2 and 1.0"
+    with pytest.raises(ValueError, match=message):
+        run_h_study(-0.7, [1.6], [1], [18], system=spectral_backend(5))
+
+
+def test_spectral_system_of_another_diffusivity_is_rejected():
+    with pytest.raises(ValueError, match=r"2 modes and diffusivity 3\.0, the problem 2 and 1\.0"):
+        backend_mode_problems(two_mode_problem(-0.7, 1.0), spectral_backend(2, 3.0))
 
 
 def test_fem_mode_problems_match_continuous_modes():

@@ -1,10 +1,11 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fracdg import cli
+from fracdg import analysis, cli
 from fracdg.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from fracdg.config import parse_config
 
@@ -41,6 +42,16 @@ m = 6
 [diagnostics]
 stability_report = true
 coercivity_check = true
+"""
+
+H_STUDY = """
+[problem]
+alpha = -0.5
+[study]
+m = 5
+gammas = 1.3
+ps = 1
+Ns = 4, 6
 """
 
 PINNED = Path(__file__).parent / "data"
@@ -161,22 +172,13 @@ def test_unreadable_config_file(tmp_path, capsys, content):
 
 
 def test_h_study_csv_carries_hash(tmp_path):
-    text = """
-[problem]
-alpha = -0.5
-[study]
-m = 5
-gammas = 1.3
-ps = 1
-Ns = 4, 6
-"""
-    cfg = _write_config(tmp_path, text)
+    cfg = _write_config(tmp_path, H_STUDY)
     assert main(["h-study", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     lines = (tmp_path / "out" / "h_study.csv").read_text().splitlines()
     assert lines[0].endswith(",config_hash")
     hashes = {line.rsplit(",", 1)[1] for line in lines[1:]}
     assert len(hashes) == 1
-    other = _write_config(tmp_path, text.replace("1.3", "1.6"), name="other.cfg")
+    other = _write_config(tmp_path, H_STUDY.replace("1.3", "1.6"), name="other.cfg")
     assert main(["h-study", "--config", other, "--out", str(tmp_path / "out2")]) == EXIT_OK
     other_lines = (tmp_path / "out2" / "h_study.csv").read_text().splitlines()
     assert other_lines[1].rsplit(",", 1)[1] not in hashes
@@ -214,6 +216,54 @@ def test_numerical_failure_exit(tmp_path, capsys, monkeypatch):
     status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert status == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gate,fragment",
+    [("rate_min = 50", "rate_min: slowest rate "), ("rate_max = 0.01", "rate_max: fastest rate ")],
+)
+def test_rate_gate_exit(tmp_path, capsys, gate, fragment):
+    cfg = _write_config(tmp_path, H_STUDY + f"[expect]\n{gate}\n")
+    status = main(["h-study", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_GATE
+    assert f"expectation failed: {fragment}" in capsys.readouterr().err
+
+
+def test_study_without_its_grid_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, H_STUDY.replace("Ns = 4, 6\n", ""))
+    status = main(["h-study", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_USAGE
+    assert "missing required key Ns" in capsys.readouterr().err
+
+
+def test_failed_study_cell_exit(tmp_path, capsys, monkeypatch):
+    real_solve = analysis.solve
+
+    def solve_failing_at_six(problems, mesh, alpha):
+        if mesh.interval_count == 6:
+            raise RuntimeError("singular local system on interval 2, mode 1")
+        return real_solve(problems, mesh, alpha)
+
+    monkeypatch.setattr(analysis, "solve", solve_failing_at_six)
+    cfg = _write_config(tmp_path, H_STUDY)
+    status = main(["h-study", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "cell (1, 1.3, 6) failed: RuntimeError: singular local system" in err
+
+
+def test_stability_violation_exit(tmp_path, capsys, monkeypatch):
+    real_report = cli.stability_report
+
+    def violated(*args):
+        return replace(real_report(*args), violations=(1,))
+
+    monkeypatch.setattr(cli, "stability_report", violated)
+    cfg = _write_config(tmp_path, MINIMAL + "[diagnostics]\nstability_report = true\n")
+    status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_NUMERICAL
+    assert "stability_ok = false" in capsys.readouterr().out
+    assert "stability_ok = false" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 def test_selftest_byte_identical(tmp_path, capsys):

@@ -129,6 +129,25 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = nan", "alpha must be a finite number"),
         ("[problem]\nalpha = -0.5\n[study]\ndeltas = 0.2, nan", "deltas must be a finite number"),
         ("[problem]\nalpha = -0.5\n[expect]\nerror_max = nan", "error_max must be a finite number"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nT = soon", "T must be a number, got 'soon'"),
+        ("[problem]\nalpha = -0.5\n[study]\nalphas = -0.5, 0.2",
+         "alphas entries must lie in (-1, 0), got 0.2"),
+        ("[problem]\nalpha = -0.5\ndiffusivity = 0", "diffusivity must be positive, got 0.0"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nfamily = uniform",
+         "family must be graded or geometric, got 'uniform'"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nT = -1", "T must be positive, got -1.0"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nT = 1.0\nT_1 = 2.0", "T_1 must lie in (0, T], got 2.0"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nN = 0", "N must be >= 1, got 0"),
+        ("[problem]\nalpha = -0.5\n[study]\ngammas = 1.5, 0.5", "gammas entries must be >= 1, got 0.5"),
+        ("[problem]\nalpha = -0.5\n[study]\nps = 1, 0", "ps entries must be >= 1, got 0"),
+        ("[problem]\nalpha = -0.5\n[study]\ndeltas = 0.2, 1.5",
+         "deltas entries must lie in (0, 1), got 1.5"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nL = 0", "L must be >= 1, got 0"),
+        ("[problem]\nalpha = -0.5\n[study]\nLs = 3, 0", "Ls entries must be >= 1, got 0"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nmu = 0", "mu must be positive, got 0.0"),
+        ("[problem]\nalpha = -0.5\n[backend]\nmodes = -1", "modes must be >= 0, got -1"),
+        ("[problem]\nalpha = -0.5\n[backend]\nelements = 1", "elements must be >= 2, got 1"),
+        ("[problem]\nalpha = -0.5\n[backend]\ndegree = 0", "degree must be >= 1, got 0"),
     ],
 )
 def test_validation_messages(snippet, fragment):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fracdg import kernel
-from fracdg.mesh import geometric_mesh, graded_mesh, manual_mesh, uniform_mesh
+from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh, uniform_mesh
 from fracdg.problems import power_mode_problem, two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
 
@@ -343,7 +343,7 @@ def test_memory_block_entries_against_oracle():
                 l = int(rng.integers(1, mesh.degree(j) + 1))
                 ref = oracles.block_entry_oracle(sl, sr, tl, tr, alpha, i, l)
                 assert abs(blk.matrix[i, l] - ref) <= rel * abs(ref) + flo * anchor, (
-                    f"block ({j},{n}) entry ({i},{l}) on {mesh.family}"
+                    f"block ({j},{n}) entry ({i},{l}) on a {mesh.interval_count}-interval mesh"
                 )
 
 
@@ -536,7 +536,7 @@ def test_memory_block_at_the_far_switch_against_oracle(monkeypatch, branch, k_n)
     gap = kernel._FAR_RATIO * max(k_n, sr - sl)
     if branch == "near":
         gap *= 1.0 - 2.0**-30
-    mesh = manual_mesh([sl, sr, sr + gap, sr + gap + k_n], [p, 1, p])
+    mesh = TimeMesh([sl, sr, sr + gap, sr + gap + k_n], [p, 1, p])
     blk = kernel.memory_block(mesh, 1, 3, alpha)
     assert branches == [branch]
     tl, tr = mesh.interval(3)
@@ -676,7 +676,7 @@ def test_frac_derivative_matches_differentiated_convolution():
     coeffs = _random_broken_coeffs(rng, mesh)
 
     def v(s):
-        n = mesh.locate(s)
+        n = max(1, int(np.searchsorted(mesh.nodes, s)))
         a, b = mesh.interval(n)
         return leg.legval((2.0 * s - (a + b)) / (b - a), coeffs[n - 1])
 

@@ -11,7 +11,6 @@ from fracdg.mesh import (
     fine_grid,
     geometric_mesh,
     graded_mesh,
-    manual_mesh,
     uniform_mesh,
 )
 
@@ -25,7 +24,6 @@ def test_graded_quadratic_example():
     mesh = graded_mesh(T=1.0, N=4, gamma=2.0, p=1)
     assert np.allclose(mesh.nodes, [0.0, 0.0625, 0.25, 0.5625, 1.0], atol=1e-15)
     assert list(mesh.degrees) == [1, 1, 1, 1]
-    assert mesh.family == "graded"
 
 
 def test_graded_gamma_one_is_uniform():
@@ -141,13 +139,13 @@ def test_geometric_validation():
 
 def test_time_mesh_validation():
     with pytest.raises(ValueError, match="start"):
-        manual_mesh([0.5, 1.0], [1])
+        TimeMesh([0.5, 1.0], [1])
     with pytest.raises(ValueError, match="increasing"):
-        manual_mesh([0.0, 0.5, 0.5, 1.0], [1, 1, 1])
+        TimeMesh([0.0, 0.5, 0.5, 1.0], [1, 1, 1])
     with pytest.raises(ValueError, match="degree"):
-        manual_mesh([0.0, 0.5, 1.0], [1])
+        TimeMesh([0.0, 0.5, 1.0], [1])
     with pytest.raises(ValueError, match="nonnegative"):
-        manual_mesh([0.0, 1.0], [-1])
+        TimeMesh([0.0, 1.0], [-1])
 
 
 def test_interval_and_degree_accessors():
@@ -161,16 +159,6 @@ def test_interval_and_degree_accessors():
             mesh.interval(bad)
         with pytest.raises(IndexError):
             mesh.degree(bad)
-
-
-def test_locate_is_right_closed():
-    mesh = uniform_mesh(T=1.0, N=4, p=1)
-    assert mesh.locate(0.0) == 1
-    assert mesh.locate(0.25) == 1
-    assert mesh.locate(0.2500001) == 2
-    assert mesh.locate(1.0) == 4
-    with pytest.raises(ValueError):
-        mesh.locate(1.1)
 
 
 def test_fine_grid_counts_and_uniqueness():

@@ -136,6 +136,14 @@ def test_ritz_boundary_warning():
     assert np.all(np.isfinite(coeffs))
 
 
+@pytest.mark.parametrize("value", [0.0, np.zeros(1)])
+def test_ritz_rejects_a_datum_that_is_not_vectorised(value):
+    # one value for an array of points fails instead of broadcasting
+    space, _ = fem_backend(4, 2)
+    with pytest.raises(ValueError):
+        ritz_projection(space, lambda x: value)
+
+
 def test_composite_gauss_weights():
     x, w = composite_gauss(8, 3)
     assert w.sum() == pytest.approx(1.0, rel=1e-14)

@@ -8,7 +8,7 @@ import pytest
 import fracdg.kernel as kernel_mod
 import fracdg.stepper as stepper_mod
 from fracdg.kernel import MemoryBlock, l2_form, memory_block, memory_form
-from fracdg.mesh import fine_grid, geometric_mesh, graded_mesh, manual_mesh, uniform_mesh
+from fracdg.mesh import TimeMesh, fine_grid, geometric_mesh, graded_mesh, uniform_mesh
 from fracdg.problems import PowerSum, power_mode_problem, two_mode_problem
 from fracdg.stepper import (
     DgSolution,
@@ -42,7 +42,7 @@ def test_backward_euler_one_step():
 
 def test_transport_exactness():
     # lambda=0 with polynomial data in the trial space is reproduced exactly
-    mesh = manual_mesh([0.0, 0.3, 0.55, 1.0], [2, 3, 2])
+    mesh = TimeMesh([0.0, 0.3, 0.55, 1.0], [2, 3, 2])
     forcing = PowerSum.of((2.0, 1.0), (-1.0, 0.0))  # u = t^2 - t + 1/2
     sol = solve([ModeProblem(0.0, forcing, 0.5)], mesh, -0.5)
     ts = fine_grid(mesh, 7)
@@ -81,14 +81,29 @@ def test_evaluate_against_recurrence_oracle():
         return total
 
     rng = np.random.default_rng(5)
-    mesh = manual_mesh([0.0, 0.4, 1.0], [3, 2])
+    mesh = TimeMesh([0.0, 0.4, 1.0], [3, 2])
     blocks = tuple(rng.standard_normal((mesh.degree(n) + 1, 1)) for n in (1, 2))
     sol = DgSolution(mesh, np.zeros(1), blocks)
     for t in rng.uniform(0.0, 1.0, 25):
-        n = mesh.locate(t)
+        n = max(1, int(np.searchsorted(mesh.nodes, t)))
         a, b = mesh.interval(n)
         expected = reference(blocks[n - 1][:, 0], a, b, t)
         assert sol.evaluate(t)[0] == pytest.approx(expected, abs=1e-14)
+
+
+def test_evaluate_is_right_closed():
+    # a node belongs to the interval on its left: U(t_1) is interval 1's
+    # left limit, not interval 2's right limit
+    rng = np.random.default_rng(3)
+    mesh = uniform_mesh(T=1.0, N=4, p=1)
+    sol = DgSolution(mesh, np.zeros(1), tuple(rng.standard_normal((2, 1)) for _ in range(4)))
+    left, right = sol.left_traces()[:, 0], sol.right_traces()[:, 0]
+    assert sol.evaluate(0.0)[0] == pytest.approx(right[0], abs=1e-14)
+    assert sol.evaluate(0.25)[0] == pytest.approx(left[0], abs=1e-14)
+    assert abs(left[0] - right[1]) > 1e-3
+    assert sol.evaluate(1.0)[0] == pytest.approx(left[3], abs=1e-14)
+    with pytest.raises(ValueError, match="outside"):
+        sol.evaluate(1.1)
 
 
 def test_traces_match_endpoint_evaluation():
@@ -130,7 +145,7 @@ def test_mode_problem_validation():
 
 
 def test_pi_projection_reproduces_trial_space():
-    mesh = manual_mesh([0.0, 0.5, 1.0], [1, 2])
+    mesh = TimeMesh([0.0, 0.5, 1.0], [1, 2])
     proj = pi_projection([PowerSum.of((1.0, 1.0))], mesh)
     ts = fine_grid(mesh, 5)
     assert np.max(np.abs(proj.evaluate(ts)[:, 0] - ts)) < 1e-13
@@ -308,7 +323,7 @@ def test_stability_report_reuses_the_blocks_of_solve(monkeypatch):
 
     monkeypatch.setattr(kernel_mod, "memory_block", counting_block)
     # mixed degrees, so the stacked blocks carry zero padding
-    mesh = manual_mesh([0.0, 0.05, 0.2, 0.5, 1.0], [1, 3, 2, 1])
+    mesh = TimeMesh([0.0, 0.05, 0.2, 0.5, 1.0], [1, 3, 2, 1])
     problems = [
         ModeProblem(3.0, PowerSum.of((1.0, 0.0), (-0.5, 1.0)), 1.0),
         ModeProblem(12.0, None, -0.4),
@@ -334,7 +349,7 @@ def test_stability_report_reuses_the_blocks_of_solve(monkeypatch):
 def test_report_memory_energy_is_the_sum_of_the_modes_memory_forms():
     # int_0^{t_N} A(B U, U) dt = sum_m lambda_m Q(U_m, U_m): the report and
     # memory_form apply the same operator
-    mesh = manual_mesh([0.0, 0.05, 0.2, 0.5, 0.7, 1.0], [1, 3, 2, 1, 4])
+    mesh = TimeMesh([0.0, 0.05, 0.2, 0.5, 0.7, 1.0], [1, 3, 2, 1, 4])
     problems = [
         ModeProblem(3.0, PowerSum.of((1.0, 0.0), (-0.5, 1.0)), 1.0),
         ModeProblem(12.0, None, -0.4),
