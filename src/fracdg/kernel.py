@@ -409,14 +409,22 @@ def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
 
     At every time node the s-integral against the kernel is a signed power
     rule, stable at any ratio of step sizes; the t-integral sums the graded
-    layers of `_near_t_layers`, each layer's rows built by `_near_rows`.
+    layers of `_near_t_layers`.  The rows and target basis values of every
+    layer's nodes come from one `_near_rows` and one `legendre_values` call;
+    the layers are then summed one slice at a time, in layer order.
     """
     if p_j == 0:
         return np.zeros((p_n + 1, p_j + 1))
+    layers = _near_t_layers(tl, tr, tl - sr, p_n + p_j)
+    t_nodes = np.concatenate([nodes for nodes, _ in layers])
+    tvals = legendre_values(t_nodes, tl, tr, p_n)
+    rows = _near_rows(sl, sr, t_nodes, alpha, p_j)
     total = np.zeros((p_n + 1, p_j + 1))
-    for t_nodes, t_w in _near_t_layers(tl, tr, tl - sr, p_n + p_j):
-        tvals = legendre_values(t_nodes, tl, tr, p_n)
-        total += np.einsum("q,qi,ql->il", t_w, tvals, _near_rows(sl, sr, t_nodes, alpha, p_j))
+    start = 0
+    for _, t_w in layers:
+        layer = slice(start, start + t_w.size)
+        start += t_w.size
+        total += np.einsum("q,qi,ql->il", t_w, tvals[layer], rows[layer])
     return total * _kernel_scale(alpha)
 
 

@@ -58,15 +58,17 @@ class TimeMesh:
     def horizon(self):
         return float(self.nodes[-1])
 
-    def interval(self, n):
-        """Endpoints (t_{n-1}, t_n) of the 1-based interval n."""
+    def _check_index(self, n):
         if not 1 <= n <= self.interval_count:
             raise IndexError(f"interval index {n} outside 1..{self.interval_count}")
+
+    def interval(self, n):
+        """Endpoints (t_{n-1}, t_n) of the 1-based interval n."""
+        self._check_index(n)
         return float(self.nodes[n - 1]), float(self.nodes[n])
 
     def degree(self, n):
-        if not 1 <= n <= self.interval_count:
-            raise IndexError(f"interval index {n} outside 1..{self.interval_count}")
+        self._check_index(n)
         return int(self.degrees[n - 1])
 
 

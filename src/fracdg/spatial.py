@@ -153,11 +153,15 @@ def ritz_projection(space, u0):
     The load integrates by parts element-wise,
     A(u0, chi)|_e = K ([u0 chi']_e - int_e u0 chi''),
     so only values of u0 are needed and members of the space are
-    reproduced to machine precision.  `u0` maps arrays of points to values.
+    reproduced to machine precision.  `u0` maps a 1-D array of points to
+    one value each; it is called once on the element ends and once on the
+    quadrature points.
     """
-    if abs(float(np.asarray(u0(0.0)).ravel()[0])) > 1e-12 or abs(
-        float(np.asarray(u0(1.0)).ravel()[0])
-    ) > 1e-12:
+    h = space.h
+    elements = np.arange(space.element_count)
+    ends = np.append(elements, space.element_count) * h
+    end_values = np.asarray(u0(ends), dtype=float).reshape(ends.shape)
+    if abs(end_values[0]) > 1e-12 or abs(end_values[-1]) > 1e-12:
         warnings.warn(
             "initial datum does not vanish on the boundary; projecting anyway",
             stacklevel=2,
@@ -171,15 +175,13 @@ def ritz_projection(space, u0):
     wg = 0.5 * wg
     ddphi = np.array([[p(x) for p in seconds] for x in xg])
     dphi_ends = np.array([[p(0.0), p(1.0)] for p in derivs])
-    h = space.h
     load = np.zeros(space.nodes.size)
+    points = (elements[:, None] + xg) * h
+    quad_values = np.asarray(u0(points.ravel()), dtype=float).reshape(points.shape)
     for e in range(space.element_count):
-        xs = (e + xg) * h
-        uvals = np.asarray(u0(xs), dtype=float).reshape(xs.shape)
-        u_left = float(np.asarray(u0(e * h)).ravel()[0])
-        u_right = float(np.asarray(u0((e + 1) * h)).ravel()[0])
+        u_left, u_right = end_values[e], end_values[e + 1]
         contrib = (u_right * dphi_ends[:, 1] - u_left * dphi_ends[:, 0]) / h
-        contrib -= np.einsum("q,q,qi->i", wg, uvals, ddphi) / h
+        contrib -= np.einsum("q,q,qi->i", wg, quad_values[e], ddphi) / h
         load[e * r : e * r + r + 1] += space.diffusivity * contrib
     return np.linalg.solve(space.stiffness, load[1:-1])
 

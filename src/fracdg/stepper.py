@@ -16,7 +16,8 @@ stability report applies it again to the energy term int A(B U, U) dt.
 
 Forcings and projected profiles are power sums (`problems.PowerSum`), so
 the load vectors and projection moments come exactly from
-`kernel.power_rule`.
+`kernel.power_rule`: per interval, one rule for each exponent, shared by
+every sum that carries it.
 """
 
 from dataclasses import dataclass, field
@@ -85,12 +86,32 @@ def _transport_matrix(p):
     return mat
 
 
-def _power_moments(power_sum, a, b, p):
-    """Moments int_a^b u P_i dt, i <= p, of a power sum u; exact."""
-    moments = np.zeros(p + 1)
-    for coeff, exponent in power_sum.terms:
+def _power_table(power_sums):
+    """The exponents of a list of power sums, sorted, each with the rows of
+    the sums that carry it, and their coefficients of it as a column."""
+    table = {}
+    for m, u in enumerate(power_sums):
+        for coeff, exponent in u.terms:
+            column = table.setdefault(float(exponent), {})
+            column[m] = column.get(m, 0.0) + coeff
+    return [
+        (exponent, np.array(list(column)), np.array(list(column.values()))[:, None])
+        for exponent, column in sorted(table.items())
+    ]
+
+
+def _power_moments(table, count, a, b, p):
+    """Moments int_a^b u P_i dt, i <= p, of each of the `count` power sums
+    u of a `_power_table`, one row per sum; exact.
+
+    One rule and one moment per exponent, added only into the rows of the
+    sums that carry it (a sum without it never sees that moment, finite or
+    not), in increasing exponent order as each sum's terms are.
+    """
+    moments = np.zeros((count, p + 1))
+    for exponent, rows, coeffs in table:
         nodes, weights = power_rule(a, b, 0.0, exponent, p)
-        moments += coeff * (weights @ legendre_values(nodes, a, b, p))
+        moments[rows] += coeffs * (weights @ legendre_values(nodes, a, b, p))
     return moments
 
 
@@ -181,13 +202,16 @@ def solve(problems, mesh, alpha):
 
     Memory blocks depend only on the interval pair, so the memory operator
     builds each once per (j, n) and applies it to every mode's stored
-    coefficients.  The solution keeps the operator
-    (`DgSolution.memory_operator`) for `stability_report`.
+    coefficients.  The loads likewise take one moment per forcing exponent
+    and interval, shared by every mode that carries that exponent.  The
+    solution keeps the operator (`DgSolution.memory_operator`) for
+    `stability_report`.
     """
     problems = list(problems)
     modes = len(problems)
     lam = np.array([pr.eigenvalue for pr in problems])
     initial_values = np.array([pr.initial_value for pr in problems], dtype=float)
+    forcings = _power_table([pr.forcing for pr in problems])
     operator = MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
     coeffs = []
     jump_vals = np.empty((mesh.interval_count, modes))
@@ -200,12 +224,10 @@ def solve(problems, mesh, alpha):
         local_jump = operator.jump_columns[n - 1][n - 1]
         base = np.outer(parity, parity) + _transport_matrix(p)
         memory = operator.matrices[n - 1][n - 1, :, : p + 1] + np.outer(local_jump, parity)
-        rhs = np.empty((modes, p + 1))
-        for m, pr in enumerate(problems):
-            load = _power_moments(pr.forcing, a, b, p)
-            rhs[m] = incoming[m] * parity + load - lam[m] * history[:, m]
-            if n >= 2:
-                rhs[m] += lam[m] * local_jump * incoming[m]
+        loads = _power_moments(forcings, modes, a, b, p)
+        rhs = incoming[:, None] * parity + loads - lam[:, None] * history.T
+        if n >= 2:
+            rhs += lam[:, None] * local_jump * incoming[:, None]
         block = _solve_modes(base + lam[:, None, None] * memory, rhs, n)
         coeffs.append(block)
         right_limit = parity @ block
@@ -217,17 +239,18 @@ def solve(problems, mesh, alpha):
 def pi_projection(profiles, mesh):
     """Interpolatory projection: right-endpoint match plus orthogonality
     of the residual to P_{p_n - 1} on each interval."""
+    table = _power_table(profiles)
     coeffs = []
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
         p = mesh.degree(n)
         width = b - a
+        moments = _power_moments(table, len(profiles), a, b, p)
         block = np.empty((p + 1, len(profiles)))
         for m, u in enumerate(profiles):
-            moments = _power_moments(u, a, b, p)
             c = np.zeros(p + 1)
             ell = np.arange(p)
-            c[:p] = moments[:p] * (2.0 * ell + 1.0) / width
+            c[:p] = moments[m, :p] * (2.0 * ell + 1.0) / width
             c[p] = u(b) - c[:p].sum()
             block[:, m] = c
         coeffs.append(block)

@@ -442,17 +442,18 @@ def test_near_rows_match_per_node_power_rules(alpha, gap_ratio, log_step_ratio, 
     assert np.max(np.abs(got - ref) / scale) <= tol
 
 
-def test_near_block_evaluates_the_basis_once_per_layer(monkeypatch):
-    # one grouped rule set and one basis evaluation per t-layer, not one
-    # power rule per t node; the only per-block power_rule is the jump column
+def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
+    # one grouped rule set and one basis evaluation for all t-layers of a
+    # near block, not one per layer or per t node; the only per-block
+    # power_rule is the jump column
     real_rules = kernel._right_power_rules
     real_values = kernel.legendre_derivative_values
     real_power_rule = kernel.power_rule
-    layers, counts = [], {"values": 0, "power_rule": 0}
+    calls, counts = [], {"values": 0, "power_rule": 0}
 
     def rules(a, b, z, beta, deg):
         groups = real_rules(a, b, z, beta, deg)
-        layers.append((z.size, len(groups)))
+        calls.append((z.size, len(groups)))
         return groups
 
     def values(*args):
@@ -468,16 +469,47 @@ def test_near_block_evaluates_the_basis_once_per_layer(monkeypatch):
     monkeypatch.setattr(kernel, "power_rule", power_rule)
     mesh = geometric_mesh(T=1.0, T_1=1.0, delta=0.1, L=12, mu=1.0)
     for j, n in ((5, 6), (3, 6), (11, 12)):
-        layers.clear()
+        calls.clear()
         counts.update(values=0, power_rule=0)
         kernel.memory_block(mesh, j, n, -0.7)
         sl, sr = mesh.interval(j)
         tl, tr = mesh.interval(n)
         expected = kernel._near_t_layers(tl, tr, tl - sr, mesh.degree(j) + mesh.degree(n))
-        assert [size for size, _ in layers] == [nodes.size for nodes, _ in expected]
-        assert counts == {"values": len(expected), "power_rule": 1}
+        assert len(expected) > 1
+        assert [size for size, _ in calls] == [sum(nodes.size for nodes, _ in expected)]
+        assert counts == {"values": 1, "power_rule": 1}
         # the grouping is real: fewer branch groups than t nodes
-        assert sum(groups for _, groups in layers) < sum(size for size, _ in layers)
+        ((size, groups),) = calls
+        assert groups < size
+
+
+def per_layer_near_block(sl, sr, tl, tr, alpha, p_n, p_j):
+    """The near block as one `_near_rows` and basis evaluation per t-layer."""
+    if p_j == 0:
+        return np.zeros((p_n + 1, p_j + 1))
+    total = np.zeros((p_n + 1, p_j + 1))
+    for t_nodes, t_w in kernel._near_t_layers(tl, tr, tl - sr, p_n + p_j):
+        tvals = kernel.legendre_values(t_nodes, tl, tr, p_n)
+        rows = kernel._near_rows(sl, sr, t_nodes, alpha, p_j)
+        total += np.einsum("q,qi,ql->il", t_w, tvals, rows)
+    return total * kernel._kernel_scale(alpha)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.95, -0.05),
+    gap_ratio=st.one_of(st.just(0.0), st.floats(0.0, kernel._FAR_RATIO * (1.0 - 1e-9))),
+    log_step_ratio=st.floats(-6.0, 6.0),
+    p_n=st.integers(1, 8),
+    p_j=st.integers(1, 8),
+)
+def test_near_block_equals_the_per_layer_sum_bitwise(alpha, gap_ratio, log_step_ratio, p_n, p_j):
+    # source (2, 3); target k_n = ratio * k_j, gap below the far-field switch
+    sl, sr = 2.0, 3.0
+    k_n = 10.0**log_step_ratio
+    tl = sr + gap_ratio * max(k_n, sr - sl)
+    got = kernel._near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j)
+    assert np.array_equal(got, per_layer_near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

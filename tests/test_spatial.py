@@ -7,6 +7,7 @@ import pytest
 
 from fracdg.spatial import (
     ModeSystem,
+    _reference_lagrange,
     composite_gauss,
     fem_backend,
     ritz_projection,
@@ -142,6 +143,43 @@ def test_ritz_rejects_a_datum_that_is_not_vectorised(value):
     space, _ = fem_backend(4, 2)
     with pytest.raises(ValueError):
         ritz_projection(space, lambda x: value)
+
+
+def per_element_ritz(space, u0):
+    """The Ritz load assembled element by element, u0 called on each
+    element's quadrature points and on each of its two ends."""
+    r, h = space.degree, space.h
+    cardinals = _reference_lagrange(r)[1]
+    derivs = [p.deriv() for p in cardinals]
+    xg, wg = np.polynomial.legendre.leggauss(r + 2)
+    xg, wg = 0.5 * (xg + 1.0), 0.5 * wg
+    ddphi = np.array([[p.deriv()(x) for p in derivs] for x in xg])
+    dphi_ends = np.array([[p(0.0), p(1.0)] for p in derivs])
+    load = np.zeros(space.nodes.size)
+    for e in range(space.element_count):
+        uvals = np.asarray(u0((e + xg) * h), dtype=float)
+        u_left = float(np.asarray(u0(e * h)).ravel()[0])
+        u_right = float(np.asarray(u0((e + 1) * h)).ravel()[0])
+        contrib = (u_right * dphi_ends[:, 1] - u_left * dphi_ends[:, 0]) / h
+        contrib -= np.einsum("q,q,qi->i", wg, uvals, ddphi) / h
+        load[e * r : e * r + r + 1] += space.diffusivity * contrib
+    return np.linalg.solve(space.stiffness, load[1:-1])
+
+
+@pytest.mark.parametrize("elements, degree", [(64, 2), (49, 1), (7, 3)])
+def test_ritz_calls_the_datum_twice(elements, degree):
+    # once on the element ends and once on the quadrature points, with the
+    # coefficients of the element-by-element assembly bit for bit
+    space, _ = fem_backend(elements, degree, 0.5)
+    calls = []
+
+    def u0(x):
+        calls.append(np.shape(x))
+        return np.sin(math.pi * x) + 0.3 * np.sin(3.0 * math.pi * x)
+
+    coeffs = ritz_projection(space, u0)
+    assert calls == [(elements + 1,), (elements * (degree + 2),)]
+    assert np.array_equal(coeffs, per_element_ritz(space, u0))
 
 
 def test_composite_gauss_weights():

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracdg.kernel as kernel_mod
 import fracdg.stepper as stepper_mod
+from fracdg.analysis import fem_mode_problems
 from fracdg.kernel import MemoryBlock, l2_form, memory_block, memory_form
 from fracdg.mesh import TimeMesh, fine_grid, geometric_mesh, graded_mesh, uniform_mesh
 from fracdg.problems import PowerSum, power_mode_problem, two_mode_problem
+from fracdg.spatial import fem_backend
 from fracdg.stepper import (
     DgSolution,
     ModeProblem,
@@ -265,20 +269,100 @@ def test_determinism():
 
 
 def test_non_finite_load_names_interval_and_mode(monkeypatch):
-    # mode 2's load turns nan past t = 0.5, inside interval 3 of 4
-    forcing = PowerSum.of((1.0, 0.0))
-    real_moments = stepper_mod._power_moments
+    # the moment of t^0, which only mode 2 carries, turns nan past t = 0.5,
+    # inside interval 3 of 4; mode 1 shares t^0.5 with it and stays finite
+    real_rule = stepper_mod.power_rule
 
-    def moments(power_sum, a, b, p):
-        if power_sum is forcing and b > 0.5:
-            return np.full(p + 1, np.nan)
-        return real_moments(power_sum, a, b, p)
+    def power_rule(a, b, z, beta, deg):
+        nodes, weights = real_rule(a, b, z, beta, deg)
+        if beta == 0.0 and b > 0.5:
+            weights = np.full_like(weights, np.nan)
+        return nodes, weights
 
-    monkeypatch.setattr(stepper_mod, "_power_moments", moments)
+    monkeypatch.setattr(stepper_mod, "power_rule", power_rule)
     mesh = uniform_mesh(1.0, 4, 1)
-    problems = [ModeProblem(1.0, None, 1.0), ModeProblem(2.0, forcing, 0.0)]
+    problems = [
+        ModeProblem(1.0, PowerSum.of((1.0, 0.5)), 1.0),
+        ModeProblem(2.0, PowerSum.of((1.0, 0.0), (-2.0, 0.5)), 0.0),
+    ]
     with pytest.raises(RuntimeError, match="non-finite coefficients on interval 3, mode 2"):
         solve(problems, mesh, -0.5)
+
+
+def per_mode_solve(problems, mesh, operator):
+    """Coefficients of the march with one load per mode, summed term by term."""
+    lam = np.array([pr.eigenvalue for pr in problems])
+    incoming = np.array([pr.initial_value for pr in problems], dtype=float)
+    coeffs, jump_vals = [], np.empty((mesh.interval_count, len(problems)))
+    for n in range(1, mesh.interval_count + 1):
+        p = mesh.degree(n)
+        a, b = mesh.interval(n)
+        parity = kernel_mod._parity(p)
+        history = operator.apply(n, coeffs, jump_vals[: n - 1])
+        local_jump = operator.jump_columns[n - 1][n - 1]
+        base = np.outer(parity, parity) + stepper_mod._transport_matrix(p)
+        memory = operator.matrices[n - 1][n - 1, :, : p + 1] + np.outer(local_jump, parity)
+        rhs = np.empty((len(problems), p + 1))
+        for m, pr in enumerate(problems):
+            load = np.zeros(p + 1)
+            for coeff, exponent in pr.forcing.terms:
+                nodes, weights = kernel_mod.power_rule(a, b, 0.0, exponent, p)
+                load += coeff * (weights @ kernel_mod.legendre_values(nodes, a, b, p))
+            rhs[m] = incoming[m] * parity + load - lam[m] * history[:, m]
+            if n >= 2:
+                rhs[m] += lam[m] * local_jump * incoming[m]
+        block = stepper_mod._solve_modes(base + lam[:, None, None] * memory, rhs, n)
+        coeffs.append(block)
+        right_limit = parity @ block
+        jump_vals[n - 1] = right_limit if n == 1 else right_limit - incoming
+        incoming = block.sum(axis=0)
+    return coeffs
+
+
+def assert_solve_matches_per_mode_loads(problems, mesh, alpha):
+    solution = solve(problems, mesh, alpha)
+    reference = per_mode_solve(problems, mesh, solution.memory_operator)
+    assert len(reference) == len(solution.coefficients)
+    for got, want in zip(solution.coefficients, reference):
+        assert np.array_equal(got, want)
+
+
+# a profile's exponents; its fractional derivative adds alpha to each
+PROFILE_EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def mode_sets(draw, alpha):
+    modes = []
+    for _ in range(draw(st.integers(1, 6))):
+        exponents = draw(st.lists(st.sampled_from(PROFILE_EXPONENTS), max_size=3, unique=True))
+        profile = PowerSum.of(*((draw(st.floats(-3.0, 3.0)), e) for e in exponents))
+        forcing = draw(st.sampled_from([None, profile, profile.frac_derivative(alpha)]))
+        if forcing is not None and draw(st.booleans()):
+            forcing = forcing + profile.derivative()
+        modes.append(ModeProblem(draw(st.floats(0.0, 50.0)), forcing, draw(st.floats(-2.0, 2.0))))
+    return modes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), alpha=st.floats(-0.95, -0.05), graded=st.booleans())
+def test_solve_loads_equal_per_mode_loads_bitwise(data, alpha, graded):
+    # modes without forcing and exponents that only some modes carry
+    if graded:
+        mesh = graded_mesh(1.0, data.draw(st.integers(1, 12)), data.draw(st.floats(1.0, 3.0)), 2)
+    else:
+        mesh = geometric_mesh(1.0, 1.0, data.draw(st.floats(0.1, 0.5)), data.draw(st.integers(1, 6)), 1.0)
+    assert_solve_matches_per_mode_loads(data.draw(mode_sets(alpha)), mesh, alpha)
+
+
+def test_fem_mode_loads_equal_per_mode_loads_bitwise():
+    # 127 mode forcings sharing the problem's three exponents
+    problem = two_mode_problem(-0.7)
+    _, system = fem_backend(64, 2, problem.diffusivity)
+    problems = fem_mode_problems(problem, system)
+    assert len(problems) == 127
+    assert len({e for pr in problems for _, e in pr.forcing.terms}) == 3
+    assert_solve_matches_per_mode_loads(problems, graded_mesh(1.0, 12, 1.6, 2), -0.7)
 
 
 def test_singular_local_system_names_the_first_singular_mode(monkeypatch):
