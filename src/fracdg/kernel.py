@@ -22,9 +22,18 @@ far-field block is L K R: cached tables of the weighted basis at reference
 Gauss-Legendre nodes on either side of the kernel matrix
 K = (t_q - s_r)^alpha, the only factor built per pair.
 
+A Gauss-Legendre rule mapped to one interval serves many pairs: every jump
+column of a target whose singular point is far enough off takes one of a
+few point counts, and every far block maps the same rule to its target and
+its source.  The build's table (`_interval_rule`) holds these rules, with
+the Legendre values the jump columns need, read-only and keyed by (point
+count, interval, degree); per pair only the kernel powers and the products
+remain.
+
 `MemoryOperator` holds every block of one mesh, order and pair of degree
 vectors, built once; the DG march, the stability report and the bilinear
-form `memory_form` all apply the memory operator through it.
+form `memory_form` all apply the memory operator through it.  Each build
+starts with an empty table, so no build reads another's entries.
 """
 
 import math
@@ -169,27 +178,45 @@ def power_rule(a, b, z, beta, deg):
                       (exact; some nodes fall just outside (a,b), polynomial
                       evaluation there is legitimate),
       otherwise       Gauss-Legendre with a rho-dependent point count.
-    A singular point to the right is the one-point case of
-    `_right_power_rules`.
+    A singular point to the left is `_left_power_rule` without the basis,
+    one to the right the one-point case of `_right_power_rules`.
     """
     if beta <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {beta}")
     if z <= a:
-        A = a - z
-        npts = deg // 2 + 1
-        if A == 0.0:
-            return gauss_jacobi_rule(npts, beta, (a, b))
-        rho = _ellipse_rho(A, b - a)
-        if rho < _DIFF_RHO:
-            n_full, w_full = gauss_jacobi_rule(npts, beta, (z, b))
-            n_cut, w_cut = gauss_jacobi_rule(npts, beta, (z, a))
-            return np.concatenate([n_full, n_cut]), np.concatenate([w_full, -w_cut])
-        nodes, w = _gauss_legendre(_gl_point_count(deg, rho), a, b)
-        return nodes, w * (nodes - z) ** beta
+        nodes, weights, _ = _left_power_rule(a, b, z, beta, deg, basis=False)
+        return nodes, weights
     if z >= b:
         ((_, nodes, weights),) = _right_power_rules(a, b, np.array([z], dtype=float), beta, deg)
         return nodes.reshape(-1), weights[0]
     raise ValueError(f"singular point z={z} lies inside the interval ({a}, {b})")
+
+
+def _left_power_rule(a, b, z, beta, deg, basis):
+    """power_rule(a, b, z, beta, deg) for z <= a, as (nodes, weights, values).
+
+    With `basis`, values[r, k] = P_k(ref(nodes[r])), k <= deg, mapped to
+    (a, b); the Gauss-Legendre branch takes its mapped rule and these values
+    from the build's table (`_interval_rule`), shared by every singular
+    point with the same point count.  Without it, values is None.
+    """
+    A = a - z
+    npts = deg // 2 + 1
+    if A == 0.0:
+        nodes, weights = gauss_jacobi_rule(npts, beta, (a, b))
+    else:
+        rho = _ellipse_rho(A, b - a)
+        if rho >= _DIFF_RHO:
+            count = _gl_point_count(deg, rho)
+            if basis:
+                nodes, w, values = _interval_rule(count, a, b, deg)
+            else:
+                (nodes, w), values = _gauss_legendre(count, a, b), None
+            return nodes, w * (nodes - z) ** beta, values
+        n_full, w_full = gauss_jacobi_rule(npts, beta, (z, b))
+        n_cut, w_cut = gauss_jacobi_rule(npts, beta, (z, a))
+        nodes, weights = np.concatenate([n_full, n_cut]), np.concatenate([w_full, -w_cut])
+    return nodes, weights, legendre_values(nodes, a, b, deg) if basis else None
 
 
 def _right_power_rules(a, b, z, beta, deg):
@@ -288,6 +315,30 @@ def _weighted_reference_basis(npts, max_degree, nderiv):
     table = w[:, None] * legendre_derivative_values(x, -1.0, 1.0, max_degree, nderiv)
     table.setflags(write=False)
     return table
+
+
+# Bound on the entries of the build's table; a graded N=150, p=2 build
+# fills about 1300.
+_TABLE_SIZE = 4096
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _interval_rule(npts, a, b, deg):
+    """The build's table: the npts-point Gauss-Legendre rule mapped to (a, b)
+    as read-only (nodes, weights, values), values[r, k] = P_k(ref(nodes[r]))
+    for k <= deg, or None when deg is None.
+
+    Every pair with the same target reads one entry for its jump column
+    (`_left_power_rule`), and every far pair its t and s nodes.
+    `MemoryOperator` empties the table when a build starts, so no build
+    reads another's entries.
+    """
+    nodes, weights = _gauss_legendre(npts, a, b)
+    values = None if deg is None else legendre_values(nodes, a, b, deg)
+    for array in (nodes, weights, values):
+        if array is not None:
+            array.setflags(write=False)
+    return nodes, weights, values
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +485,14 @@ def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
     One reference rule (x, w) mapped to both intervals makes the block
     L K R (k_n/2): L[i, q] = w_q P_i(x_q) and R[r, l] = w_r P_l'(x_r) are
     cached reference tables (the source half-step cancels against the chain
-    rule of the derivative), and only K[q, r] = (t_q - s_r)^alpha is built
-    per pair.
+    rule of the derivative), the mapped nodes come from the build's table,
+    and only K[q, r] = (t_q - s_r)^alpha is built per pair.
     """
     if p_j == 0:
         return np.zeros((p_n + 1, p_j + 1))
     npts = max(p_n, p_j, 1) + _FAR_PADDING
-    t_nodes, _ = _gauss_legendre(npts, tl, tr)
-    s_nodes, _ = _gauss_legendre(npts, sl, sr)
+    t_nodes = _interval_rule(npts, tl, tr, None)[0]
+    s_nodes = _interval_rule(npts, sl, sr, None)[0]
     kern = (t_nodes[:, None] - s_nodes[None, :]) ** alpha
     left = _weighted_reference_basis(npts, p_n, 0).T
     right = _weighted_reference_basis(npts, p_j, 1)
@@ -468,8 +519,8 @@ def memory_block(mesh, j, n, order, degrees=None):
     else:
         p_j, p_n = degrees
     # jump column: kernel anchored at the source interval's left node
-    nodes, weights = power_rule(tl, tr, sl, alpha, p_n)
-    jump_col = (legendre_values(nodes, tl, tr, p_n).T @ weights) * _kernel_scale(alpha)
+    _, weights, values = _left_power_rule(tl, tr, sl, alpha, p_n, basis=True)
+    jump_col = (values.T @ weights) * _kernel_scale(alpha)
     if j == n:
         mat = _local_block(tl, tr, alpha, p_n, p_j)
     else:
@@ -516,10 +567,17 @@ class MemoryOperator:
     first p_j+1 columns and zeros after them.  jump_columns[n-1] has shape
     (n, q_n+1), row j-1 the jump column of source j.  Each block comes from
     `memory_block`, once per (j, n).
+
+    A build empties the table of mapped Gauss-Legendre rules and basis
+    values (`_interval_rule`) when it starts; within the build, the jump
+    columns of one target share an entry per point count and the far
+    blocks one per interval, so a rule is mapped and its basis evaluated
+    once per build, not once per pair.
     """
 
     def __init__(self, mesh, alpha, source_degrees, target_degrees):
         self.alpha = _check_alpha(alpha)
+        _interval_rule.cache_clear()
         width = int(max(source_degrees)) + 1
         matrices = []
         jump_columns = []

@@ -115,6 +115,20 @@ def _power_moments(table, count, a, b, p):
     return moments
 
 
+def _power_values(table, count, t):
+    """Values at points t > 0 of each of the `count` power sums of a
+    `_power_table`, one row per sum.
+
+    One power per exponent, added only into the rows of the sums that
+    carry it, in increasing exponent order: the sum `PowerSum.__call__`
+    forms term by term.
+    """
+    values = np.zeros((count, t.size))
+    for exponent, rows, coeffs in table:
+        values[rows] += coeffs * t**exponent
+    return values
+
+
 @dataclass(frozen=True)
 class DgSolution:
     """Piecewise-Legendre solution: per interval a (p_n+1, M) block.
@@ -278,29 +292,30 @@ def _forcing_increments(problems, mesh, alpha):
 
     The integrand behaves like t^e at 0, e the smallest exponent of the
     products f g, so on the first interval a Gauss-Jacobi rule absorbs that
-    weight; the later intervals are smooth and take Gauss-Legendre.
+    weight; the later intervals are smooth and take Gauss-Legendre.  The
+    forced modes' f and g come from one exponent table each
+    (`_power_values`), and their products are summed in mode order.
     """
     out = np.zeros(mesh.interval_count)
-    triples = []
-    for pr in problems:
-        f = pr.forcing
-        if not f.terms:
-            continue
-        if pr.eigenvalue == 0.0:
-            raise ValueError("stability bound requires positive eigenvalues with forcing")
-        triples.append((f, f.frac_integral(alpha), pr.eigenvalue))
-    if not triples:
+    forced = [pr for pr in problems if pr.forcing.terms]
+    if any(pr.eigenvalue == 0.0 for pr in forced):
+        raise ValueError("stability bound requires positive eigenvalues with forcing")
+    if not forced:
         return out
-    exponent = min(f.min_exponent + g.min_exponent for f, g, _ in triples)
+    fs = [pr.forcing for pr in forced]
+    gs = [f.frac_integral(alpha) for f in fs]
+    f_table, g_table = _power_table(fs), _power_table(gs)
+    lam = np.array([pr.eigenvalue for pr in forced])[:, None]
+    exponent = min(f.min_exponent + g.min_exponent for f, g in zip(fs, gs))
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
         if n == 1:
             nodes, weights = gauss_jacobi_rule(16, exponent, (a, b))
         else:
             nodes, weights = _gauss_legendre(12, a, b)
-        total = np.zeros(nodes.size)
-        for f, g, lam_m in triples:
-            total += f(nodes) * g(nodes) / lam_m
+        products = _power_values(f_table, len(fs), nodes) * _power_values(g_table, len(gs), nodes) / lam
+        # a running sum over the modes, in their order
+        total = np.cumsum(products, axis=0)[-1]
         # the Gauss-Jacobi weights of interval 1 already carry the t^e
         out[n - 1] = float(weights @ (np.abs(total) / (nodes**exponent if n == 1 else 1.0)))
     return out

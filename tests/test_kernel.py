@@ -9,6 +9,7 @@ noise in double precision no matter how they are computed.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +257,54 @@ def test_power_rule_left_singularity_against_oracle():
                 assert abs(val - ref) <= 1e-10 * abs(ref) + 1e-13 * abs(mass)
 
 
+def power_rule_error(a, b, z, beta, k):
+    """Error of power_rule's P_k moment against the oracle, in units of the
+    two-term oracle tolerance of the tests above."""
+    from numpy.polynomial import legendre as leg
+
+    coeff = np.zeros(k + 1)
+    coeff[k] = 1.0
+    nodes, weights = kernel.power_rule(a, b, z, beta, k)
+    val = float(weights @ leg.legval((2.0 * nodes - (a + b)) / (b - a), coeff))
+    if z <= a:
+        ref = oracles.left_moment_oracle(a, b, z, k, beta)
+        mass = ((b - z) ** (beta + 1) - (a - z) ** (beta + 1)) / (beta + 1)
+    else:
+        ref = oracles.moment_oracle(a, b, z, k, beta)
+        mass = oracles.kernel_mass(a, b, z, beta)
+    return abs(val - ref) / (1e-10 * abs(ref) + 1e-13 * abs(mass))
+
+
+# Just below the switch the two Gauss-Jacobi rules cancel by far more than
+# the rho^deg the switch's comment allows: at degree 64 and beta = -0.95 the
+# moment is off by about 1e7 tolerances on the left and 1e6 on the right
+# (the right side misses from degree 16).  No stepper degree comes near.
+_DIFFERENCE_LOSES_DIGITS = pytest.mark.xfail(
+    strict=True, reason="difference of Gauss-Jacobi rules at high degree below the switch"
+)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    "branch",
+    ["exact", pytest.param("difference", marks=_DIFFERENCE_LOSES_DIGITS), "legendre"],
+)
+def test_power_rule_to_degree_64_against_oracle(side, branch):
+    # each branch of power_rule from degree 9 up to MAX_MOMENT_DEGREE: the
+    # singular point on the endpoint (A == 0), just below and just above the
+    # difference-of-rules switch, and well beyond it
+    a, b = 0.3, 1.4
+    below, above = diff_switch_gaps(a, b)
+    gaps = {"exact": (0.0,), "difference": (below,), "legendre": (above, 0.4, 3.0)}[branch]
+    worst = 0.0
+    for gap in gaps:
+        z = a - gap if side == "left" else b + gap
+        for k in (9, 16, 31, 48, MAX_MOMENT_DEGREE):
+            for beta in (-0.95, -0.4, 0.4):
+                worst = max(worst, power_rule_error(a, b, z, beta, k))
+    assert worst <= 1.0
+
+
 def test_frac_moment_inside_interval():
     # upper limit is min(b, t): t inside the interval integrates only to t
     a, b, t, alpha = 0.0, 1.0, 0.6, -0.4
@@ -395,6 +444,36 @@ def test_memory_block_deterministic():
     assert np.array_equal(a.jump_column, b.jump_column)
 
 
+@pytest.mark.parametrize("where", ["exact", "below", "above"])
+def test_jump_column_at_the_branch_switches(where):
+    # target (2, 3.5) and a source whose left node, the jump column's
+    # singular point, sits on the target (A == 0, j == n) or just below or
+    # just above power_rule's difference-of-rules switch; the column is the
+    # power_rule moment vector, bit for bit, alone and within a build
+    alpha = -0.7
+    tl, tr = 2.0, 3.5
+    below, above = diff_switch_gaps(tl, tr)
+    gap = {"exact": 0.0, "below": below, "above": above}[where]
+    for p in (0, 1, 2, 5, 8):
+        breaks = [0.0, tl - gap, tl, tr] if gap else [0.0, tl, tr]
+        mesh = TimeMesh(breaks, [p] * (len(breaks) - 1))
+        n = mesh.interval_count
+        j = n - 1 if gap else n
+        sl = mesh.interval(j)[0]
+        nodes, weights = kernel.power_rule(tl, tr, sl, alpha, p)
+        if gap:
+            assert_switch_branch(nodes, tl, tr, gap, below, p)
+        expected = (kernel.legendre_values(nodes, tl, tr, p).T @ weights) * kernel._kernel_scale(alpha)
+        operator = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+        assert np.array_equal(operator.jump_columns[n - 1][j - 1], expected)
+        column = kernel.memory_block(mesh, j, n, alpha).jump_column
+        assert np.array_equal(column, expected)
+        mass = ((tr - sl) ** (alpha + 1) - (tl - sl) ** (alpha + 1)) / (alpha + 1) / math.gamma(alpha + 1)
+        for i in range(p + 1):
+            ref = oracles.jump_entry_oracle(sl, tl, tr, alpha, i)
+            assert abs(column[i] - ref) <= 1e-10 * abs(ref) + 1e-13 * abs(mass), (p, i)
+
+
 def _mirrored_rows(sl, sr, t, alpha, p_j):
     # int_sl^sr (t-s)^alpha P_l'(s) ds one node at a time, reflected by
     # s -> -s so that power_rule takes its left-singularity branch, a code
@@ -444,12 +523,13 @@ def test_near_rows_match_per_node_power_rules(alpha, gap_ratio, log_step_ratio, 
 
 def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
     # one grouped rule set and one basis evaluation for all t-layers of a
-    # near block, not one per layer or per t node; the only per-block
-    # power_rule is the jump column
+    # near block, not one per layer or per t node; the only other rule of
+    # the block is its jump column's, which does not go through power_rule
     real_rules = kernel._right_power_rules
     real_values = kernel.legendre_derivative_values
     real_power_rule = kernel.power_rule
-    calls, counts = [], {"values": 0, "power_rule": 0}
+    real_left_rule = kernel._left_power_rule
+    calls, counts = [], {"values": 0, "power_rule": 0, "jump_rule": 0}
 
     def rules(a, b, z, beta, deg):
         groups = real_rules(a, b, z, beta, deg)
@@ -464,20 +544,25 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
         counts["power_rule"] += 1
         return real_power_rule(*args)
 
+    def jump_rule(*args, **kwargs):
+        counts["jump_rule"] += 1
+        return real_left_rule(*args, **kwargs)
+
     monkeypatch.setattr(kernel, "_right_power_rules", rules)
     monkeypatch.setattr(kernel, "legendre_derivative_values", values)
     monkeypatch.setattr(kernel, "power_rule", power_rule)
+    monkeypatch.setattr(kernel, "_left_power_rule", jump_rule)
     mesh = geometric_mesh(T=1.0, T_1=1.0, delta=0.1, L=12, mu=1.0)
     for j, n in ((5, 6), (3, 6), (11, 12)):
         calls.clear()
-        counts.update(values=0, power_rule=0)
+        counts.update(values=0, power_rule=0, jump_rule=0)
         kernel.memory_block(mesh, j, n, -0.7)
         sl, sr = mesh.interval(j)
         tl, tr = mesh.interval(n)
         expected = kernel._near_t_layers(tl, tr, tl - sr, mesh.degree(j) + mesh.degree(n))
         assert len(expected) > 1
         assert [size for size, _ in calls] == [sum(nodes.size for nodes, _ in expected)]
-        assert counts == {"values": 1, "power_rule": 1}
+        assert counts == {"values": 1, "power_rule": 0, "jump_rule": 1}
         # the grouping is real: fewer branch groups than t nodes
         ((size, groups),) = calls
         assert groups < size
@@ -581,12 +666,21 @@ def test_memory_block_at_the_far_switch_against_oracle(monkeypatch, branch, k_n)
 
 
 def test_far_block_evaluates_no_basis(monkeypatch):
-    # the far matrix reads cached read-only tables; the one basis
-    # evaluation left in a far memory_block is its jump column's
+    # the far matrix reads cached read-only reference tables and takes its
+    # mapped nodes from the build's table, which holds no basis for them;
+    # the jump columns evaluate the basis once per table entry, and not at
+    # all once the table holds their rules
+    alpha = -0.7
     mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
     pairs = ((1, 40), (10, 30), (25, 40))
     for j, n in pairs:
-        kernel.memory_block(mesh, j, n, -0.7)
+        kernel.memory_block(mesh, j, n, alpha)
+    # one node entry per far target and source, one jump entry per point
+    # count and target
+    node_entries = len({n for _, n in pairs}) + len({j for j, _ in pairs})
+    jump_entries = len(
+        {(kernel.power_rule(*mesh.interval(n), mesh.interval(j)[0], alpha, 2)[0].size, n) for j, n in pairs}
+    )
     counts = {"values": 0, "derivative_values": 0, "legvander": 0, "far": 0}
 
     def counting(key, func):
@@ -602,14 +696,89 @@ def test_far_block_evaluates_no_basis(monkeypatch):
     )
     monkeypatch.setattr(kernel, "_legvander", counting("legvander", kernel._legvander))
     monkeypatch.setattr(kernel, "_far_block", counting("far", kernel._far_block))
+    kernel._interval_rule.cache_clear()
     for j, n in pairs:
-        kernel.memory_block(mesh, j, n, -0.7)
-    assert counts == {"values": 3, "derivative_values": 0, "legvander": 3, "far": 3}
+        kernel.memory_block(mesh, j, n, alpha)
+    assert kernel._interval_rule.cache_info().misses == node_entries + jump_entries
+    expected = {"values": jump_entries, "derivative_values": 0, "legvander": jump_entries, "far": 3}
+    assert counts == expected
+    counts.update(values=0, derivative_values=0, legvander=0, far=0)
+    for j, n in pairs:
+        kernel.memory_block(mesh, j, n, alpha)
+    assert counts == {"values": 0, "derivative_values": 0, "legvander": 0, "far": 3}
     for nderiv in (0, 1):
         table = kernel._weighted_reference_basis(2 + kernel._FAR_PADDING, 2, nderiv)
         assert table.flags.writeable is False
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
+
+
+def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
+    # within one build, a Gauss-Legendre jump column evaluates the basis
+    # only when its (point count, target) first appears; the others (the
+    # exact and difference branches) evaluate it once per pair
+    alpha = -0.7
+    mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
+    keys, tabled, other = set(), 0, 0
+    for n in range(1, mesh.interval_count + 1):
+        tl, tr = mesh.interval(n)
+        for j in range(1, n + 1):
+            sl = mesh.interval(j)[0]
+            if tl > sl and kernel._ellipse_rho(tl - sl, tr - tl) >= kernel._DIFF_RHO:
+                keys.add((kernel.power_rule(tl, tr, sl, alpha, 2)[0].size, n))
+                tabled += 1
+            else:
+                other += 1
+    assert len(keys) < tabled
+    real_values = kernel.legendre_values
+    counts = {"_interval_rule": 0, "_left_power_rule": 0}
+
+    def values(*args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in counts:
+            counts[caller] += 1
+        return real_values(*args)
+
+    monkeypatch.setattr(kernel, "legendre_values", values)
+    kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+    assert counts == {"_interval_rule": len(keys), "_left_power_rule": other}
+
+
+def test_each_build_starts_with_an_empty_table(monkeypatch):
+    # no build reads another's entries: two identical builds in a row miss
+    # the same number of times, and every array the table shares is
+    # read-only
+    alpha = -0.7
+    mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
+    kernel.memory_block(mesh, 1, 40, alpha)
+    assert kernel._interval_rule.cache_info().currsize > 0
+    real_block, real_rule = kernel.memory_block, kernel._interval_rule
+    sizes, shared = [], []
+
+    def block(*args, **kwargs):
+        sizes.append(real_rule.cache_info().currsize)
+        return real_block(*args, **kwargs)
+
+    def rule(*key):
+        entry = real_rule(*key)
+        shared.extend(array for array in entry if array is not None)
+        return entry
+
+    rule.cache_clear = real_rule.cache_clear
+    monkeypatch.setattr(kernel, "memory_block", block)
+    monkeypatch.setattr(kernel, "_interval_rule", rule)
+    misses = []
+    for _ in range(2):
+        sizes.clear()
+        kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+        assert sizes[0] == 0
+        misses.append(real_rule.cache_info().misses)
+    assert misses[0] == misses[1] > 0
+    assert shared
+    for array in shared:
+        assert array.flags.writeable is False
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

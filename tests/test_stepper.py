@@ -365,6 +365,83 @@ def test_fem_mode_loads_equal_per_mode_loads_bitwise():
     assert_solve_matches_per_mode_loads(problems, graded_mesh(1.0, 12, 1.6, 2), -0.7)
 
 
+def per_mode_forcing_increments(problems, mesh, alpha):
+    """The forcing side of the stability bound with each mode's f and g
+    evaluated on their own (`PowerSum.__call__`) and summed in mode order."""
+    out = np.zeros(mesh.interval_count)
+    triples = []
+    for pr in problems:
+        f = pr.forcing
+        if not f.terms:
+            continue
+        if pr.eigenvalue == 0.0:
+            raise ValueError("stability bound requires positive eigenvalues with forcing")
+        triples.append((f, f.frac_integral(alpha), pr.eigenvalue))
+    if not triples:
+        return out
+    exponent = min(f.min_exponent + g.min_exponent for f, g, _ in triples)
+    for n in range(1, mesh.interval_count + 1):
+        a, b = mesh.interval(n)
+        if n == 1:
+            nodes, weights = kernel_mod.gauss_jacobi_rule(16, exponent, (a, b))
+        else:
+            nodes, weights = kernel_mod._gauss_legendre(12, a, b)
+        total = np.zeros(nodes.size)
+        for f, g, lam_m in triples:
+            total += f(nodes) * g(nodes) / lam_m
+        out[n - 1] = float(weights @ (np.abs(total) / (nodes**exponent if n == 1 else 1.0)))
+    return out
+
+
+def assert_report_matches_per_mode_forcing(problems, mesh, alpha):
+    solution = solve(problems, mesh, alpha)
+    if any(pr.forcing.terms and pr.eigenvalue == 0.0 for pr in problems):
+        with pytest.raises(ValueError, match="positive"):
+            stability_report(solution, problems, alpha)
+        return
+    report = stability_report(solution, problems, alpha)
+    _, d_alpha = kernel_mod.coercivity_constants(alpha)
+    forcing = np.cumsum(per_mode_forcing_increments(problems, mesh, alpha))
+    rhs = 4.0 * float(np.sum(solution.initial_values**2)) + 4.0 * d_alpha**2 * forcing
+    assert np.array_equal(report.rhs, rhs)
+
+
+# a drawn eigenvalue may be subnormal, and then both sides overflow alike
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), alpha=st.floats(-0.95, -0.05), graded=st.booleans())
+def test_stability_forcing_equals_per_mode_forcing_bitwise(data, alpha, graded):
+    # modes without forcing and exponents that only some modes carry
+    if graded:
+        mesh = graded_mesh(1.0, data.draw(st.integers(1, 12)), data.draw(st.floats(1.0, 3.0)), 2)
+    else:
+        mesh = geometric_mesh(1.0, 1.0, data.draw(st.floats(0.1, 0.5)), data.draw(st.integers(1, 6)), 1.0)
+    assert_report_matches_per_mode_forcing(data.draw(mode_sets(alpha)), mesh, alpha)
+
+
+def test_comparable_mode_forcings_equal_per_mode_forcing_bitwise():
+    # eight forced modes of like size, where the order of the mode sum
+    # shows in the last bits
+    rng = np.random.default_rng(12)
+    problems = [
+        ModeProblem(
+            rng.uniform(0.5, 5.0),
+            PowerSum.of(*((rng.uniform(0.5, 2.0), e) for e in rng.choice(PROFILE_EXPONENTS, 2, replace=False))),
+            rng.uniform(-1.0, 1.0),
+        )
+        for _ in range(8)
+    ]
+    assert_report_matches_per_mode_forcing(problems, graded_mesh(1.0, 10, 2.0, 2), -0.4)
+
+
+def test_fem_mode_forcing_equals_per_mode_forcing_bitwise():
+    # the 127 FEM modes' forcings and their fractional integrals
+    problem = two_mode_problem(-0.7)
+    _, system = fem_backend(64, 2, problem.diffusivity)
+    problems = fem_mode_problems(problem, system)
+    assert_report_matches_per_mode_forcing(problems, graded_mesh(1.0, 12, 1.6, 2), -0.7)
+
+
 def test_singular_local_system_names_the_first_singular_mode(monkeypatch):
     # at p = 0 the local system is 1 + lambda (D + J); with D + J = -1 it is
     # singular exactly for the modes with lambda = 1
