@@ -38,7 +38,6 @@ from .mesh import (
     fine_grid,
     geometric_mesh,
     graded_mesh,
-    uniform_mesh,
 )
 from .problems import (
     ManufacturedProblem,

@@ -12,15 +12,15 @@ parts turns this into the jump representation
 
 where [v]^i = v(t_i+) - v(t_i-).  Every integral a DG time stepper then needs
 is a polynomial against a pure power kernel.  This module evaluates those
-integrals with Gauss-Jacobi rules (exact for the singular near-diagonal
-cases), differences of such rules, or Gauss-Legendre once the singularity is
-well separated from the integration interval, and assembles them into the
-memory-matrix blocks that discretize the history term.  Where many time
-nodes share one source interval (the near-field blocks), the rules of all
-of them are built together: grouped by branch, one array per group.  A
-far-field block is L K R: cached tables of the weighted basis at reference
-Gauss-Legendre nodes on either side of the kernel matrix
-K = (t_q - s_r)^alpha, the only factor built per pair.
+integrals with Gauss-Jacobi rules (`_jacobi_rule`, singular at either end;
+exact for the near-diagonal cases), differences of such rules, or
+Gauss-Legendre once the singularity is well separated from the integration
+interval, and assembles them into the memory-matrix blocks that discretize
+the history term.  Where many time nodes share one source interval (the
+near-field blocks), the rules of all of them are built together: grouped by
+branch, one array per group.  A far-field block is L K R: cached tables of
+the weighted basis at reference Gauss-Legendre nodes on either side of the
+kernel matrix K = (t_q - s_r)^alpha, the only factor built per pair.
 
 A Gauss-Legendre rule mapped to one interval serves many pairs: every jump
 column of a target whose singular point is far enough off takes one of a
@@ -87,23 +87,22 @@ def coercivity_constants(alpha):
 
 
 @lru_cache(maxsize=4096)
-def _jacobi_left_ref(npoints, exponent):
-    # weight (1+x)^exponent on [-1, 1]
-    x, w = roots_jacobi(npoints, 0.0, float(exponent))
-    return x, w
-
-
-@lru_cache(maxsize=4096)
-def _jacobi_right_ref(npoints, exponent):
-    # weight (1-x)^exponent on [-1, 1]
-    x, w = roots_jacobi(npoints, float(exponent), 0.0)
-    return x, w
+def _jacobi_ref(npoints, exponent, at_a):
+    # weight (1+x)^exponent on [-1, 1] at_a, else (1-x)^exponent
+    return roots_jacobi(npoints, 0.0, exponent) if at_a else roots_jacobi(npoints, exponent, 0.0)
 
 
 @lru_cache(maxsize=1024)
 def _legendre_ref(npoints):
     x, w = np.polynomial.legendre.leggauss(npoints)
     return x, w
+
+
+def _jacobi_rule(npoints, exponent, a, b, at_a):
+    # weight (s-a)^exponent on (a, b) at_a, else (b-s)^exponent; a or b may be a column
+    x, w = _jacobi_ref(int(npoints), float(exponent), at_a)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), w * half ** (exponent + 1.0)
 
 
 def gauss_jacobi_rule(npoints, exponent, interval):
@@ -118,20 +117,7 @@ def gauss_jacobi_rule(npoints, exponent, interval):
     a, b = interval
     if not b > a:
         raise ValueError(f"empty interval ({a}, {b})")
-    x, w = _jacobi_left_ref(int(npoints), float(exponent))
-    half = 0.5 * (b - a)
-    nodes = a + half * (x + 1.0)
-    weights = w * half ** (exponent + 1.0)
-    return nodes, weights
-
-
-def _gauss_jacobi_right(npoints, exponent, a, b):
-    # weight (b-s)^exponent on (a, b); b may be a column of right endpoints
-    x, w = _jacobi_right_ref(int(npoints), float(exponent))
-    half = 0.5 * (b - a)
-    nodes = a + half * (x + 1.0)
-    weights = w * half ** (exponent + 1.0)
-    return nodes, weights
+    return _jacobi_rule(npoints, exponent, a, b, at_a=True)
 
 
 def _gauss_legendre(npoints, a, b):
@@ -173,8 +159,8 @@ def power_rule(a, b, z, beta, deg):
 
     Branches on A = dist(z, nearest endpoint) and the ellipse parameter
     rho = x + sqrt(x^2 - 1), x = 1 + 2A/(b-a):
-      A == 0          single Gauss-Jacobi rule (exact),
-      rho < 1.25      difference of two Gauss-Jacobi rules anchored at z
+      A == 0          single Gauss-Jacobi rule, `_jacobi_rule` (exact),
+      rho < 1.25      difference of two `_jacobi_rule`s anchored at z
                       (exact; some nodes fall just outside (a,b), polynomial
                       evaluation there is legitimate),
       otherwise       Gauss-Legendre with a rho-dependent point count.
@@ -203,7 +189,7 @@ def _left_power_rule(a, b, z, beta, deg, basis):
     A = a - z
     npts = deg // 2 + 1
     if A == 0.0:
-        nodes, weights = gauss_jacobi_rule(npts, beta, (a, b))
+        nodes, weights = _jacobi_rule(npts, beta, a, b, at_a=True)
     else:
         rho = _ellipse_rho(A, b - a)
         if rho >= _DIFF_RHO:
@@ -213,8 +199,8 @@ def _left_power_rule(a, b, z, beta, deg, basis):
             else:
                 (nodes, w), values = _gauss_legendre(count, a, b), None
             return nodes, w * (nodes - z) ** beta, values
-        n_full, w_full = gauss_jacobi_rule(npts, beta, (z, b))
-        n_cut, w_cut = gauss_jacobi_rule(npts, beta, (z, a))
+        n_full, w_full = _jacobi_rule(npts, beta, z, b, at_a=True)
+        n_cut, w_cut = _jacobi_rule(npts, beta, z, a, at_a=True)
         nodes, weights = np.concatenate([n_full, n_cut]), np.concatenate([w_full, -w_cut])
     return nodes, weights, legendre_values(nodes, a, b, deg) if basis else None
 
@@ -236,14 +222,14 @@ def _right_power_rules(a, b, z, beta, deg):
     exact = dist == 0.0
     if exact.any():
         rows = np.flatnonzero(exact)
-        nodes, w = _gauss_jacobi_right(npts, beta, a, b)
+        nodes, w = _jacobi_rule(npts, beta, a, b, at_a=False)
         groups.append((rows, nodes, np.tile(w, (rows.size, 1))))
     diff = (rho < _DIFF_RHO) & ~exact
     if diff.any():
         rows = np.flatnonzero(diff)
         zr = z[rows, None]
-        n_full, w_full = _gauss_jacobi_right(npts, beta, a, zr)
-        n_cut, w_cut = _gauss_jacobi_right(npts, beta, b, zr)
+        n_full, w_full = _jacobi_rule(npts, beta, a, zr, at_a=False)
+        n_cut, w_cut = _jacobi_rule(npts, beta, b, zr, at_a=False)
         groups.append((rows, np.hstack([n_full, n_cut]), np.hstack([w_full, -w_cut])))
     smooth = np.flatnonzero(rho >= _DIFF_RHO)
     counts = _gl_point_count(deg, rho[smooth])
@@ -318,7 +304,7 @@ def _weighted_reference_basis(npts, max_degree, nderiv):
 
 
 # Bound on the entries of the build's table; a graded N=150, p=2 build
-# fills about 1300.
+# fills 1118 (968 jump-column rules, 150 far-node rules).
 _TABLE_SIZE = 4096
 
 
@@ -377,15 +363,10 @@ def _local_block(tl, tr, alpha, p_n, p_j):
     int_0^k tau^(alpha+1) P_i(t_{n-1}+tau) [int_0^1 (1-xi)^alpha P_l'(...) dxi] dtau,
     a polynomial against each weight, so tensor Gauss-Jacobi is exact.
     """
-    k = tr - tl
-    if p_j == 0:
-        return np.zeros((p_n + 1, p_j + 1))
     n_inner = (p_j - 1) // 2 + 1
     n_outer = (p_n + p_j - 1) // 2 + 1
-    xi, w_xi = _jacobi_right_ref(n_inner, alpha)
-    xi = 0.5 * (xi + 1.0)
-    w_xi = w_xi * 0.5 ** (alpha + 1.0)
-    tau, w_tau = gauss_jacobi_rule(n_outer, alpha + 1.0, (0.0, k))
+    xi, w_xi = _jacobi_rule(n_inner, alpha, 0.0, 1.0, at_a=False)
+    tau, w_tau = _jacobi_rule(n_outer, alpha + 1.0, 0.0, tr - tl, at_a=True)
     # derivative basis at s = tl + tau_q * xi_r, target basis at t = tl + tau_q
     s_grid = tl + tau[:, None] * xi[None, :]
     dvals = legendre_derivative_values(s_grid.ravel(), tl, tr, p_j, 1).reshape(tau.size, xi.size, p_j + 1)
@@ -464,8 +445,6 @@ def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
     layer's nodes come from one `_near_rows` and one `legendre_values` call;
     the layers are then summed one slice at a time, in layer order.
     """
-    if p_j == 0:
-        return np.zeros((p_n + 1, p_j + 1))
     layers = _near_t_layers(tl, tr, tl - sr, p_n + p_j)
     t_nodes = np.concatenate([nodes for nodes, _ in layers])
     tvals = legendre_values(t_nodes, tl, tr, p_n)
@@ -488,9 +467,7 @@ def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
     rule of the derivative), the mapped nodes come from the build's table,
     and only K[q, r] = (t_q - s_r)^alpha is built per pair.
     """
-    if p_j == 0:
-        return np.zeros((p_n + 1, p_j + 1))
-    npts = max(p_n, p_j, 1) + _FAR_PADDING
+    npts = max(p_n, p_j) + _FAR_PADDING
     t_nodes = _interval_rule(npts, tl, tr, None)[0]
     s_nodes = _interval_rule(npts, sl, sr, None)[0]
     kern = (t_nodes[:, None] - s_nodes[None, :]) ** alpha
@@ -521,7 +498,10 @@ def memory_block(mesh, j, n, order, degrees=None):
     # jump column: kernel anchored at the source interval's left node
     _, weights, values = _left_power_rule(tl, tr, sl, alpha, p_n, basis=True)
     jump_col = (values.T @ weights) * _kernel_scale(alpha)
-    if j == n:
+    if p_j == 0:
+        # a constant source has no derivative: only its jump column acts
+        mat = np.zeros((p_n + 1, 1))
+    elif j == n:
         mat = _local_block(tl, tr, alpha, p_n, p_j)
     else:
         gap = tl - sr

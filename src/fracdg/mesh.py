@@ -1,4 +1,4 @@
-"""Time partitions: graded, geometric, and uniform meshes.
+"""Time partitions: graded and geometric meshes.
 
 Graded meshes concentrate steps near t=0 as t_n = (n k)^gamma to compensate
 the startup singularity at fixed polynomial degree; geometric meshes refine
@@ -15,7 +15,6 @@ __all__ = [
     "TimeMesh",
     "graded_mesh",
     "geometric_mesh",
-    "uniform_mesh",
     "fine_grid",
     "dof_count",
 ]
@@ -122,18 +121,6 @@ def geometric_mesh(T, T_1, delta, L, mu):
         nodes[-1] = T
         degrees += [degrees[-1]] * coarse
     return TimeMesh(nodes, degrees)
-
-
-def uniform_mesh(T, N, p):
-    """Uniform partition with constant degree p (p = 0 allowed for tests)."""
-    if T <= 0.0:
-        raise ValueError(f"horizon T must be positive, got {T}")
-    if N < 1:
-        raise ValueError(f"interval count N must be >= 1, got {N}")
-    if p < 0:
-        raise ValueError(f"polynomial degree p must be >= 0, got {p}")
-    nodes = np.linspace(0.0, T, N + 1)
-    return TimeMesh(nodes, np.full(N, p, dtype=int))
 
 
 def fine_grid(mesh, m):

@@ -31,15 +31,16 @@ def _sine_values(mode_count, x):
     return np.sqrt(2.0) * np.sin(np.outer(np.arange(1, mode_count + 1) * np.pi, x))
 
 
-def _reference_lagrange(r):
-    # cardinal basis on equispaced reference nodes 0, 1/r, ..., 1
+def _cardinal_values(r, x, nderiv):
+    """Column j: the nderiv-th derivative at x of the j-th cardinal basis
+    function on the equispaced reference nodes 0, 1/r, ..., 1."""
     nodes = np.arange(r + 1) / r
-    coeffs = []
+    columns = []
     for j in range(r + 1):
         others = np.delete(nodes, j)
-        poly = np.poly1d(np.poly(others) / np.prod(nodes[j] - others))
-        coeffs.append(poly)
-    return nodes, coeffs
+        coeffs = np.polyder(np.poly(others) / np.prod(nodes[j] - others), nderiv)
+        columns.append(np.polyval(coeffs, x))
+    return np.stack(columns, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,11 @@ class FemSpace:
         """Matrix of interior basis values, column i = chi_i(x_q)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         r = self.degree
-        _, cardinals = _reference_lagrange(r)
         elem = np.clip((x * self.element_count).astype(int), 0, self.element_count - 1)
         xi = x * self.element_count - elem
         out = np.zeros((x.size, self.nodes.size))
-        for j, poly in enumerate(cardinals):
-            out[np.arange(x.size), elem * r + j] += poly(xi)
+        for j, values in enumerate(_cardinal_values(r, xi, 0).T):
+            out[np.arange(x.size), elem * r + j] += values
         return out[:, 1:-1]
 
 
@@ -111,14 +111,10 @@ def spectral_backend(M, K=1.0):
 
 
 def _assemble(elements, r, K):
-    ref_nodes, cardinals = _reference_lagrange(r)
-    derivs = [p.deriv() for p in cardinals]
     # r+1 Gauss points integrate the degree-2r mass integrand exactly
-    xg, wg = np.polynomial.legendre.leggauss(r + 1)
-    xg = 0.5 * (xg + 1.0)
-    wg = 0.5 * wg
-    phi = np.array([[p(x) for p in cardinals] for x in xg])
-    dphi = np.array([[p(x) for p in derivs] for x in xg])
+    xg, wg = composite_gauss(1, r + 1)
+    phi = _cardinal_values(r, xg, 0)
+    dphi = _cardinal_values(r, xg, 1)
     local_mass = np.einsum("q,qi,qj->ij", wg, phi, phi)
     local_stiff = np.einsum("q,qi,qj->ij", wg, dphi, dphi)
     h = 1.0 / elements
@@ -167,14 +163,9 @@ def ritz_projection(space, u0):
             stacklevel=2,
         )
     r = space.degree
-    _, cardinals = _reference_lagrange(r)
-    derivs = [p.deriv() for p in cardinals]
-    seconds = [p.deriv() for p in derivs]
-    xg, wg = np.polynomial.legendre.leggauss(r + 2)
-    xg = 0.5 * (xg + 1.0)
-    wg = 0.5 * wg
-    ddphi = np.array([[p(x) for p in seconds] for x in xg])
-    dphi_ends = np.array([[p(0.0), p(1.0)] for p in derivs])
+    xg, wg = composite_gauss(1, r + 2)
+    ddphi = _cardinal_values(r, xg, 2)
+    dphi_ends = _cardinal_values(r, np.array([0.0, 1.0]), 1).T
     load = np.zeros(space.nodes.size)
     points = (elements[:, None] + xg) * h
     quad_values = np.asarray(u0(points.ravel()), dtype=float).reshape(points.shape)

@@ -295,17 +295,20 @@ def _forcing_increments(problems, mesh, alpha):
     weight; the later intervals are smooth and take Gauss-Legendre.  The
     forced modes' f and g come from one exponent table each
     (`_power_values`), and their products are summed in mode order.
+
+    RuntimeError names the first non-finite interval (a subnormal eigenvalue
+    overflows f g / lambda) and the first mode whose running sum has no finite integral.
     """
     out = np.zeros(mesh.interval_count)
-    forced = [pr for pr in problems if pr.forcing.terms]
-    if any(pr.eigenvalue == 0.0 for pr in forced):
+    forced = [m for m, pr in enumerate(problems) if pr.forcing.terms]
+    if any(problems[m].eigenvalue == 0.0 for m in forced):
         raise ValueError("stability bound requires positive eigenvalues with forcing")
     if not forced:
         return out
-    fs = [pr.forcing for pr in forced]
+    fs = [problems[m].forcing for m in forced]
     gs = [f.frac_integral(alpha) for f in fs]
     f_table, g_table = _power_table(fs), _power_table(gs)
-    lam = np.array([pr.eigenvalue for pr in forced])[:, None]
+    lam = np.array([problems[m].eigenvalue for m in forced])[:, None]
     exponent = min(f.min_exponent + g.min_exponent for f, g in zip(fs, gs))
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
@@ -315,9 +318,14 @@ def _forcing_increments(problems, mesh, alpha):
             nodes, weights = _gauss_legendre(12, a, b)
         products = _power_values(f_table, len(fs), nodes) * _power_values(g_table, len(gs), nodes) / lam
         # a running sum over the modes, in their order
-        total = np.cumsum(products, axis=0)[-1]
+        running = np.cumsum(products, axis=0)
         # the Gauss-Jacobi weights of interval 1 already carry the t^e
-        out[n - 1] = float(weights @ (np.abs(total) / (nodes**exponent if n == 1 else 1.0)))
+        scale = nodes**exponent if n == 1 else 1.0
+        out[n - 1] = float(weights @ (np.abs(running[-1]) / scale))
+        if not np.isfinite(out[n - 1]):
+            bad = np.flatnonzero(~np.isfinite((np.abs(running) / scale) @ weights))
+            m = forced[bad[0] if bad.size else -1]
+            raise RuntimeError(f"non-finite stability forcing on interval {n}, mode {m + 1}")
     return out
 
 

@@ -23,7 +23,7 @@ from fracdg.analysis import (
     write_plot_data,
 )
 from fracdg.kernel import _gauss_legendre, legendre_derivative_values
-from fracdg.mesh import graded_mesh, uniform_mesh
+from fracdg.mesh import graded_mesh
 from fracdg.problems import power_mode_problem, two_mode_problem
 from fracdg.spatial import fem_backend, spectral_backend
 from fracdg.stepper import DgSolution, mode_problems, pi_projection, solve
@@ -124,7 +124,7 @@ def test_error_measure_routes_agree():
 def test_error_measure_rejects_coefficient_route_for_fem():
     problem = two_mode_problem(-0.5)
     _, system = fem_backend(4, 1)
-    mesh = uniform_mesh(1.0, 3, 1)
+    mesh = graded_mesh(1.0, 3, 1.0, 1)
     sol = solve(fem_mode_problems(problem, system), mesh, -0.5)
     with pytest.raises(ValueError, match="spectral"):
         error_measure(sol, problem, system, 5, method="coefficient")

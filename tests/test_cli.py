@@ -55,6 +55,7 @@ Ns = 4, 6
 """
 
 PINNED = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -131,6 +132,23 @@ def test_selftest_study_outputs_match_pinned_bytes(tmp_path, name):
     out = tmp_path / name
     config = parse_config(cli._SELFTEST_CONFIGS[name])
     assert cli._run(name, config, out, 1, timings=False) == EXIT_OK
+    written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    expected = sorted(p.relative_to(pinned) for p in pinned.rglob("*") if p.is_file())
+    assert written == expected
+    for relative in expected:
+        assert (out / relative).read_bytes() == (pinned / relative).read_bytes(), relative
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [("table2", "hp-study"), ("fig2", "delta-sweep")],
+)
+def test_shipped_study_outputs_match_pinned_bytes(tmp_path, name, command):
+    # the shipped configs' study CSVs (timings zeroed) and plot data, pinned
+    pinned = PINNED / "shipped_studies" / name
+    out = tmp_path / name
+    config = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    assert cli._run(command, config, out, 1, timings=False) == EXIT_OK
     written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
     expected = sorted(p.relative_to(pinned) for p in pinned.rglob("*") if p.is_file())
     assert written == expected
@@ -216,6 +234,33 @@ def test_numerical_failure_exit(tmp_path, capsys, monkeypatch):
     status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert status == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_subnormal_diffusivity_stability_report_exits_two(tmp_path, capsys):
+    # diffusivity = 1e-310 passes "be positive" but makes the eigenvalues
+    # subnormal; the stability bound used to print stability_ok = true and
+    # write inf to stability.csv
+    text = """
+[problem]
+alpha = -0.5
+diffusivity = 1e-310
+[mesh]
+family = graded
+N = 4
+gamma = 2.0
+p = 2
+[study]
+m = 5
+[diagnostics]
+stability_report = true
+"""
+    cfg = _write_config(tmp_path, text)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite stability forcing on interval 1, mode" in err
+    assert not (tmp_path / "out" / "stability.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fracdg import kernel
-from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh, uniform_mesh
+from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
 from fracdg.problems import power_mode_problem, two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
 
@@ -122,7 +122,7 @@ def test_coercivity_constants_reject_orders_outside_range():
 
 def _alpha_entry_points():
     # every public entry point that takes alpha, on a small valid input
-    mesh = uniform_mesh(T=1.0, N=2, p=1)
+    mesh = graded_mesh(T=1.0, N=2, gamma=1.0, p=1)
     coeffs = [np.array([1.0, 0.5]), np.array([0.2, -0.1])]
     problems = mode_problems(two_mode_problem(-0.5))
     solution = solve(problems, mesh, -0.5)
@@ -356,15 +356,32 @@ def test_legendre_derivative_values_match_per_degree_evaluation():
 # ---------------------------------------------------------------------------
 
 
-def test_memory_block_piecewise_constant_jump_weight():
-    # one-step history of a piecewise constant: the jump column integrates
-    # the kernel weight, giving w_{alpha+2}(k) on the diagonal block
+@pytest.mark.parametrize("j, n, branch", [(2, 2, "local"), (1, 2, "near"), (1, 4, "far")],
+                         ids=["local", "near", "far"])
+def test_memory_block_piecewise_constant_jump_weight(j, n, branch):
+    # a piecewise constant source has no derivative, so on every branch its
+    # block is exactly zero; on the diagonal the jump column integrates the
+    # kernel weight, giving w_{alpha+2}(k)
     alpha = -0.6
-    mesh = uniform_mesh(T=1.0, N=4, p=0)
-    blk = kernel.memory_block(mesh, 2, 2, alpha)
-    k = 0.25
-    assert math.isclose(blk.jump_column[0], k ** (alpha + 1.0) / math.gamma(alpha + 2.0), rel_tol=1e-13)
-    assert blk.matrix.shape == (1, 1) and blk.matrix[0, 0] == 0.0
+    mesh = TimeMesh(np.linspace(0.0, 1.0, 5), np.zeros(4, dtype=int))
+    (sl, sr), (tl, tr) = mesh.interval(j), mesh.interval(n)
+    far = tl - sr >= kernel._FAR_RATIO * max(tr - tl, sr - sl)
+    assert branch == ("local" if j == n else "far" if far else "near")
+    blk = kernel.memory_block(mesh, j, n, alpha)
+    assert blk.matrix.shape == (1, 1) and np.array_equal(blk.matrix, np.zeros((1, 1)))
+    if j == n:
+        k = 0.25
+        assert math.isclose(blk.jump_column[0], k ** (alpha + 1.0) / math.gamma(alpha + 2.0), rel_tol=1e-13)
+
+
+def test_memory_operator_zero_degree_sources_give_zero_slices():
+    # constant sources against quadratic targets: every block, whatever its
+    # branch, is an exact (3, 1) zero
+    mesh = graded_mesh(T=1.0, N=6, gamma=1.0, p=2)
+    operator = kernel.MemoryOperator(mesh, -0.4, np.zeros(6, dtype=int), np.full(6, 2))
+    for matrices in operator.matrices:
+        for block in matrices:
+            assert block.shape == (3, 1) and np.array_equal(block, np.zeros((3, 1)))
 
 
 def test_memory_block_entries_against_oracle():
@@ -374,7 +391,7 @@ def test_memory_block_entries_against_oracle():
          [(1, 1), (6, 6), (2, 3), (1, 5), (1, 6), (5, 6)]),
         (graded_mesh(T=1.0, N=8, gamma=2.5, p=3), -0.3,
          [(1, 1), (1, 2), (2, 3), (1, 7), (4, 8), (7, 8)]),
-        (uniform_mesh(T=1.0, N=4, p=8), -0.9, [(1, 2), (2, 4)]),
+        (graded_mesh(T=1.0, N=4, gamma=1.0, p=8), -0.9, [(1, 2), (2, 4)]),
     ]
     for mesh, alpha, pairs in cases:
         for (j, n) in pairs:
@@ -405,7 +422,7 @@ def test_memory_block_derivative_column_is_zero():
 
 
 def test_memory_block_index_validation():
-    mesh = uniform_mesh(T=1.0, N=3, p=1)
+    mesh = graded_mesh(T=1.0, N=3, gamma=1.0, p=1)
     for j, n in ((0, 1), (2, 1), (1, 4)):
         with pytest.raises(IndexError):
             kernel.memory_block(mesh, j, n, -0.5)
@@ -417,7 +434,7 @@ def test_memory_block_identity_limit():
     # local mass matrix, and the assembled history over all source
     # intervals recovers the mass action of the target restriction
     alpha = -1e-6
-    mesh = uniform_mesh(T=1.0, N=2, p=3)
+    mesh = graded_mesh(T=1.0, N=2, gamma=1.0, p=3)
     blk = kernel.memory_block(mesh, 2, 2, alpha)
     parity = (-1.0) ** np.arange(4)
     mass = np.diag(0.5 / (2.0 * np.arange(4) + 1.0))
@@ -812,7 +829,7 @@ def test_memory_form_coercivity_and_continuity():
     # Q(v,v) >= c_alpha T^alpha int v^2 and |Q(v,w)|^2 <= d^2 Q(v,v) Q(w,w)
     rng = np.random.default_rng(11)
     meshes = [
-        uniform_mesh(T=1.0, N=4, p=2),
+        graded_mesh(T=1.0, N=4, gamma=1.0, p=2),
         graded_mesh(T=2.0, N=5, gamma=2.2, p=3),
         geometric_mesh(T=1.0, T_1=1.0, delta=0.3, L=3, mu=1.0),
     ]
@@ -873,7 +890,7 @@ def test_frac_derivative_matches_differentiated_convolution():
 
     rng = np.random.default_rng(7)
     alpha = -0.55
-    mesh = uniform_mesh(T=1.0, N=3, p=2)
+    mesh = graded_mesh(T=1.0, N=3, gamma=1.0, p=2)
     coeffs = _random_broken_coeffs(rng, mesh)
 
     def v(s):
@@ -893,7 +910,7 @@ def test_frac_derivative_matches_differentiated_convolution():
 
 
 def test_frac_derivative_rejects_times_outside_domain():
-    mesh = uniform_mesh(T=1.0, N=2, p=1)
+    mesh = graded_mesh(T=1.0, N=2, gamma=1.0, p=1)
     coeffs = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
     with pytest.raises(ValueError):
         frac_derivative_values(mesh, -0.5, coeffs, np.array([0.0]))

@@ -11,7 +11,6 @@ from fracdg.mesh import (
     fine_grid,
     geometric_mesh,
     graded_mesh,
-    uniform_mesh,
 )
 
 
@@ -28,7 +27,7 @@ def test_graded_quadratic_example():
 
 def test_graded_gamma_one_is_uniform():
     mesh = graded_mesh(T=2.0, N=5, gamma=1.0, p=2)
-    assert np.allclose(mesh.nodes, np.linspace(0.0, 2.0, 6), atol=1e-15)
+    assert np.array_equal(mesh.nodes, np.linspace(0.0, 2.0, 6))
 
 
 def test_graded_endpoint_lands_exactly_on_horizon():
@@ -149,7 +148,7 @@ def test_time_mesh_validation():
 
 
 def test_interval_and_degree_accessors():
-    mesh = uniform_mesh(T=1.0, N=4, p=2)
+    mesh = graded_mesh(T=1.0, N=4, gamma=1.0, p=2)
     assert mesh.interval(1) == (0.0, 0.25)
     assert mesh.interval(4) == (0.75, 1.0)
     assert mesh.degree(3) == 2
@@ -172,11 +171,11 @@ def test_fine_grid_counts_and_uniqueness():
 
 
 def test_fine_grid_values_uniform():
-    mesh = uniform_mesh(T=1.0, N=2, p=1)
+    mesh = graded_mesh(T=1.0, N=2, gamma=1.0, p=1)
     assert np.allclose(fine_grid(mesh, 2), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
     with pytest.raises(ValueError):
         fine_grid(mesh, 0)
 
 
 def test_dof_count_uniform():
-    assert dof_count(uniform_mesh(T=1.0, N=5, p=2)) == 15
+    assert dof_count(graded_mesh(T=1.0, N=5, gamma=1.0, p=2)) == 15

@@ -7,7 +7,6 @@ import pytest
 
 from fracdg.spatial import (
     ModeSystem,
-    _reference_lagrange,
     composite_gauss,
     fem_backend,
     ritz_projection,
@@ -149,7 +148,10 @@ def per_element_ritz(space, u0):
     """The Ritz load assembled element by element, u0 called on each
     element's quadrature points and on each of its two ends."""
     r, h = space.degree, space.h
-    cardinals = _reference_lagrange(r)[1]
+    # the cardinal basis on the reference nodes 0, 1/r, ..., 1, as poly1d
+    nodes = np.arange(r + 1) / r
+    others = [np.delete(nodes, j) for j in range(r + 1)]
+    cardinals = [np.poly1d(np.poly(o) / np.prod(nodes[j] - o)) for j, o in enumerate(others)]
     derivs = [p.deriv() for p in cardinals]
     xg, wg = np.polynomial.legendre.leggauss(r + 2)
     xg, wg = 0.5 * (xg + 1.0), 0.5 * wg

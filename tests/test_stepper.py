@@ -11,7 +11,7 @@ import fracdg.kernel as kernel_mod
 import fracdg.stepper as stepper_mod
 from fracdg.analysis import fem_mode_problems
 from fracdg.kernel import MemoryBlock, l2_form, memory_block, memory_form
-from fracdg.mesh import TimeMesh, fine_grid, geometric_mesh, graded_mesh, uniform_mesh
+from fracdg.mesh import TimeMesh, fine_grid, geometric_mesh, graded_mesh
 from fracdg.problems import PowerSum, power_mode_problem, two_mode_problem
 from fracdg.spatial import fem_backend
 from fracdg.stepper import (
@@ -26,7 +26,7 @@ from fracdg.stepper import (
 
 def test_local_system_transport_only():
     # lambda=0, p=1, f=1, u0=0: classical DG, exact solution t
-    mesh = uniform_mesh(1.0, 2, 1)
+    mesh = graded_mesh(1.0, 2, 1.0, 1)
     problem = ModeProblem(0.0, PowerSum.of((1.0, 0.0)), 0.0)
     sol = solve([problem], mesh, -0.5)
     # U(t) = c0 + c1 (2t/k - 1) = t on (0, 1/2), then on (1/2, 1)
@@ -37,7 +37,7 @@ def test_local_system_transport_only():
 def test_backward_euler_one_step():
     # p=0 collapses to the generalized backward Euler method; hand 1x1 solve:
     # (1 + lam k^{alpha+1}/Gamma(alpha+2)) c = u0
-    mesh = uniform_mesh(0.1, 1, 0)
+    mesh = TimeMesh(np.linspace(0.0, 0.1, 2), np.zeros(1, dtype=int))
     sol = solve([ModeProblem(1.0, None, 1.0)], mesh, -0.5)
     expected = 1.0 / (1.0 + 0.1**0.5 / math.gamma(1.5))
     assert sol.coefficients[0][0, 0] == pytest.approx(expected, rel=1e-14)
@@ -62,7 +62,7 @@ def test_zero_data_zero_solution():
 
 
 def test_constant_solution_no_jumps():
-    mesh = uniform_mesh(2.0, 5, 1)
+    mesh = graded_mesh(2.0, 5, 1.0, 1)
     sol = solve([ModeProblem(0.0, None, 3.25)], mesh, -0.5)
     assert np.max(np.abs(sol.jumps())) < 1e-13
     assert sol.left_traces()[-1][0] == pytest.approx(3.25, rel=1e-14)
@@ -99,7 +99,7 @@ def test_evaluate_is_right_closed():
     # a node belongs to the interval on its left: U(t_1) is interval 1's
     # left limit, not interval 2's right limit
     rng = np.random.default_rng(3)
-    mesh = uniform_mesh(T=1.0, N=4, p=1)
+    mesh = graded_mesh(T=1.0, N=4, gamma=1.0, p=1)
     sol = DgSolution(mesh, np.zeros(1), tuple(rng.standard_normal((2, 1)) for _ in range(4)))
     left, right = sol.left_traces()[:, 0], sol.right_traces()[:, 0]
     assert sol.evaluate(0.0)[0] == pytest.approx(right[0], abs=1e-14)
@@ -112,7 +112,7 @@ def test_evaluate_is_right_closed():
 
 def test_traces_match_endpoint_evaluation():
     rng = np.random.default_rng(9)
-    mesh = uniform_mesh(1.0, 4, 2)
+    mesh = graded_mesh(1.0, 4, 1.0, 2)
     blocks = tuple(rng.standard_normal((3, 2)) for _ in range(4))
     sol = DgSolution(mesh, rng.standard_normal(2), blocks)
     left = sol.left_traces()
@@ -126,7 +126,7 @@ def test_traces_match_endpoint_evaluation():
 
 
 def test_evaluate_domain_error():
-    mesh = uniform_mesh(1.0, 2, 1)
+    mesh = graded_mesh(1.0, 2, 1.0, 1)
     sol = solve([ModeProblem(1.0, None, 1.0)], mesh, -0.5)
     with pytest.raises(ValueError, match="outside"):
         sol.evaluate(1.5)
@@ -135,7 +135,7 @@ def test_evaluate_domain_error():
 
 
 def test_solution_shape_validation():
-    mesh = uniform_mesh(1.0, 2, 1)
+    mesh = graded_mesh(1.0, 2, 1.0, 1)
     with pytest.raises(ValueError, match="degree"):
         DgSolution(mesh, np.zeros(1), (np.zeros((3, 1)), np.zeros((2, 1))))
 
@@ -158,7 +158,7 @@ def test_pi_projection_reproduces_trial_space():
 def test_pi_projection_quadratic_explicit():
     # endpoint + mean conditions for u = t^2 on (0,1), p=1:
     # mean forces c0 = 1/3, endpoint forces c0 + c1 = 1, so Pi u = (4t-1)/3
-    mesh = uniform_mesh(1.0, 1, 1)
+    mesh = graded_mesh(1.0, 1, 1.0, 1)
     proj = pi_projection([PowerSum.of((1.0, 2.0))], mesh)
     c = proj.coefficients[0][:, 0]
     assert c == pytest.approx([1.0 / 3.0, 2.0 / 3.0], rel=1e-13)
@@ -203,7 +203,7 @@ def test_stability_bound_zero_forcing():
 
 
 def test_stability_zero_data():
-    mesh = uniform_mesh(1.0, 3, 1)
+    mesh = graded_mesh(1.0, 3, 1.0, 1)
     problem = ModeProblem(2.0, None, 0.0)
     report = stability_report(solve([problem], mesh, -0.5), [problem], -0.5)
     assert np.all(report.lhs == 0.0)
@@ -224,7 +224,7 @@ def test_stability_manufactured_problem():
 
 
 def test_stability_requires_positive_eigenvalue_with_forcing():
-    mesh = uniform_mesh(1.0, 2, 1)
+    mesh = graded_mesh(1.0, 2, 1.0, 1)
     problem = ModeProblem(0.0, PowerSum.of((1.0, 0.0)), 0.0)
     sol = solve([problem], mesh, -0.5)
     with pytest.raises(ValueError, match="positive"):
@@ -280,7 +280,7 @@ def test_non_finite_load_names_interval_and_mode(monkeypatch):
         return nodes, weights
 
     monkeypatch.setattr(stepper_mod, "power_rule", power_rule)
-    mesh = uniform_mesh(1.0, 4, 1)
+    mesh = graded_mesh(1.0, 4, 1.0, 1)
     problems = [
         ModeProblem(1.0, PowerSum.of((1.0, 0.5)), 1.0),
         ModeProblem(2.0, PowerSum.of((1.0, 0.0), (-2.0, 0.5)), 0.0),
@@ -399,15 +399,20 @@ def assert_report_matches_per_mode_forcing(problems, mesh, alpha):
         with pytest.raises(ValueError, match="positive"):
             stability_report(solution, problems, alpha)
         return
+    increments = per_mode_forcing_increments(problems, mesh, alpha)
+    if not np.all(np.isfinite(increments)):
+        # a subnormal eigenvalue overflows f g / lambda: the bound must not
+        # come out infinite and satisfied
+        first = int(np.argmax(~np.isfinite(increments))) + 1
+        with pytest.raises(RuntimeError, match=f"non-finite stability forcing on interval {first}, mode"):
+            stability_report(solution, problems, alpha)
+        return
     report = stability_report(solution, problems, alpha)
     _, d_alpha = kernel_mod.coercivity_constants(alpha)
-    forcing = np.cumsum(per_mode_forcing_increments(problems, mesh, alpha))
-    rhs = 4.0 * float(np.sum(solution.initial_values**2)) + 4.0 * d_alpha**2 * forcing
+    rhs = 4.0 * float(np.sum(solution.initial_values**2)) + 4.0 * d_alpha**2 * np.cumsum(increments)
     assert np.array_equal(report.rhs, rhs)
 
 
-# a drawn eigenvalue may be subnormal, and then both sides overflow alike
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), alpha=st.floats(-0.95, -0.05), graded=st.booleans())
 def test_stability_forcing_equals_per_mode_forcing_bitwise(data, alpha, graded):
@@ -442,6 +447,16 @@ def test_fem_mode_forcing_equals_per_mode_forcing_bitwise():
     assert_report_matches_per_mode_forcing(problems, graded_mesh(1.0, 12, 1.6, 2), -0.7)
 
 
+def test_subnormal_eigenvalue_stability_forcing_names_interval_and_mode():
+    # f g / lambda overflows for the second mode; the bound used to come out
+    # as rhs = inf with no violation reported
+    problems = [ModeProblem(1.0, PowerSum.of((1.0, 0.0)), 0.2), ModeProblem(1e-310, PowerSum.of((1.0, 0.0)), 0.5)]
+    solution = solve(problems, graded_mesh(1.0, 4, 2.0, 2), -0.5)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(RuntimeError, match="non-finite stability forcing on interval 1, mode 2"):
+            stability_report(solution, problems, -0.5)
+
+
 def test_singular_local_system_names_the_first_singular_mode(monkeypatch):
     # at p = 0 the local system is 1 + lambda (D + J); with D + J = -1 it is
     # singular exactly for the modes with lambda = 1
@@ -451,7 +466,7 @@ def test_singular_local_system_names_the_first_singular_mode(monkeypatch):
     monkeypatch.setattr(kernel_mod, "memory_block", block)
     problems = [ModeProblem(lam, None, 1.0) for lam in (0.5, 1.0, 1.0)]
     with pytest.raises(RuntimeError, match="singular local system on interval 1, mode 2"):
-        solve(problems, uniform_mesh(1.0, 3, 0), -0.5)
+        solve(problems, TimeMesh(np.linspace(0.0, 1.0, 4), np.zeros(3, dtype=int)), -0.5)
 
 
 def test_history_cost_scaling(monkeypatch):
@@ -467,7 +482,7 @@ def test_history_cost_scaling(monkeypatch):
     monkeypatch.setattr(kernel_mod, "memory_block", counting_block)
     for N in (20, 40):
         calls.clear()
-        mesh = uniform_mesh(1.0, N, 1)
+        mesh = graded_mesh(1.0, N, 1.0, 1)
         solve([ModeProblem(1.0, None, 1.0), ModeProblem(4.0, None, 2.0)], mesh, -0.5)
         assert len(calls) == N * (N + 1) // 2
         assert len(set(calls)) == len(calls)
