@@ -143,28 +143,27 @@ def error_measure(solution, problem, backend, m, method="auto"):
     return float(np.sqrt(np.maximum(diff**2 @ w, 0.0)).max())
 
 
-def eoc(errors, Ns):
-    """Observed orders log(e_{i-1}/e_i)/log(N_i/N_{i-1}); nan where undefined."""
+def _consecutive_rates(errors, spacing):
+    """log(e_{i-1}/e_i) / spacing(i) for each consecutive pair of positive
+    errors; nan where undefined.  spacing(i) is called only for those pairs."""
     errors = np.asarray(errors, dtype=float)
-    Ns = np.asarray(Ns, dtype=float)
     rates = np.full(errors.shape, np.nan)
     for i in range(1, len(errors)):
         if errors[i - 1] > 0.0 and errors[i] > 0.0:
-            rates[i] = math.log(errors[i - 1] / errors[i]) / math.log(Ns[i] / Ns[i - 1])
+            rates[i] = math.log(errors[i - 1] / errors[i]) / spacing(i)
     return rates
+
+
+def eoc(errors, Ns):
+    """Observed orders log(e_{i-1}/e_i)/log(N_i/N_{i-1}); nan where undefined."""
+    Ns = np.asarray(Ns, dtype=float)
+    return _consecutive_rates(errors, lambda i: math.log(Ns[i] / Ns[i - 1]))
 
 
 def exp_coefficient(errors, dofs):
     """hp rate coefficients b = log(e_{L-1}/e_L)/(sqrt(N_L)-sqrt(N_{L-1}))."""
-    errors = np.asarray(errors, dtype=float)
     dofs = np.asarray(dofs, dtype=float)
-    values = np.full(errors.shape, np.nan)
-    for i in range(1, len(errors)):
-        if errors[i - 1] > 0.0 and errors[i] > 0.0:
-            values[i] = math.log(errors[i - 1] / errors[i]) / (
-                math.sqrt(dofs[i]) - math.sqrt(dofs[i - 1])
-            )
-    return values
+    return _consecutive_rates(errors, lambda i: math.sqrt(dofs[i]) - math.sqrt(dofs[i - 1]))
 
 
 def semilog_fit(errors, dofs):
@@ -314,26 +313,24 @@ def delta_sweep(alphas, deltas, L=7, mu=1.0, T_1=1.0, T=1.0, system=None, m=60,
     return _run_study("geometric", groups, None, system, m, config_hash)
 
 
+def _curves(report, label, key, x):
+    """(name, x, y) curves of error against x(row), one per value of the
+    row attribute `key`, in order of first appearance, named label=value."""
+    curves = []
+    for value in dict.fromkeys(getattr(row, key) for row in report.rows):
+        points = [r for r in report.rows if getattr(r, key) == value]
+        curves.append((f"{label}={value:g}", [x(r) for r in points], [r.error for r in points]))
+    return curves
+
+
 def figure_curves_hp(report):
     """(name, x, y) curves of error against sqrt(dofs), one per delta."""
-    curves = []
-    for delta in dict.fromkeys(row.gamma_or_delta for row in report.rows):
-        points = [r for r in report.rows if r.gamma_or_delta == delta]
-        x = [math.sqrt(r.dofs) for r in points]
-        y = [r.error for r in points]
-        curves.append((f"delta={delta:g}", x, y))
-    return curves
+    return _curves(report, "delta", "gamma_or_delta", lambda r: math.sqrt(r.dofs))
 
 
 def figure_curves_sweep(report):
     """(name, x, y) curves of error against delta, one per alpha."""
-    curves = []
-    for alpha in dict.fromkeys(row.alpha for row in report.rows):
-        points = [r for r in report.rows if r.alpha == alpha]
-        x = [r.gamma_or_delta for r in points]
-        y = [r.error for r in points]
-        curves.append((f"alpha={alpha:g}", x, y))
-    return curves
+    return _curves(report, "alpha", "alpha", lambda r: r.gamma_or_delta)
 
 
 def _curve_filename(name):

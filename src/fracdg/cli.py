@@ -30,7 +30,7 @@ from .analysis import (
     write_plot_data,
 )
 from .config import ConfigError, config_hash, parse_config
-from .kernel import MemoryOperator, coercivity_constants, l2_form, operator_form
+from .kernel import coercivity_constants, l2_form, operator_form
 from .mesh import dof_count, geometric_mesh, graded_mesh
 from .problems import two_mode_problem
 from .spatial import fem_backend, spectral_backend
@@ -111,15 +111,14 @@ def _stability_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def _coercivity_text(mesh, alpha, seed, trials=20):
+def _coercivity_text(operator, mesh, seed, trials=20):
     """Spot check of the quadratic-form bounds on random trial functions.
 
-    The trial functions carry the mesh's degrees, so one memory operator
-    serves every trial.
+    The trial functions carry the mesh's degrees, so the memory operator of
+    the march on that mesh (`DgSolution.memory_operator`) serves every trial.
     """
     rng = np.random.default_rng(seed)
-    c_alpha, d_alpha = coercivity_constants(alpha)
-    operator = MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+    c_alpha, d_alpha = coercivity_constants(operator.alpha)
     horizon = mesh.horizon
     worst_coercive = math.inf
     worst_continuous = math.inf
@@ -129,7 +128,7 @@ def _coercivity_text(mesh, alpha, seed, trials=20):
         qvv = operator_form(operator, v, v)
         qww = operator_form(operator, w, w)
         qvw = operator_form(operator, v, w)
-        coercive = qvv - c_alpha * horizon**alpha * l2_form(mesh, v, v)
+        coercive = qvv - c_alpha * horizon**operator.alpha * l2_form(mesh, v, v)
         continuous = d_alpha**2 * qvv * qww - qvw**2
         worst_coercive = min(worst_coercive, coercive)
         worst_continuous = min(worst_continuous, continuous)
@@ -143,20 +142,18 @@ def _coercivity_text(mesh, alpha, seed, trials=20):
     ), ok
 
 
-def _check_gates(expect, errors, rates):
+def _check_gates(config, errors, rates):
     """Report each failed expectation on stderr; returns the failures."""
     failures = []
-    if "error_max" in expect:
+    if config.error_max is not None:
         worst = max(errors)
-        if not worst <= expect["error_max"]:
-            failures.append(f"error_max: worst error {worst:.6e} exceeds {expect['error_max']:.6e}")
+        if not worst <= config.error_max:
+            failures.append(f"error_max: worst error {worst:.6e} exceeds {config.error_max:.6e}")
     finite = [r for r in rates if math.isfinite(r)]
-    if "rate_min" in expect and finite:
-        if min(finite) < expect["rate_min"]:
-            failures.append(f"rate_min: slowest rate {min(finite):.4f} below {expect['rate_min']}")
-    if "rate_max" in expect and finite:
-        if max(finite) > expect["rate_max"]:
-            failures.append(f"rate_max: fastest rate {max(finite):.4f} above {expect['rate_max']}")
+    if config.rate_min is not None and finite and min(finite) < config.rate_min:
+        failures.append(f"rate_min: slowest rate {min(finite):.4f} below {config.rate_min}")
+    if config.rate_max is not None and finite and max(finite) > config.rate_max:
+        failures.append(f"rate_max: fastest rate {max(finite):.4f} above {config.rate_max}")
     for failure in failures:
         print(f"expectation failed: {failure}", file=sys.stderr)
     return failures
@@ -185,14 +182,14 @@ def cmd_solve(config, out, seed):
         if not report.ok:
             status = EXIT_NUMERICAL
     if config.coercivity_check:
-        text, ok = _coercivity_text(mesh, config.alpha, seed)
+        text, ok = _coercivity_text(solution.memory_operator, mesh, seed)
         _write(out / "coercivity.txt", text)
         summary.append(f"coercivity_ok = {'true' if ok else 'false'}")
         if not ok:
             status = EXIT_NUMERICAL
     _write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))
-    if status == EXIT_OK and _check_gates(config.expect, [error], []):
+    if status == EXIT_OK and _check_gates(config, [error], []):
         status = EXIT_GATE
     return status
 
@@ -237,7 +234,7 @@ def cmd_study(command, config, out, timings=True):
     if report.failures:
         return EXIT_NUMERICAL
     errors = [row.error for row in report.rows]
-    if _check_gates(config.expect, errors, [row.rate_or_b for row in report.rows]):
+    if _check_gates(config, errors, [row.rate_or_b for row in report.rows]):
         return EXIT_GATE
     print(f"wrote {out / csv_name} ({len(report.rows)} rows)")
     return EXIT_OK

@@ -3,7 +3,7 @@
 Grammar: flat `key = value` lines grouped under `[section]` headers; blank
 lines and `#` comments are ignored.  Values are booleans (`true`/`false`),
 integers, floats, bare strings, or comma-separated lists of numbers.  The
-sections and keys are fixed:
+sections and keys are fixed (`_SECTIONS`):
 
     [problem]      name, alpha, diffusivity
     [mesh]         family (graded|geometric), T, N, gamma, p,
@@ -14,15 +14,18 @@ sections and keys are fixed:
     [output]       out
     [expect]       error_max, rate_min, rate_max
 
-Unknown sections or keys are rejected, and all numeric ranges are checked
-at parse time with messages naming the offending key.  `serialize` emits
-a canonical rendering (fixed order, shortest round-trip floats) so that
-parse -> serialize -> parse is the identity and the config hash is stable.
+Each key is one typed `RunConfig` field of the same name, except `name`
+(field `problem`) and `type` (field `backend`); the field's type picks the
+parser.  Unknown sections or keys are rejected, and all numeric ranges are
+checked at parse time with messages naming the offending key.  `serialize`
+emits a canonical rendering (fixed order, shortest round-trip floats, a
+section only when one of its keys is set) so that parse -> serialize ->
+parse is the identity and the config hash is stable.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize", "config_hash"]
 
@@ -33,7 +36,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of one run; study lists stay empty for single solves."""
+    """All knobs of one run; study lists stay empty for single solves, and
+    an unset expectation (None) is not checked."""
 
     problem: str = "two_mode"
     alpha: float = None
@@ -53,17 +57,33 @@ class RunConfig:
     elements: int = 64
     degree: int = 2
     m: int = 10
-    gammas: tuple = ()
-    ps: tuple = ()
-    Ns: tuple = ()
-    deltas: tuple = ()
-    Ls: tuple = ()
-    alphas: tuple = ()
+    gammas: tuple[float, ...] = ()
+    ps: tuple[int, ...] = ()
+    Ns: tuple[int, ...] = ()
+    deltas: tuple[float, ...] = ()
+    Ls: tuple[int, ...] = ()
+    alphas: tuple[float, ...] = ()
     stability_report: bool = False
     coercivity_check: bool = False
     seed: int = 1
     out: str = "results"
-    expect: dict = field(default_factory=dict)
+    error_max: float = None
+    rate_min: float = None
+    rate_max: float = None
+
+
+# section -> its keys, in canonical order
+_SECTIONS = {
+    "problem": ("name", "alpha", "diffusivity"),
+    "mesh": ("family", "T", "N", "gamma", "p", "first_interval_linear", "T_1", "delta", "L", "mu"),
+    "backend": ("type", "modes", "elements", "degree"),
+    "study": ("m", "gammas", "ps", "Ns", "deltas", "Ls", "alphas"),
+    "diagnostics": ("stability_report", "coercivity_check", "seed"),
+    "output": ("out",),
+    "expect": ("error_max", "rate_min", "rate_max"),
+}
+# the keys whose RunConfig field has another name
+_RENAMED = {"name": "problem", "type": "backend"}
 
 
 def _parse_bool(key, text):
@@ -90,60 +110,20 @@ def _parse_float(key, text):
     return value
 
 
-def _parse_floats(key, text):
-    return tuple(_parse_float(key, part.strip()) for part in text.split(",") if part.strip())
+def _parse_list(parse):
+    return lambda key, text: tuple(parse(key, part.strip()) for part in text.split(",") if part.strip())
 
 
-def _parse_ints(key, text):
-    return tuple(_parse_int(key, part.strip()) for part in text.split(",") if part.strip())
-
-
-def _parse_str(key, text):
-    return text
-
-
-# section -> key -> (attribute, parser); key names double as attribute names
-_SCHEMA = {
-    "problem": {
-        "name": ("problem", _parse_str),
-        "alpha": ("alpha", _parse_float),
-        "diffusivity": ("diffusivity", _parse_float),
-    },
-    "mesh": {
-        "family": ("family", _parse_str),
-        "T": ("T", _parse_float),
-        "N": ("N", _parse_int),
-        "gamma": ("gamma", _parse_float),
-        "p": ("p", _parse_int),
-        "first_interval_linear": ("first_interval_linear", _parse_bool),
-        "T_1": ("T_1", _parse_float),
-        "delta": ("delta", _parse_float),
-        "L": ("L", _parse_int),
-        "mu": ("mu", _parse_float),
-    },
-    "backend": {
-        "type": ("backend", _parse_str),
-        "modes": ("modes", _parse_int),
-        "elements": ("elements", _parse_int),
-        "degree": ("degree", _parse_int),
-    },
-    "study": {
-        "m": ("m", _parse_int),
-        "gammas": ("gammas", _parse_floats),
-        "ps": ("ps", _parse_ints),
-        "Ns": ("Ns", _parse_ints),
-        "deltas": ("deltas", _parse_floats),
-        "Ls": ("Ls", _parse_ints),
-        "alphas": ("alphas", _parse_floats),
-    },
-    "diagnostics": {
-        "stability_report": ("stability_report", _parse_bool),
-        "coercivity_check": ("coercivity_check", _parse_bool),
-        "seed": ("seed", _parse_int),
-    },
-    "output": {"out": ("out", _parse_str)},
+# field type -> parser(key, text)
+_PARSERS = {
+    str: lambda key, text: text,
+    bool: _parse_bool,
+    int: _parse_int,
+    float: _parse_float,
+    tuple[int, ...]: _parse_list(_parse_int),
+    tuple[float, ...]: _parse_list(_parse_float),
 }
-_EXPECT_KEYS = ("error_max", "rate_min", "rate_max")
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 # (key, list key, requirement, test): the range of each numeric key, and
@@ -188,7 +168,6 @@ def _validate(config):
 def parse_config(text):
     """RunConfig from config text; raises ConfigError with the key name."""
     values = {}
-    expect = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -196,7 +175,7 @@ def parse_config(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA and section != "expect":
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}] on line {lineno}")
             continue
         if "=" not in line:
@@ -205,16 +184,11 @@ def parse_config(text):
             raise ConfigError(f"key outside any section on line {lineno}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if section == "expect":
-            if key not in _EXPECT_KEYS:
-                raise ConfigError(f"unknown expect key {key!r}")
-            expect[key] = _parse_float(key, value)
-            continue
-        if key not in _SCHEMA[section]:
+        if key not in _SECTIONS[section]:
             raise ConfigError(f"unknown key {section}.{key}")
-        attribute, parser = _SCHEMA[section][key]
-        values[attribute] = parser(key, value)
-    config = RunConfig(expect=expect, **values)
+        name = _RENAMED.get(key, key)
+        values[name] = _PARSERS[_FIELD_TYPES[name]](key, value)
+    config = RunConfig(**values)
     _validate(config)
     return config
 
@@ -230,22 +204,14 @@ def _format(value):
 
 
 def serialize(config):
-    """Canonical config text: fixed section and key order."""
+    """Canonical config text: fixed section and key order, unset keys and
+    sections left out."""
     lines = []
-    for section, keys in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, (attribute, _) in keys.items():
-            value = getattr(config, attribute)
-            if value is None or value == ():
-                continue
-            lines.append(f"{key} = {_format(value)}")
-        lines.append("")
-    if config.expect:
-        lines.append("[expect]")
-        for key in _EXPECT_KEYS:
-            if key in config.expect:
-                lines.append(f"{key} = {_format(config.expect[key])}")
-        lines.append("")
+    for section, keys in _SECTIONS.items():
+        values = [(key, getattr(config, _RENAMED.get(key, key))) for key in keys]
+        entries = [f"{key} = {_format(value)}" for key, value in values if value not in (None, ())]
+        if entries:
+            lines.extend([f"[{section}]", *entries, ""])
     return "\n".join(lines)
 
 

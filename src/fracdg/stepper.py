@@ -316,16 +316,18 @@ def _forcing_increments(problems, mesh, alpha):
             nodes, weights = gauss_jacobi_rule(16, exponent, (a, b))
         else:
             nodes, weights = _gauss_legendre(12, a, b)
-        products = _power_values(f_table, len(fs), nodes) * _power_values(g_table, len(gs), nodes) / lam
-        # a running sum over the modes, in their order
-        running = np.cumsum(products, axis=0)
-        # the Gauss-Jacobi weights of interval 1 already carry the t^e
-        scale = nodes**exponent if n == 1 else 1.0
-        out[n - 1] = float(weights @ (np.abs(running[-1]) / scale))
-        if not np.isfinite(out[n - 1]):
-            bad = np.flatnonzero(~np.isfinite((np.abs(running) / scale) @ weights))
-            m = forced[bad[0] if bad.size else -1]
-            raise RuntimeError(f"non-finite stability forcing on interval {n}, mode {m + 1}")
+        # an overflow warns nothing: the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = _power_values(f_table, len(fs), nodes) * _power_values(g_table, len(gs), nodes) / lam
+            # a running sum over the modes, in their order
+            running = np.cumsum(products, axis=0)
+            # the Gauss-Jacobi weights of interval 1 already carry the t^e
+            scale = nodes**exponent if n == 1 else 1.0
+            out[n - 1] = float(weights @ (np.abs(running[-1]) / scale))
+            if not np.isfinite(out[n - 1]):
+                bad = np.flatnonzero(~np.isfinite((np.abs(running) / scale) @ weights))
+                m = forced[bad[0] if bad.size else -1]
+                raise RuntimeError(f"non-finite stability forcing on interval {n}, mode {m + 1}")
     return out
 
 

@@ -1,11 +1,12 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fracdg import analysis, cli
+from fracdg import analysis, cli, kernel
 from fracdg.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from fracdg.config import parse_config
 
@@ -123,6 +124,25 @@ def test_solve_outputs_match_pinned_bytes(tmp_path, name, text, seed):
     assert main(["solve", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == EXIT_OK
     for filename in ("solution.csv", "stability.csv", "coercivity.txt"):
         assert (out / filename).read_bytes() == (PINNED / name / filename).read_bytes(), filename
+
+
+def test_solve_with_diagnostics_builds_one_memory_operator(tmp_path, monkeypatch):
+    # the stability report and the coercivity check apply the operator the
+    # march built: N(N+1)/2 blocks at N = 6, each built once
+    real_block = kernel.memory_block
+    calls = []
+
+    def counting_block(mesh, j, n, order, **kwargs):
+        calls.append((j, n))
+        return real_block(mesh, j, n, order, **kwargs)
+
+    monkeypatch.setattr(kernel, "memory_block", counting_block)
+    config = parse_config(cli._SELFTEST_CONFIGS["solve"])
+    assert config.stability_report and config.coercivity_check and config.N == 6
+    cfg = _write_config(tmp_path, cli._SELFTEST_CONFIGS["solve"])
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 6 * 7 // 2
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("name", ["h-study", "hp-study", "delta-sweep"])
@@ -255,11 +275,14 @@ m = 5
 stability_report = true
 """
     cfg = _write_config(tmp_path, text)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the named failure is the only report: no overflow warning comes first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert status == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "numerical failure: non-finite stability forcing on interval 1, mode" in err
+    assert err == "numerical failure: non-finite stability forcing on interval 1, mode 2\n"
     assert not (tmp_path / "out" / "stability.csv").exists()
 
 

@@ -1,11 +1,21 @@
 """Config text: parsing, validation messages, canonical round trip."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from fracdg.cli import _SELFTEST_CONFIGS
-from fracdg.config import ConfigError, RunConfig, config_hash, parse_config, serialize
+from fracdg.config import (
+    _PARSERS,
+    _RENAMED,
+    _SECTIONS,
+    ConfigError,
+    RunConfig,
+    config_hash,
+    parse_config,
+    serialize,
+)
 
 MINIMAL = """
 [problem]
@@ -56,7 +66,7 @@ def test_parse_minimal_fills_defaults():
     assert config.backend == "spectral"
     assert config.m == 10
     assert config.Ns == ()
-    assert config.expect == {}
+    assert (config.error_max, config.rate_min, config.rate_max) == (None, None, None)
 
 
 def test_parse_full():
@@ -67,7 +77,7 @@ def test_parse_full():
     assert config.Ls == (3, 4, 5)
     assert config.backend == "fem" and config.elements == 32
     assert config.stability_report is True and config.seed == 11
-    assert config.expect == {"error_max": 5e-7, "rate_min": 2.0}
+    assert (config.error_max, config.rate_min, config.rate_max) == (5e-7, 2.0, None)
 
 
 def test_round_trip_identity():
@@ -120,7 +130,7 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = -0.5\n[diagnostics]\nstability_report = yep", "true or false"),
         ("alpha = -0.5", "outside any section"),
         ("[problem]\nalpha -0.5", "key = value"),
-        ("[problem]\nalpha = -0.5\n[expect]\nbudget = 3", "expect key"),
+        ("[problem]\nalpha = -0.5\n[expect]\nbudget = 3", "unknown key expect.budget"),
         ("[problem]\nname = other_problem\nalpha = -0.5", "problem must be two_mode"),
         ("[problem]\nalpha = -0.5\n[backend]\ntype = exact", "spectral or fem"),
         ("[problem]\nalpha = -0.5\n[mesh]\ngamma = inf", "gamma must be a finite number"),
@@ -166,3 +176,11 @@ def test_serialize_skips_empty_lists():
 def test_direct_construction_validates_via_parse():
     config = RunConfig(alpha=-0.5, deltas=(0.2, 0.3))
     assert parse_config(serialize(config)) == config
+
+
+def test_sections_name_every_field_once_and_every_type_parses():
+    keys = [key for section in _SECTIONS.values() for key in section]
+    names = [_RENAMED.get(key, key) for key in keys]
+    assert sorted(names) == sorted(f.name for f in fields(RunConfig))
+    assert len(set(names)) == len(names) == 31
+    assert all(f.type in _PARSERS for f in fields(RunConfig))
