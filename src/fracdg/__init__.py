@@ -9,6 +9,7 @@ from .analysis import (
     CSV_COLUMNS,
     ConvergenceReport,
     StudyRow,
+    backend_mode_problems,
     delta_sweep,
     eoc,
     error_measure,
@@ -26,7 +27,6 @@ from .kernel import (
     MemoryBlock,
     MemoryOperator,
     coercivity_constants,
-    gauss_jacobi_rule,
     l2_form,
     memory_block,
     memory_form,

@@ -70,24 +70,22 @@ CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Rows of a convergence study, its per-cell failures, and the hash of
-    the config that ran it ("" when no config did)."""
+    """Rows of a convergence study and its per-cell failures."""
 
     rows: tuple
     failures: tuple = ()
-    config_hash: str = ""
 
     def __post_init__(self):
         for row in self.rows:
             if not row.error >= 0.0:
                 raise ValueError(f"errors must be nonnegative, got {row.error}")
 
-    def to_csv(self, timings=True):
-        """CSV text, with a config_hash column when the report has a hash;
+    def to_csv(self, timings=True, config_hash=""):
+        """CSV text, with a config_hash column when given a hash;
         `timings=False` zeroes the seconds column so that repeated runs of
         the same configuration are byte-identical."""
         header = list(CSV_COLUMNS)
-        if self.config_hash:
+        if config_hash:
             header.append("config_hash")
         lines = [",".join(header)]
         for row in self.rows:
@@ -103,8 +101,8 @@ class ConvergenceReport:
                 f"{row.rate_or_b:.4f}" if math.isfinite(row.rate_or_b) else "",
                 f"{row.seconds:.3f}" if timings else "0.000",
             ]
-            if self.config_hash:
-                cells.append(self.config_hash)
+            if config_hash:
+                cells.append(config_hash)
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -223,7 +221,7 @@ def backend_mode_problems(problem, system):
     return fem_mode_problems(problem, system)
 
 
-def _run_study(family, groups, rates, system, m, config_hash):
+def _run_study(family, groups, rates, system, m):
     """Solve every cell of a study and measure its fine-grid error.
 
     `groups` lists (alpha, columns).  A column is a list of cells, refined
@@ -258,7 +256,7 @@ def _run_study(family, groups, rates, system, m, config_hash):
             if rates is not None:
                 done = [replace(row, rate_or_b=r) for row, r in zip(done, rates(done))]
             rows.extend(done)
-    return ConvergenceReport(tuple(rows), tuple(failures), config_hash)
+    return ConvergenceReport(tuple(rows), tuple(failures))
 
 
 def _eoc_rates(rows):
@@ -269,8 +267,7 @@ def _exp_rates(rows):
     return exp_coefficient([row.error for row in rows], [row.dofs for row in rows])
 
 
-def run_h_study(alpha, gammas, ps, Ns, system=None, m=10, T=1.0,
-                first_interval_linear=False, config_hash=""):
+def run_h_study(alpha, gammas, ps, Ns, system=None, m=10, T=1.0, first_interval_linear=False):
     """Graded-mesh study over the Cartesian (gamma, p, N) grid.
 
     Each (p, gamma) pair forms one column refined through the Ns, with
@@ -282,11 +279,10 @@ def run_h_study(alpha, gammas, ps, Ns, system=None, m=10, T=1.0,
           partial(graded_mesh, T, N, gamma, p, first_interval_linear)) for N in Ns]
         for p in ps for gamma in gammas
     ]
-    return _run_study("graded", [(alpha, columns)], _eoc_rates, system, m, config_hash)
+    return _run_study("graded", [(alpha, columns)], _eoc_rates, system, m)
 
 
-def run_hp_study(alpha, deltas, Ls, mu=1.0, T_1=1.0, T=1.0, system=None, m=60,
-                 config_hash=""):
+def run_hp_study(alpha, deltas, Ls, mu=1.0, T_1=1.0, T=1.0, system=None, m=60):
     """Geometric-mesh study: one column per delta, levels L within it.
 
     The rate column holds the exponential coefficient b fitted through
@@ -296,11 +292,10 @@ def run_hp_study(alpha, deltas, Ls, mu=1.0, T_1=1.0, T=1.0, system=None, m=60,
         [((delta, L), (delta, mu, L), partial(geometric_mesh, T, T_1, delta, L, mu)) for L in Ls]
         for delta in deltas
     ]
-    return _run_study("geometric", [(alpha, columns)], _exp_rates, system, m, config_hash)
+    return _run_study("geometric", [(alpha, columns)], _exp_rates, system, m)
 
 
-def delta_sweep(alphas, deltas, L=7, mu=1.0, T_1=1.0, T=1.0, system=None, m=60,
-                config_hash=""):
+def delta_sweep(alphas, deltas, L=7, mu=1.0, T_1=1.0, T=1.0, system=None, m=60):
     """Error against delta at a fixed dof budget, one curve per alpha.
 
     There is no rate column; failures are keyed (alpha, delta).
@@ -310,7 +305,7 @@ def delta_sweep(alphas, deltas, L=7, mu=1.0, T_1=1.0, T=1.0, system=None, m=60,
                   for delta in deltas]])
         for alpha in alphas
     ]
-    return _run_study("geometric", groups, None, system, m, config_hash)
+    return _run_study("geometric", groups, None, system, m)
 
 
 def _curves(report, label, key, x):

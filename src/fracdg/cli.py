@@ -150,6 +150,9 @@ def _check_gates(config, errors, rates):
         if not worst <= config.error_max:
             failures.append(f"error_max: worst error {worst:.6e} exceeds {config.error_max:.6e}")
     finite = [r for r in rates if math.isfinite(r)]
+    for key in ("rate_min", "rate_max"):
+        if getattr(config, key) is not None and not finite:
+            failures.append(f"{key}: no finite rate to check")
     if config.rate_min is not None and finite and min(finite) < config.rate_min:
         failures.append(f"rate_min: slowest rate {min(finite):.4f} below {config.rate_min}")
     if config.rate_max is not None and finite and max(finite) > config.rate_max:
@@ -220,13 +223,8 @@ def cmd_study(command, config, out, timings=True):
     if not getattr(config, required):
         raise ConfigError(f"missing required key {required}")
     problem = two_mode_problem(config.alpha, config.diffusivity)
-    report = runner(
-        **arguments(config),
-        system=_backend_system(config, problem),
-        m=config.m,
-        config_hash=config_hash(config),
-    )
-    _write(out / csv_name, report.to_csv(timings=timings))
+    report = runner(**arguments(config), system=_backend_system(config, problem), m=config.m)
+    _write(out / csv_name, report.to_csv(timings, config_hash(config)))
     if curves is not None:
         write_plot_data(out / "plots", curves(report), *labels)
     for cell, message in report.failures:

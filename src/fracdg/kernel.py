@@ -28,7 +28,8 @@ few point counts, and every far block maps the same rule to its target and
 its source.  The build's table (`_interval_rule`) holds these rules, with
 the Legendre values the jump columns need, read-only and keyed by (point
 count, interval, degree); per pair only the kernel powers and the products
-remain.
+remain.  A load of `solve` (`power_rule`, singular point t_0 = 0) has the
+key of its target's first jump column and reads that entry.
 
 `MemoryOperator` holds every block of one mesh, order and pair of degree
 vectors, built once; the DG march, the stability report and the bilinear
@@ -48,7 +49,6 @@ __all__ = [
     "MemoryBlock",
     "MemoryOperator",
     "coercivity_constants",
-    "gauss_jacobi_rule",
     "memory_block",
     "memory_form",
     "operator_form",
@@ -105,21 +105,6 @@ def _jacobi_rule(npoints, exponent, a, b, at_a):
     return a + half * (x + 1.0), w * half ** (exponent + 1.0)
 
 
-def gauss_jacobi_rule(npoints, exponent, interval):
-    """Nodes and weights integrating (s-a)^exponent * poly over (a, b).
-
-    Exact for polynomials up to degree 2*npoints - 1.
-    """
-    if npoints < 1:
-        raise ValueError(f"npoints must be >= 1, got {npoints}")
-    if exponent <= -1.0:
-        raise ValueError(f"weight exponent must exceed -1, got {exponent}")
-    a, b = interval
-    if not b > a:
-        raise ValueError(f"empty interval ({a}, {b})")
-    return _jacobi_rule(npoints, exponent, a, b, at_a=True)
-
-
 def _gauss_legendre(npoints, a, b):
     x, w = _legendre_ref(int(npoints))
     half = 0.5 * (b - a)
@@ -164,13 +149,14 @@ def power_rule(a, b, z, beta, deg):
                       (exact; some nodes fall just outside (a,b), polynomial
                       evaluation there is legitimate),
       otherwise       Gauss-Legendre with a rho-dependent point count.
-    A singular point to the left is `_left_power_rule` without the basis,
-    one to the right the one-point case of `_right_power_rules`.
+    A singular point to the left is `_left_power_rule`, whose Gauss-Legendre
+    rules come from the build's table, one to the right the one-point case
+    of `_right_power_rules`.
     """
     if beta <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {beta}")
     if z <= a:
-        nodes, weights, _ = _left_power_rule(a, b, z, beta, deg, basis=False)
+        nodes, weights, _ = _left_power_rule(a, b, z, beta, deg)
         return nodes, weights
     if z >= b:
         ((_, nodes, weights),) = _right_power_rules(a, b, np.array([z], dtype=float), beta, deg)
@@ -178,13 +164,13 @@ def power_rule(a, b, z, beta, deg):
     raise ValueError(f"singular point z={z} lies inside the interval ({a}, {b})")
 
 
-def _left_power_rule(a, b, z, beta, deg, basis):
+def _left_power_rule(a, b, z, beta, deg):
     """power_rule(a, b, z, beta, deg) for z <= a, as (nodes, weights, values).
 
-    With `basis`, values[r, k] = P_k(ref(nodes[r])), k <= deg, mapped to
-    (a, b); the Gauss-Legendre branch takes its mapped rule and these values
-    from the build's table (`_interval_rule`), shared by every singular
-    point with the same point count.  Without it, values is None.
+    values[r, k] = P_k(ref(nodes[r])), k <= deg, mapped to (a, b); the
+    Gauss-Legendre branch takes its mapped rule and these values from the
+    build's table (`_interval_rule`), shared by every singular point with
+    the same point count.
     """
     A = a - z
     npts = deg // 2 + 1
@@ -193,16 +179,12 @@ def _left_power_rule(a, b, z, beta, deg, basis):
     else:
         rho = _ellipse_rho(A, b - a)
         if rho >= _DIFF_RHO:
-            count = _gl_point_count(deg, rho)
-            if basis:
-                nodes, w, values = _interval_rule(count, a, b, deg)
-            else:
-                (nodes, w), values = _gauss_legendre(count, a, b), None
+            nodes, w, values = _interval_rule(_gl_point_count(deg, rho), a, b, deg)
             return nodes, w * (nodes - z) ** beta, values
         n_full, w_full = _jacobi_rule(npts, beta, z, b, at_a=True)
         n_cut, w_cut = _jacobi_rule(npts, beta, z, a, at_a=True)
         nodes, weights = np.concatenate([n_full, n_cut]), np.concatenate([w_full, -w_cut])
-    return nodes, weights, legendre_values(nodes, a, b, deg) if basis else None
+    return nodes, weights, legendre_values(nodes, a, b, deg)
 
 
 def _right_power_rules(a, b, z, beta, deg):
@@ -344,8 +326,6 @@ class MemoryBlock:
     jump of v at t_{j-1} for j >= 2.
     """
 
-    source: int
-    target: int
     matrix: np.ndarray
     jump_column: np.ndarray
 
@@ -496,7 +476,7 @@ def memory_block(mesh, j, n, order, degrees=None):
     else:
         p_j, p_n = degrees
     # jump column: kernel anchored at the source interval's left node
-    _, weights, values = _left_power_rule(tl, tr, sl, alpha, p_n, basis=True)
+    _, weights, values = _left_power_rule(tl, tr, sl, alpha, p_n)
     jump_col = (values.T @ weights) * _kernel_scale(alpha)
     if p_j == 0:
         # a constant source has no derivative: only its jump column acts
@@ -509,7 +489,7 @@ def memory_block(mesh, j, n, order, degrees=None):
             mat = _far_block(sl, sr, tl, tr, alpha, p_n, p_j)
         else:
             mat = _near_block(sl, sr, tl, tr, alpha, p_n, p_j)
-    return MemoryBlock(j, n, mat, jump_col)
+    return MemoryBlock(mat, jump_col)
 
 
 # ---------------------------------------------------------------------------

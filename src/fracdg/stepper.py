@@ -27,10 +27,10 @@ import numpy as np
 from .kernel import (
     MemoryOperator,
     _gauss_legendre,
+    _jacobi_rule,
     _jump_values,
     _parity,
     coercivity_constants,
-    gauss_jacobi_rule,
     legendre_values,
     power_rule,
 )
@@ -313,7 +313,7 @@ def _forcing_increments(problems, mesh, alpha):
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
         if n == 1:
-            nodes, weights = gauss_jacobi_rule(16, exponent, (a, b))
+            nodes, weights = _jacobi_rule(16, exponent, a, b, at_a=True)
         else:
             nodes, weights = _gauss_legendre(12, a, b)
         # an overflow warns nothing: the check below names it

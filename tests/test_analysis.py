@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,7 +293,7 @@ def test_csv_schema(h_study_p1):
     first = lines[1].split(",")
     assert first[:7] == ["graded", "-0.7", "spectral", "1.6", "1", "18", "36"]
     assert first[8] == ""  # no rate on the first row of a column
-    hashed = replace(h_study_p1, config_hash="0123456789ab").to_csv()
+    hashed = h_study_p1.to_csv(config_hash="0123456789ab")
     assert hashed.splitlines()[0].endswith(",config_hash")
 
 

@@ -287,12 +287,25 @@ stability_report = true
 
 
 @pytest.mark.parametrize(
-    "gate,fragment",
-    [("rate_min = 50", "rate_min: slowest rate "), ("rate_max = 0.01", "rate_max: fastest rate ")],
+    "command,text,gate,fragment",
+    [
+        pytest.param("h-study", H_STUDY, "rate_min = 50", "rate_min: slowest rate ",
+                     id="rate_min = 50-rate_min: slowest rate "),
+        pytest.param("h-study", H_STUDY, "rate_max = 0.01", "rate_max: fastest rate ",
+                     id="rate_max = 0.01-rate_max: fastest rate "),
+        # a solve has no rate, and neither has a column of one cell: a set
+        # rate gate with nothing to check fails rather than passing silently
+        pytest.param("solve", MINIMAL, "rate_min = 50", "rate_min: no finite rate to check",
+                     id="solve-rate_min"),
+        pytest.param("solve", MINIMAL, "rate_max = 0.01", "rate_max: no finite rate to check",
+                     id="solve-rate_max"),
+        pytest.param("h-study", H_STUDY.replace("Ns = 4, 6", "Ns = 4"), "rate_min = 50",
+                     "rate_min: no finite rate to check", id="one-cell-study-rate_min"),
+    ],
 )
-def test_rate_gate_exit(tmp_path, capsys, gate, fragment):
-    cfg = _write_config(tmp_path, H_STUDY + f"[expect]\n{gate}\n")
-    status = main(["h-study", "--config", cfg, "--out", str(tmp_path / "out")])
+def test_rate_gate_exit(tmp_path, capsys, command, text, gate, fragment):
+    cfg = _write_config(tmp_path, text + f"[expect]\n{gate}\n")
+    status = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert status == EXIT_GATE
     assert f"expectation failed: {fragment}" in capsys.readouterr().err
 

@@ -43,6 +43,23 @@ def test_package_exports_are_in_their_modules_all():
     assert missing == []
 
 
+def test_every_library_modules_all_is_exported():
+    # cli's one name, main, is the console script, not a library export
+    exported = {
+        alias.name
+        for node in parse("__init__").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    missing = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("__init__", "__main__", "cli")
+        for name in sorted(module_all(parse(path.stem)) - exported)
+    ]
+    assert missing == []
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     unused = []
     for path in sorted(SRC.glob("*.py")):

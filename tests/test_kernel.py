@@ -154,14 +154,14 @@ def test_entry_points_reject_alpha_outside_range(entry, alpha):
 
 
 def test_gauss_jacobi_rule_plain_legendre_case():
-    nodes, weights = kernel.gauss_jacobi_rule(2, 0.0, (-1.0, 1.0))
+    nodes, weights = kernel._jacobi_rule(2, 0.0, -1.0, 1.0, at_a=True)
     assert np.allclose(np.sort(nodes), [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-15)
     assert math.isclose(weights.sum(), 2.0, rel_tol=1e-15)
 
 
 def test_gauss_jacobi_rule_singular_weight_example():
     # int_0^1 t^(-0.7) t^2 dt = 1/2.3, two points are already exact
-    nodes, weights = kernel.gauss_jacobi_rule(2, -0.7, (0.0, 1.0))
+    nodes, weights = kernel._jacobi_rule(2, -0.7, 0.0, 1.0, at_a=True)
     assert math.isclose(float(weights @ nodes**2), 1.0 / 2.3, rel_tol=1e-14)
 
 
@@ -172,7 +172,7 @@ def test_gauss_jacobi_rule_polynomial_exactness():
         b = a + rng.uniform(0.2, 3.0)
         beta = rng.uniform(-0.95, 1.5)
         n = int(rng.integers(1, 7))
-        nodes, weights = kernel.gauss_jacobi_rule(n, beta, (a, b))
+        nodes, weights = kernel._jacobi_rule(n, beta, a, b, at_a=True)
         for m in (0, 2 * n - 1):
             # exact reference by binomial expansion about the singular endpoint
             ref = sum(
@@ -799,6 +799,30 @@ def test_each_build_starts_with_an_empty_table(monkeypatch):
         assert array.flags.writeable is False
         with pytest.raises(ValueError):
             array[0] = 1.0
+
+
+def test_solve_loads_read_the_build_table(monkeypatch):
+    # a load (power_rule, singular point t_0 = 0) has the key of its target's
+    # first jump column: the left rule maps no Gauss-Legendre rule of its own,
+    # and the march after the build adds no miss to the table
+    real_gauss_legendre = kernel._gauss_legendre
+    callers = []
+
+    def gauss_legendre(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_gauss_legendre(*args)
+
+    monkeypatch.setattr(kernel, "_gauss_legendre", gauss_legendre)
+    problems = mode_problems(two_mode_problem(-0.7))
+    for mesh in (graded_mesh(1.0, 40, 2.3, 2), geometric_mesh(1.0, 1.0, 0.2, 12, 1.0)):
+        kernel.MemoryOperator(mesh, -0.7, mesh.degrees, mesh.degrees)
+        built = kernel._interval_rule.cache_info()
+        solve(problems, mesh, -0.7)
+        marched = kernel._interval_rule.cache_info()
+        assert marched.misses == built.misses
+        assert marched.hits > built.hits
+    assert "_interval_rule" in callers
+    assert "_left_power_rule" not in callers
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import fracdg.kernel as kernel_mod
 import fracdg.stepper as stepper_mod
-from fracdg.analysis import fem_mode_problems
+from fracdg.analysis import backend_mode_problems, error_measure, fem_mode_problems
 from fracdg.kernel import MemoryBlock, l2_form, memory_block, memory_form
 from fracdg.mesh import TimeMesh, fine_grid, geometric_mesh, graded_mesh
 from fracdg.problems import PowerSum, power_mode_problem, two_mode_problem
-from fracdg.spatial import fem_backend
+from fracdg.spatial import fem_backend, spectral_backend
 from fracdg.stepper import (
     DgSolution,
     ModeProblem,
@@ -384,7 +384,7 @@ def per_mode_forcing_increments(problems, mesh, alpha):
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
         if n == 1:
-            nodes, weights = kernel_mod.gauss_jacobi_rule(16, exponent, (a, b))
+            nodes, weights = kernel_mod._jacobi_rule(16, exponent, a, b, at_a=True)
         else:
             nodes, weights = kernel_mod._gauss_legendre(12, a, b)
         total = np.zeros(nodes.size)
@@ -467,7 +467,7 @@ def test_singular_local_system_names_the_first_singular_mode(monkeypatch):
     # at p = 0 the local system is 1 + lambda (D + J); with D + J = -1 it is
     # singular exactly for the modes with lambda = 1
     def block(mesh, j, n, order, **kwargs):
-        return MemoryBlock(j, n, np.full((1, 1), -0.5), np.full(1, -0.5))
+        return MemoryBlock(np.full((1, 1), -0.5), np.full(1, -0.5))
 
     monkeypatch.setattr(kernel_mod, "memory_block", block)
     problems = [ModeProblem(lam, None, 1.0) for lam in (0.5, 1.0, 1.0)]
@@ -570,3 +570,35 @@ def test_memory_form_with_other_degrees_matches_a_per_block_loop():
             blk = memory_block(mesh, j, n, alpha, degrees=(len(c) - 1, len(w[n - 1]) - 1))
             total += w[n - 1] @ (blk.matrix @ c + blk.jump_column * jump)
     assert memory_form(mesh, alpha, v, w) == pytest.approx(total, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "alpha,build_mesh,fem",
+    [
+        # order next to -1
+        (-0.999, lambda: graded_mesh(1.0, 20, 2.0, 2), False),
+        # first step 1.5e-13; one jump column and three loads take the
+        # difference branch of the left rule
+        (-0.7, lambda: graded_mesh(1.0, 40, 8.0, 2), False),
+        # first step 1e-20
+        (-0.7, lambda: geometric_mesh(1.0, 1.0, 0.1, 20, 1.0), False),
+        # 55 of the 66 jump columns and 30 of the 33 loads take it
+        (-0.7, lambda: geometric_mesh(1.0, 1.0, 0.005, 10, 0.5), False),
+        # stiff FEM modes, lambda_max = 2.72e7
+        (-0.7, lambda: graded_mesh(1.0, 12, 1.6, 2), True),
+    ],
+    ids=["alpha-0.999", "graded-gamma8", "geometric-L20", "geometric-mu0.5", "fem-stiff"],
+)
+def test_adversarial_inputs_give_finite_accurate_stable_output(alpha, build_mesh, fem):
+    problem = two_mode_problem(alpha)
+    system = fem_backend(400, 3)[1] if fem else spectral_backend(problem.mode_count)
+    problems = backend_mode_problems(problem, system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve(problems, build_mesh(), alpha)
+        error = error_measure(solution, problem, system, 5)
+        report = stability_report(solution, problems, alpha)
+    assert all(np.isfinite(block).all() for block in solution.coefficients)
+    assert np.isfinite(report.lhs).all() and np.isfinite(report.rhs).all()
+    assert error < 1e-3
+    assert report.ok
