@@ -19,7 +19,6 @@ from .analysis import (
     fem_mode_problems,
     run_h_study,
     run_hp_study,
-    semilog_fit,
     write_plot_data,
 )
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize
@@ -30,6 +29,7 @@ from .kernel import (
     l2_form,
     memory_block,
     memory_form,
+    memory_operator,
     operator_form,
 )
 from .mesh import (
@@ -59,7 +59,6 @@ from .stepper import (
     ModeProblem,
     StabilityReport,
     mode_problems,
-    pi_projection,
     solve,
     stability_report,
 )

@@ -39,7 +39,6 @@ __all__ = [
     "error_measure",
     "eoc",
     "exp_coefficient",
-    "semilog_fit",
     "run_h_study",
     "run_hp_study",
     "delta_sweep",
@@ -162,21 +161,6 @@ def exp_coefficient(errors, dofs):
     """hp rate coefficients b = log(e_{L-1}/e_L)/(sqrt(N_L)-sqrt(N_{L-1}))."""
     dofs = np.asarray(dofs, dtype=float)
     return _consecutive_rates(errors, lambda i: math.sqrt(dofs[i]) - math.sqrt(dofs[i - 1]))
-
-
-def semilog_fit(errors, dofs):
-    """Least-squares line ln(error) = intercept - slope*sqrt(dofs).
-
-    Returns (slope, intercept, r_squared); slope is the fitted decay
-    coefficient b of error ~ C exp(-b sqrt(dofs)).
-    """
-    x = np.sqrt(np.asarray(dofs, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    coeffs = np.polyfit(x, y, 1)
-    residuals = y - np.polyval(coeffs, x)
-    total = y - y.mean()
-    r_squared = 1.0 - residuals @ residuals / (total @ total)
-    return -coeffs[0], coeffs[1], float(r_squared)
 
 
 def fem_mode_problems(problem, system):

@@ -34,10 +34,12 @@ key of its target's first jump column and reads that entry.
 `MemoryOperator` holds every block of one mesh, order and pair of degree
 vectors, built once; the DG march, the stability report and the bilinear
 form `memory_form` all apply the memory operator through it.  Each build
-starts with an empty table, so no build reads another's entries.
+starts with an empty table, so no build reads another's entries.  An
+operator is shared while held and never retained (`memory_operator`).
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +53,7 @@ __all__ = [
     "coercivity_constants",
     "memory_block",
     "memory_form",
+    "memory_operator",
     "operator_form",
     "l2_form",
 ]
@@ -516,6 +519,15 @@ def _jump_values(coeffs):
     return np.array(vals)
 
 
+def _operator_key(mesh, alpha, source_degrees, target_degrees):
+    degrees = (tuple(map(int, d)) for d in (source_degrees, target_degrees))
+    return (mesh.nodes.tobytes(), _check_alpha(alpha), *degrees)
+
+
+# the operator built last, under its key, held weakly: alive while a caller holds it
+_last_built = weakref.WeakValueDictionary()
+
+
 class MemoryOperator:
     """Every memory block of one mesh and order, built once, stacked per target.
 
@@ -533,27 +545,37 @@ class MemoryOperator:
     columns of one target share an entry per point count and the far
     blocks one per interval, so a rule is mapped and its basis evaluated
     once per build, not once per pair.
+
+    `key` is (mesh.nodes.tobytes(), alpha, source degrees, target degrees),
+    the degrees as tuples of ints.  While something (a `DgSolution`, say)
+    holds the operator built last, `memory_operator` shares it with every
+    caller asking for its key, so the arrays are read-only.
     """
 
     def __init__(self, mesh, alpha, source_degrees, target_degrees):
-        self.alpha = _check_alpha(alpha)
+        self.key = _operator_key(mesh, alpha, source_degrees, target_degrees)
+        _, self.alpha, source_degrees, target_degrees = self.key
         _interval_rule.cache_clear()
-        width = int(max(source_degrees)) + 1
+        width = max(source_degrees) + 1
         matrices = []
         jump_columns = []
         for n in range(1, mesh.interval_count + 1):
-            q = int(target_degrees[n - 1])
+            q = target_degrees[n - 1]
             target_matrices = np.zeros((n, q + 1, width))
             target_jumps = np.empty((n, q + 1))
             for j in range(1, n + 1):
-                p = int(source_degrees[j - 1])
+                p = source_degrees[j - 1]
                 blk = memory_block(mesh, j, n, self.alpha, degrees=(p, q))
                 target_matrices[j - 1, :, : p + 1] = blk.matrix
                 target_jumps[j - 1] = blk.jump_column
+            target_matrices.setflags(write=False)
+            target_jumps.setflags(write=False)
             matrices.append(target_matrices)
             jump_columns.append(target_jumps)
         self.matrices = tuple(matrices)
         self.jump_columns = tuple(jump_columns)
+        _last_built.clear()
+        _last_built[self.key] = self
 
     def apply(self, n, coeffs, jumps):
         """Sum over the sources supplied of M_jn c_j + J_jn (x) [c]_j on target n.
@@ -571,8 +593,25 @@ class MemoryOperator:
         return out
 
 
+def memory_operator(mesh, alpha, source_degrees, target_degrees):
+    """The operator built last if its key is this one and something holds it, else a new build."""
+    operator = _last_built.get(_operator_key(mesh, alpha, source_degrees, target_degrees))
+    return MemoryOperator(mesh, alpha, source_degrees, target_degrees) if operator is None else operator
+
+
+def _form_degrees(count, coeffs_v, coeffs_w):
+    """Degrees of broken coefficients v and w; ValueError unless each has `count` blocks."""
+    for name, coeffs in (("v", coeffs_v), ("w", coeffs_w)):
+        if len(coeffs) != count:
+            raise ValueError(f"{name} has {len(coeffs)} coefficient blocks, expected {count}, one per interval")
+    return [tuple(len(c) - 1 for c in coeffs) for coeffs in (coeffs_v, coeffs_w)]
+
+
 def operator_form(operator, coeffs_v, coeffs_w):
-    """int_0^T (B v)(t) w(t) dt with an operator built for the degrees of v and w."""
+    """int_0^T (B v)(t) w(t) dt with an operator built for the degrees of v and w, else ValueError."""
+    given = _form_degrees(len(operator.matrices), coeffs_v, coeffs_w)
+    if given != list(operator.key[2:]):
+        raise ValueError(f"v and w have degrees {given}, the operator {list(operator.key[2:])}")
     jumps = _jump_values(coeffs_v)
     return sum(
         float(w_n @ operator.apply(n, coeffs_v[:n], jumps[:n]))
@@ -583,17 +622,17 @@ def operator_form(operator, coeffs_v, coeffs_w):
 def memory_form(mesh, alpha, coeffs_v, coeffs_w):
     """Bilinear form int_0^T (B v)(t) w(t) dt for broken Legendre coefficients.
 
-    The degrees of v and w need not be the mesh's; the operator is built for
-    theirs and applied once.
+    The degrees of v and w need not be the mesh's: the operator of their key
+    (`memory_operator`), shared with a solution that holds it or else built,
+    is applied once.  ValueError unless v and w have one block per interval.
     """
-    operator = MemoryOperator(
-        mesh, alpha, [len(c) - 1 for c in coeffs_v], [len(c) - 1 for c in coeffs_w]
-    )
-    return operator_form(operator, coeffs_v, coeffs_w)
+    degrees = _form_degrees(mesh.interval_count, coeffs_v, coeffs_w)
+    return operator_form(memory_operator(mesh, alpha, *degrees), coeffs_v, coeffs_w)
 
 
 def l2_form(mesh, coeffs_v, coeffs_w):
-    """int_0^T v w dt for broken Legendre coefficients (orthogonality-exact)."""
+    """int_0^T v w dt for broken Legendre coefficients, one block per interval (orthogonality-exact)."""
+    _form_degrees(mesh.interval_count, coeffs_v, coeffs_w)
     total = 0.0
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
@@ -602,4 +641,3 @@ def l2_form(mesh, coeffs_v, coeffs_w):
         ell = np.arange(size)
         total += float((b - a) * np.sum(v[:size] * w[:size] / (2.0 * ell + 1.0)))
     return total
-

@@ -10,14 +10,14 @@ right limit, T is the transport term int P_l' P_i, D is the local memory
 block and J its jump column.  Everything already computed on intervals
 1..n-1 enters the right-hand side through the memory load, one application
 of the memory operator (`kernel.MemoryOperator`) to the stored coefficients,
-so a full march costs O(N^2) block evaluations shared across modes.  The
-march builds the operator once and keeps it on the solution, where the
-stability report applies it again to the energy term int A(B U, U) dt.
+so a full march costs O(N^2) block evaluations shared across modes.  Every
+march builds its operator and keeps it on the solution, where the stability
+report applies it again to the energy term int A(B U, U) dt and, while the
+solution lives, `kernel.memory_form` shares it; nothing keeps it after.
 
-Forcings and projected profiles are power sums (`problems.PowerSum`), so
-the load vectors and projection moments come exactly from
-`kernel.power_rule`: per interval, one rule for each exponent, shared by
-every sum that carries it.
+Forcings are power sums (`problems.PowerSum`), so the load vectors come
+exactly from `kernel.power_rule`: per interval, one rule for each exponent,
+shared by every sum that carries it.
 """
 
 from dataclasses import dataclass, field
@@ -27,11 +27,13 @@ import numpy as np
 from .kernel import (
     MemoryOperator,
     _gauss_legendre,
+    _operator_key,
     _jacobi_rule,
     _jump_values,
     _parity,
     coercivity_constants,
     legendre_values,
+    memory_operator,
     power_rule,
 )
 # the block seam stays bound here too: the perfbench trace checks that it
@@ -45,7 +47,6 @@ __all__ = [
     "StabilityReport",
     "mode_problems",
     "solve",
-    "pi_projection",
     "stability_report",
 ]
 
@@ -134,9 +135,9 @@ class DgSolution:
     """Piecewise-Legendre solution: per interval a (p_n+1, M) block.
 
     `memory_operator` is the memory operator the march built, for the alpha
-    it ran with, so that `stability_report` need not build it again; it is
-    None for solutions that were not marched (projections, hand-built
-    coefficients).
+    it ran with, so that `stability_report` need not build it again and
+    `kernel.memory_form` shares it while the solution lives; it is None for
+    solutions that were not marched (projections, hand-built coefficients).
     """
 
     mesh: object
@@ -217,9 +218,9 @@ def solve(problems, mesh, alpha):
     Memory blocks depend only on the interval pair, so the memory operator
     builds each once per (j, n) and applies it to every mode's stored
     coefficients.  The loads likewise take one moment per forcing exponent
-    and interval, shared by every mode that carries that exponent.  The
-    solution keeps the operator (`DgSolution.memory_operator`) for
-    `stability_report`.
+    and interval, shared by every mode that carries that exponent.  A solve
+    always builds its operator; the solution keeps it
+    (`DgSolution.memory_operator`) for `stability_report` and the forms.
     """
     problems = list(problems)
     modes = len(problems)
@@ -248,28 +249,6 @@ def solve(problems, mesh, alpha):
         jump_vals[n - 1] = right_limit if n == 1 else right_limit - incoming
         incoming = block.sum(axis=0)
     return DgSolution(mesh, initial_values, tuple(coeffs), operator)
-
-
-def pi_projection(profiles, mesh):
-    """Interpolatory projection: right-endpoint match plus orthogonality
-    of the residual to P_{p_n - 1} on each interval."""
-    table = _power_table(profiles)
-    coeffs = []
-    for n in range(1, mesh.interval_count + 1):
-        a, b = mesh.interval(n)
-        p = mesh.degree(n)
-        width = b - a
-        moments = _power_moments(table, len(profiles), a, b, p)
-        block = np.empty((p + 1, len(profiles)))
-        for m, u in enumerate(profiles):
-            c = np.zeros(p + 1)
-            ell = np.arange(p)
-            c[:p] = moments[m, :p] * (2.0 * ell + 1.0) / width
-            c[p] = u(b) - c[:p].sum()
-            block[:, m] = c
-        coeffs.append(block)
-    initial = np.array([u.at_zero() for u in profiles])
-    return DgSolution(mesh, initial, tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -339,15 +318,15 @@ def stability_report(solution, problems, alpha, slack=1e-8):
 
     at every node and flag violations beyond the relative slack.  The memory
     term applies the operator a `solve` for the same alpha kept on the
-    solution; it is built only when the solution carries none (say, a
-    projection) or carries one for another alpha.
+    solution; for one carrying none (say, a projection) or one of another
+    key, `kernel.memory_operator` shares a live operator of this key or builds it.
     """
     problems = list(problems)
     _, d_alpha = coercivity_constants(alpha)
     mesh = solution.mesh
     operator = solution.memory_operator
-    if operator is None or operator.alpha != alpha:
-        operator = MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+    if operator is None or operator.key != _operator_key(mesh, alpha, mesh.degrees, mesh.degrees):
+        operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
     lam = np.array([pr.eigenvalue for pr in problems])
     coeffs = solution.coefficients
     jumps = _jump_values(coeffs)

@@ -1,0 +1,45 @@
+"""Helpers the tests share that the package itself never calls: the
+interpolatory projection of power-sum profiles and the semilog fit of an
+hp convergence history."""
+
+import numpy as np
+
+from fracdg.stepper import DgSolution, _power_moments, _power_table
+
+
+def pi_projection(profiles, mesh):
+    """Interpolatory projection: right-endpoint match plus orthogonality
+    of the residual to P_{p_n - 1} on each interval.  The moments come
+    exactly from `kernel.power_rule`, as the loads of `solve` do."""
+    table = _power_table(profiles)
+    coeffs = []
+    for n in range(1, mesh.interval_count + 1):
+        a, b = mesh.interval(n)
+        p = mesh.degree(n)
+        width = b - a
+        moments = _power_moments(table, len(profiles), a, b, p)
+        block = np.empty((p + 1, len(profiles)))
+        for m, u in enumerate(profiles):
+            c = np.zeros(p + 1)
+            ell = np.arange(p)
+            c[:p] = moments[m, :p] * (2.0 * ell + 1.0) / width
+            c[p] = u(b) - c[:p].sum()
+            block[:, m] = c
+        coeffs.append(block)
+    initial = np.array([u.at_zero() for u in profiles])
+    return DgSolution(mesh, initial, tuple(coeffs))
+
+
+def semilog_fit(errors, dofs):
+    """Least-squares line ln(error) = intercept - slope*sqrt(dofs).
+
+    Returns (slope, intercept, r_squared); slope is the fitted decay
+    coefficient b of error ~ C exp(-b sqrt(dofs)).
+    """
+    x = np.sqrt(np.asarray(dofs, dtype=float))
+    y = np.log(np.asarray(errors, dtype=float))
+    coeffs = np.polyfit(x, y, 1)
+    residuals = y - np.polyval(coeffs, x)
+    total = y - y.mean()
+    r_squared = 1.0 - residuals @ residuals / (total @ total)
+    return -coeffs[0], coeffs[1], float(r_squared)

@@ -21,7 +21,6 @@ from fracdg.analysis import (
     delta_sweep,
     run_h_study,
     run_hp_study,
-    semilog_fit,
 )
 from fracdg.cli import main as cli_main
 from fracdg.kernel import (
@@ -33,6 +32,7 @@ from fracdg.kernel import (
 from fracdg.mesh import fine_grid, geometric_mesh, graded_mesh
 from fracdg.problems import PowerSum, two_mode_problem
 from fracdg.stepper import ModeProblem, mode_problems, solve, stability_report
+from support import semilog_fit
 
 ALPHA = -0.7
 GRID_NS = (18, 27, 36, 72)

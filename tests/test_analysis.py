@@ -18,14 +18,14 @@ from fracdg.analysis import (
     figure_curves_sweep,
     run_h_study,
     run_hp_study,
-    semilog_fit,
     write_plot_data,
 )
 from fracdg.kernel import _gauss_legendre, legendre_derivative_values
 from fracdg.mesh import graded_mesh
 from fracdg.problems import power_mode_problem, two_mode_problem
 from fracdg.spatial import fem_backend, spectral_backend
-from fracdg.stepper import DgSolution, mode_problems, pi_projection, solve
+from fracdg.stepper import DgSolution, mode_problems, solve
+from support import pi_projection, semilog_fit
 
 
 def projection_gamma(p, q):

@@ -132,6 +132,7 @@ def _alpha_entry_points():
         "memory_form": lambda alpha: kernel.memory_form(mesh, alpha, coeffs, coeffs),
         "memory_block": lambda alpha: kernel.memory_block(mesh, 1, 2, alpha),
         "MemoryOperator": lambda alpha: kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees),
+        "memory_operator": lambda alpha: kernel.memory_operator(mesh, alpha, mesh.degrees, mesh.degrees),
         "two_mode_problem": lambda alpha: two_mode_problem(alpha),
         "power_mode_problem": lambda alpha: power_mode_problem(1.0, 2.0, alpha),
     }
@@ -140,7 +141,7 @@ def _alpha_entry_points():
 @pytest.mark.parametrize(
     "entry",
     ["solve", "stability_report", "memory_form", "memory_block", "MemoryOperator",
-     "two_mode_problem", "power_mode_problem"],
+     "memory_operator", "two_mode_problem", "power_mode_problem"],
 )
 @pytest.mark.parametrize("alpha", [0.0, 0.3, -1.0, math.nan], ids=str)
 def test_entry_points_reject_alpha_outside_range(entry, alpha):
@@ -889,6 +890,124 @@ def test_memory_form_power_function_identity():
         w.append(np.array([c0, c1, 0.0]))
     ref = math.gamma(3.0) / math.gamma(3.0 + alpha) * T ** (4.0 + alpha) / (4.0 + alpha)
     assert math.isclose(kernel.memory_form(mesh, alpha, v, w), ref, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_forms_reject_a_block_count_other_than_the_intervals(count):
+    # fewer blocks used to raise a bare IndexError, and more were dropped
+    mesh = graded_mesh(1.0, 3, 1.0, 2)
+    operator = kernel.MemoryOperator(mesh, -0.5, mesh.degrees, mesh.degrees)
+    good = [np.ones(3)] * 3
+    bad = [np.ones(3)] * count
+    forms = [
+        lambda v, w: kernel.memory_form(mesh, -0.5, v, w),
+        lambda v, w: kernel.operator_form(operator, v, w),
+        lambda v, w: kernel.l2_form(mesh, v, w),
+    ]
+    for form in forms:
+        for name, v, w in (("v", bad, good), ("w", good, bad)):
+            with pytest.raises(ValueError, match=f"{name} has {count} coefficient blocks, expected 3"):
+                form(v, w)
+
+
+def test_operator_form_rejects_degrees_other_than_its_key():
+    mesh = graded_mesh(1.0, 3, 1.0, 2)
+    operator = kernel.MemoryOperator(mesh, -0.5, mesh.degrees, mesh.degrees)
+    good = [np.ones(3)] * 3
+    other = [np.ones(3), np.ones(2), np.ones(3)]
+    for v, w in ((other, good), (good, other)):
+        with pytest.raises(ValueError, match=r"v and w have degrees .*, the operator \[\(2, 2, 2\), \(2, 2, 2\)\]"):
+            kernel.operator_form(operator, v, w)
+
+
+# ---------------------------------------------------------------------------
+# Sharing the memory operator while something holds it
+# ---------------------------------------------------------------------------
+
+
+def _counted_blocks(monkeypatch):
+    # the (j, n) of every memory_block call from now on
+    real_block = kernel.memory_block
+    calls = []
+
+    def block(mesh, j, n, order, **kwargs):
+        calls.append((j, n))
+        return real_block(mesh, j, n, order, **kwargs)
+
+    monkeypatch.setattr(kernel, "memory_block", block)
+    return calls
+
+
+def test_memory_form_through_a_shared_operator_is_a_fresh_build_bit_for_bit(monkeypatch):
+    # the mesh's own degrees share the solution's operator; gate-6-style
+    # degrees miss and build; either way the value is a fresh build's
+    rng = np.random.default_rng(5)
+    alpha = -0.45
+    mesh = geometric_mesh(1.0, 1.0, 0.3, 3, 1.0)
+    assert list(mesh.degrees) == [1, 2, 3, 4]
+    solution = solve(mode_problems(two_mode_problem(alpha)), mesh, alpha)
+    assert kernel.memory_operator(mesh, alpha, mesh.degrees, mesh.degrees) is solution.memory_operator
+    own_v, own_w = _random_broken_coeffs(rng, mesh), _random_broken_coeffs(rng, mesh)
+    other_v = [rng.standard_normal(k) for k in (3, 1, 4, 2)]
+    other_w = [rng.standard_normal(k) for k in (2, 4, 1, 5)]
+    calls = _counted_blocks(monkeypatch)
+    for v, w, built in ((own_v, own_w, 0), (other_v, other_w, 10)):
+        calls.clear()
+        value = kernel.memory_form(mesh, alpha, v, w)
+        assert len(calls) == built
+        fresh = kernel.MemoryOperator(mesh, alpha, [len(c) - 1 for c in v], [len(c) - 1 for c in w])
+        assert value == kernel.operator_form(fresh, v, w)
+
+
+def test_memory_operator_shares_only_on_an_exact_key():
+    alpha = -0.45
+    mesh = graded_mesh(1.0, 4, 1.5, 2)
+    nodes = mesh.nodes.copy()
+    nodes[2] = np.nextafter(nodes[2], 1.0)
+    moved = TimeMesh(nodes, mesh.degrees)
+    assert moved.nodes.size == mesh.nodes.size and not np.array_equal(moved.nodes, mesh.nodes)
+    # an equal key in other types, on a copy of the mesh, hits
+    copy = TimeMesh(mesh.nodes.copy(), mesh.degrees)
+    held = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+    assert kernel.memory_operator(copy, np.float64(alpha), [2, 2, 2, 2], (2, 2, 2, 2)) is held
+    misses = {
+        "alpha": (mesh, -0.3, mesh.degrees, mesh.degrees),
+        "source degrees": (mesh, alpha, [2, 2, 1, 2], mesh.degrees),
+        "target degrees": (mesh, alpha, mesh.degrees, [2, 3, 2, 2]),
+        "nodes one ulp apart": (moved, alpha, mesh.degrees, mesh.degrees),
+    }
+    for name, key in misses.items():
+        # each miss builds and becomes the operator built last, so hold a
+        # new operator of the mesh's key before every one
+        held = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+        assert kernel.memory_operator(mesh, alpha, mesh.degrees, mesh.degrees) is held, name
+        other = kernel.memory_operator(*key)
+        assert other is not held and other.key == kernel._operator_key(*key), name
+
+
+def test_nothing_is_retained_once_the_solution_is_dropped(monkeypatch):
+    rng = np.random.default_rng(8)
+    alpha, N = -0.45, 6
+    mesh = graded_mesh(1.0, N, 1.5, 2)
+    solution = solve(mode_problems(two_mode_problem(alpha)), mesh, alpha)
+    v = _random_broken_coeffs(rng, mesh)
+    calls = _counted_blocks(monkeypatch)
+    shared = kernel.memory_form(mesh, alpha, v, v)
+    assert calls == []
+    del solution
+    for _ in range(2):
+        # neither the solution's operator nor the form's own build outlives its caller
+        calls.clear()
+        assert kernel.memory_form(mesh, alpha, v, v) == shared
+        assert len(calls) == N * (N + 1) // 2
+
+
+def test_a_shared_operator_is_read_only():
+    mesh = graded_mesh(1.0, 4, 1.5, 2)
+    operator = solve(mode_problems(two_mode_problem(-0.45)), mesh, -0.45).memory_operator
+    for arrays in (operator.matrices, operator.jump_columns):
+        with pytest.raises(ValueError):
+            arrays[0][0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from fracdg.stepper import (
     DgSolution,
     ModeProblem,
     mode_problems,
-    pi_projection,
     solve,
     stability_report,
 )
+from support import pi_projection
 
 
 def test_local_system_transport_only():
@@ -495,7 +495,8 @@ def test_history_cost_scaling(monkeypatch):
 
 
 def test_stability_report_reuses_the_blocks_of_solve(monkeypatch):
-    # solve keeps the operator it builds; the report applies it unchanged
+    # solve keeps the operator it builds; the report applies it unchanged,
+    # and a bare solution shares it while the marched one lives
     real_block = kernel_mod.memory_block
     calls = []
 
@@ -517,11 +518,19 @@ def test_stability_report_reuses_the_blocks_of_solve(monkeypatch):
     assert calls == []
 
     bare = DgSolution(mesh, solution.initial_values, solution.coefficients)
+    shared = stability_report(bare, problems, alpha)
+    assert calls == []
+    assert np.array_equal(report.lhs, shared.lhs)
+    assert np.array_equal(report.rhs, shared.rhs)
+
+    # nothing retains the operator once the solution is dropped
+    del solution
     rebuilt = stability_report(bare, problems, alpha)
     assert len(calls) == 10
     assert np.array_equal(report.lhs, rebuilt.lhs)
     assert np.array_equal(report.rhs, rebuilt.rhs)
 
+    solution = solve(problems, mesh, alpha)
     calls.clear()
     other = stability_report(solution, problems, -0.3)
     assert sorted(calls) == sorted((j, n) for n in range(1, 5) for j in range(1, n + 1))
@@ -586,8 +595,10 @@ def test_memory_form_with_other_degrees_matches_a_per_block_loop():
         (-0.7, lambda: geometric_mesh(1.0, 1.0, 0.005, 10, 0.5), False),
         # stiff FEM modes, lambda_max = 2.72e7
         (-0.7, lambda: graded_mesh(1.0, 12, 1.6, 2), True),
+        # order next to 0
+        (-1e-12, lambda: graded_mesh(1.0, 20, 2.0, 2), False),
     ],
-    ids=["alpha-0.999", "graded-gamma8", "geometric-L20", "geometric-mu0.5", "fem-stiff"],
+    ids=["alpha-0.999", "graded-gamma8", "geometric-L20", "geometric-mu0.5", "fem-stiff", "alpha-1e-12"],
 )
 def test_adversarial_inputs_give_finite_accurate_stable_output(alpha, build_mesh, fem):
     problem = two_mode_problem(alpha)
