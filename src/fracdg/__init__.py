@@ -30,7 +30,6 @@ from .kernel import (
     memory_block,
     memory_form,
     memory_operator,
-    operator_form,
 )
 from .mesh import (
     TimeMesh,

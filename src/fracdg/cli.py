@@ -30,7 +30,7 @@ from .analysis import (
     write_plot_data,
 )
 from .config import ConfigError, config_hash, parse_config
-from .kernel import coercivity_constants, l2_form, operator_form
+from .kernel import coercivity_constants, l2_form, memory_form
 from .mesh import dof_count, geometric_mesh, graded_mesh
 from .problems import two_mode_problem
 from .spatial import fem_backend, spectral_backend
@@ -111,24 +111,24 @@ def _stability_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def _coercivity_text(operator, mesh, seed, trials=20):
+def _coercivity_text(mesh, alpha, seed, trials=20):
     """Spot check of the quadratic-form bounds on random trial functions.
 
-    The trial functions carry the mesh's degrees, so the memory operator of
-    the march on that mesh (`DgSolution.memory_operator`) serves every trial.
+    The trial functions carry the mesh's degrees, so while the solution of
+    the march on that mesh lives, every `memory_form` shares its operator.
     """
     rng = np.random.default_rng(seed)
-    c_alpha, d_alpha = coercivity_constants(operator.alpha)
+    c_alpha, d_alpha = coercivity_constants(alpha)
     horizon = mesh.horizon
     worst_coercive = math.inf
     worst_continuous = math.inf
     for _ in range(trials):
         v = [rng.standard_normal(mesh.degree(n) + 1) for n in range(1, mesh.interval_count + 1)]
         w = [rng.standard_normal(mesh.degree(n) + 1) for n in range(1, mesh.interval_count + 1)]
-        qvv = operator_form(operator, v, v)
-        qww = operator_form(operator, w, w)
-        qvw = operator_form(operator, v, w)
-        coercive = qvv - c_alpha * horizon**operator.alpha * l2_form(mesh, v, v)
+        qvv = memory_form(mesh, alpha, v, v)
+        qww = memory_form(mesh, alpha, w, w)
+        qvw = memory_form(mesh, alpha, v, w)
+        coercive = qvv - c_alpha * horizon**alpha * l2_form(mesh, v, v)
         continuous = d_alpha**2 * qvv * qww - qvw**2
         worst_coercive = min(worst_coercive, coercive)
         worst_continuous = min(worst_continuous, continuous)
@@ -185,7 +185,7 @@ def cmd_solve(config, out, seed):
         if not report.ok:
             status = EXIT_NUMERICAL
     if config.coercivity_check:
-        text, ok = _coercivity_text(solution.memory_operator, mesh, seed)
+        text, ok = _coercivity_text(mesh, config.alpha, seed)
         _write(out / "coercivity.txt", text)
         summary.append(f"coercivity_ok = {'true' if ok else 'false'}")
         if not ok:

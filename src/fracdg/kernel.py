@@ -33,9 +33,9 @@ key of its target's first jump column and reads that entry.
 
 `MemoryOperator` holds every block of one mesh, order and pair of degree
 vectors, built once; the DG march, the stability report and the bilinear
-form `memory_form` all apply the memory operator through it.  Each build
-starts with an empty table, so no build reads another's entries.  An
-operator is shared while held and never retained (`memory_operator`).
+form `memory_form` all get it from `memory_operator`, which shares every
+live operator by its key and retains none.  Each build starts with an
+empty table, so no build reads another's entries.
 """
 
 import math
@@ -54,7 +54,6 @@ __all__ = [
     "memory_block",
     "memory_form",
     "memory_operator",
-    "operator_form",
     "l2_form",
 ]
 
@@ -524,8 +523,8 @@ def _operator_key(mesh, alpha, source_degrees, target_degrees):
     return (mesh.nodes.tobytes(), _check_alpha(alpha), *degrees)
 
 
-# the operator built last, under its key, held weakly: alive while a caller holds it
-_last_built = weakref.WeakValueDictionary()
+# every live operator under its key, held weakly: shared while a caller holds it
+_live_operators = weakref.WeakValueDictionary()
 
 
 class MemoryOperator:
@@ -547,14 +546,13 @@ class MemoryOperator:
     once per build, not once per pair.
 
     `key` is (mesh.nodes.tobytes(), alpha, source degrees, target degrees),
-    the degrees as tuples of ints.  While something (a `DgSolution`, say)
-    holds the operator built last, `memory_operator` shares it with every
-    caller asking for its key, so the arrays are read-only.
+    the degrees as tuples of ints.  Every live operator is shared by its
+    key (`memory_operator`), so the arrays are read-only.
     """
 
     def __init__(self, mesh, alpha, source_degrees, target_degrees):
         self.key = _operator_key(mesh, alpha, source_degrees, target_degrees)
-        _, self.alpha, source_degrees, target_degrees = self.key
+        _, alpha, source_degrees, target_degrees = self.key
         _interval_rule.cache_clear()
         width = max(source_degrees) + 1
         matrices = []
@@ -565,7 +563,7 @@ class MemoryOperator:
             target_jumps = np.empty((n, q + 1))
             for j in range(1, n + 1):
                 p = source_degrees[j - 1]
-                blk = memory_block(mesh, j, n, self.alpha, degrees=(p, q))
+                blk = memory_block(mesh, j, n, alpha, degrees=(p, q))
                 target_matrices[j - 1, :, : p + 1] = blk.matrix
                 target_jumps[j - 1] = blk.jump_column
             target_matrices.setflags(write=False)
@@ -574,8 +572,7 @@ class MemoryOperator:
             jump_columns.append(target_jumps)
         self.matrices = tuple(matrices)
         self.jump_columns = tuple(jump_columns)
-        _last_built.clear()
-        _last_built[self.key] = self
+        _live_operators[self.key] = self
 
     def apply(self, n, coeffs, jumps):
         """Sum over the sources supplied of M_jn c_j + J_jn (x) [c]_j on target n.
@@ -594,8 +591,8 @@ class MemoryOperator:
 
 
 def memory_operator(mesh, alpha, source_degrees, target_degrees):
-    """The operator built last if its key is this one and something holds it, else a new build."""
-    operator = _last_built.get(_operator_key(mesh, alpha, source_degrees, target_degrees))
+    """The live operator of this key, else a new build: the package's one door to an operator."""
+    operator = _live_operators.get(_operator_key(mesh, alpha, source_degrees, target_degrees))
     return MemoryOperator(mesh, alpha, source_degrees, target_degrees) if operator is None else operator
 
 
@@ -607,27 +604,20 @@ def _form_degrees(count, coeffs_v, coeffs_w):
     return [tuple(len(c) - 1 for c in coeffs) for coeffs in (coeffs_v, coeffs_w)]
 
 
-def operator_form(operator, coeffs_v, coeffs_w):
-    """int_0^T (B v)(t) w(t) dt with an operator built for the degrees of v and w, else ValueError."""
-    given = _form_degrees(len(operator.matrices), coeffs_v, coeffs_w)
-    if given != list(operator.key[2:]):
-        raise ValueError(f"v and w have degrees {given}, the operator {list(operator.key[2:])}")
+def memory_form(mesh, alpha, coeffs_v, coeffs_w):
+    """Bilinear form int_0^T (B v)(t) w(t) dt for broken Legendre coefficients.
+
+    The degrees of v and w need not be the mesh's: they key the operator
+    (`memory_operator`), a solution's while it holds it, else a new build.
+    ValueError unless v and w have one block per interval.
+    """
+    degrees = _form_degrees(mesh.interval_count, coeffs_v, coeffs_w)
+    operator = memory_operator(mesh, alpha, *degrees)
     jumps = _jump_values(coeffs_v)
     return sum(
         float(w_n @ operator.apply(n, coeffs_v[:n], jumps[:n]))
         for n, w_n in enumerate(coeffs_w, start=1)
     )
-
-
-def memory_form(mesh, alpha, coeffs_v, coeffs_w):
-    """Bilinear form int_0^T (B v)(t) w(t) dt for broken Legendre coefficients.
-
-    The degrees of v and w need not be the mesh's: the operator of their key
-    (`memory_operator`), shared with a solution that holds it or else built,
-    is applied once.  ValueError unless v and w have one block per interval.
-    """
-    degrees = _form_degrees(mesh.interval_count, coeffs_v, coeffs_w)
-    return operator_form(memory_operator(mesh, alpha, *degrees), coeffs_v, coeffs_w)
 
 
 def l2_form(mesh, coeffs_v, coeffs_w):

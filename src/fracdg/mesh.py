@@ -29,11 +29,12 @@ class TimeMesh:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        degrees = np.asarray(self.degrees, dtype=int)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "degrees", degrees)
+        degrees = np.asarray(self.degrees)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a time mesh needs at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            bad = int(np.argmax(~np.isfinite(nodes)))
+            raise ValueError(f"time mesh nodes must be finite; node {bad} is {nodes[bad]}")
         if nodes[0] != 0.0:
             raise ValueError(f"time meshes start at t_0 = 0, got {nodes[0]}")
         steps = np.diff(nodes)
@@ -46,8 +47,15 @@ class TimeMesh:
             raise ValueError(
                 f"degree vector length {degrees.size} does not match {nodes.size - 1} intervals"
             )
+        whole = np.isfinite(degrees) & (np.floor(degrees) == degrees)
+        if not whole.all():
+            bad = int(np.argmax(~whole))
+            raise ValueError(f"interval degrees must be integers; degree {bad + 1} is {degrees[bad]}")
+        degrees = degrees.astype(int)
         if np.any(degrees < 0):
             raise ValueError("interval degrees must be nonnegative")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def interval_count(self):

@@ -10,10 +10,10 @@ right limit, T is the transport term int P_l' P_i, D is the local memory
 block and J its jump column.  Everything already computed on intervals
 1..n-1 enters the right-hand side through the memory load, one application
 of the memory operator (`kernel.MemoryOperator`) to the stored coefficients,
-so a full march costs O(N^2) block evaluations shared across modes.  Every
-march builds its operator and keeps it on the solution, where the stability
-report applies it again to the energy term int A(B U, U) dt and, while the
-solution lives, `kernel.memory_form` shares it; nothing keeps it after.
+so a full march costs O(N^2) block evaluations shared across modes.  The
+march, the stability report (energy term int A(B U, U) dt) and
+`kernel.memory_form` all get it from `kernel.memory_operator`, shared by
+its key while the solution holds it; nothing keeps it after.
 
 Forcings are power sums (`problems.PowerSum`), so the load vectors come
 exactly from `kernel.power_rule`: per interval, one rule for each exponent,
@@ -27,7 +27,6 @@ import numpy as np
 from .kernel import (
     MemoryOperator,
     _gauss_legendre,
-    _operator_key,
     _jacobi_rule,
     _jump_values,
     _parity,
@@ -134,10 +133,11 @@ def _power_values(table, count, t):
 class DgSolution:
     """Piecewise-Legendre solution: per interval a (p_n+1, M) block.
 
-    `memory_operator` is the memory operator the march built, for the alpha
-    it ran with, so that `stability_report` need not build it again and
-    `kernel.memory_form` shares it while the solution lives; it is None for
-    solutions that were not marched (projections, hand-built coefficients).
+    `memory_operator` is the memory operator of the march, for the alpha it
+    ran with.  Holding it keeps it live, so `stability_report` and
+    `kernel.memory_form` share it (`kernel.memory_operator`) while the
+    solution lives; it is None for solutions that were not marched
+    (projections, hand-built coefficients).
     """
 
     mesh: object
@@ -158,7 +158,7 @@ class DgSolution:
         """Values at times t, shape (len(t), modes); right-closed intervals."""
         scalar = np.isscalar(t) or np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < 0.0) or np.any(t > self.mesh.horizon):
+        if not np.all((t >= 0.0) & (t <= self.mesh.horizon)):
             raise ValueError("evaluation time outside [0, T]")
         idx = np.clip(
             np.searchsorted(self.mesh.nodes, t, side="left"),
@@ -218,8 +218,8 @@ def solve(problems, mesh, alpha):
     Memory blocks depend only on the interval pair, so the memory operator
     builds each once per (j, n) and applies it to every mode's stored
     coefficients.  The loads likewise take one moment per forcing exponent
-    and interval, shared by every mode that carries that exponent.  A solve
-    always builds its operator; the solution keeps it
+    and interval, shared by every mode that carries that exponent.  The
+    operator comes from `kernel.memory_operator`, and the solution holds it
     (`DgSolution.memory_operator`) for `stability_report` and the forms.
     """
     problems = list(problems)
@@ -227,7 +227,7 @@ def solve(problems, mesh, alpha):
     lam = np.array([pr.eigenvalue for pr in problems])
     initial_values = np.array([pr.initial_value for pr in problems], dtype=float)
     forcings = _power_table([pr.forcing for pr in problems])
-    operator = MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+    operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
     coeffs = []
     jump_vals = np.empty((mesh.interval_count, modes))
     incoming = initial_values.copy()
@@ -317,16 +317,16 @@ def stability_report(solution, problems, alpha, slack=1e-8):
             <= 4 |U_-^0|^2 + 4 d^2 int_0^{t_n} |<g, A^{-1} f>| dt
 
     at every node and flag violations beyond the relative slack.  The memory
-    term applies the operator a `solve` for the same alpha kept on the
-    solution; for one carrying none (say, a projection) or one of another
-    key, `kernel.memory_operator` shares a live operator of this key or builds it.
+    term applies the operator of the mesh, its degrees and alpha
+    (`kernel.memory_operator`): the march's while the solution holds it,
+    else a new build.  ValueError unless there is one problem per mode.
     """
     problems = list(problems)
+    if len(problems) != solution.mode_count:
+        raise ValueError(f"{len(problems)} problems for a solution of {solution.mode_count} modes")
     _, d_alpha = coercivity_constants(alpha)
     mesh = solution.mesh
-    operator = solution.memory_operator
-    if operator is None or operator.key != _operator_key(mesh, alpha, mesh.degrees, mesh.degrees):
-        operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
+    operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
     lam = np.array([pr.eigenvalue for pr in problems])
     coeffs = solution.coefficients
     jumps = _jump_values(coeffs)

@@ -1,9 +1,10 @@
 """Helpers the tests share that the package itself never calls: the
-interpolatory projection of power-sum profiles and the semilog fit of an
-hp convergence history."""
+interpolatory projection of power-sum profiles, the semilog fit of an
+hp convergence history and the bilinear form through a given operator."""
 
 import numpy as np
 
+from fracdg.kernel import _jump_values
 from fracdg.stepper import DgSolution, _power_moments, _power_table
 
 
@@ -43,3 +44,13 @@ def semilog_fit(errors, dofs):
     total = y - y.mean()
     r_squared = 1.0 - residuals @ residuals / (total @ total)
     return -coeffs[0], coeffs[1], float(r_squared)
+
+
+def form_through(operator, coeffs_v, coeffs_w):
+    """int_0^T (B v)(t) w(t) dt applied through `operator`, built for the
+    degrees of v and w, in the order of summation `kernel.memory_form` uses."""
+    jumps = _jump_values(coeffs_v)
+    return sum(
+        float(w_n @ operator.apply(n, coeffs_v[:n], jumps[:n]))
+        for n, w_n in enumerate(coeffs_w, start=1)
+    )

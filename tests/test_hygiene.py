@@ -1,4 +1,5 @@
-"""Source hygiene of src/fracdg, read with ast: exports and imports."""
+"""Source hygiene of src/fracdg, read with ast: exports, imports and the one
+door to the memory operator."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,19 @@ def test_no_module_imports_a_name_it_does_not_use():
             if (module, name) not in UNUSED_IMPORT_SEAMS
         ]
     assert unused == []
+
+
+def test_only_kernel_builds_a_memory_operator():
+    # every other module goes through kernel.memory_operator, which shares
+    # each live operator by its key
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "kernel":
+            continue
+        for node in ast.walk(parse(path.stem)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "MemoryOperator":
+                    builders.append(f"{path.stem}:{node.lineno}")
+    assert builders == []

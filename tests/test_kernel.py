@@ -21,6 +21,7 @@ from fracdg import kernel
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
 from fracdg.problems import power_mode_problem, two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
+from support import form_through
 
 # Largest Legendre degree the kernel rules are checked to; far beyond
 # anything the hp studies use.
@@ -896,28 +897,16 @@ def test_memory_form_power_function_identity():
 def test_forms_reject_a_block_count_other_than_the_intervals(count):
     # fewer blocks used to raise a bare IndexError, and more were dropped
     mesh = graded_mesh(1.0, 3, 1.0, 2)
-    operator = kernel.MemoryOperator(mesh, -0.5, mesh.degrees, mesh.degrees)
     good = [np.ones(3)] * 3
     bad = [np.ones(3)] * count
     forms = [
         lambda v, w: kernel.memory_form(mesh, -0.5, v, w),
-        lambda v, w: kernel.operator_form(operator, v, w),
         lambda v, w: kernel.l2_form(mesh, v, w),
     ]
     for form in forms:
         for name, v, w in (("v", bad, good), ("w", good, bad)):
             with pytest.raises(ValueError, match=f"{name} has {count} coefficient blocks, expected 3"):
                 form(v, w)
-
-
-def test_operator_form_rejects_degrees_other_than_its_key():
-    mesh = graded_mesh(1.0, 3, 1.0, 2)
-    operator = kernel.MemoryOperator(mesh, -0.5, mesh.degrees, mesh.degrees)
-    good = [np.ones(3)] * 3
-    other = [np.ones(3), np.ones(2), np.ones(3)]
-    for v, w in ((other, good), (good, other)):
-        with pytest.raises(ValueError, match=r"v and w have degrees .*, the operator \[\(2, 2, 2\), \(2, 2, 2\)\]"):
-            kernel.operator_form(operator, v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +945,7 @@ def test_memory_form_through_a_shared_operator_is_a_fresh_build_bit_for_bit(monk
         value = kernel.memory_form(mesh, alpha, v, w)
         assert len(calls) == built
         fresh = kernel.MemoryOperator(mesh, alpha, [len(c) - 1 for c in v], [len(c) - 1 for c in w])
-        assert value == kernel.operator_form(fresh, v, w)
+        assert value == form_through(fresh, v, w)
 
 
 def test_memory_operator_shares_only_on_an_exact_key():
@@ -968,7 +957,7 @@ def test_memory_operator_shares_only_on_an_exact_key():
     assert moved.nodes.size == mesh.nodes.size and not np.array_equal(moved.nodes, mesh.nodes)
     # an equal key in other types, on a copy of the mesh, hits
     copy = TimeMesh(mesh.nodes.copy(), mesh.degrees)
-    held = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+    held = kernel.memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
     assert kernel.memory_operator(copy, np.float64(alpha), [2, 2, 2, 2], (2, 2, 2, 2)) is held
     misses = {
         "alpha": (mesh, -0.3, mesh.degrees, mesh.degrees),
@@ -977,12 +966,36 @@ def test_memory_operator_shares_only_on_an_exact_key():
         "nodes one ulp apart": (moved, alpha, mesh.degrees, mesh.degrees),
     }
     for name, key in misses.items():
-        # each miss builds and becomes the operator built last, so hold a
-        # new operator of the mesh's key before every one
-        held = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-        assert kernel.memory_operator(mesh, alpha, mesh.degrees, mesh.degrees) is held, name
         other = kernel.memory_operator(*key)
         assert other is not held and other.key == kernel._operator_key(*key), name
+        # a miss displaces no live operator, and is shared itself while held
+        assert kernel.memory_operator(mesh, alpha, mesh.degrees, mesh.degrees) is held, name
+        assert kernel.memory_operator(*key) is other, name
+
+
+def test_every_live_operator_is_shared_by_its_key(monkeypatch):
+    # builds of other keys in between displace nothing: while the solution
+    # lives, a form on its own key builds no block
+    rng = np.random.default_rng(9)
+    alpha, N = -0.45, 6
+    mesh = graded_mesh(1.0, N, 1.5, 2)
+    problems = mode_problems(two_mode_problem(alpha))
+    solution = solve(problems, mesh, alpha)
+    own_v, own_w = _random_broken_coeffs(rng, mesh), _random_broken_coeffs(rng, mesh)
+    other_v = [rng.standard_normal(k) for k in (3, 1, 4, 2, 3, 2)]
+    calls = _counted_blocks(monkeypatch)
+    others = [
+        lambda: kernel.memory_form(mesh, alpha, other_v, other_v),
+        lambda: stability_report(solution, problems, -0.3),
+    ]
+    for other in others:
+        calls.clear()
+        other()
+        assert len(calls) == N * (N + 1) // 2
+        calls.clear()
+        own = kernel.memory_form(mesh, alpha, own_v, own_w)
+        assert calls == []
+        assert own == form_through(solution.memory_operator, own_v, own_w)
 
 
 def test_nothing_is_retained_once_the_solution_is_dropped(monkeypatch):

@@ -145,6 +145,16 @@ def test_time_mesh_validation():
         TimeMesh([0.0, 0.5, 1.0], [1])
     with pytest.raises(ValueError, match="nonnegative"):
         TimeMesh([0.0, 1.0], [-1])
+    # a non-finite node or a degree that is not a whole number is named
+    with pytest.raises(ValueError, match="node 1 is nan"):
+        TimeMesh([0.0, math.nan, 1.0], [1, 1])
+    with pytest.raises(ValueError, match="node 2 is inf"):
+        TimeMesh([0.0, 0.5, math.inf], [1, 1])
+    with pytest.raises(ValueError, match="degree 1 is 1.7"):
+        TimeMesh([0.0, 0.5, 1.0], [1.7, 2])
+    with pytest.raises(ValueError, match="degree 2 is nan"):
+        TimeMesh([0.0, 0.5, 1.0], [1, math.nan])
+    assert TimeMesh([0.0, 0.5, 1.0], [1.0, 2.0]).degrees.tolist() == [1, 2]
 
 
 def test_interval_and_degree_accessors():

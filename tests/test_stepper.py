@@ -133,6 +133,9 @@ def test_evaluate_domain_error():
         sol.evaluate(1.5)
     with pytest.raises(ValueError, match="outside"):
         sol.evaluate(-0.1)
+    for t in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match="outside"):
+            sol.evaluate(t)
 
 
 def test_solution_shape_validation():
@@ -535,6 +538,17 @@ def test_stability_report_reuses_the_blocks_of_solve(monkeypatch):
     other = stability_report(solution, problems, -0.3)
     assert sorted(calls) == sorted((j, n) for n in range(1, 5) for j in range(1, n + 1))
     assert not np.array_equal(other.lhs, report.lhs)
+
+
+def test_stability_report_needs_one_problem_per_mode():
+    # one problem per mode: any other count is named before any work
+    mesh = graded_mesh(1.0, 3, 1.0, 1)
+    problems = [ModeProblem(1.0, None, 1.0), ModeProblem(4.0, None, 2.0)]
+    solution = solve(problems, mesh, -0.5)
+    for count in (1, 3):
+        given = (problems * 2)[:count]
+        with pytest.raises(ValueError, match=f"{count} problems for a solution of 2 modes"):
+            stability_report(solution, given, -0.5)
 
 
 def test_report_memory_energy_is_the_sum_of_the_modes_memory_forms():
