@@ -42,7 +42,6 @@ from .problems import (
     ManufacturedProblem,
     ModeComponent,
     PowerSum,
-    power_mode_problem,
     two_mode_problem,
 )
 from .spatial import (

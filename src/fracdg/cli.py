@@ -29,7 +29,7 @@ from .analysis import (
     run_hp_study,
     write_plot_data,
 )
-from .config import ConfigError, config_hash, parse_config
+from .config import ConfigError, _check_range, config_hash, parse_config
 from .kernel import coercivity_constants, l2_form, memory_form
 from .mesh import dof_count, geometric_mesh, graded_mesh
 from .problems import two_mode_problem
@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_GATE = 3
+
+# random trial pairs of the coercivity spot check
+_COERCIVITY_TRIALS = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,9 +79,13 @@ def _backend_system(config, problem):
 
 
 def _solve_mesh(config):
-    if config.family == "graded":
-        return graded_mesh(config.T, config.N, config.gamma, config.p, config.first_interval_linear)
-    return geometric_mesh(config.T, config.T_1, config.delta, config.L, config.mu)
+    """The mesh of a solve; ConfigError if its nodes underflow or collapse."""
+    try:
+        if config.family == "graded":
+            return graded_mesh(config.T, config.N, config.gamma, config.p, config.first_interval_linear)
+        return geometric_mesh(config.T, config.T_1, config.delta, config.L, config.mu)
+    except ValueError as exc:
+        raise ConfigError(f"mesh: {exc}") from None
 
 
 def _write(path, text):
@@ -111,7 +118,7 @@ def _stability_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def _coercivity_text(mesh, alpha, seed, trials=20):
+def _coercivity_text(mesh, alpha, seed):
     """Spot check of the quadratic-form bounds on random trial functions.
 
     The trial functions carry the mesh's degrees, so while the solution of
@@ -122,7 +129,7 @@ def _coercivity_text(mesh, alpha, seed, trials=20):
     horizon = mesh.horizon
     worst_coercive = math.inf
     worst_continuous = math.inf
-    for _ in range(trials):
+    for _ in range(_COERCIVITY_TRIALS):
         v = [rng.standard_normal(mesh.degree(n) + 1) for n in range(1, mesh.interval_count + 1)]
         w = [rng.standard_normal(mesh.degree(n) + 1) for n in range(1, mesh.interval_count + 1)]
         qvv = memory_form(mesh, alpha, v, v)
@@ -134,7 +141,7 @@ def _coercivity_text(mesh, alpha, seed, trials=20):
         worst_continuous = min(worst_continuous, continuous)
     ok = worst_coercive >= -1e-10 and worst_continuous >= -1e-10
     return (
-        f"trials = {trials}\n"
+        f"trials = {_COERCIVITY_TRIALS}\n"
         f"seed = {seed}\n"
         f"coercivity_margin = {worst_coercive:.6e}\n"
         f"continuity_margin = {worst_continuous:.6e}\n"
@@ -218,7 +225,7 @@ _STUDIES = {
 }
 
 
-def cmd_study(command, config, out, timings=True):
+def cmd_study(command, config, out, timings):
     required, runner, csv_name, curves, labels, arguments = _STUDIES[command]
     if not getattr(config, required):
         raise ConfigError(f"missing required key {required}")
@@ -329,6 +336,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            _check_range("seed", args.seed)
         if args.command == "selftest":
             out = Path(args.out) if args.out else Path("selftest-out")
             seed = args.seed if args.seed is not None else 1

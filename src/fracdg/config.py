@@ -142,7 +142,15 @@ _RANGES = (
     ("elements", None, "be >= 2", lambda v: v >= 2),
     ("degree", None, "be >= 1", lambda v: v >= 1),
     ("m", None, "be >= 1", lambda v: v >= 1),
+    ("seed", None, "be >= 0", lambda v: v >= 0),
 )
+
+
+def _check_range(key, value):
+    """ConfigError unless `value` meets the `_RANGES` requirement of `key`."""
+    _, _, rule, holds = next(row for row in _RANGES if row[0] == key)
+    if not holds(value):
+        raise ConfigError(f"{key} must {rule}, got {value}")
 
 
 def _validate(config):
@@ -155,9 +163,7 @@ def _validate(config):
     if config.backend not in ("spectral", "fem"):
         raise ConfigError(f"type must be spectral or fem, got {config.backend!r}")
     for key, list_key, rule, holds in _RANGES:
-        value = getattr(config, key)
-        if not holds(value):
-            raise ConfigError(f"{key} must {rule}, got {value}")
+        _check_range(key, getattr(config, key))
         for entry in getattr(config, list_key) if list_key else ():
             if not holds(entry):
                 raise ConfigError(f"{list_key} entries must {rule}, got {entry}")

@@ -16,11 +16,13 @@ integrals with Gauss-Jacobi rules (`_jacobi_rule`, singular at either end;
 exact for the near-diagonal cases), differences of such rules, or
 Gauss-Legendre once the singularity is well separated from the integration
 interval, and assembles them into the memory-matrix blocks that discretize
-the history term.  Where many time nodes share one source interval (the
-near-field blocks), the rules of all of them are built together: grouped by
-branch, one array per group.  A far-field block is L K R: cached tables of
-the weighted basis at reference Gauss-Legendre nodes on either side of the
-kernel matrix K = (t_q - s_r)^alpha, the only factor built per pair.
+the history term.  A singular point left of its interval (a load's t_0 = 0,
+a jump column's source node) takes `power_rule`.  One right of it arises
+only where many time nodes share one source interval (the near-field
+blocks), and `_right_power_rules` builds all their rules together: grouped
+by branch, one array per group.  A far-field block is L K R: cached tables
+of the weighted basis at reference Gauss-Legendre nodes on either side of
+the kernel matrix K = (t_q - s_r)^alpha, the only factor built per pair.
 
 A Gauss-Legendre rule mapped to one interval serves many pairs: every jump
 column of a target whose singular point is far enough off takes one of a
@@ -136,34 +138,28 @@ def _gl_point_count(deg, rho):
 
 
 def power_rule(a, b, z, beta, deg):
-    """Signed quadrature (nodes, weights) for int_a^b F(s) |s-z|^beta ds.
+    """Quadrature (nodes, weights) for int_a^b F(s) (s-z)^beta ds, z <= a.
 
-    The singular point z must lie outside (a, b): z <= a (kernel (s-z)^beta)
-    or z >= b (kernel (z-s)^beta).  Exact for polynomials F up to degree
-    `deg` when a Jacobi branch applies; the Gauss-Legendre branch resolves
-    the kernel to near machine precision by scaling its point count with
-    the distance of z from the interval.
-
-    Branches on A = dist(z, nearest endpoint) and the ellipse parameter
-    rho = x + sqrt(x^2 - 1), x = 1 + 2A/(b-a):
+    Exact for polynomials F up to degree `deg` when a Jacobi branch applies;
+    the Gauss-Legendre branch resolves the kernel to near machine precision
+    by scaling its point count with the distance of z from a.  Branches on
+    A = a - z and rho = x + sqrt(x^2 - 1), x = 1 + 2A/(b-a):
       A == 0          single Gauss-Jacobi rule, `_jacobi_rule` (exact),
       rho < 1.25      difference of two `_jacobi_rule`s anchored at z
                       (exact; some nodes fall just outside (a,b), polynomial
                       evaluation there is legitimate),
-      otherwise       Gauss-Legendre with a rho-dependent point count.
-    A singular point to the left is `_left_power_rule`, whose Gauss-Legendre
-    rules come from the build's table, one to the right the one-point case
-    of `_right_power_rules`.
+      otherwise       Gauss-Legendre with a rho-dependent point count, from
+                      the build's table (`_left_power_rule`).
+    ValueError for beta <= -1 or z > a: every load of `solve` has its
+    singular point t_0 = 0 left of the interval, and the near field's right
+    singularities are `_right_power_rules`.
     """
     if beta <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {beta}")
-    if z <= a:
-        nodes, weights, _ = _left_power_rule(a, b, z, beta, deg)
-        return nodes, weights
-    if z >= b:
-        ((_, nodes, weights),) = _right_power_rules(a, b, np.array([z], dtype=float), beta, deg)
-        return nodes.reshape(-1), weights[0]
-    raise ValueError(f"singular point z={z} lies inside the interval ({a}, {b})")
+    if z > a:
+        raise ValueError(f"singular point z={z} lies right of a={a}")
+    nodes, weights, _ = _left_power_rule(a, b, z, beta, deg)
+    return nodes, weights
 
 
 def _left_power_rule(a, b, z, beta, deg):
@@ -190,8 +186,13 @@ def _left_power_rule(a, b, z, beta, deg):
 
 
 def _right_power_rules(a, b, z, beta, deg):
-    """power_rule(a, b, z_q, beta, deg) for every singular point z_q >= b.
+    """Signed rules for int_a^b F(s) (z_q-s)^beta ds at each z_q >= b of the
+    array z, beta > -1.
 
+    With A = z_q - b and rho = x + sqrt(x^2 - 1), x = 1 + 2A/(b-a), A == 0
+    takes one Gauss-Jacobi rule singular at b and rho < 1.25 the difference
+    of two anchored at z_q, both exact for F of degree <= `deg`; otherwise
+    Gauss-Legendre with a rho-dependent point count, near machine precision.
     The branch of z_q depends only on its rho, and within a branch every
     z_q shares one reference rule, so the points are grouped by branch
     (and Gauss-Legendre point count) and each group is built as one array.

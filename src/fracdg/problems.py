@@ -24,7 +24,6 @@ __all__ = [
     "ModeComponent",
     "ManufacturedProblem",
     "two_mode_problem",
-    "power_mode_problem",
 ]
 
 _MERGE_TOL = 1e-15
@@ -124,10 +123,6 @@ class ManufacturedProblem:
     def mode_count(self):
         return len(self.modes)
 
-    @property
-    def eigenvalues(self):
-        return np.array([m.eigenvalue for m in self.modes])
-
     def initial_coefficients(self):
         return np.array([m.profile.at_zero() for m in self.modes])
 
@@ -155,14 +150,3 @@ def two_mode_problem(alpha, K=1.0):
     )
     return ManufacturedProblem("two_mode", alpha, alpha + 2.0, float(K), modes)
 
-
-def power_mode_problem(lam, nu, alpha):
-    """Single scalar mode u = t^nu with its closed-form forcing."""
-    alpha = _check_alpha(alpha)
-    if nu < 0.0:
-        raise ValueError(f"exponent nu must be >= 0, got {nu}")
-    if nu + alpha <= -1.0:
-        raise ValueError(f"forcing exponent nu+alpha = {nu + alpha} is non-integrable")
-    modes = (_mode(lam, PowerSum.of((1.0, float(nu))), alpha),)
-    sigma = float(nu) if nu > 0.0 else math.inf
-    return ManufacturedProblem(f"power_{nu:g}", alpha, sigma, 1.0, modes)

@@ -147,8 +147,8 @@ class DgSolution:
 
     def __post_init__(self):
         for n, block in enumerate(self.coefficients, start=1):
-            if block.shape[0] != self.mesh.degree(n) + 1:
-                raise ValueError(f"coefficient block {n} does not match mesh degree")
+            if block.shape != (self.mesh.degree(n) + 1, self.initial_values.size):
+                raise ValueError(f"coefficient block {n} has shape {block.shape}, not (mesh degree + 1, modes)")
 
     @property
     def mode_count(self):

@@ -1,11 +1,27 @@
 """Helpers the tests share that the package itself never calls: the
-interpolatory projection of power-sum profiles, the semilog fit of an
-hp convergence history and the bilinear form through a given operator."""
+one-mode manufactured problem t^nu, the interpolatory projection of
+power-sum profiles, the semilog fit of an hp convergence history and the
+bilinear form through a given operator."""
+
+import math
 
 import numpy as np
 
-from fracdg.kernel import _jump_values
+from fracdg.kernel import _check_alpha, _jump_values
+from fracdg.problems import ManufacturedProblem, PowerSum, _mode
 from fracdg.stepper import DgSolution, _power_moments, _power_table
+
+
+def power_mode_problem(lam, nu, alpha):
+    """Single scalar mode u = t^nu with its closed-form forcing."""
+    alpha = _check_alpha(alpha)
+    if nu < 0.0:
+        raise ValueError(f"exponent nu must be >= 0, got {nu}")
+    if nu + alpha <= -1.0:
+        raise ValueError(f"forcing exponent nu+alpha = {nu + alpha} is non-integrable")
+    modes = (_mode(lam, PowerSum.of((1.0, float(nu))), alpha),)
+    sigma = float(nu) if nu > 0.0 else math.inf
+    return ManufacturedProblem(f"power_{nu:g}", alpha, sigma, 1.0, modes)
 
 
 def pi_projection(profiles, mesh):

@@ -22,10 +22,10 @@ from fracdg.analysis import (
 )
 from fracdg.kernel import _gauss_legendre, legendre_derivative_values
 from fracdg.mesh import graded_mesh
-from fracdg.problems import power_mode_problem, two_mode_problem
+from fracdg.problems import two_mode_problem
 from fracdg.spatial import fem_backend, spectral_backend
 from fracdg.stepper import DgSolution, mode_problems, solve
-from support import pi_projection, semilog_fit
+from support import pi_projection, power_mode_problem, semilog_fit
 
 
 def projection_gamma(p, q):
@@ -253,7 +253,7 @@ def test_projection_bound_constant_stable():
     # interior-interval projection error against p^2 (k/2)^{2q} Gamma_{p,q}
     # times the regularity integral; the fitted ratio stays put under refinement
     problem = two_mode_problem(-0.7)
-    lams = problem.eigenvalues
+    lams = np.array([m.eigenvalue for m in problem.modes])
     profiles = [m.profile for m in problem.modes]
     p = q = 2
 

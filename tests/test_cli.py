@@ -379,3 +379,35 @@ def test_shipped_configs_parse():
     for name in ("table1.cfg", "table2.cfg", "fig2.cfg"):
         config = parse_config((Path(__file__).parent.parent / "configs" / name).read_text())
         assert config.alpha is not None
+
+
+@pytest.mark.parametrize("command", ["solve", "h-study", "hp-study", "delta-sweep", "selftest", "config"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    # a config's seed and every subcommand's --seed share one range, checked
+    # before anything runs: no traceback and no file
+    diagnostics = "[diagnostics]\ncoercivity_check = true\n"
+    if command == "config":
+        cfg = _write_config(tmp_path, MINIMAL + diagnostics + "seed = -1\n")
+        argv = ["solve", "--config", cfg]
+    else:
+        cfg = _write_config(tmp_path, MINIMAL + "Ns = 4\nLs = 2\ndeltas = 0.3\n" + diagnostics)
+        argv = [command] + (["--config", cfg] if command != "selftest" else []) + ["--seed", "-1"]
+    status = main(argv + ["--out", str(tmp_path / "out")])
+    assert status == EXIT_USAGE
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    ["family = geometric\ndelta = 0.1\nL = 400", "family = graded\nN = 4\ngamma = 1e308"],
+    ids=["geometric-underflow", "graded-collapse"],
+)
+def test_solve_on_a_mesh_the_library_rejects_is_a_config_error(tmp_path, capsys, mesh):
+    # each key is in range, but the nodes underflow or collapse
+    cfg = _write_config(tmp_path, f"[problem]\nalpha = -0.5\n[mesh]\n{mesh}\n[study]\nm = 5\n")
+    status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "config error: mesh: nodes must be strictly increasing; step 1 has size 0.0\n"
+    assert not (tmp_path / "out").exists()

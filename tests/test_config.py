@@ -158,6 +158,7 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = -0.5\n[backend]\nmodes = -1", "modes must be >= 0, got -1"),
         ("[problem]\nalpha = -0.5\n[backend]\nelements = 1", "elements must be >= 2, got 1"),
         ("[problem]\nalpha = -0.5\n[backend]\ndegree = 0", "degree must be >= 1, got 0"),
+        ("[problem]\nalpha = -0.5\n[diagnostics]\nseed = -1", "seed must be >= 0, got -1"),
     ],
 )
 def test_validation_messages(snippet, fragment):

@@ -35,6 +35,16 @@ def imported_names(tree):
     return names
 
 
+def package_exports():
+    """Every name fracdg/__init__.py imports, in order."""
+    return [
+        alias.name
+        for node in parse("__init__").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
 def test_package_exports_are_in_their_modules_all():
     missing = []
     for node in parse("__init__").body:
@@ -46,12 +56,7 @@ def test_package_exports_are_in_their_modules_all():
 
 def test_every_library_modules_all_is_exported():
     # cli's one name, main, is the console script, not a library export
-    exported = {
-        alias.name
-        for node in parse("__init__").body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(package_exports())
     missing = [
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
@@ -92,3 +97,18 @@ def test_only_kernel_builds_a_memory_operator():
                 if name == "MemoryOperator":
                     builders.append(f"{path.stem}:{node.lineno}")
     assert builders == []
+
+
+def test_every_export_is_named_by_program_code():
+    # a package export no program module reads, as a Name or an Attribute,
+    # is API that only the tests use; its own def or class is no reader
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(parse(path.stem)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert [name for name in package_exports() if name not in named] == []

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from fracdg import kernel
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
-from fracdg.problems import power_mode_problem, two_mode_problem
+from fracdg.problems import two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
 from support import form_through
 
@@ -28,9 +28,16 @@ from support import form_through
 MAX_MOMENT_DEGREE = 64
 
 
+def right_power_rule(a, b, z, beta, deg):
+    """(nodes, weights) for int_a^b F(s) (z-s)^beta ds, z >= b: the
+    one-point case of `kernel._right_power_rules` as a single rule."""
+    ((_, nodes, weights),) = kernel._right_power_rules(a, b, np.array([z], dtype=float), beta, deg)
+    return nodes.reshape(-1), weights[0]
+
+
 def frac_moment(a, b, t, k, alpha):
     """int_a^min(b, t) (t-s)^alpha P_k(s) ds with P_k the Legendre basis on (a, b)."""
-    nodes, weights = kernel.power_rule(a, min(b, t), t, alpha, k)
+    nodes, weights = right_power_rule(a, min(b, t), t, alpha, k)
     return float(weights @ kernel.legendre_values(nodes, a, b, k)[:, k])
 
 
@@ -82,7 +89,7 @@ def frac_derivative_values(mesh, alpha, coeffs, times):
             if p_j == 0:
                 continue
             b = min(nodes_arr[j], t)
-            qn, qw = kernel.power_rule(a, b, t, alpha, p_j - 1)
+            qn, qw = right_power_rule(a, b, t, alpha, p_j - 1)
             dvals = kernel.legendre_derivative_values(qn, nodes_arr[j - 1], nodes_arr[j], p_j, 1)
             acc += scale * float(qw @ (dvals @ coeffs[j - 1]))
         out[idx] = acc
@@ -135,14 +142,13 @@ def _alpha_entry_points():
         "MemoryOperator": lambda alpha: kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees),
         "memory_operator": lambda alpha: kernel.memory_operator(mesh, alpha, mesh.degrees, mesh.degrees),
         "two_mode_problem": lambda alpha: two_mode_problem(alpha),
-        "power_mode_problem": lambda alpha: power_mode_problem(1.0, 2.0, alpha),
     }
 
 
 @pytest.mark.parametrize(
     "entry",
     ["solve", "stability_report", "memory_form", "memory_block", "MemoryOperator",
-     "memory_operator", "two_mode_problem", "power_mode_problem"],
+     "memory_operator", "two_mode_problem"],
 )
 @pytest.mark.parametrize("alpha", [0.0, 0.3, -1.0, math.nan], ids=str)
 def test_entry_points_reject_alpha_outside_range(entry, alpha):
@@ -190,6 +196,10 @@ def test_power_rule_rejects_interior_singularity_and_bad_exponent():
         kernel.power_rule(0.0, 1.0, 0.5, -0.5, 3)
     with pytest.raises(ValueError):
         kernel.power_rule(0.0, 1.0, 2.0, -1.0, 3)
+    # a singular point right of a, on b or beyond it, is not power_rule's
+    for z in (1e-300, 1.0, 2.0):
+        with pytest.raises(ValueError, match="right of"):
+            kernel.power_rule(0.0, 1.0, z, -0.5, 3)
 
 
 def test_power_rule_mass_identity():
@@ -198,7 +208,7 @@ def test_power_rule_mass_identity():
         for beta in (-0.9, -0.4, 0.35):
             t = 1.0 + gap
             rounded_gap = t - 1.0
-            nodes, weights = kernel.power_rule(0.0, 1.0, t, beta, 5)
+            nodes, weights = right_power_rule(0.0, 1.0, t, beta, 5)
             ref = (t ** (beta + 1) - rounded_gap ** (beta + 1)) / (beta + 1)
             assert math.isclose(float(weights.sum()), ref, rel_tol=1e-12)
 
@@ -230,7 +240,7 @@ def test_power_rule_right_singularity_against_oracle():
             for alpha in (-0.2, -0.8):
                 a, b, t = 0.3, 1.4, 1.4 + gap
                 if gap in (below, above):
-                    nodes, _ = kernel.power_rule(a, b, t, alpha, k)
+                    nodes, _ = right_power_rule(a, b, t, alpha, k)
                     assert_switch_branch(nodes, a, b, gap, below, k)
                 ref = oracles.moment_oracle(a, b, t, k, alpha)
                 mass = abs(oracles.kernel_mass(a, b, t, alpha))
@@ -266,7 +276,7 @@ def power_rule_error(a, b, z, beta, k):
 
     coeff = np.zeros(k + 1)
     coeff[k] = 1.0
-    nodes, weights = kernel.power_rule(a, b, z, beta, k)
+    nodes, weights = (kernel.power_rule if z <= a else right_power_rule)(a, b, z, beta, k)
     val = float(weights @ leg.legval((2.0 * nodes - (a + b)) / (b - a), coeff))
     if z <= a:
         ref = oracles.left_moment_oracle(a, b, z, k, beta)

@@ -9,11 +9,11 @@ from fracdg.problems import (
     ManufacturedProblem,
     PowerSum,
     _mode,
-    power_mode_problem,
     two_mode_problem,
 )
 
 from oracles import riemann_liouville_oracle
+from support import power_mode_problem
 
 
 def test_power_sum_merging_and_eval():
@@ -55,7 +55,7 @@ def test_two_mode_structure():
     alpha = -0.7
     problem = two_mode_problem(alpha)
     assert problem.sigma == pytest.approx(alpha + 2.0)
-    assert problem.eigenvalues == pytest.approx([math.pi**2, 4.0 * math.pi**2])
+    assert [m.eigenvalue for m in problem.modes] == pytest.approx([math.pi**2, 4.0 * math.pi**2])
     assert problem.initial_coefficients() == pytest.approx([1.0 / math.sqrt(2.0), 0.0])
     vals = problem.exact_coefficients([0.25, 1.0])
     assert vals.shape == (2, 2)
@@ -162,7 +162,7 @@ def test_forcing_residual_against_quadrature():
 def test_regularity_tags():
     # sampled |u^(j)|_1 t^{j-sigma} stays bounded toward t -> 0 for j <= 3
     for problem in (two_mode_problem(-0.7), power_mode_problem(4.0, 1.75, -0.3)):
-        lam = problem.eigenvalues
+        lam = np.array([m.eigenvalue for m in problem.modes])
         times = np.logspace(-6, 0, 40)
         for j in (1, 2, 3):
             ders = [m.profile for m in problem.modes]

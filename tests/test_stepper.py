@@ -13,7 +13,7 @@ import fracdg.stepper as stepper_mod
 from fracdg.analysis import backend_mode_problems, error_measure, fem_mode_problems
 from fracdg.kernel import MemoryBlock, l2_form, memory_block, memory_form
 from fracdg.mesh import TimeMesh, fine_grid, geometric_mesh, graded_mesh
-from fracdg.problems import PowerSum, power_mode_problem, two_mode_problem
+from fracdg.problems import PowerSum, two_mode_problem
 from fracdg.spatial import fem_backend, spectral_backend
 from fracdg.stepper import (
     DgSolution,
@@ -22,7 +22,7 @@ from fracdg.stepper import (
     solve,
     stability_report,
 )
-from support import pi_projection
+from support import pi_projection, power_mode_problem
 
 
 def test_local_system_transport_only():
@@ -142,6 +142,11 @@ def test_solution_shape_validation():
     mesh = graded_mesh(1.0, 2, 1.0, 1)
     with pytest.raises(ValueError, match="degree"):
         DgSolution(mesh, np.zeros(1), (np.zeros((3, 1)), np.zeros((2, 1))))
+    # two columns against one initial value: a block per mode is one column
+    with pytest.raises(ValueError, match=r"coefficient block 1 has shape \(2, 2\)"):
+        DgSolution(mesh, np.zeros(1), (np.ones((2, 2)), np.ones((2, 2))))
+    with pytest.raises(ValueError, match=r"coefficient block 2 has shape \(2,\)"):
+        DgSolution(mesh, np.zeros(2), (np.ones((2, 2)), np.ones(2)))
 
 
 def test_mode_problem_validation():
