@@ -2,7 +2,8 @@
 
 Subcommands: `solve | h-study | hp-study | delta-sweep | selftest`, each
 taking `--config PATH` (selftest excepted) plus `--out DIR` and `--seed S`
-overrides.
+overrides.  Only `solve` runs the diagnostics: a study given `--seed`,
+`stability_report = true` or `coercivity_check = true` is a config error.
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 3 expectation-gate failure.
 
@@ -59,6 +60,11 @@ def _load(args):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.config}: {exc}") from None
     config = parse_config(text)
+    diagnostics = {"--seed": args.seed is not None, "stability_report": config.stability_report,
+                   "coercivity_check": config.coercivity_check}
+    given = [key for key, value in diagnostics.items() if value]
+    if args.command in _STUDIES and given:
+        raise ConfigError(f"{', '.join(given)}: {args.command} runs no diagnostics, only solve does")
     out = Path(args.out) if args.out else Path(config.out)
     seed = args.seed if args.seed is not None else config.seed
     return config, out, seed

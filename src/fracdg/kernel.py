@@ -19,8 +19,11 @@ interval, and assembles them into the memory-matrix blocks that discretize
 the history term.  A singular point left of its interval (a load's t_0 = 0,
 a jump column's source node) takes `power_rule`.  One right of it arises
 only where many time nodes share one source interval (the near-field
-blocks), and `_right_power_rules` builds all their rules together: grouped
-by branch, one array per group.  A far-field block is L K R: cached tables
+blocks), and `_right_power_rules` builds all their rules as one flat rule
+set: rows sorted by branch and point count, every Gauss-Legendre rule
+mapped and every kernel power taken at once.  Only the contraction with the
+basis values stays one product per group (`_near_rows`), because a batched
+one rounds differently.  A far-field block is L K R: cached tables
 of the weighted basis at reference Gauss-Legendre nodes on either side of
 the kernel matrix K = (t_q - s_r)^alpha, the only factor built per pair.
 
@@ -187,42 +190,66 @@ def _left_power_rule(a, b, z, beta, deg):
 
 def _right_power_rules(a, b, z, beta, deg):
     """Signed rules for int_a^b F(s) (z_q-s)^beta ds at each z_q >= b of the
-    array z, beta > -1.
+    array z, beta > -1, as one flat rule set.
 
     With A = z_q - b and rho = x + sqrt(x^2 - 1), x = 1 + 2A/(b-a), A == 0
     takes one Gauss-Jacobi rule singular at b and rho < 1.25 the difference
     of two anchored at z_q, both exact for F of degree <= `deg`; otherwise
     Gauss-Legendre with a rho-dependent point count, near machine precision.
     The branch of z_q depends only on its rho, and within a branch every
-    z_q shares one reference rule, so the points are grouped by branch
-    (and Gauss-Legendre point count) and each group is built as one array.
-    Returns a list of (rows, nodes, weights): weights[r] is the rule of
-    z[rows[r]], and nodes is either of the same shape or, for a group whose
-    rules share their nodes, one row of them.
+    z_q shares one reference rule, so the points fall into groups: the
+    exact ones, the difference ones, then the Gauss-Legendre ones by
+    ascending point count.  The Gauss-Legendre groups are built together:
+    their reference rules are mapped to (a, b) once, and the weights of
+    every (z_q, node) pair come from one gathered power.
+
+    Returns (rows, nodes, weights, groups), the groups laid end to end:
+    group g is groups[g] = (size, shape), the rules of z[rows[i]] for the
+    next `size` entries i of rows; its nodes are the next prod(shape)
+    entries of nodes, shape (count,) when its rules share them and
+    (size, count) when each has its own, and its weights the next
+    size * count entries of weights, one rule after another.
     """
     dist = z - b
     rho = _ellipse_rho(dist, b - a)
     npts = deg // 2 + 1
-    groups = []
+    parts, groups = [], []
     exact = dist == 0.0
     if exact.any():
-        rows = np.flatnonzero(exact)
-        nodes, w = _jacobi_rule(npts, beta, a, b, at_a=False)
-        groups.append((rows, nodes, np.tile(w, (rows.size, 1))))
+        group_rows = np.flatnonzero(exact)
+        group_nodes, w = _jacobi_rule(npts, beta, a, b, at_a=False)
+        parts.append((group_rows, group_nodes, np.tile(w, group_rows.size)))
+        groups.append((group_rows.size, group_nodes.shape))
     diff = (rho < _DIFF_RHO) & ~exact
     if diff.any():
-        rows = np.flatnonzero(diff)
-        zr = z[rows, None]
+        group_rows = np.flatnonzero(diff)
+        zr = z[group_rows, None]
         n_full, w_full = _jacobi_rule(npts, beta, a, zr, at_a=False)
         n_cut, w_cut = _jacobi_rule(npts, beta, b, zr, at_a=False)
-        groups.append((rows, np.hstack([n_full, n_cut]), np.hstack([w_full, -w_cut])))
+        group_nodes = np.hstack([n_full, n_cut])
+        parts.append((group_rows, group_nodes.ravel(), np.hstack([w_full, -w_cut]).ravel()))
+        groups.append((group_rows.size, group_nodes.shape))
     smooth = np.flatnonzero(rho >= _DIFF_RHO)
-    counts = _gl_point_count(deg, rho[smooth])
-    for count in np.unique(counts):
-        rows = smooth[counts == count]
-        nodes, w = _gauss_legendre(count, a, b)
-        groups.append((rows, nodes, w * (z[rows, None] - nodes) ** beta))
-    return groups
+    if smooth.size:
+        counts = _gl_point_count(deg, rho[smooth])
+        by_count = np.argsort(counts, kind="stable")
+        row_counts = counts[by_count]
+        unique, sizes = np.unique(row_counts, return_counts=True)
+        x, w = map(np.concatenate, zip(*map(_legendre_ref, unique.tolist())))
+        # `_gauss_legendre` of every count at once, the same arithmetic
+        half = 0.5 * (b - a)
+        group_nodes = a + half * (x + 1.0)
+        w = w * half
+        # pair (row i, node k) reads node first[i] + k, first[i] its count's first node
+        first = np.repeat(np.cumsum(unique) - unique, sizes)
+        pair_node = np.repeat(first - (np.cumsum(row_counts) - row_counts), row_counts)
+        pair_node += np.arange(pair_node.size)
+        group_rows = smooth[by_count]
+        pair_z = np.repeat(z[group_rows], row_counts)
+        parts.append((group_rows, group_nodes, w[pair_node] * (pair_z - group_nodes[pair_node]) ** beta))
+        groups.extend((size, (count,)) for count, size in zip(unique.tolist(), sizes.tolist()))
+    rows, nodes, weights = map(np.concatenate, zip(*parts))
+    return rows, nodes, weights, groups
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +430,28 @@ def _near_t_layers(tl, tr, gap, deg):
 def _near_rows(sl, sr, t, alpha, p_j):
     """Rows int_sl^sr (t_q - s)^alpha P_l'(s) ds, l <= p_j, for an array t >= sr.
 
-    One basis evaluation at the nodes of every rule, then one product per
-    branch group of the power rules; neither is repeated per t_q.
+    One flat rule set (`_right_power_rules`) and one basis evaluation at
+    all its nodes; neither is repeated per t_q or per group.  Only the
+    contraction of each group's weights with its basis values, a stacked
+    (size, 1, count) @ (count, p_j+1) product, stays one matmul per group:
+    a single 2-D product, an einsum or a zero-padded node count each round
+    differently, and the rows must keep their bits.  The products fill one
+    buffer in group order, scattered to the rows of t once.
     """
-    groups = _right_power_rules(sl, sr, t, alpha, p_j - 1)
-    dvals = legendre_derivative_values(
-        np.concatenate([s_nodes.ravel() for _, s_nodes, _ in groups]), sl, sr, p_j, 1
-    )
+    rows, nodes, weights, groups = _right_power_rules(sl, sr, t, alpha, p_j - 1)
+    dvals = legendre_derivative_values(nodes, sl, sr, p_j, 1)
+    by_group = np.empty((t.size, 1, p_j + 1))
+    row = node = pair = 0
+    for size, shape in groups:
+        count, span = shape[-1], math.prod(shape)
+        np.matmul(
+            weights[pair : pair + size * count].reshape(size, 1, count),
+            dvals[node : node + span].reshape(shape + (p_j + 1,)),
+            out=by_group[row : row + size],
+        )
+        row, node, pair = row + size, node + span, pair + size * count
     out = np.empty((t.size, p_j + 1))
-    start = 0
-    for rows, s_nodes, s_w in groups:
-        group_dvals = dvals[start : start + s_nodes.size].reshape(s_nodes.shape + (p_j + 1,))
-        start += s_nodes.size
-        out[rows] = (s_w[:, None, :] @ group_dvals)[:, 0]
+    out[rows] = by_group[:, 0]
     return out
 
 

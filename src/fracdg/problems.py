@@ -111,11 +111,10 @@ def _mode(lam, profile, alpha):
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """Named exact solution with per-mode forcing and regularity tag."""
+    """Named exact solution with per-mode forcing."""
 
     name: str
     alpha: float
-    sigma: float
     diffusivity: float
     modes: tuple
 
@@ -137,7 +136,7 @@ def two_mode_problem(alpha, K=1.0):
 
     Profiles are stored in the orthonormal basis phi_m = sqrt(2) sin(m pi x),
     so the coefficient of mode 1 is 1/sqrt(2) and of mode 2 is
-    -t^{alpha+2}/sqrt(2).  The regularity exponent is sigma = alpha + 2.
+    -t^{alpha+2}/sqrt(2), so the solution's regularity exponent is alpha + 2.
     """
     alpha = _check_alpha(alpha)
     if K <= 0.0:
@@ -148,5 +147,5 @@ def two_mode_problem(alpha, K=1.0):
         _mode(lam[0], PowerSum.of((root_half, 0.0)), alpha),
         _mode(lam[1], PowerSum.of((-root_half, alpha + 2.0)), alpha),
     )
-    return ManufacturedProblem("two_mode", alpha, alpha + 2.0, float(K), modes)
+    return ManufacturedProblem("two_mode", alpha, float(K), modes)
 

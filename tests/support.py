@@ -1,13 +1,21 @@
 """Helpers the tests share that the package itself never calls: the
 one-mode manufactured problem t^nu, the interpolatory projection of
-power-sum profiles, the semilog fit of an hp convergence history and the
-bilinear form through a given operator."""
-
-import math
+power-sum profiles, the semilog fit of an hp convergence history, the
+bilinear form through a given operator and the per-group near-field rows
+that the flat rule set of `kernel._right_power_rules` must reproduce."""
 
 import numpy as np
 
-from fracdg.kernel import _check_alpha, _jump_values
+from fracdg.kernel import (
+    _DIFF_RHO,
+    _check_alpha,
+    _ellipse_rho,
+    _gauss_legendre,
+    _gl_point_count,
+    _jacobi_rule,
+    _jump_values,
+    legendre_derivative_values,
+)
 from fracdg.problems import ManufacturedProblem, PowerSum, _mode
 from fracdg.stepper import DgSolution, _power_moments, _power_table
 
@@ -20,8 +28,7 @@ def power_mode_problem(lam, nu, alpha):
     if nu + alpha <= -1.0:
         raise ValueError(f"forcing exponent nu+alpha = {nu + alpha} is non-integrable")
     modes = (_mode(lam, PowerSum.of((1.0, float(nu))), alpha),)
-    sigma = float(nu) if nu > 0.0 else math.inf
-    return ManufacturedProblem(f"power_{nu:g}", alpha, sigma, 1.0, modes)
+    return ManufacturedProblem(f"power_{nu:g}", alpha, 1.0, modes)
 
 
 def pi_projection(profiles, mesh):
@@ -70,3 +77,51 @@ def form_through(operator, coeffs_v, coeffs_w):
         float(w_n @ operator.apply(n, coeffs_v[:n], jumps[:n]))
         for n, w_n in enumerate(coeffs_w, start=1)
     )
+
+
+def grouped_right_power_rules(a, b, z, beta, deg):
+    """The right-singularity rules of `kernel._right_power_rules` built one
+    group at a time, each Gauss-Legendre point count with its own mapped
+    rule, mask and power: a list of (rows, nodes, weights), weights[r] the
+    rule of z[rows[r]] and nodes of the same shape or, for a group whose
+    rules share their nodes, one row of them."""
+    dist = z - b
+    rho = _ellipse_rho(dist, b - a)
+    npts = deg // 2 + 1
+    groups = []
+    exact = dist == 0.0
+    if exact.any():
+        rows = np.flatnonzero(exact)
+        nodes, w = _jacobi_rule(npts, beta, a, b, at_a=False)
+        groups.append((rows, nodes, np.tile(w, (rows.size, 1))))
+    diff = (rho < _DIFF_RHO) & ~exact
+    if diff.any():
+        rows = np.flatnonzero(diff)
+        zr = z[rows, None]
+        n_full, w_full = _jacobi_rule(npts, beta, a, zr, at_a=False)
+        n_cut, w_cut = _jacobi_rule(npts, beta, b, zr, at_a=False)
+        groups.append((rows, np.hstack([n_full, n_cut]), np.hstack([w_full, -w_cut])))
+    smooth = np.flatnonzero(rho >= _DIFF_RHO)
+    counts = _gl_point_count(deg, rho[smooth])
+    for count in np.unique(counts):
+        rows = smooth[counts == count]
+        nodes, w = _gauss_legendre(count, a, b)
+        groups.append((rows, nodes, w * (z[rows, None] - nodes) ** beta))
+    return groups
+
+
+def grouped_near_rows(sl, sr, t, alpha, p_j):
+    """`kernel._near_rows` through `grouped_right_power_rules`: one basis
+    evaluation at the concatenated nodes, then one product per group
+    written to its rows."""
+    groups = grouped_right_power_rules(sl, sr, t, alpha, p_j - 1)
+    dvals = legendre_derivative_values(
+        np.concatenate([s_nodes.ravel() for _, s_nodes, _ in groups]), sl, sr, p_j, 1
+    )
+    out = np.empty((t.size, p_j + 1))
+    start = 0
+    for rows, s_nodes, s_w in groups:
+        group_dvals = dvals[start : start + s_nodes.size].reshape(s_nodes.shape + (p_j + 1,))
+        start += s_nodes.size
+        out[rows] = (s_w[:, None, :] @ group_dvals)[:, 0]
+    return out

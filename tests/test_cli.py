@@ -411,3 +411,19 @@ def test_solve_on_a_mesh_the_library_rejects_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == "config error: mesh: nodes must be strictly increasing; step 1 has size 0.0\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["--seed", "stability_report", "coercivity_check"])
+@pytest.mark.parametrize("command", ["h-study", "hp-study", "delta-sweep"])
+def test_study_given_diagnostics_is_a_config_error(tmp_path, capsys, command, key):
+    # only solve runs the diagnostics; a study would drop them without a word
+    text = MINIMAL + "Ns = 4\nLs = 2\ndeltas = 0.3\n"
+    if key == "--seed":
+        flags = ["--seed", "5"]
+    else:
+        text, flags = text + f"[diagnostics]\n{key} = true\n", []
+    cfg = _write_config(tmp_path, text)
+    status = main([command, "--config", cfg, "--out", str(tmp_path / "out")] + flags)
+    assert status == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {key}: {command} runs no diagnostics, only solve does\n"
+    assert not (tmp_path / "out").exists()

@@ -21,7 +21,7 @@ from fracdg import kernel
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
 from fracdg.problems import two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
-from support import form_through
+from support import form_through, grouped_near_rows, grouped_right_power_rules
 
 # Largest Legendre degree the kernel rules are checked to; far beyond
 # anything the hp studies use.
@@ -30,9 +30,10 @@ MAX_MOMENT_DEGREE = 64
 
 def right_power_rule(a, b, z, beta, deg):
     """(nodes, weights) for int_a^b F(s) (z-s)^beta ds, z >= b: the
-    one-point case of `kernel._right_power_rules` as a single rule."""
-    ((_, nodes, weights),) = kernel._right_power_rules(a, b, np.array([z], dtype=float), beta, deg)
-    return nodes.reshape(-1), weights[0]
+    one-point case of `kernel._right_power_rules`, one group of one rule."""
+    _, nodes, weights, groups = kernel._right_power_rules(a, b, np.array([z], dtype=float), beta, deg)
+    assert len(groups) == 1
+    return nodes, weights
 
 
 def frac_moment(a, b, t, k, alpha):
@@ -550,8 +551,73 @@ def test_near_rows_match_per_node_power_rules(alpha, gap_ratio, log_step_ratio, 
     assert np.max(np.abs(got - ref) / scale) <= tol
 
 
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def assert_flat_rules_match_groups(a, b, z, beta, deg):
+    """The flat rule set of `_right_power_rules` is the per-group rules laid
+    end to end, bit for bit; returns its groups."""
+    rows, nodes, weights, groups = kernel._right_power_rules(a, b, z, beta, deg)
+    reference = grouped_right_power_rules(a, b, z, beta, deg)
+    assert groups == [(group_rows.size, group_nodes.shape) for group_rows, group_nodes, _ in reference]
+    assert same_bits(rows, np.concatenate([group_rows for group_rows, _, _ in reference]))
+    assert same_bits(nodes, np.concatenate([group_nodes.ravel() for _, group_nodes, _ in reference]))
+    assert same_bits(weights, np.concatenate([w.ravel() for _, _, w in reference]))
+    return groups
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.95, -0.05),
+    gap_ratio=st.one_of(st.just(0.0), st.floats(1e-8, 1.999)),
+    log_step_ratio=st.floats(-6.0, 6.0),
+    p_j=st.integers(1, 8),
+)
+def test_near_rows_equal_the_per_group_loop_bitwise(alpha, gap_ratio, log_step_ratio, p_j):
+    # the node sets of test_near_rows_match_per_node_power_rules: a block's
+    # t-layers, a node on the singular endpoint, two straddling _DIFF_RHO
+    # and three with different Gauss-Legendre point counts
+    sl, sr = 2.0, 3.0
+    k_n = 10.0**log_step_ratio
+    gap = gap_ratio * max(k_n, sr - sl)
+    tl = sr + gap
+    layers = kernel._near_t_layers(tl, tl + k_n, gap, 2 * p_j)
+    edge = (kernel._DIFF_RHO + 1.0 / kernel._DIFF_RHO) / 2.0 - 1.0
+    probes = sr + (sr - sl) * np.array(
+        [0.0, 0.5 * edge * (1.0 - 1e-6), 0.5 * edge * (1.0 + 1e-6), 0.3, 3.0, 40.0]
+    )
+    t = np.concatenate([nodes for nodes, _ in layers] + [probes])
+    assert_flat_rules_match_groups(sl, sr, t, alpha, p_j - 1)
+    assert same_bits(kernel._near_rows(sl, sr, t, alpha, p_j), grouped_near_rows(sl, sr, t, alpha, p_j))
+
+
+# t - sr in units of the source step, and the groups they form: E exact,
+# D difference of rules, G one Gauss-Legendre point count
+_FLAT_RULE_CASES = {
+    "every-row-exact": ([0.0, 0.0, 0.0], "E"),
+    "no-smooth-row": ([0.0, 1e-9, 1e-3, 0.012, 0.0], "ED"),
+    "single-point-count": ([40.0, 40.0 + 1e-9, 40.0 + 2e-9], "G"),
+    "single-t-node": ([0.3], "G"),
+}
+
+
+@pytest.mark.parametrize("p_j", [1, 4, 8])
+@pytest.mark.parametrize("case", list(_FLAT_RULE_CASES))
+def test_flat_rules_edge_cases_equal_the_per_group_loop(case, p_j):
+    offsets, branches = _FLAT_RULE_CASES[case]
+    sl, sr, alpha = 2.0, 3.0, -0.45
+    t = sr + (sr - sl) * np.array(offsets)
+    groups = assert_flat_rules_match_groups(sl, sr, t, alpha, p_j - 1)
+    # the exact rule has (p_j - 1)//2 + 1 nodes, fewer than any Gauss-Legendre one
+    exact_shape = ((p_j - 1) // 2 + 1,)
+    kinds = ["D" if len(shape) == 2 else "E" if shape == exact_shape else "G" for _, shape in groups]
+    assert "".join(kinds) == branches
+    assert same_bits(kernel._near_rows(sl, sr, t, alpha, p_j), grouped_near_rows(sl, sr, t, alpha, p_j))
+
+
 def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
-    # one grouped rule set and one basis evaluation for all t-layers of a
+    # one flat rule set and one basis evaluation for all t-layers of a
     # near block, not one per layer or per t node; the only other rule of
     # the block is its jump column's, which does not go through power_rule
     real_rules = kernel._right_power_rules
@@ -561,9 +627,9 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
     calls, counts = [], {"values": 0, "power_rule": 0, "jump_rule": 0}
 
     def rules(a, b, z, beta, deg):
-        groups = real_rules(a, b, z, beta, deg)
-        calls.append((z.size, len(groups)))
-        return groups
+        flat = real_rules(a, b, z, beta, deg)
+        calls.append((z.size, len(flat[3])))
+        return flat
 
     def values(*args):
         counts["values"] += 1

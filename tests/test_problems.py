@@ -54,7 +54,8 @@ def test_frac_integral_inverts_frac_derivative():
 def test_two_mode_structure():
     alpha = -0.7
     problem = two_mode_problem(alpha)
-    assert problem.sigma == pytest.approx(alpha + 2.0)
+    # mode 2 is -t^(alpha+2)/sqrt(2): the regularity exponent is alpha + 2
+    assert [exponent for _, exponent in problem.modes[1].profile.terms] == pytest.approx([alpha + 2.0])
     assert [m.eigenvalue for m in problem.modes] == pytest.approx([math.pi**2, 4.0 * math.pi**2])
     assert problem.initial_coefficients() == pytest.approx([1.0 / math.sqrt(2.0), 0.0])
     vals = problem.exact_coefficients([0.25, 1.0])
@@ -140,7 +141,7 @@ def test_forcing_residual_against_quadrature():
         two_mode_problem(-0.7),
         power_mode_problem(2.5, 1.75, -0.3),
         ManufacturedProblem(
-            "mixed", -0.4, 1.3, 1.0,
+            "mixed", -0.4, 1.0,
             (
                 _mode(1.0, PowerSum.of((1.0, 0.0), (0.5, 1.3)), -0.4),
                 _mode(5.0, PowerSum.of((-2.0, 2.0)), -0.4),
@@ -160,8 +161,10 @@ def test_forcing_residual_against_quadrature():
 
 
 def test_regularity_tags():
-    # sampled |u^(j)|_1 t^{j-sigma} stays bounded toward t -> 0 for j <= 3
-    for problem in (two_mode_problem(-0.7), power_mode_problem(4.0, 1.75, -0.3)):
+    # sampled |u^(j)|_1 t^{j-sigma} stays bounded toward t -> 0 for j <= 3,
+    # sigma the regularity exponent: alpha + 2 for the two-mode problem and
+    # nu for t^nu
+    for problem, sigma in ((two_mode_problem(-0.7), -0.7 + 2.0), (power_mode_problem(4.0, 1.75, -0.3), 1.75)):
         lam = np.array([m.eigenvalue for m in problem.modes])
         times = np.logspace(-6, 0, 40)
         for j in (1, 2, 3):
@@ -170,6 +173,6 @@ def test_regularity_tags():
                 ders = [d.derivative() for d in ders]
             vals = np.column_stack([d(times) for d in ders])
             norm = np.sqrt((vals**2) @ lam)
-            ratio = norm * times ** (j - problem.sigma)
+            ratio = norm * times ** (j - sigma)
             assert np.all(np.isfinite(ratio))
             assert ratio.max() <= 2.0 * ratio[-1] + 1e-12
