@@ -21,7 +21,7 @@ from .analysis import (
     run_hp_study,
     write_plot_data,
 )
-from .config import ConfigError, RunConfig, config_hash, parse_config, serialize
+from .config import ConfigError, RunConfig, config_hash, parse_config
 from .kernel import (
     MemoryBlock,
     MemoryOperator,

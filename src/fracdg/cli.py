@@ -3,7 +3,8 @@
 Subcommands: `solve | h-study | hp-study | delta-sweep | selftest`, each
 taking `--config PATH` (selftest excepted) plus `--out DIR` and `--seed S`
 overrides.  Only `solve` runs the diagnostics: a study given `--seed`,
-`stability_report = true` or `coercivity_check = true` is a config error.
+`stability_report = true`, `coercivity_check = true` or a `seed` is a
+config error.
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 3 expectation-gate failure.
 
@@ -46,6 +47,7 @@ EXIT_GATE = 3
 
 # random trial pairs of the coercivity spot check
 _COERCIVITY_TRIALS = 20
+_DEFAULT_SEED = 1  # the diagnostics' seed when neither --seed nor the config sets one
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,27 +63,21 @@ def _load(args):
         raise ConfigError(f"cannot read {args.config}: {exc}") from None
     config = parse_config(text)
     diagnostics = {"--seed": args.seed is not None, "stability_report": config.stability_report,
-                   "coercivity_check": config.coercivity_check}
+                   "coercivity_check": config.coercivity_check, "seed": config.seed is not None}
     given = [key for key, value in diagnostics.items() if value]
     if args.command in _STUDIES and given:
         raise ConfigError(f"{', '.join(given)}: {args.command} runs no diagnostics, only solve does")
     out = Path(args.out) if args.out else Path(config.out)
     seed = args.seed if args.seed is not None else config.seed
-    return config, out, seed
+    return config, out, _DEFAULT_SEED if seed is None else seed
 
 
 def _backend_system(config, problem):
-    """Spatial backend of a run, for `solve` and every study alike."""
+    """Spatial backend of a run, for `solve` and every study alike; `type`,
+    `elements` and `degree` fix its mode count."""
     if config.backend == "spectral":
-        system = spectral_backend(problem.mode_count, problem.diffusivity)
-    else:
-        system = fem_backend(config.elements, config.degree, problem.diffusivity)[1]
-    if config.modes not in (0, system.mode_count):
-        raise ConfigError(
-            f"modes: the {config.backend} backend of problem {problem.name} has "
-            f"{system.mode_count} modes, got {config.modes}"
-        )
-    return system
+        return spectral_backend(problem.mode_count, problem.diffusivity)
+    return fem_backend(config.elements, config.degree, problem.diffusivity)[1]
 
 
 def _solve_mesh(config):
@@ -342,12 +338,10 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed is not None:
-            _check_range("seed", args.seed)
+        _check_range("seed", args.seed)
         if args.command == "selftest":
             out = Path(args.out) if args.out else Path("selftest-out")
-            seed = args.seed if args.seed is not None else 1
-            return cmd_selftest(out, seed)
+            return cmd_selftest(out, _DEFAULT_SEED if args.seed is None else args.seed)
         config, out, seed = _load(args)
         return _run(args.command, config, out, seed)
     except ConfigError as exc:

@@ -5,29 +5,29 @@ lines and `#` comments are ignored.  Values are booleans (`true`/`false`),
 integers, floats, bare strings, or comma-separated lists of numbers.  The
 sections and keys are fixed (`_SECTIONS`):
 
-    [problem]      name, alpha, diffusivity
+    [problem]      alpha, diffusivity
     [mesh]         family (graded|geometric), T, N, gamma, p,
                    first_interval_linear, T_1, delta, L, mu
-    [backend]      type (spectral|fem), modes, elements, degree
+    [backend]      type (spectral|fem), elements, degree
     [study]        m, gammas, ps, Ns, deltas, Ls, alphas
     [diagnostics]  stability_report, coercivity_check, seed
     [output]       out
     [expect]       error_max, rate_min, rate_max
 
-Each key is one typed `RunConfig` field of the same name, except `name`
-(field `problem`) and `type` (field `backend`); the field's type picks the
-parser.  Unknown sections or keys are rejected, and all numeric ranges are
+Each key is one typed `RunConfig` field of the same name, except `type`
+(field `backend`); the field's type picks the parser.  Unknown sections or
+keys and a key given twice are rejected, and all numeric ranges are
 checked at parse time with messages naming the offending key.  `serialize`
 emits a canonical rendering (fixed order, shortest round-trip floats, a
-section only when one of its keys is set) so that parse -> serialize ->
-parse is the identity and the config hash is stable.
+section only when one of its keys is set), so parse -> serialize -> parse is
+the identity; `config_hash` adds the removed keys' old lines to it.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, fields
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize", "config_hash"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "config_hash"]
 
 
 class ConfigError(ValueError):
@@ -36,10 +36,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of one run; study lists stay empty for single solves, and
-    an unset expectation (None) is not checked."""
+    """All knobs of one run; study lists stay empty for single solves.  When
+    unset (None), an expectation goes unchecked, seed is 1, T_1 is min(1, T)."""
 
-    problem: str = "two_mode"
     alpha: float = None
     diffusivity: float = 1.0
     family: str = "graded"
@@ -48,12 +47,11 @@ class RunConfig:
     gamma: float = 1.0
     p: int = 1
     first_interval_linear: bool = False
-    T_1: float = 1.0
+    T_1: float = None
     delta: float = 0.25
     L: int = 5
     mu: float = 1.0
     backend: str = "spectral"
-    modes: int = 0
     elements: int = 64
     degree: int = 2
     m: int = 10
@@ -65,25 +63,38 @@ class RunConfig:
     alphas: tuple[float, ...] = ()
     stability_report: bool = False
     coercivity_check: bool = False
-    seed: int = 1
+    seed: int = None
     out: str = "results"
     error_max: float = None
     rate_min: float = None
     rate_max: float = None
 
+    def __post_init__(self):
+        if self.T_1 is None:
+            object.__setattr__(self, "T_1", min(1.0, self.T))
+
 
 # section -> its keys, in canonical order
 _SECTIONS = {
-    "problem": ("name", "alpha", "diffusivity"),
+    "problem": ("alpha", "diffusivity"),
     "mesh": ("family", "T", "N", "gamma", "p", "first_interval_linear", "T_1", "delta", "L", "mu"),
-    "backend": ("type", "modes", "elements", "degree"),
+    "backend": ("type", "elements", "degree"),
     "study": ("m", "gammas", "ps", "Ns", "deltas", "Ls", "alphas"),
     "diagnostics": ("stability_report", "coercivity_check", "seed"),
     "output": ("out",),
     "expect": ("error_max", "rate_min", "rate_max"),
 }
 # the keys whose RunConfig field has another name
-_RENAMED = {"name": "problem", "type": "backend"}
+_RENAMED = {"type": "backend"}
+# The hashed grammar: _SECTIONS plus the removed keys every hashed text
+# carried, where they stood; a key no field sets renders its one old value.
+_HASHED_SECTIONS = {
+    **_SECTIONS,
+    "problem": ("name", *_SECTIONS["problem"]),
+    "backend": ("type", "modes", *_SECTIONS["backend"][1:]),
+    "study": (*_SECTIONS["study"], "threads"),
+}
+_HASHED_FILLS = {"name": "two_mode", "modes": 0, "threads": 1, "seed": 1}
 
 
 def _parse_bool(key, text):
@@ -138,7 +149,6 @@ _RANGES = (
     ("delta", "deltas", "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
     ("L", "Ls", "be >= 1", lambda v: v >= 1),
     ("mu", None, "be positive", lambda v: v > 0.0),
-    ("modes", None, "be >= 0", lambda v: v >= 0),
     ("elements", None, "be >= 2", lambda v: v >= 2),
     ("degree", None, "be >= 1", lambda v: v >= 1),
     ("m", None, "be >= 1", lambda v: v >= 1),
@@ -147,15 +157,13 @@ _RANGES = (
 
 
 def _check_range(key, value):
-    """ConfigError unless `value` meets the `_RANGES` requirement of `key`."""
+    """ConfigError unless `value` is unset or meets `key`'s `_RANGES` requirement."""
     _, _, rule, holds = next(row for row in _RANGES if row[0] == key)
-    if not holds(value):
+    if value is not None and not holds(value):
         raise ConfigError(f"{key} must {rule}, got {value}")
 
 
 def _validate(config):
-    if config.problem != "two_mode":
-        raise ConfigError(f"problem must be two_mode, got {config.problem!r}")
     if config.alpha is None:
         raise ConfigError("missing required key alpha")
     if config.family not in ("graded", "geometric"):
@@ -174,6 +182,7 @@ def _validate(config):
 def parse_config(text):
     """RunConfig from config text; raises ConfigError with the key name."""
     values = {}
+    seen = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -192,6 +201,8 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if key not in _SECTIONS[section]:
             raise ConfigError(f"unknown key {section}.{key}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{key} given twice (lines {seen[key]} and {lineno})")
         name = _RENAMED.get(key, key)
         values[name] = _PARSERS[_FIELD_TYPES[name]](key, value)
     config = RunConfig(**values)
@@ -202,34 +213,30 @@ def parse_config(text):
 def _format(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         return ", ".join(_format(v) for v in value)
     return str(value)
 
 
-def serialize(config):
-    """Canonical config text: fixed section and key order, unset keys and
-    sections left out."""
+def _render(config, sections, fills):
+    """Config text in a grammar; unset keys take their fill or are left out."""
     lines = []
-    for section, keys in _SECTIONS.items():
-        values = [(key, getattr(config, _RENAMED.get(key, key))) for key in keys]
+    for section, keys in sections.items():
+        values = [(key, getattr(config, _RENAMED.get(key, key), None)) for key in keys]
+        values = [(key, fills.get(key) if value is None else value) for key, value in values]
         entries = [f"{key} = {_format(value)}" for key, value in values if value not in (None, ())]
         if entries:
             lines.extend([f"[{section}]", *entries, ""])
     return "\n".join(lines)
 
 
-# A removed [study] key, 1 in every canonical text ever hashed: the hash
-# keeps its line at the end of [study] so that written results keep their
-# config hashes.  It is not a key, so no config can set it.
-_HASHED_STUDY_TAIL = "threads = 1"
+def serialize(config):
+    """Canonical config text that parse_config reads back to an equal
+    config: fixed key order, unset keys and empty sections left out."""
+    return _render(config, _SECTIONS, {})
 
 
 def config_hash(config):
-    """Twelve hex digits identifying the canonical config text."""
-    text = serialize(config).replace(
-        "\n\n[diagnostics]\n", f"\n{_HASHED_STUDY_TAIL}\n\n[diagnostics]\n", 1
-    )
+    """Twelve hex digits identifying the config's text in the hashed grammar."""
+    text = _render(config, _HASHED_SECTIONS, _HASHED_FILLS)
     return hashlib.sha256(text.encode()).hexdigest()[:12]

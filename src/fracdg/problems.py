@@ -111,9 +111,8 @@ def _mode(lam, profile, alpha):
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """Named exact solution with per-mode forcing."""
+    """Exact solution with per-mode forcing."""
 
-    name: str
     alpha: float
     diffusivity: float
     modes: tuple
@@ -132,7 +131,7 @@ class ManufacturedProblem:
 
 
 def two_mode_problem(alpha, K=1.0):
-    """Exact solution sin(pi x) - t^{alpha+2} sin(2 pi x) on (0,1).
+    """The problem every `fracdg` run solves: sin(pi x) - t^{alpha+2} sin(2 pi x) on (0,1).
 
     Profiles are stored in the orthonormal basis phi_m = sqrt(2) sin(m pi x),
     so the coefficient of mode 1 is 1/sqrt(2) and of mode 2 is
@@ -147,5 +146,5 @@ def two_mode_problem(alpha, K=1.0):
         _mode(lam[0], PowerSum.of((root_half, 0.0)), alpha),
         _mode(lam[1], PowerSum.of((-root_half, alpha + 2.0)), alpha),
     )
-    return ManufacturedProblem("two_mode", alpha, float(K), modes)
+    return ManufacturedProblem(alpha, float(K), modes)
 

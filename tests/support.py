@@ -28,7 +28,7 @@ def power_mode_problem(lam, nu, alpha):
     if nu + alpha <= -1.0:
         raise ValueError(f"forcing exponent nu+alpha = {nu + alpha} is non-integrable")
     modes = (_mode(lam, PowerSum.of((1.0, float(nu))), alpha),)
-    return ManufacturedProblem(f"power_{nu:g}", alpha, 1.0, modes)
+    return ManufacturedProblem(alpha, 1.0, modes)
 
 
 def pi_projection(profiles, mesh):

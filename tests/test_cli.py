@@ -12,7 +12,6 @@ from fracdg.config import parse_config
 
 MINIMAL = """
 [problem]
-name = two_mode
 alpha = -0.7
 [mesh]
 family = graded
@@ -21,7 +20,6 @@ N = 18
 p = 1
 [backend]
 type = spectral
-modes = 2
 [study]
 m = 10
 """
@@ -177,7 +175,7 @@ def test_shipped_study_outputs_match_pinned_bytes(tmp_path, name, command):
 
 
 def test_missing_alpha_names_key(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "[problem]\nname = two_mode\n")
+    cfg = _write_config(tmp_path, "[problem]\ndiffusivity = 1.0\n")
     status = main(["solve", "--config", cfg])
     assert status == EXIT_USAGE
     assert "alpha" in capsys.readouterr().err
@@ -361,15 +359,16 @@ def test_selftest_byte_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "h-study", "hp-study", "delta-sweep"])
 def test_wrong_mode_count_is_a_config_error(tmp_path, capsys, command):
+    # type, elements and degree fix the mode count, so `modes` is no key,
+    # whether its value is right (8 P2 elements carry 15 modes) or wrong
     grids = "Ns = 4\nLs = 2\ndeltas = 0.3\n"
-    spectral = MINIMAL.replace("modes = 2", "modes = 5")
-    # 8 P2 elements carry 15 discrete modes
-    fem = MINIMAL.replace("type = spectral\nmodes = 2", "type = fem\nelements = 8\nmodes = 5")
-    for backend, text in (("spectral", spectral), ("fem", fem)):
-        cfg = _write_config(tmp_path, text + grids, name=f"{backend}.cfg")
+    for backend, modes in (("spectral", 2), ("spectral", 5), ("fem", 15)):
+        text = MINIMAL.replace("type = spectral", f"type = {backend}\nelements = 8\nmodes = {modes}")
+        cfg = _write_config(tmp_path, text + grids)
         status = main([command, "--config", cfg, "--out", str(tmp_path / backend)])
         assert status == EXIT_USAGE, backend
-        assert "modes" in capsys.readouterr().err, backend
+        assert capsys.readouterr().err == "config error: unknown key backend.modes\n", backend
+        assert not (tmp_path / backend).exists()
 
 
 def test_shipped_configs_parse():
@@ -413,7 +412,7 @@ def test_solve_on_a_mesh_the_library_rejects_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["--seed", "stability_report", "coercivity_check"])
+@pytest.mark.parametrize("key", ["--seed", "stability_report", "coercivity_check", "seed"])
 @pytest.mark.parametrize("command", ["h-study", "hp-study", "delta-sweep"])
 def test_study_given_diagnostics_is_a_config_error(tmp_path, capsys, command, key):
     # only solve runs the diagnostics; a study would drop them without a word
@@ -421,9 +420,22 @@ def test_study_given_diagnostics_is_a_config_error(tmp_path, capsys, command, ke
     if key == "--seed":
         flags = ["--seed", "5"]
     else:
-        text, flags = text + f"[diagnostics]\n{key} = true\n", []
+        value = "7" if key == "seed" else "true"
+        text, flags = text + f"[diagnostics]\n{key} = {value}\n", []
     cfg = _write_config(tmp_path, text)
     status = main([command, "--config", cfg, "--out", str(tmp_path / "out")] + flags)
     assert status == EXIT_USAGE
     assert capsys.readouterr().err == f"config error: {key}: {command} runs no diagnostics, only solve does\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, mesh",
+    [("solve", "family = graded\nN = 4"), ("h-study", ""), ("solve", "family = geometric\nL = 3")],
+    ids=["graded-solve", "h-study", "geometric-solve"],
+)
+def test_horizon_below_one_runs(tmp_path, command, mesh):
+    # an unset T_1 is min(1, T): T = 0.5 no longer fails on a T_1 of 1.0
+    text = H_STUDY.replace("[study]", f"[mesh]\nT = 0.5\n{mesh}\n[study]")
+    cfg = _write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK

@@ -19,14 +19,12 @@ from fracdg.config import (
 
 MINIMAL = """
 [problem]
-name = two_mode
 alpha = -0.7
 """
 
 FULL = """
 # comment line
 [problem]
-name = two_mode
 alpha = -0.7          # trailing comment
 diffusivity = 1.0
 
@@ -61,7 +59,7 @@ rate_min = 2.0
 def test_parse_minimal_fills_defaults():
     config = parse_config(MINIMAL)
     assert config.alpha == -0.7
-    assert config.problem == "two_mode"
+    assert config.T_1 == 1.0 and config.seed is None
     assert config.family == "graded"
     assert config.backend == "spectral"
     assert config.m == 10
@@ -93,6 +91,8 @@ def test_hash_separates_configs():
     other = parse_config(MINIMAL.replace("-0.7", "-0.5"))
     assert config_hash(base) != config_hash(other)
     assert config_hash(base) == config_hash(parse_config(serialize(base)))
+    # an unset seed hashes as the seed 1 that every text hashed before it wrote
+    assert config_hash(parse_config(MINIMAL + "[diagnostics]\nseed = 1\n")) == config_hash(base)
     assert len(config_hash(base)) == 12
 
 
@@ -114,7 +114,7 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
 @pytest.mark.parametrize(
     "snippet,fragment",
     [
-        ("[problem]\nname = two_mode", "alpha"),
+        ("[problem]\ndiffusivity = 1.0", "alpha"),
         ("[problem]\nalpha = -1.5", "alpha must lie in (-1, 0)"),
         ("[problem]\nalpha = 0.3", "alpha must lie in (-1, 0)"),
         ("[problem]\nalpha = -0.5\n[mesh]\ngamma = 0.9", "gamma must be >= 1"),
@@ -131,7 +131,9 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("alpha = -0.5", "outside any section"),
         ("[problem]\nalpha -0.5", "key = value"),
         ("[problem]\nalpha = -0.5\n[expect]\nbudget = 3", "unknown key expect.budget"),
-        ("[problem]\nname = other_problem\nalpha = -0.5", "problem must be two_mode"),
+        ("[problem]\nname = two_mode\nalpha = -0.5", "unknown key problem.name"),
+        ("[problem]\nalpha = -0.5\nalpha = -0.7", "alpha given twice (lines 2 and 3)"),
+        ("[problem]\nalpha = -0.5\n[study]\nm = 5\n[study]\nm = 6", "m given twice (lines 4 and 6)"),
         ("[problem]\nalpha = -0.5\n[backend]\ntype = exact", "spectral or fem"),
         ("[problem]\nalpha = -0.5\n[mesh]\ngamma = inf", "gamma must be a finite number"),
         ("[problem]\nalpha = -0.5\n[mesh]\nT = inf", "T must be a finite number"),
@@ -147,6 +149,7 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
          "family must be graded or geometric, got 'uniform'"),
         ("[problem]\nalpha = -0.5\n[mesh]\nT = -1", "T must be positive, got -1.0"),
         ("[problem]\nalpha = -0.5\n[mesh]\nT = 1.0\nT_1 = 2.0", "T_1 must lie in (0, T], got 2.0"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nT = 0.5\nT_1 = 1.0", "T_1 must lie in (0, T], got 1.0"),
         ("[problem]\nalpha = -0.5\n[mesh]\nN = 0", "N must be >= 1, got 0"),
         ("[problem]\nalpha = -0.5\n[study]\ngammas = 1.5, 0.5", "gammas entries must be >= 1, got 0.5"),
         ("[problem]\nalpha = -0.5\n[study]\nps = 1, 0", "ps entries must be >= 1, got 0"),
@@ -155,7 +158,7 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = -0.5\n[mesh]\nL = 0", "L must be >= 1, got 0"),
         ("[problem]\nalpha = -0.5\n[study]\nLs = 3, 0", "Ls entries must be >= 1, got 0"),
         ("[problem]\nalpha = -0.5\n[mesh]\nmu = 0", "mu must be positive, got 0.0"),
-        ("[problem]\nalpha = -0.5\n[backend]\nmodes = -1", "modes must be >= 0, got -1"),
+        ("[problem]\nalpha = -0.5\n[backend]\nmodes = 0", "unknown key backend.modes"),
         ("[problem]\nalpha = -0.5\n[backend]\nelements = 1", "elements must be >= 2, got 1"),
         ("[problem]\nalpha = -0.5\n[backend]\ndegree = 0", "degree must be >= 1, got 0"),
         ("[problem]\nalpha = -0.5\n[diagnostics]\nseed = -1", "seed must be >= 0, got -1"),
@@ -165,6 +168,13 @@ def test_validation_messages(snippet, fragment):
     with pytest.raises(ConfigError) as info:
         parse_config(snippet)
     assert fragment in str(info.value)
+
+
+def test_unset_T_1_refines_the_whole_horizon_below_one():
+    geometric = parse_config("[problem]\nalpha = -0.5\n[mesh]\nfamily = geometric\nT = 0.5\n")
+    assert geometric.T_1 == 0.5
+    assert parse_config(MINIMAL + "[mesh]\nT = 2.0\n").T_1 == 1.0
+    assert RunConfig(alpha=-0.5, T=0.25).T_1 == 0.25
 
 
 def test_serialize_skips_empty_lists():
@@ -183,5 +193,5 @@ def test_sections_name_every_field_once_and_every_type_parses():
     keys = [key for section in _SECTIONS.values() for key in section]
     names = [_RENAMED.get(key, key) for key in keys]
     assert sorted(names) == sorted(f.name for f in fields(RunConfig))
-    assert len(set(names)) == len(names) == 31
+    assert len(set(names)) == len(names) == 29
     assert all(f.type in _PARSERS for f in fields(RunConfig))

@@ -1,8 +1,11 @@
-"""Source hygiene of src/fracdg, read with ast: exports, imports and the one
-door to the memory operator."""
+"""Source hygiene of src/fracdg, read with ast: exports, imports, the one
+door to the memory operator and the config fields the CLI acts on."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from fracdg.config import RunConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracdg"
 
@@ -112,3 +115,13 @@ def test_every_export_is_named_by_program_code():
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
     assert [name for name in package_exports() if name not in named] == []
+
+
+def test_every_config_field_is_read_by_the_cli():
+    # a config key whose field the CLI never reads does nothing to the run
+    read = {
+        node.attr
+        for node in ast.walk(parse("cli"))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert [f.name for f in fields(RunConfig) if f.name not in read] == []

@@ -141,7 +141,7 @@ def test_forcing_residual_against_quadrature():
         two_mode_problem(-0.7),
         power_mode_problem(2.5, 1.75, -0.3),
         ManufacturedProblem(
-            "mixed", -0.4, 1.0,
+            -0.4, 1.0,
             (
                 _mode(1.0, PowerSum.of((1.0, 0.0), (0.5, 1.3)), -0.4),
                 _mode(5.0, PowerSum.of((-2.0, 2.0)), -0.4),
