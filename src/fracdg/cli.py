@@ -2,9 +2,9 @@
 
 Subcommands: `solve | h-study | hp-study | delta-sweep | selftest`, each
 taking `--config PATH` (selftest excepted) plus `--out DIR` and `--seed S`
-overrides.  Only `solve` runs the diagnostics: a study given `--seed`,
-`stability_report = true`, `coercivity_check = true` or a `seed` is a
-config error.
+overrides.  `_READS` lists the config fields each part of a run reads; a
+field given (unlike its default; `--seed` gives `seed`) that no part of the
+run reads is a config error, raised before any file is written.
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
 3 expectation-gate failure.
 
@@ -17,6 +17,7 @@ compared byte-for-byte.
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .analysis import (
     run_hp_study,
     write_plot_data,
 )
-from .config import ConfigError, _check_range, config_hash, parse_config
+from .config import _RANGES, ConfigError, RunConfig, _check_range, config_hash, parse_config
 from .kernel import coercivity_constants, l2_form, memory_form
 from .mesh import dof_count, geometric_mesh, graded_mesh
 from .problems import two_mode_problem
@@ -62,30 +63,65 @@ def _load(args):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.config}: {exc}") from None
     config = parse_config(text)
-    diagnostics = {"--seed": args.seed is not None, "stability_report": config.stability_report,
-                   "coercivity_check": config.coercivity_check, "seed": config.seed is not None}
-    given = [key for key, value in diagnostics.items() if value]
-    if args.command in _STUDIES and given:
-        raise ConfigError(f"{', '.join(given)}: {args.command} runs no diagnostics, only solve does")
-    out = Path(args.out) if args.out else Path(config.out)
     seed = args.seed if args.seed is not None else config.seed
-    return config, out, _DEFAULT_SEED if seed is None else seed
+    _check_reads(args.command, replace(config, seed=seed))  # --seed gives a seed
+    return config, Path(args.out or config.out), _DEFAULT_SEED if seed is None else seed
+
+
+# The config fields each part of a run reads, a builder's in the order it takes
+# them; `_check_reads` picks the parts of a run
+_READS = {
+    "run": ("alpha", "diffusivity", "backend", "m", "out", "error_max", "rate_min", "rate_max"),
+    "solve": ("family", "stability_report", "coercivity_check"),
+    "graded": ("T", "N", "gamma", "p", "first_interval_linear"),
+    "geometric": ("T", "T_1", "delta", "L", "mu"),
+    "fem": ("elements", "degree"),
+    "coercivity": ("seed",),
+    "h-study": ("alpha", "gammas", "gamma", "ps", "p", "Ns", "T", "first_interval_linear"),
+    "hp-study": ("alpha", "deltas", "delta", "Ls", "mu", "T_1", "T"),
+    "delta-sweep": ("alphas", "alpha", "deltas", "L", "mu", "T_1", "T"),
+}
+
+
+def _arguments(config, part):
+    """A part's fields by name.  An empty list key takes its scalar where the
+    row holds both, which is then no argument; one without it must be set."""
+    arguments = {key: getattr(config, key) for key in _READS[part]}
+    for key, list_key, *_ in _RANGES:
+        if key in arguments and list_key in arguments:
+            scalar = arguments.pop(key)
+            arguments[list_key] = arguments[list_key] or (scalar,)
+        elif list_key in arguments and not arguments[list_key]:
+            raise ConfigError(f"missing required key {list_key}")
+    return arguments
+
+
+def _check_reads(command, config):
+    """ConfigError naming each field set unlike its default that no part of the run reads."""
+    solve = command == "solve"
+    parts = ["run", "solve", config.family] if solve else ["run", command]
+    parts += ["coercivity"] * (solve and config.coercivity_check) + ["fem"] * (config.backend == "fem")
+    read = {key for part in parts for key in _READS[part]}
+    defaults = vars(RunConfig(T=config.T))
+    unread = [key for key, value in vars(config).items() if value != defaults[key] and key not in read]
+    if unread:
+        run = f"a {config.family} solve" if solve else f"{'an' if command[0] == 'h' else 'a'} {command}"
+        raise ConfigError(f"{', '.join(unread)}: {run} does not read {'them' if unread[1:] else 'it'}")
 
 
 def _backend_system(config, problem):
-    """Spatial backend of a run, for `solve` and every study alike; `type`,
-    `elements` and `degree` fix its mode count."""
+    """Spatial backend of a run, for `solve` and every study alike; `type`
+    and the "fem" row fix its mode count."""
     if config.backend == "spectral":
         return spectral_backend(problem.mode_count, problem.diffusivity)
-    return fem_backend(config.elements, config.degree, problem.diffusivity)[1]
+    return fem_backend(*_arguments(config, "fem").values(), problem.diffusivity)[1]
 
 
 def _solve_mesh(config):
     """The mesh of a solve; ConfigError if its nodes underflow or collapse."""
     try:
-        if config.family == "graded":
-            return graded_mesh(config.T, config.N, config.gamma, config.p, config.first_interval_linear)
-        return geometric_mesh(config.T, config.T_1, config.delta, config.L, config.mu)
+        mesh = graded_mesh if config.family == "graded" else geometric_mesh
+        return mesh(**_arguments(config, config.family))
     except ValueError as exc:
         raise ConfigError(f"mesh: {exc}") from None
 
@@ -100,15 +136,13 @@ def _solution_csv(solution):
     header = ["interval", "t_left", "t_right"]
     for label in ("right_limit", "left_limit", "jump"):
         header.extend(f"{label}_{m + 1}" for m in range(count))
-    rights = solution.right_traces()
-    lefts = solution.left_traces()
-    jumps = solution.jumps()
+    traces = (solution.right_traces(), solution.left_traces(), solution.jumps())
     lines = [",".join(header)]
     nodes = solution.mesh.nodes
     for n in range(solution.mesh.interval_count):
         cells = [str(n + 1), f"{nodes[n]:.12e}", f"{nodes[n + 1]:.12e}"]
-        for block in (rights[n], lefts[n], jumps[n]):
-            cells.extend(f"{v:.12e}" for v in np.atleast_1d(block))
+        for trace in traces:
+            cells.extend(f"{v:.12e}" for v in np.atleast_1d(trace[n]))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -128,19 +162,16 @@ def _coercivity_text(mesh, alpha, seed):
     """
     rng = np.random.default_rng(seed)
     c_alpha, d_alpha = coercivity_constants(alpha)
-    horizon = mesh.horizon
-    worst_coercive = math.inf
-    worst_continuous = math.inf
+    worst_coercive = worst_continuous = math.inf
     for _ in range(_COERCIVITY_TRIALS):
-        v = [rng.standard_normal(mesh.degree(n) + 1) for n in range(1, mesh.interval_count + 1)]
-        w = [rng.standard_normal(mesh.degree(n) + 1) for n in range(1, mesh.interval_count + 1)]
+        v = [rng.standard_normal(p + 1) for p in mesh.degrees]
+        w = [rng.standard_normal(p + 1) for p in mesh.degrees]
         qvv = memory_form(mesh, alpha, v, v)
         qww = memory_form(mesh, alpha, w, w)
         qvw = memory_form(mesh, alpha, v, w)
-        coercive = qvv - c_alpha * horizon**alpha * l2_form(mesh, v, v)
-        continuous = d_alpha**2 * qvv * qww - qvw**2
+        coercive = qvv - c_alpha * mesh.horizon**alpha * l2_form(mesh, v, v)
         worst_coercive = min(worst_coercive, coercive)
-        worst_continuous = min(worst_continuous, continuous)
+        worst_continuous = min(worst_continuous, d_alpha**2 * qvv * qww - qvw**2)
     ok = worst_coercive >= -1e-10 and worst_continuous >= -1e-10
     return (
         f"trials = {_COERCIVITY_TRIALS}\n"
@@ -206,33 +237,19 @@ def cmd_solve(config, out, seed):
     return status
 
 
-# study subcommand -> (required key, runner, CSV name, plot curves of the
-# report and their axis labels, the runner's study arguments from a config)
+# study subcommand -> (runner, CSV name, plot curves of the report and
+# their axis labels); the runner takes its _READS row
 _STUDIES = {
-    "h-study": (
-        "Ns", run_h_study, "h_study.csv", None, None,
-        lambda c: dict(alpha=c.alpha, gammas=c.gammas or (c.gamma,), ps=c.ps or (c.p,),
-                       Ns=c.Ns, T=c.T, first_interval_linear=c.first_interval_linear),
-    ),
-    "hp-study": (
-        "Ls", run_hp_study, "hp_study.csv", figure_curves_hp, ("sqrt(dofs)", "error"),
-        lambda c: dict(alpha=c.alpha, deltas=c.deltas or (c.delta,), Ls=c.Ls,
-                       mu=c.mu, T_1=c.T_1, T=c.T),
-    ),
-    "delta-sweep": (
-        "deltas", delta_sweep, "delta_sweep.csv", figure_curves_sweep, ("delta", "error"),
-        lambda c: dict(alphas=c.alphas or (c.alpha,), deltas=c.deltas, L=c.L,
-                       mu=c.mu, T_1=c.T_1, T=c.T),
-    ),
+    "h-study": (run_h_study, "h_study.csv", None, None),
+    "hp-study": (run_hp_study, "hp_study.csv", figure_curves_hp, ("sqrt(dofs)", "error")),
+    "delta-sweep": (delta_sweep, "delta_sweep.csv", figure_curves_sweep, ("delta", "error")),
 }
 
 
 def cmd_study(command, config, out, timings):
-    required, runner, csv_name, curves, labels, arguments = _STUDIES[command]
-    if not getattr(config, required):
-        raise ConfigError(f"missing required key {required}")
+    runner, csv_name, curves, labels = _STUDIES[command]
     problem = two_mode_problem(config.alpha, config.diffusivity)
-    report = runner(**arguments(config), system=_backend_system(config, problem), m=config.m)
+    report = runner(**_arguments(config, command), system=_backend_system(config, problem), m=config.m)
     _write(out / csv_name, report.to_csv(timings, config_hash(config)))
     if curves is not None:
         write_plot_data(out / "plots", curves(report), *labels)
@@ -240,8 +257,7 @@ def cmd_study(command, config, out, timings):
         print(f"cell {cell} failed: {message}", file=sys.stderr)
     if report.failures:
         return EXIT_NUMERICAL
-    errors = [row.error for row in report.rows]
-    if _check_gates(config, errors, [row.rate_or_b for row in report.rows]):
+    if _check_gates(config, [row.error for row in report.rows], [row.rate_or_b for row in report.rows]):
         return EXIT_GATE
     print(f"wrote {out / csv_name} ({len(report.rows)} rows)")
     return EXIT_OK
@@ -302,8 +318,7 @@ def cmd_selftest(out, seed):
     """Run every pipeline twice and compare all output bytes."""
     for run in ("run1", "run2"):
         for name, text in _SELFTEST_CONFIGS.items():
-            config = parse_config(text)
-            status = _run(name, config, out / run / name, seed, timings=False)
+            status = _run(name, parse_config(text), out / run / name, seed, timings=False)
             if status != EXIT_OK:
                 print(f"selftest: {name} exited with {status}", file=sys.stderr)
                 return EXIT_NUMERICAL

@@ -3,24 +3,14 @@
 Grammar: flat `key = value` lines grouped under `[section]` headers; blank
 lines and `#` comments are ignored.  Values are booleans (`true`/`false`),
 integers, floats, bare strings, or comma-separated lists of numbers.  The
-sections and keys are fixed (`_SECTIONS`):
-
-    [problem]      alpha, diffusivity
-    [mesh]         family (graded|geometric), T, N, gamma, p,
-                   first_interval_linear, T_1, delta, L, mu
-    [backend]      type (spectral|fem), elements, degree
-    [study]        m, gammas, ps, Ns, deltas, Ls, alphas
-    [diagnostics]  stability_report, coercivity_check, seed
-    [output]       out
-    [expect]       error_max, rate_min, rate_max
-
-Each key is one typed `RunConfig` field of the same name, except `type`
-(field `backend`); the field's type picks the parser.  Unknown sections or
-keys and a key given twice are rejected, and all numeric ranges are
-checked at parse time with messages naming the offending key.  `serialize`
-emits a canonical rendering (fixed order, shortest round-trip floats, a
-section only when one of its keys is set), so parse -> serialize -> parse is
-the identity; `config_hash` adds the removed keys' old lines to it.
+sections and their keys are fixed (`_SECTIONS`); each key is one typed
+`RunConfig` field of the same name, except `type` (field `backend`), and
+the field's type picks the parser.  Unknown sections or keys and a key
+given twice are rejected, and all numeric ranges are checked at parse
+time with messages naming the offending key.
+`config_hash` hashes a canonical rendering (fixed order, shortest
+round-trip floats, a section only when one of its keys is set) that also
+carries the removed keys' old lines.
 """
 
 import hashlib
@@ -228,12 +218,6 @@ def _render(config, sections, fills):
         if entries:
             lines.extend([f"[{section}]", *entries, ""])
     return "\n".join(lines)
-
-
-def serialize(config):
-    """Canonical config text that parse_config reads back to an equal
-    config: fixed key order, unset keys and empty sections left out."""
-    return _render(config, _SECTIONS, {})
 
 
 def config_hash(config):

@@ -1,11 +1,13 @@
 """Helpers the tests share that the package itself never calls: the
 one-mode manufactured problem t^nu, the interpolatory projection of
 power-sum profiles, the semilog fit of an hp convergence history, the
-bilinear form through a given operator and the per-group near-field rows
-that the flat rule set of `kernel._right_power_rules` must reproduce."""
+bilinear form through a given operator, the per-group near-field rows
+that the flat rule set of `kernel._right_power_rules` must reproduce and
+the canonical config text that the round trip reads back."""
 
 import numpy as np
 
+from fracdg import config
 from fracdg.kernel import (
     _DIFF_RHO,
     _check_alpha,
@@ -125,3 +127,9 @@ def grouped_near_rows(sl, sr, t, alpha, p_j):
         start += s_nodes.size
         out[rows] = (s_w[:, None, :] @ group_dvals)[:, 0]
     return out
+
+
+def serialize(cfg):
+    """Canonical config text that parse_config reads back to an equal
+    config: fixed key order, unset keys and empty sections left out."""
+    return config._render(cfg, config._SECTIONS, {})

@@ -1,14 +1,14 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from fracdg import analysis, cli, kernel
 from fracdg.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from fracdg.config import parse_config
+from fracdg.config import RunConfig, parse_config
 
 MINIMAL = """
 [problem]
@@ -159,7 +159,7 @@ def test_selftest_study_outputs_match_pinned_bytes(tmp_path, name):
 
 @pytest.mark.parametrize(
     "name, command",
-    [("table2", "hp-study"), ("fig2", "delta-sweep")],
+    [("table2", "hp-study"), ("fig2", "delta-sweep"), ("table2_fem", "hp-study")],
 )
 def test_shipped_study_outputs_match_pinned_bytes(tmp_path, name, command):
     # the shipped configs' study CSVs (timings zeroed) and plot data, pinned
@@ -371,13 +371,21 @@ def test_wrong_mode_count_is_a_config_error(tmp_path, capsys, command):
         assert not (tmp_path / backend).exists()
 
 
-def test_shipped_configs_parse():
-    from pathlib import Path
-    from fracdg.config import parse_config
+SHIPPED = {"table1": "h-study", "table2": "hp-study", "fig2": "delta-sweep", "table2_fem": "hp-study"}
 
-    for name in ("table1.cfg", "table2.cfg", "fig2.cfg"):
-        config = parse_config((Path(__file__).parent.parent / "configs" / name).read_text())
+
+def test_shipped_configs_parse():
+    # and give only fields their study reads; _run bypasses that check
+    assert sorted(path.stem for path in CONFIGS.glob("*.cfg")) == sorted(SHIPPED)
+    for name, command in SHIPPED.items():
+        config = parse_config((CONFIGS / f"{name}.cfg").read_text())
         assert config.alpha is not None
+        cli._check_reads(command, config)
+
+
+def test_selftest_configs_give_only_fields_their_run_reads():
+    for name, text in cli._SELFTEST_CONFIGS.items():
+        cli._check_reads(name, parse_config(text))
 
 
 @pytest.mark.parametrize("command", ["solve", "h-study", "hp-study", "delta-sweep", "selftest", "config"])
@@ -412,11 +420,15 @@ def test_solve_on_a_mesh_the_library_rejects_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+GRIDS = {"h-study": "Ns = 4", "hp-study": "Ls = 2", "delta-sweep": "deltas = 0.3"}
+ARTICLES = {"h-study": "an", "hp-study": "an", "delta-sweep": "a"}
+
+
 @pytest.mark.parametrize("key", ["--seed", "stability_report", "coercivity_check", "seed"])
 @pytest.mark.parametrize("command", ["h-study", "hp-study", "delta-sweep"])
 def test_study_given_diagnostics_is_a_config_error(tmp_path, capsys, command, key):
     # only solve runs the diagnostics; a study would drop them without a word
-    text = MINIMAL + "Ns = 4\nLs = 2\ndeltas = 0.3\n"
+    text = f"[problem]\nalpha = -0.5\n[study]\n{GRIDS[command]}\n"
     if key == "--seed":
         flags = ["--seed", "5"]
     else:
@@ -425,7 +437,8 @@ def test_study_given_diagnostics_is_a_config_error(tmp_path, capsys, command, ke
     cfg = _write_config(tmp_path, text)
     status = main([command, "--config", cfg, "--out", str(tmp_path / "out")] + flags)
     assert status == EXIT_USAGE
-    assert capsys.readouterr().err == f"config error: {key}: {command} runs no diagnostics, only solve does\n"
+    field = key.lstrip("-")
+    assert capsys.readouterr().err == f"config error: {field}: {ARTICLES[command]} {command} does not read it\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -436,6 +449,99 @@ def test_study_given_diagnostics_is_a_config_error(tmp_path, capsys, command, ke
 )
 def test_horizon_below_one_runs(tmp_path, command, mesh):
     # an unset T_1 is min(1, T): T = 0.5 no longer fails on a T_1 of 1.0
-    text = H_STUDY.replace("[study]", f"[mesh]\nT = 0.5\n{mesh}\n[study]")
+    grid = "gammas = 1.3\nps = 1\nNs = 4, 6\n" if command == "h-study" else ""
+    text = f"[problem]\nalpha = -0.5\n[mesh]\nT = 0.5\n{mesh}\n[study]\nm = 5\n{grid}"
     cfg = _write_config(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+# the fields each part of a run reads, as README's "Config format" lists them
+RUN = {"alpha", "diffusivity", "type", "m", "out", "error_max", "rate_min", "rate_max"}
+SOLVE = RUN | {"family", "stability_report", "coercivity_check"}
+GRADED = {"T", "N", "gamma", "p", "first_interval_linear"}
+GEOMETRIC = {"T", "T_1", "delta", "L", "mu"}
+FEM = {"elements", "degree"}
+# run kind -> (subcommand, config text, fields it reads, the run's name)
+RUN_KINDS = {
+    "graded-solve": ("solve", "", SOLVE | GRADED, "a graded solve"),
+    "graded-solve-coercivity": ("solve", "[diagnostics]\ncoercivity_check = true\n",
+                                SOLVE | GRADED | {"seed"}, "a graded solve"),
+    "geometric-solve": ("solve", "[mesh]\nfamily = geometric\n", SOLVE | GEOMETRIC, "a geometric solve"),
+    "geometric-solve-coercivity": (
+        "solve", "[mesh]\nfamily = geometric\n[diagnostics]\ncoercivity_check = true\n",
+        SOLVE | GEOMETRIC | {"seed"}, "a geometric solve"),
+    "fem-graded-solve": ("solve", "[backend]\ntype = fem\n", SOLVE | GRADED | FEM, "a graded solve"),
+    "h-study": ("h-study", "[study]\nNs = 4\n",
+                RUN | {"gammas", "gamma", "ps", "p", "Ns", "T", "first_interval_linear"}, "an h-study"),
+    "hp-study": ("hp-study", "[study]\nLs = 2\n",
+                 RUN | {"deltas", "delta", "Ls", "mu", "T_1", "T"}, "an hp-study"),
+    "delta-sweep": ("delta-sweep", "[study]\ndeltas = 0.3\n",
+                    RUN | {"alphas", "deltas", "L", "mu", "T_1", "T"}, "a delta-sweep"),
+    "fem-hp-study": ("hp-study", "[backend]\ntype = fem\n[study]\nLs = 2\n",
+                     RUN | {"deltas", "delta", "Ls", "mu", "T_1", "T"} | FEM, "an hp-study"),
+}
+# section, key and a valid value other than the default, for every field
+NON_DEFAULT = [
+    ("problem", "alpha", "-0.6"), ("problem", "diffusivity", "2.0"),
+    ("mesh", "family", "geometric"), ("mesh", "T", "2.0"), ("mesh", "N", "3"),
+    ("mesh", "gamma", "1.5"), ("mesh", "p", "2"), ("mesh", "first_interval_linear", "true"),
+    ("mesh", "T_1", "0.5"), ("mesh", "delta", "0.3"), ("mesh", "L", "2"), ("mesh", "mu", "2.0"),
+    ("backend", "type", "fem"), ("backend", "elements", "4"), ("backend", "degree", "1"),
+    ("study", "m", "3"), ("study", "gammas", "1.2"), ("study", "ps", "2"), ("study", "Ns", "3"),
+    ("study", "deltas", "0.2"), ("study", "Ls", "3"), ("study", "alphas", "-0.4"),
+    ("diagnostics", "stability_report", "true"), ("diagnostics", "coercivity_check", "true"),
+    ("diagnostics", "seed", "5"), ("output", "out", "elsewhere"),
+    ("expect", "error_max", "1.0"), ("expect", "rate_min", "0.5"), ("expect", "rate_max", "9.0"),
+]
+
+
+def test_non_default_values_cover_every_field():
+    keys = [key for _, key, _ in NON_DEFAULT]
+    assert sorted(keys) == sorted({"type" if f.name == "backend" else f.name for f in fields(RunConfig)})
+    base = "[problem]\nalpha = -0.5\n"
+    for section, key, value in NON_DEFAULT[1:]:
+        assert parse_config(base + f"[{section}]\n{key} = {value}\n") != parse_config(base), key
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_a_field_the_run_does_not_read_is_a_config_error(tmp_path, capsys, kind):
+    command, base, reads, run = RUN_KINDS[kind]
+    base = "[problem]\nalpha = -0.5\n" + base
+    for section, key, value in NON_DEFAULT:
+        if f"\n{key} = " in base:
+            continue  # the run kind already gives it
+        text = base + f"[{section}]\n{key} = {value}\n"
+        if key in reads:
+            # a read field passes, even one that changes the kind of run
+            cli._check_reads(command, parse_config(text))
+            continue
+        out = tmp_path / key
+        status = main([command, "--config", _write_config(tmp_path, text), "--out", str(out)])
+        assert status == EXIT_USAGE, key
+        assert capsys.readouterr().err == f"config error: {key}: {run} does not read it\n"
+        assert not out.exists(), key
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, message",
+    [
+        pytest.param("solve", "delta = 0.3\nL = 2\nT_1 = 0.5\nmu = 2.0\n[backend]\nelements = 8\ndegree = 3\n",
+                     [], "T_1, delta, L, mu, elements, degree: a graded solve does not read them",
+                     id="graded-solve-given-geometric-and-fem-keys"),
+        pytest.param("h-study", "family = geometric\nN = 99\n[study]\nalphas = -0.3, -0.9\nNs = 4\n",
+                     [], "family, N, alphas: an h-study does not read them", id="h-study-given-solve-keys"),
+        pytest.param("solve", "[diagnostics]\nseed = 9\n", [], "seed: a graded solve does not read it",
+                     id="seed-without-coercivity-check"),
+        pytest.param("solve", "family = geometric\ngamma = 3\np = 2\nN = 50\nfirst_interval_linear = true\n",
+                     [], "N, gamma, p, first_interval_linear: a geometric solve does not read them",
+                     id="geometric-solve-given-graded-keys"),
+        pytest.param("hp-study", "[study]\nLs = 2\n", ["--seed", "3"], "seed: an hp-study does not read it",
+                     id="study-given-seed-flag"),
+    ],
+)
+def test_unread_keys_are_named_with_the_run(tmp_path, capsys, command, text, flags, message):
+    cfg = _write_config(tmp_path, f"[problem]\nalpha = -0.5\n[mesh]\n{text}")
+    status = main([command, "--config", cfg, "--out", str(tmp_path / "out")] + flags)
+    assert status == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()

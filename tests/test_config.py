@@ -14,8 +14,8 @@ from fracdg.config import (
     RunConfig,
     config_hash,
     parse_config,
-    serialize,
 )
+from support import serialize
 
 MINIMAL = """
 [problem]
@@ -99,7 +99,8 @@ def test_hash_separates_configs():
 def test_hash_of_shipped_and_selftest_configs_is_pinned():
     # study CSVs, summaries and the benchmark reference carry these hashes
     configs = Path(__file__).parent.parent / "configs"
-    shipped = {"table1": "b2024f1d1de6", "table2": "e28a57b2d684", "fig2": "0b7a44c14d6c"}
+    shipped = {"table1": "b2024f1d1de6", "table2": "e28a57b2d684", "fig2": "0b7a44c14d6c",
+               "table2_fem": "5e30d7d5755a"}
     for name, digest in shipped.items():
         assert config_hash(parse_config((configs / f"{name}.cfg").read_text())) == digest
     selftest = {

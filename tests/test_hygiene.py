@@ -1,11 +1,14 @@
 """Source hygiene of src/fracdg, read with ast: exports, imports, the one
-door to the memory operator and the config fields the CLI acts on."""
+door to the memory operator; and the table of config fields the CLI acts on."""
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
-from fracdg.config import RunConfig
+from fracdg import cli
+from fracdg.config import _RANGES, RunConfig
+from fracdg.mesh import geometric_mesh, graded_mesh
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracdg"
 
@@ -118,10 +121,17 @@ def test_every_export_is_named_by_program_code():
 
 
 def test_every_config_field_is_read_by_the_cli():
-    # a config key whose field the CLI never reads does nothing to the run
-    read = {
-        node.attr
-        for node in ast.walk(parse("cli"))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-    assert [f.name for f in fields(RunConfig) if f.name not in read] == []
+    # a config key whose field no part of any run reads does nothing; the
+    # mesh rows are their builders' parameter lists, and a study row holds
+    # its runner's parameters plus the scalars its list keys fall back to
+    names = [f.name for f in fields(RunConfig)]
+    rows = cli._READS
+    assert [name for name in names if not any(name in row for row in rows.values())] == []
+    assert [key for row in rows.values() for key in row if key not in names] == []
+    for part, builder in (("graded", graded_mesh), ("geometric", geometric_mesh)):
+        assert rows[part] == tuple(inspect.signature(builder).parameters), part
+    for command, (runner, *_) in cli._STUDIES.items():
+        row = rows[command]
+        fallbacks = {key for key, list_key, *_ in _RANGES if key in row and list_key in row}
+        parameters = inspect.signature(runner).parameters
+        assert [key for key in row if key not in fallbacks and key not in parameters] == [], command
