@@ -40,7 +40,10 @@ key of its target's first jump column and reads that entry.
 vectors, built once; the DG march, the stability report and the bilinear
 form `memory_form` all get it from `memory_operator`, which shares every
 live operator by its key and retains none.  Each build starts with an
-empty table, so no build reads another's entries.
+empty table, so no build reads another's entries.  `apply` takes the
+sources' coefficients zero-padded and stacked (`_stacked`): one product per
+run of sources of one degree, never over the padding, and one sum of the
+terms in the order of a loop over the sources, so stacking moves no bit.
 """
 
 import math
@@ -131,13 +134,15 @@ _DIFF_RHO = 1.25
 
 def _ellipse_rho(dist, length):
     # Bernstein ellipse parameter of a point `dist` beyond an interval of `length`
+    # (math.sqrt for a float: correctly rounded as np.sqrt is, and cheaper)
     x = 1.0 + 2.0 * dist / length
-    return x + np.sqrt(x * x - 1.0)
+    return x + (math.sqrt if isinstance(x, float) else np.sqrt)(x * x - 1.0)
 
 
 def _gl_point_count(deg, rho):
-    # rho a float or an array of them
-    return deg // 2 + 2 + np.ceil(22.0 / np.log(rho)).astype(int)
+    # rho a float or an array of them; np.log for both (math.log differs in the last ulp)
+    ratio = 22.0 / np.log(rho)
+    return deg // 2 + 2 + (math.ceil(ratio) if isinstance(ratio, float) else np.ceil(ratio).astype(int))
 
 
 def power_rule(a, b, z, beta, deg):
@@ -508,8 +513,8 @@ def memory_block(mesh, j, n, order, degrees=None):
     if not 1 <= j <= n <= mesh.interval_count:
         raise IndexError(f"interval pair (j={j}, n={n}) outside 1..{mesh.interval_count}")
     alpha = _check_alpha(order)
-    tl, tr = mesh.interval(n)
-    sl, sr = mesh.interval(j)
+    nodes = mesh.nodes
+    sl, sr, tl, tr = float(nodes[j - 1]), float(nodes[j]), float(nodes[n - 1]), float(nodes[n])
     if degrees is None:
         p_j, p_n = mesh.degree(j), mesh.degree(n)
     else:
@@ -555,6 +560,15 @@ def _jump_values(coeffs):
     return np.array(vals)
 
 
+def _stacked(coeffs):
+    """The blocks of `coeffs`, one per interval, zero-padded to the widest and
+    stacked: shape (N, P+1) for vectors, (N, P+1, modes) for blocks."""
+    out = np.zeros((len(coeffs), max(map(len, coeffs))) + np.shape(coeffs[0])[1:])
+    for j, c in enumerate(coeffs):
+        out[j, : len(c)] = c
+    return out
+
+
 def _operator_key(mesh, alpha, source_degrees, target_degrees):
     degrees = (tuple(map(int, d)) for d in (source_degrees, target_degrees))
     return (mesh.nodes.tobytes(), _check_alpha(alpha), *degrees)
@@ -574,7 +588,8 @@ class MemoryOperator:
     largest source degree: slice j-1 holds the block of source j in its
     first p_j+1 columns and zeros after them.  jump_columns[n-1] has shape
     (n, q_n+1), row j-1 the jump column of source j.  Each block comes from
-    `memory_block`, once per (j, n).
+    `memory_block`, once per (j, n).  `_runs` holds (start, stop, p) for each
+    run of consecutive sources start+1..stop of one degree p.
 
     A build empties the table of mapped Gauss-Legendre rules and basis
     values (`_interval_rule`) when it starts; within the build, the jump
@@ -609,22 +624,39 @@ class MemoryOperator:
             jump_columns.append(target_jumps)
         self.matrices = tuple(matrices)
         self.jump_columns = tuple(jump_columns)
+        edges = [0, *(np.flatnonzero(np.diff(source_degrees)) + 1).tolist(), len(source_degrees)]
+        self._runs = tuple((a, b, source_degrees[a]) for a, b in zip(edges, edges[1:]))
         _live_operators[self.key] = self
 
     def apply(self, n, coeffs, jumps):
-        """Sum over the sources supplied of M_jn c_j + J_jn (x) [c]_j on target n.
+        """Sum over sources j = 1..J <= n of M_jn c_j + J_jn (x) [c]_j on target n.
 
-        coeffs[j-1] are the coefficients of source j (a vector, or a block
-        with one column per mode) and jumps[j-1] the values multiplying its
-        jump column (`_jump_values`); sources j = 1..len(coeffs) <= n.
+        coeffs is (J, P+1) or (J, P+1, modes): row j-1 the coefficients of
+        source j, zero-padded past its degree to a common width (`_stacked`),
+        and jumps[j-1] the values multiplying its jump column (`_jump_values`).
+        Each run of sources of one degree p is one stacked product over its
+        first p+1 coefficients, never the padding, which would round the
+        product differently; one broadcast forms every jump term.  The 2J
+        terms sit interleaved, M_1 c_1, J_1 [c]_1, M_2 c_2, ..., and one sum
+        over them adds them one after another, in that order.
         """
+        count = len(coeffs)
         matrices = self.matrices[n - 1]
-        jump_columns = self.jump_columns[n - 1]
-        out = np.zeros(matrices.shape[1:2] + np.shape(jumps)[1:])
-        for j, (c, jump) in enumerate(zip(coeffs, jumps)):
-            out += matrices[j, :, : len(c)] @ c
-            out += np.multiply.outer(jump_columns[j], jump)
-        return out
+        shape = matrices.shape[1:2] + np.shape(jumps)[1:]
+        modes = math.prod(shape[1:])  # a vector is a block of one mode
+        coeffs = coeffs.reshape(count, coeffs.shape[1], modes)
+        terms = np.empty((count, 2, shape[0], modes))
+        for start, stop, p in self._runs:
+            if start >= count:
+                break
+            stop = min(stop, count)
+            np.matmul(matrices[start:stop, :, : p + 1], coeffs[start:stop, : p + 1], out=terms[start:stop, 0])
+        np.multiply(self.jump_columns[n - 1][:count, :, None], jumps.reshape(count, 1, modes), out=terms[:, 1])
+        # numpy sums the rows one after another while a row has two entries
+        # or more, but a column pairwise: one entry per term accumulates
+        terms = terms.reshape(2 * count, shape[0] * modes)
+        out = np.add.accumulate(terms)[-1] if terms.shape[1] == 1 and count else np.add.reduce(terms)
+        return out.reshape(shape)
 
 
 def memory_operator(mesh, alpha, source_degrees, target_degrees):
@@ -650,9 +682,9 @@ def memory_form(mesh, alpha, coeffs_v, coeffs_w):
     """
     degrees = _form_degrees(mesh.interval_count, coeffs_v, coeffs_w)
     operator = memory_operator(mesh, alpha, *degrees)
-    jumps = _jump_values(coeffs_v)
+    stacked, jumps = _stacked(coeffs_v), _jump_values(coeffs_v)
     return sum(
-        float(w_n @ operator.apply(n, coeffs_v[:n], jumps[:n]))
+        float(w_n @ operator.apply(n, stacked[:n], jumps[:n]))
         for n, w_n in enumerate(coeffs_w, start=1)
     )
 

@@ -9,8 +9,10 @@ where the first term is the upwind pairing w(t_{n-1}+) against the new
 right limit, T is the transport term int P_l' P_i, D is the local memory
 block and J its jump column.  Everything already computed on intervals
 1..n-1 enters the right-hand side through the memory load, one application
-of the memory operator (`kernel.MemoryOperator`) to the stored coefficients,
-so a full march costs O(N^2) block evaluations shared across modes.  The
+of the memory operator (`kernel.MemoryOperator.apply`) to the coefficients
+stored so far, zero-padded in one (N, P+1, modes) array, so a full march
+costs O(N^2) block evaluations shared across modes; the stability report
+and `kernel.memory_form` stack theirs once per call.  The
 march, the stability report (energy term int A(B U, U) dt) and
 `kernel.memory_form` all get it from `kernel.memory_operator`, shared by
 its key while the solution holds it; nothing keeps it after.
@@ -30,6 +32,7 @@ from .kernel import (
     _jacobi_rule,
     _jump_values,
     _parity,
+    _stacked,
     coercivity_constants,
     legendre_values,
     memory_operator,
@@ -217,9 +220,12 @@ def solve(problems, mesh, alpha):
 
     Memory blocks depend only on the interval pair, so the memory operator
     builds each once per (j, n) and applies it to every mode's stored
-    coefficients.  The loads likewise take one moment per forcing exponent
-    and interval, shared by every mode that carries that exponent.  The
-    operator comes from `kernel.memory_operator`, and the solution holds it
+    coefficients: the blocks go into one (N, P+1, modes) array, zero past
+    each degree, and the history of interval n applies its first n-1 rows;
+    the solution's blocks are (p_n+1, modes) views into it.  The loads
+    likewise take one moment per forcing exponent and interval, shared by
+    every mode that carries that exponent.  The operator comes from
+    `kernel.memory_operator`, and the solution holds it
     (`DgSolution.memory_operator`) for `stability_report` and the forms.
     """
     problems = list(problems)
@@ -228,14 +234,14 @@ def solve(problems, mesh, alpha):
     initial_values = np.array([pr.initial_value for pr in problems], dtype=float)
     forcings = _power_table([pr.forcing for pr in problems])
     operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
-    coeffs = []
+    stacked = np.zeros((mesh.interval_count, max(mesh.degrees) + 1, modes))
     jump_vals = np.empty((mesh.interval_count, modes))
     incoming = initial_values.copy()
     for n in range(1, mesh.interval_count + 1):
         p = mesh.degree(n)
         a, b = mesh.interval(n)
         parity = _parity(p)
-        history = operator.apply(n, coeffs, jump_vals[: n - 1])
+        history = operator.apply(n, stacked[: n - 1], jump_vals[: n - 1])
         local_jump = operator.jump_columns[n - 1][n - 1]
         base = np.outer(parity, parity) + _transport_matrix(p)
         memory = operator.matrices[n - 1][n - 1, :, : p + 1] + np.outer(local_jump, parity)
@@ -244,11 +250,12 @@ def solve(problems, mesh, alpha):
         if n >= 2:
             rhs += lam[:, None] * local_jump * incoming[:, None]
         block = _solve_modes(base + lam[:, None, None] * memory, rhs, n)
-        coeffs.append(block)
+        stacked[n - 1, : p + 1] = block
         right_limit = parity @ block
         jump_vals[n - 1] = right_limit if n == 1 else right_limit - incoming
         incoming = block.sum(axis=0)
-    return DgSolution(mesh, initial_values, tuple(coeffs), operator)
+    blocks = tuple(stacked[n, : p + 1] for n, p in enumerate(mesh.degrees))
+    return DgSolution(mesh, initial_values, blocks, operator)
 
 
 @dataclass(frozen=True)
@@ -329,10 +336,10 @@ def stability_report(solution, problems, alpha, slack=1e-8):
     operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
     lam = np.array([pr.eigenvalue for pr in problems])
     coeffs = solution.coefficients
-    jumps = _jump_values(coeffs)
+    stacked, jumps = _stacked(coeffs), _jump_values(coeffs)
     # per interval, int_{I_n} A(B U, U) dt: the operator's action against U
     increments = [
-        float(lam @ np.einsum("im,im->m", c, operator.apply(n, coeffs[:n], jumps[:n])))
+        float(lam @ np.einsum("im,im->m", c, operator.apply(n, stacked[:n], jumps[:n])))
         for n, c in enumerate(coeffs, start=1)
     ]
     left = solution.left_traces()

@@ -1,9 +1,11 @@
 """Helpers the tests share that the package itself never calls: the
 one-mode manufactured problem t^nu, the interpolatory projection of
 power-sum profiles, the semilog fit of an hp convergence history, the
-bilinear form through a given operator, the per-group near-field rows
-that the flat rule set of `kernel._right_power_rules` must reproduce and
-the canonical config text that the round trip reads back."""
+bilinear form through a given operator, the history sum one source at a
+time that the stacked `MemoryOperator.apply` must reproduce, the
+per-group near-field rows that the flat rule set of
+`kernel._right_power_rules` must reproduce and the canonical config text
+that the round trip reads back."""
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from fracdg.kernel import (
     _gl_point_count,
     _jacobi_rule,
     _jump_values,
+    _stacked,
     legendre_derivative_values,
 )
 from fracdg.problems import ManufacturedProblem, PowerSum, _mode
@@ -74,11 +77,24 @@ def semilog_fit(errors, dofs):
 def form_through(operator, coeffs_v, coeffs_w):
     """int_0^T (B v)(t) w(t) dt applied through `operator`, built for the
     degrees of v and w, in the order of summation `kernel.memory_form` uses."""
-    jumps = _jump_values(coeffs_v)
+    stacked, jumps = _stacked(coeffs_v), _jump_values(coeffs_v)
     return sum(
-        float(w_n @ operator.apply(n, coeffs_v[:n], jumps[:n]))
+        float(w_n @ operator.apply(n, stacked[:n], jumps[:n]))
         for n, w_n in enumerate(coeffs_w, start=1)
     )
+
+
+def apply_per_source(operator, n, coeffs, jumps):
+    """`MemoryOperator.apply` one source at a time: coeffs[j-1] the unpadded
+    coefficients of source j, and M_jn c_j, then J_jn (x) [c]_j, added to a
+    zero sum for j = 1, 2, ... in turn."""
+    matrices = operator.matrices[n - 1]
+    jump_columns = operator.jump_columns[n - 1]
+    out = np.zeros(matrices.shape[1:2] + np.shape(jumps)[1:])
+    for j, (c, jump) in enumerate(zip(coeffs, jumps)):
+        out += matrices[j, :, : len(c)] @ c
+        out += np.multiply.outer(jump_columns[j], jump)
+    return out
 
 
 def grouped_right_power_rules(a, b, z, beta, deg):

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,7 +21,7 @@ from fracdg import kernel
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
 from fracdg.problems import two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
-from support import form_through, grouped_near_rows, grouped_right_power_rules
+from support import apply_per_source, form_through, grouped_near_rows, grouped_right_power_rules
 
 # Largest Legendre degree the kernel rules are checked to; far beyond
 # anything the hp studies use.
@@ -395,6 +395,35 @@ def test_memory_operator_zero_degree_sources_give_zero_slices():
     for matrices in operator.matrices:
         for block in matrices:
             assert block.shape == (3, 1) and np.array_equal(block, np.zeros((3, 1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.95, -0.05),
+    gamma=st.floats(1.0, 3.0),
+    degrees=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=10),
+    modes=st.one_of(st.none(), st.just(1), st.integers(2, 299)),
+    seed=st.integers(0, 2**16),
+)
+# one entry per term, which numpy would sum pairwise; and table2_fem's mode count
+@example(alpha=-0.5, gamma=1.0, degrees=[(0, 0), (2, 0)] * 5, modes=None, seed=0)
+@example(alpha=-0.5, gamma=2.0, degrees=[(0, 0), (2, 0)] * 5, modes=1, seed=1)
+@example(alpha=-0.7, gamma=2.0, degrees=[(1, 2), (1, 2), (3, 3)] * 3, modes=299, seed=2)
+def test_stacked_apply_equals_the_per_source_loop_bytewise(alpha, gamma, degrees, modes, seed):
+    # every target and every prefix J <= n of its sources, over mixed source
+    # and target degrees, constant sources, vectors and 1 to 299 modes
+    source_degrees, target_degrees = zip(*degrees)
+    mesh = graded_mesh(1.0, len(degrees), gamma, 1)
+    operator = kernel.MemoryOperator(mesh, alpha, source_degrees, target_degrees)
+    rng = np.random.default_rng(seed)
+    tail = () if modes is None else (modes,)
+    coeffs = [rng.standard_normal((p + 1,) + tail) for p in source_degrees]
+    stacked, jumps = kernel._stacked(coeffs), kernel._jump_values(coeffs)
+    for n in range(1, len(degrees) + 1):
+        for count in range(n + 1):
+            got = operator.apply(n, stacked[:count], jumps[:count])
+            want = apply_per_source(operator, n, coeffs[:count], jumps[:count])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_memory_block_entries_against_oracle():
