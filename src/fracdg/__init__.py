@@ -23,7 +23,6 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_hash, parse_config
 from .kernel import (
-    MemoryBlock,
     MemoryOperator,
     coercivity_constants,
     l2_form,

@@ -16,39 +16,43 @@ integrals with Gauss-Jacobi rules (`_jacobi_rule`, singular at either end;
 exact for the near-diagonal cases), differences of such rules, or
 Gauss-Legendre once the singularity is well separated from the integration
 interval, and assembles them into the memory-matrix blocks that discretize
-the history term.  A singular point left of its interval (a load's t_0 = 0,
-a jump column's source node) takes `power_rule`.  One right of it arises
-only where many time nodes share one source interval (the near-field
-blocks), and `_right_power_rules` builds all their rules as one flat rule
-set: rows sorted by branch and point count, every Gauss-Legendre rule
-mapped and every kernel power taken at once.  Only the contraction with the
-basis values stays one product per group (`_near_rows`), because a batched
-one rounds differently.  A far-field block is L K R: cached tables
-of the weighted basis at reference Gauss-Legendre nodes on either side of
-the kernel matrix K = (t_q - s_r)^alpha, the only factor built per pair.
+the history term.  A singular point left of its interval (a load's t_0 = 0)
+takes `power_rule`.  The jump columns, one per source node and target
+interval, take the same rules, all of a mesh in one pass (`_jump_columns`).
+A singular point right of its interval arises only where many time nodes
+share one source interval (the near-field blocks), and `_right_power_rules`
+builds all their rules as one flat rule set: rows sorted by branch and point
+count, every Gauss-Legendre rule mapped and every kernel power taken at
+once.  Only the contraction with the basis values stays one product per
+group (`_near_rows`), because a batched one rounds differently.  A far-field
+block is L K R: cached tables of the weighted basis at reference
+Gauss-Legendre nodes on either side of the kernel matrix
+K = (t_q - s_r)^alpha, the only factor built per pair.
 
 A Gauss-Legendre rule mapped to one interval serves many pairs: every jump
 column of a target whose singular point is far enough off takes one of a
 few point counts, and every far block maps the same rule to its target and
 its source.  The build's table (`_interval_rule`) holds these rules, with
 the Legendre values the jump columns need, read-only and keyed by (point
-count, interval, degree); per pair only the kernel powers and the products
-remain.  A load of `solve` (`power_rule`, singular point t_0 = 0) has the
-key of its target's first jump column and reads that entry.
+count, interval, degree).  The jump columns of one target and point count
+read their entry once and make one stacked product; a far block takes only
+its kernel powers and products per pair.  A load of `solve` (`power_rule`,
+singular point t_0 = 0) has the key of its target's first jump column and
+reads that entry.
 
-`MemoryOperator` holds every block of one mesh, order and pair of degree
-vectors, built once; the DG march, the stability report and the bilinear
-form `memory_form` all get it from `memory_operator`, which shares every
-live operator by its key and retains none.  Each build starts with an
-empty table, so no build reads another's entries.  `apply` takes the
-sources' coefficients zero-padded and stacked (`_stacked`): one product per
-run of sources of one degree, never over the padding, and one sum of the
-terms in the order of a loop over the sources, so stacking moves no bit.
+`MemoryOperator` holds every block and jump column of one mesh, order and
+pair of degree vectors, built once; the DG march, the stability report and
+the bilinear form `memory_form` all get it from `memory_operator`, which
+shares every live operator by its key and retains none.  Each build starts
+with an empty table, so no build reads another's entries.  `apply` takes
+the sources' coefficients zero-padded and stacked (`_stacked`): one product
+per run of sources of one degree, never over the padding, and one sum of
+the terms in the order of a loop over the sources, so stacking moves no
+bit.
 """
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,7 +60,6 @@ from numpy.polynomial import legendre as _leg
 from scipy.special import roots_jacobi
 
 __all__ = [
-    "MemoryBlock",
     "MemoryOperator",
     "coercivity_constants",
     "memory_block",
@@ -321,7 +324,8 @@ def _weighted_reference_basis(npts, max_degree, nderiv):
 
 
 # Bound on the entries of the build's table; a graded N=150, p=2 build
-# fills 1118 (968 jump-column rules, 150 far-node rules).
+# fills 1118: 968 jump-column rules, one per group of one target and point
+# count, and 150 far-node rules.
 _TABLE_SIZE = 4096
 
 
@@ -331,8 +335,9 @@ def _interval_rule(npts, a, b, deg):
     as read-only (nodes, weights, values), values[r, k] = P_k(ref(nodes[r]))
     for k <= deg, or None when deg is None.
 
-    Every pair with the same target reads one entry for its jump column
-    (`_left_power_rule`), and every far pair its t and s nodes.
+    Each group of jump columns of one target and point count reads one
+    entry (`_jump_columns`), a load the entry of its target's first jump
+    column (`_left_power_rule`), and every far pair its t and s nodes.
     `MemoryOperator` empties the table when a build starts, so no build
     reads another's entries.
     """
@@ -347,22 +352,6 @@ def _interval_rule(npts, a, b, deg):
 # ---------------------------------------------------------------------------
 # Memory blocks
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MemoryBlock:
-    """Discretized history contribution of source interval j to target n.
-
-    matrix[i, l] = int_{I_n} P_i(t) * [int_{I_j cap (0,t)} w(t-s) P_l'(s) ds] dt
-    jump_column[i] = int_{I_n} P_i(t) w(t - t_{j-1}) dt
-
-    (bases mapped to their intervals; w the convolution kernel including the
-    1/Gamma(alpha+1) factor).  jump_column multiplies v(0+) for j=1 and the
-    jump of v at t_{j-1} for j >= 2.
-    """
-
-    matrix: np.ndarray
-    jump_column: np.ndarray
 
 
 # reciprocal Gamma factor applied to every kernel integral
@@ -503,12 +492,18 @@ def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
 def memory_block(mesh, j, n, order, degrees=None):
     """Memory-matrix block of source interval j acting on target interval n.
 
+    matrix[i, l] = int_{I_n} P_i(t) * [int_{I_j cap (0,t)} w(t-s) P_l'(s) ds] dt
+
+    with the bases mapped to their intervals and w the convolution kernel
+    including the 1/Gamma(alpha+1) factor; shape (p_n+1, p_j+1).
     Intervals are 1-based and `order` is alpha.  `degrees` optionally
-    overrides (p_j, p_n) from the mesh.  Near-diagonal blocks (and the jump
-    columns) use exact closed forms; once the gap t_{n-1} - t_j reaches
-    _FAR_RATIO times the larger of the two step sizes, the smooth
-    Gauss-Legendre branch takes over with max degree + _FAR_PADDING points
-    per direction.
+    overrides (p_j, p_n) from the mesh.  Near-diagonal blocks use exact
+    closed forms; once the gap t_{n-1} - t_j reaches _FAR_RATIO times the
+    larger of the two step sizes, the smooth Gauss-Legendre branch takes
+    over with max degree + _FAR_PADDING points per direction.  The jump
+    column that pairs with the block depends on the source only through
+    its left node; `MemoryOperator` builds every one of a mesh at once
+    (`_jump_columns`).
     """
     if not 1 <= j <= n <= mesh.interval_count:
         raise IndexError(f"interval pair (j={j}, n={n}) outside 1..{mesh.interval_count}")
@@ -519,21 +514,55 @@ def memory_block(mesh, j, n, order, degrees=None):
         p_j, p_n = mesh.degree(j), mesh.degree(n)
     else:
         p_j, p_n = degrees
-    # jump column: kernel anchored at the source interval's left node
-    _, weights, values = _left_power_rule(tl, tr, sl, alpha, p_n)
-    jump_col = (values.T @ weights) * _kernel_scale(alpha)
     if p_j == 0:
         # a constant source has no derivative: only its jump column acts
-        mat = np.zeros((p_n + 1, 1))
-    elif j == n:
-        mat = _local_block(tl, tr, alpha, p_n, p_j)
-    else:
-        gap = tl - sr
-        if gap >= _FAR_RATIO * max(tr - tl, sr - sl):
-            mat = _far_block(sl, sr, tl, tr, alpha, p_n, p_j)
-        else:
-            mat = _near_block(sl, sr, tl, tr, alpha, p_n, p_j)
-    return MemoryBlock(mat, jump_col)
+        return np.zeros((p_n + 1, 1))
+    if j == n:
+        return _local_block(tl, tr, alpha, p_n, p_j)
+    if tl - sr >= _FAR_RATIO * max(tr - tl, sr - sl):
+        return _far_block(sl, sr, tl, tr, alpha, p_n, p_j)
+    return _near_block(sl, sr, tl, tr, alpha, p_n, p_j)
+
+
+def _jump_columns(nodes, alpha, target_degrees):
+    """Every jump column of a mesh with these nodes, one (n, q_n+1) array per
+    target n, row j-1 that of source j:
+
+        column[i] = int_{I_n} P_i(t) w(t - t_{j-1}) dt,
+
+    the weight of v(0+) for j = 1 and of the jump [v]^{j-1} after it.  It is
+    the moment vector of `power_rule(t_{n-1}, t_n, t_{j-1}, alpha, q_n)`,
+    bit for bit.  One array pass over the lower triangle finds the branch
+    and point count of every pair.  The exact (j == n) and difference pairs
+    take `_left_power_rule` one at a time.  The Gauss-Legendre pairs fall
+    into groups of one target and one point count: each group reads its
+    table entry once, takes the kernel powers of all its sources together
+    and makes one stacked product, which rounds as the one-pair product.
+    """
+    scale = _kernel_scale(alpha)
+    columns = [np.empty((n, q + 1)) for n, q in enumerate(target_degrees, start=1)]
+    # every pair j <= n, as 0-based target and source indices
+    target, source = np.tril_indices(len(target_degrees))
+    rho = _ellipse_rho(nodes[target] - nodes[source], nodes[target + 1] - nodes[target])
+    singular = rho < _DIFF_RHO
+    for n, j in zip(target[singular].tolist(), source[singular].tolist()):
+        tl, tr, sl = float(nodes[n]), float(nodes[n + 1]), float(nodes[j])
+        _, weights, values = _left_power_rule(tl, tr, sl, alpha, target_degrees[n])
+        columns[n][j] = (values.T @ weights) * scale
+    target, source, rho = target[~singular], source[~singular], rho[~singular]
+    counts = _gl_point_count(np.asarray(target_degrees)[target], rho)
+    by_group = np.lexsort((counts, target))
+    target, source, counts = target[by_group], source[by_group], counts[by_group]
+    # a group starts where the target or the point count changes
+    first = np.ones(target.size, dtype=bool)
+    first[1:] = (target[1:] != target[:-1]) | (counts[1:] != counts[:-1])
+    firsts = np.flatnonzero(first).tolist()
+    for lo, hi in zip(firsts, firsts[1:] + [target.size]):
+        n, rows = int(target[lo]), source[lo:hi]
+        x, w, values = _interval_rule(int(counts[lo]), float(nodes[n]), float(nodes[n + 1]), target_degrees[n])
+        weights = w * (x - nodes[rows, None]) ** alpha
+        columns[n][rows] = np.matmul(weights[:, None, :], values)[:, 0] * scale
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +617,16 @@ class MemoryOperator:
     largest source degree: slice j-1 holds the block of source j in its
     first p_j+1 columns and zeros after them.  jump_columns[n-1] has shape
     (n, q_n+1), row j-1 the jump column of source j.  Each block comes from
-    `memory_block`, once per (j, n).  `_runs` holds (start, stop, p) for each
-    run of consecutive sources start+1..stop of one degree p.
+    `memory_block`, once per (j, n); the jump columns depend on no source
+    degree and come from one `_jump_columns` pass.  `_runs` holds (start,
+    stop, p) for each run of consecutive sources start+1..stop of one
+    degree p.
 
     A build empties the table of mapped Gauss-Legendre rules and basis
     values (`_interval_rule`) when it starts; within the build, the jump
-    columns of one target share an entry per point count and the far
-    blocks one per interval, so a rule is mapped and its basis evaluated
-    once per build, not once per pair.
+    columns of one target read an entry once per point count and the far
+    blocks share one per interval, so a rule is mapped and its basis
+    evaluated once per build, not once per pair.
 
     `key` is (mesh.nodes.tobytes(), alpha, source degrees, target degrees),
     the degrees as tuples of ints.  Every live operator is shared by its
@@ -606,22 +637,18 @@ class MemoryOperator:
         self.key = _operator_key(mesh, alpha, source_degrees, target_degrees)
         _, alpha, source_degrees, target_degrees = self.key
         _interval_rule.cache_clear()
+        jump_columns = _jump_columns(mesh.nodes, alpha, target_degrees)
         width = max(source_degrees) + 1
         matrices = []
-        jump_columns = []
         for n in range(1, mesh.interval_count + 1):
             q = target_degrees[n - 1]
             target_matrices = np.zeros((n, q + 1, width))
-            target_jumps = np.empty((n, q + 1))
             for j in range(1, n + 1):
                 p = source_degrees[j - 1]
-                blk = memory_block(mesh, j, n, alpha, degrees=(p, q))
-                target_matrices[j - 1, :, : p + 1] = blk.matrix
-                target_jumps[j - 1] = blk.jump_column
+                target_matrices[j - 1, :, : p + 1] = memory_block(mesh, j, n, alpha, degrees=(p, q))
             target_matrices.setflags(write=False)
-            target_jumps.setflags(write=False)
+            jump_columns[n - 1].setflags(write=False)
             matrices.append(target_matrices)
-            jump_columns.append(target_jumps)
         self.matrices = tuple(matrices)
         self.jump_columns = tuple(jump_columns)
         edges = [0, *(np.flatnonzero(np.diff(source_degrees)) + 1).tolist(), len(source_degrees)]

@@ -2,8 +2,10 @@
 one-mode manufactured problem t^nu, the interpolatory projection of
 power-sum profiles, the semilog fit of an hp convergence history, the
 bilinear form through a given operator, the history sum one source at a
-time that the stacked `MemoryOperator.apply` must reproduce, the
-per-group near-field rows that the flat rule set of
+time that the stacked `MemoryOperator.apply` must reproduce, one memory
+block with its jump column, the jump columns one pair at a time that
+the flat pass of `kernel._jump_columns` must reproduce, the per-group
+near-field rows that the flat rule set of
 `kernel._right_power_rules` must reproduce and the canonical config text
 that the round trip reads back."""
 
@@ -17,9 +19,13 @@ from fracdg.kernel import (
     _gauss_legendre,
     _gl_point_count,
     _jacobi_rule,
+    _jump_columns,
     _jump_values,
+    _kernel_scale,
+    _left_power_rule,
     _stacked,
     legendre_derivative_values,
+    memory_block,
 )
 from fracdg.problems import ManufacturedProblem, PowerSum, _mode
 from fracdg.stepper import DgSolution, _power_moments, _power_table
@@ -95,6 +101,29 @@ def apply_per_source(operator, n, coeffs, jumps):
         out += matrices[j, :, : len(c)] @ c
         out += np.multiply.outer(jump_columns[j], jump)
     return out
+
+
+def block_and_jump_column(mesh, j, n, order, degrees=None):
+    """(matrix, jump column) of source j on target n: `memory_block`'s
+    matrix and the column `MemoryOperator` pairs with it, from
+    `_jump_columns` over the first n intervals."""
+    matrix = memory_block(mesh, j, n, order, degrees)
+    q = mesh.degree(n) if degrees is None else degrees[1]
+    return matrix, _jump_columns(mesh.nodes[: n + 1], _check_alpha(order), (q,) * n)[n - 1][j - 1]
+
+
+def per_pair_jump_columns(nodes, alpha, target_degrees):
+    """`kernel._jump_columns` one (j, n) pair at a time: each column the
+    moment vector of its own `_left_power_rule`, contracted alone."""
+    columns = []
+    for n, q in enumerate(target_degrees, start=1):
+        tl, tr = float(nodes[n - 1]), float(nodes[n])
+        target = np.empty((n, q + 1))
+        for j in range(1, n + 1):
+            _, weights, values = _left_power_rule(tl, tr, float(nodes[j - 1]), alpha, q)
+            target[j - 1] = (values.T @ weights) * _kernel_scale(alpha)
+        columns.append(target)
+    return columns
 
 
 def grouped_right_power_rules(a, b, z, beta, deg):

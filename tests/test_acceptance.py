@@ -26,13 +26,12 @@ from fracdg.cli import main as cli_main
 from fracdg.kernel import (
     coercivity_constants,
     l2_form,
-    memory_block,
     memory_form,
 )
 from fracdg.mesh import fine_grid, geometric_mesh, graded_mesh
 from fracdg.problems import PowerSum, two_mode_problem
 from fracdg.stepper import ModeProblem, mode_problems, solve, stability_report
-from support import semilog_fit
+from support import block_and_jump_column, semilog_fit
 
 ALPHA = -0.7
 GRID_NS = (18, 27, 36, 72)
@@ -275,17 +274,17 @@ def test_07_memory_block_oracle():
             mesh = graded_mesh(1.0, int(rng.integers(4, 9)), 1.0, int(rng.integers(1, 4)))
             n = mesh.interval_count
             j = int(rng.integers(1, 3))
-        block = memory_block(mesh, j, n, alpha)
+        matrix, jump_column = block_and_jump_column(mesh, j, n, alpha)
         sl, sr = mesh.interval(j)
         tl, tr = mesh.interval(n)
         far = j < n and (tl - sr) >= 2.0 * max(tr - tl, sr - sl)
         anchor = oracles.block_anchor(sl, sr, tl, tr, alpha)
         tol = 1e-8 if far else 1e-10
         for _ in range(3):
-            i = int(rng.integers(0, block.matrix.shape[0]))
-            ell = int(rng.integers(0, block.matrix.shape[1]))
+            i = int(rng.integers(0, matrix.shape[0]))
+            ell = int(rng.integers(0, matrix.shape[1]))
             want = oracles.block_entry_oracle(sl, sr, tl, tr, alpha, i, ell)
-            rel = abs(block.matrix[i, ell] - want) / max(abs(want), anchor)
+            rel = abs(matrix[i, ell] - want) / max(abs(want), anchor)
             compared += 1
             far_count += far
             if far:
@@ -293,9 +292,9 @@ def test_07_memory_block_oracle():
             else:
                 worst_near = max(worst_near, rel)
             assert rel <= tol, (trial, j, n, i, ell, far, rel)
-        i = int(rng.integers(0, block.jump_column.size))
+        i = int(rng.integers(0, jump_column.size))
         want = oracles.jump_entry_oracle(sl, tl, tr, alpha, i)
-        rel = abs(block.jump_column[i] - want) / max(abs(want), anchor)
+        rel = abs(jump_column[i] - want) / max(abs(want), anchor)
         compared += 1
         worst_near = max(worst_near, rel)
         assert rel <= 1e-10, (trial, j, n, i, rel)

@@ -8,6 +8,7 @@ magnitude, since entries far below that magnitude are pure cancellation
 noise in double precision no matter how they are computed.
 """
 
+import hashlib
 import math
 import sys
 
@@ -21,7 +22,14 @@ from fracdg import kernel
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
 from fracdg.problems import two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
-from support import apply_per_source, form_through, grouped_near_rows, grouped_right_power_rules
+from support import (
+    apply_per_source,
+    block_and_jump_column,
+    form_through,
+    grouped_near_rows,
+    grouped_right_power_rules,
+    per_pair_jump_columns,
+)
 
 # Largest Legendre degree the kernel rules are checked to; far beyond
 # anything the hp studies use.
@@ -214,15 +222,15 @@ def test_power_rule_mass_identity():
             assert math.isclose(float(weights.sum()), ref, rel_tol=1e-12)
 
 
-def diff_switch_gaps(a, b):
-    """Gaps just below and just above power_rule's difference-of-rules switch.
+def diff_switch_gaps(a, b, margin=1e-9):
+    """Gaps `margin` below and above power_rule's difference-of-rules switch.
 
     rho = x + sqrt(x^2 - 1) with x = 1 + 2A/(b-a) reaches _DIFF_RHO at
     x = (rho + 1/rho)/2.
     """
     rho = kernel._DIFF_RHO
     switch = (b - a) / 2.0 * ((rho + 1.0 / rho) / 2.0 - 1.0)
-    return switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)
+    return switch * (1.0 - margin), switch * (1.0 + margin)
 
 
 def assert_switch_branch(nodes, a, b, gap, below, k):
@@ -380,11 +388,11 @@ def test_memory_block_piecewise_constant_jump_weight(j, n, branch):
     (sl, sr), (tl, tr) = mesh.interval(j), mesh.interval(n)
     far = tl - sr >= kernel._FAR_RATIO * max(tr - tl, sr - sl)
     assert branch == ("local" if j == n else "far" if far else "near")
-    blk = kernel.memory_block(mesh, j, n, alpha)
-    assert blk.matrix.shape == (1, 1) and np.array_equal(blk.matrix, np.zeros((1, 1)))
+    matrix, jump_column = block_and_jump_column(mesh, j, n, alpha)
+    assert matrix.shape == (1, 1) and np.array_equal(matrix, np.zeros((1, 1)))
     if j == n:
         k = 0.25
-        assert math.isclose(blk.jump_column[0], k ** (alpha + 1.0) / math.gamma(alpha + 2.0), rel_tol=1e-13)
+        assert math.isclose(jump_column[0], k ** (alpha + 1.0) / math.gamma(alpha + 2.0), rel_tol=1e-13)
 
 
 def test_memory_operator_zero_degree_sources_give_zero_slices():
@@ -437,7 +445,7 @@ def test_memory_block_entries_against_oracle():
     ]
     for mesh, alpha, pairs in cases:
         for (j, n) in pairs:
-            blk = kernel.memory_block(mesh, j, n, alpha)
+            matrix, jump_column = block_and_jump_column(mesh, j, n, alpha)
             sl, sr = mesh.interval(j)
             tl, tr = mesh.interval(n)
             anchor = oracles.block_anchor(sl, sr, tl, tr, alpha)
@@ -445,12 +453,12 @@ def test_memory_block_entries_against_oracle():
             rel, flo = (1e-8, 1e-12) if far else (1e-10, 1e-13)
             i = int(rng.integers(0, mesh.degree(n) + 1))
             ref = oracles.jump_entry_oracle(sl, tl, tr, alpha, i)
-            assert abs(blk.jump_column[i] - ref) <= 1e-10 * abs(ref) + 1e-13 * anchor
+            assert abs(jump_column[i] - ref) <= 1e-10 * abs(ref) + 1e-13 * anchor
             for _ in range(3):
                 i = int(rng.integers(0, mesh.degree(n) + 1))
                 l = int(rng.integers(1, mesh.degree(j) + 1))
                 ref = oracles.block_entry_oracle(sl, sr, tl, tr, alpha, i, l)
-                assert abs(blk.matrix[i, l] - ref) <= rel * abs(ref) + flo * anchor, (
+                assert abs(matrix[i, l] - ref) <= rel * abs(ref) + flo * anchor, (
                     f"block ({j},{n}) entry ({i},{l}) on a {mesh.interval_count}-interval mesh"
                 )
 
@@ -459,8 +467,7 @@ def test_memory_block_derivative_column_is_zero():
     # P_0' = 0, so the first matrix column vanishes identically
     mesh = graded_mesh(T=1.0, N=5, gamma=2.0, p=2)
     for (j, n) in [(1, 1), (2, 4), (3, 4)]:
-        blk = kernel.memory_block(mesh, j, n, -0.5)
-        assert np.all(blk.matrix[:, 0] == 0.0)
+        assert np.all(kernel.memory_block(mesh, j, n, -0.5)[:, 0] == 0.0)
 
 
 def test_memory_block_index_validation():
@@ -477,19 +484,19 @@ def test_memory_block_identity_limit():
     # intervals recovers the mass action of the target restriction
     alpha = -1e-6
     mesh = graded_mesh(T=1.0, N=2, gamma=1.0, p=3)
-    blk = kernel.memory_block(mesh, 2, 2, alpha)
+    matrix22, jump22 = block_and_jump_column(mesh, 2, 2, alpha)
     parity = (-1.0) ** np.arange(4)
     mass = np.diag(0.5 / (2.0 * np.arange(4) + 1.0))
-    assert np.abs(blk.matrix + np.outer(blk.jump_column, parity) - mass).max() < 1e-4
+    assert np.abs(matrix22 + np.outer(jump22, parity) - mass).max() < 1e-4
     rng = np.random.default_rng(17)
     c1, c2 = rng.standard_normal(4), rng.standard_normal(4)
-    blk12 = kernel.memory_block(mesh, 1, 2, alpha)
+    matrix12, jump12 = block_and_jump_column(mesh, 1, 2, alpha)
     jump_at_half = float(parity @ c2) - float(np.sum(c1))
     total = (
-        blk12.matrix @ c1
-        + blk12.jump_column * float(parity @ c1)
-        + blk.matrix @ c2
-        + blk.jump_column * jump_at_half
+        matrix12 @ c1
+        + jump12 * float(parity @ c1)
+        + matrix22 @ c2
+        + jump22 * jump_at_half
     )
     expected = 0.5 * c2 / (2.0 * np.arange(4) + 1.0)
     assert np.abs(total - expected).max() < 1e-4
@@ -497,10 +504,10 @@ def test_memory_block_identity_limit():
 
 def test_memory_block_deterministic():
     mesh = geometric_mesh(T=1.0, T_1=1.0, delta=0.25, L=3, mu=1.0)
-    a = kernel.memory_block(mesh, 2, 4, -0.45)
-    b = kernel.memory_block(mesh, 2, 4, -0.45)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert np.array_equal(a.jump_column, b.jump_column)
+    a = block_and_jump_column(mesh, 2, 4, -0.45)
+    b = block_and_jump_column(mesh, 2, 4, -0.45)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 @pytest.mark.parametrize("where", ["exact", "below", "above"])
@@ -525,7 +532,7 @@ def test_jump_column_at_the_branch_switches(where):
         expected = (kernel.legendre_values(nodes, tl, tr, p).T @ weights) * kernel._kernel_scale(alpha)
         operator = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
         assert np.array_equal(operator.jump_columns[n - 1][j - 1], expected)
-        column = kernel.memory_block(mesh, j, n, alpha).jump_column
+        column = block_and_jump_column(mesh, j, n, alpha)[1]
         assert np.array_equal(column, expected)
         mass = ((tr - sl) ** (alpha + 1) - (tl - sl) ** (alpha + 1)) / (alpha + 1) / math.gamma(alpha + 1)
         for i in range(p + 1):
@@ -647,8 +654,8 @@ def test_flat_rules_edge_cases_equal_the_per_group_loop(case, p_j):
 
 def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
     # one flat rule set and one basis evaluation for all t-layers of a
-    # near block, not one per layer or per t node; the only other rule of
-    # the block is its jump column's, which does not go through power_rule
+    # near block, not one per layer or per t node; the block builds no
+    # jump column (the operator's `_jump_columns` does) and no power_rule
     real_rules = kernel._right_power_rules
     real_values = kernel.legendre_derivative_values
     real_power_rule = kernel.power_rule
@@ -686,7 +693,7 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
         expected = kernel._near_t_layers(tl, tr, tl - sr, mesh.degree(j) + mesh.degree(n))
         assert len(expected) > 1
         assert [size for size, _ in calls] == [sum(nodes.size for nodes, _ in expected)]
-        assert counts == {"values": 1, "power_rule": 0, "jump_rule": 1}
+        assert counts == {"values": 1, "power_rule": 0, "jump_rule": 0}
         # the grouping is real: fewer branch groups than t nodes
         ((size, groups),) = calls
         assert groups < size
@@ -781,7 +788,7 @@ def test_memory_block_at_the_far_switch_against_oracle(monkeypatch, branch, k_n)
     if branch == "near":
         gap *= 1.0 - 2.0**-30
     mesh = TimeMesh([sl, sr, sr + gap, sr + gap + k_n], [p, 1, p])
-    blk = kernel.memory_block(mesh, 1, 3, alpha)
+    matrix = kernel.memory_block(mesh, 1, 3, alpha)
     assert branches == [branch]
     tl, tr = mesh.interval(3)
     anchor = oracles.block_anchor(sl, sr, tl, tr, alpha)
@@ -789,25 +796,20 @@ def test_memory_block_at_the_far_switch_against_oracle(monkeypatch, branch, k_n)
     for i in range(p + 1):
         for l in range(1, p + 1):
             ref = oracles.block_entry_oracle(sl, sr, tl, tr, alpha, i, l)
-            assert abs(blk.matrix[i, l] - ref) <= rel * abs(ref) + flo * anchor, (i, l)
+            assert abs(matrix[i, l] - ref) <= rel * abs(ref) + flo * anchor, (i, l)
 
 
 def test_far_block_evaluates_no_basis(monkeypatch):
     # the far matrix reads cached read-only reference tables and takes its
     # mapped nodes from the build's table, which holds no basis for them;
-    # the jump columns evaluate the basis once per table entry, and not at
-    # all once the table holds their rules
+    # the block builds no jump column, so it evaluates no basis at all
     alpha = -0.7
     mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
     pairs = ((1, 40), (10, 30), (25, 40))
     for j, n in pairs:
         kernel.memory_block(mesh, j, n, alpha)
-    # one node entry per far target and source, one jump entry per point
-    # count and target
+    # one node entry per far target and source
     node_entries = len({n for _, n in pairs}) + len({j for j, _ in pairs})
-    jump_entries = len(
-        {(kernel.power_rule(*mesh.interval(n), mesh.interval(j)[0], alpha, 2)[0].size, n) for j, n in pairs}
-    )
     counts = {"values": 0, "derivative_values": 0, "legvander": 0, "far": 0}
 
     def counting(key, func):
@@ -826,12 +828,7 @@ def test_far_block_evaluates_no_basis(monkeypatch):
     kernel._interval_rule.cache_clear()
     for j, n in pairs:
         kernel.memory_block(mesh, j, n, alpha)
-    assert kernel._interval_rule.cache_info().misses == node_entries + jump_entries
-    expected = {"values": jump_entries, "derivative_values": 0, "legvander": jump_entries, "far": 3}
-    assert counts == expected
-    counts.update(values=0, derivative_values=0, legvander=0, far=0)
-    for j, n in pairs:
-        kernel.memory_block(mesh, j, n, alpha)
+    assert kernel._interval_rule.cache_info().misses == node_entries
     assert counts == {"values": 0, "derivative_values": 0, "legvander": 0, "far": 3}
     for nderiv in (0, 1):
         table = kernel._weighted_reference_basis(2 + kernel._FAR_PADDING, 2, nderiv)
@@ -872,19 +869,20 @@ def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
 
 
 def test_each_build_starts_with_an_empty_table(monkeypatch):
-    # no build reads another's entries: two identical builds in a row miss
-    # the same number of times, and every array the table shares is
+    # no build reads another's entries: the jump columns, the build's first
+    # reader of the table, find it empty, two identical builds in a row
+    # miss the same number of times, and every array the table shares is
     # read-only
     alpha = -0.7
     mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
     kernel.memory_block(mesh, 1, 40, alpha)
     assert kernel._interval_rule.cache_info().currsize > 0
-    real_block, real_rule = kernel.memory_block, kernel._interval_rule
+    real_columns, real_rule = kernel._jump_columns, kernel._interval_rule
     sizes, shared = [], []
 
-    def block(*args, **kwargs):
+    def columns(*args):
         sizes.append(real_rule.cache_info().currsize)
-        return real_block(*args, **kwargs)
+        return real_columns(*args)
 
     def rule(*key):
         entry = real_rule(*key)
@@ -892,13 +890,13 @@ def test_each_build_starts_with_an_empty_table(monkeypatch):
         return entry
 
     rule.cache_clear = real_rule.cache_clear
-    monkeypatch.setattr(kernel, "memory_block", block)
+    monkeypatch.setattr(kernel, "_jump_columns", columns)
     monkeypatch.setattr(kernel, "_interval_rule", rule)
     misses = []
     for _ in range(2):
         sizes.clear()
         kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-        assert sizes[0] == 0
+        assert sizes == [0]
         misses.append(real_rule.cache_info().misses)
     assert misses[0] == misses[1] > 0
     assert shared
@@ -930,6 +928,75 @@ def test_solve_loads_read_the_build_table(monkeypatch):
         assert marched.hits > built.hits
     assert "_interval_rule" in callers
     assert "_left_power_rule" not in callers
+
+
+def _straddling_intervals(tl, tr, margin, degrees):
+    # four (step, degree) intervals, the last (tl, tr), whose sources 2 and
+    # 3 have their left nodes just above and just below the difference
+    # switch from it: one Gauss-Legendre and one difference pair
+    below, above = diff_switch_gaps(tl, tr, margin)
+    return list(zip([tl - above, above - below, below, tr - tl], degrees))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-0.95, -0.05),
+    intervals=st.lists(
+        st.tuples(st.floats(-4.0, 0.0).map(lambda e: 10.0**e), st.integers(0, 8)), min_size=1, max_size=16
+    ),
+)
+@example(alpha=-0.7, intervals=_straddling_intervals(2.0, 3.5, 1e-9, (0, 3, 8, 5)))
+@example(alpha=-0.3, intervals=_straddling_intervals(1.0, 2.0, 1e-6, (8, 1, 2, 8)))
+def test_jump_columns_equal_the_per_pair_loop_bytewise(alpha, intervals):
+    # log-uniform steps from 1e-4 to 1 give exact, difference and
+    # Gauss-Legendre pairs; the examples straddle the difference switch
+    steps, degrees = zip(*intervals)
+    nodes = np.concatenate([[0.0], np.cumsum(steps)])
+    got = kernel._jump_columns(nodes, alpha, degrees)
+    want = per_pair_jump_columns(nodes, alpha, degrees)
+    assert len(got) == len(want)
+    for columns, expected in zip(got, want):
+        assert columns.shape == expected.shape and columns.tobytes() == expected.tobytes()
+
+
+def _mixed_degree_mesh():
+    # steps a hundred and more times shorter than the next interval put
+    # difference pairs into the jump columns
+    steps = [0.2, 0.001, 0.3, 0.0005, 0.15, 0.002, 0.25, 0.0001, 0.1, 0.04]
+    return TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]), [3, 0, 5, 1, 8, 2, 4, 0, 6, 2])
+
+
+def test_operator_arrays_keep_their_pinned_digest():
+    # sha256 over every matrix, then every jump column, of each operator in
+    # turn; an operator build must keep these bits
+    mixed = _mixed_degree_mesh()
+    nodes = mixed.nodes
+    rho = [
+        kernel._ellipse_rho(float(nodes[n - 1] - nodes[j - 1]), float(nodes[n] - nodes[n - 1]))
+        for n in range(2, mixed.interval_count + 1)
+        for j in range(1, n)
+    ]
+    assert sum(r < kernel._DIFF_RHO for r in rho) == 4
+    cases = [
+        (graded_mesh(1.0, 150, 2.3, 2), -0.7),
+        (graded_mesh(1.0, 60, 2.3, 4), -0.3),
+        (geometric_mesh(1.0, 1.0, 0.1, 12, 1.0), -0.5),
+        (mixed, -0.85),
+    ]
+    digest = hashlib.sha256()
+    for mesh, alpha in cases:
+        operator = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+        if mesh.interval_count == 150:
+            # 968 jump-column rules and 150 far-node rules; the march reads
+            # the table and adds no entry
+            built = kernel._interval_rule.cache_info()
+            assert built.currsize == built.misses == 1118
+            solve(mode_problems(two_mode_problem(alpha)), mesh, alpha)
+            assert kernel._interval_rule.cache_info().misses == built.misses
+        for arrays in (operator.matrices, operator.jump_columns):
+            for array in arrays:
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == "d29b78624539cb691dd4f572407923f0fbf5504adcfe459a91c5979466595adf"
 
 
 # ---------------------------------------------------------------------------

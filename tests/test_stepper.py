@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fracdg.kernel as kernel_mod
 import fracdg.stepper as stepper_mod
 from fracdg.analysis import backend_mode_problems, error_measure, fem_mode_problems
-from fracdg.kernel import MemoryBlock, l2_form, memory_block, memory_form
+from fracdg.kernel import l2_form, memory_form
 from fracdg.mesh import TimeMesh, fine_grid, geometric_mesh, graded_mesh
 from fracdg.problems import PowerSum, two_mode_problem
 from fracdg.spatial import fem_backend, spectral_backend
@@ -22,7 +22,7 @@ from fracdg.stepper import (
     solve,
     stability_report,
 )
-from support import pi_projection, power_mode_problem
+from support import block_and_jump_column, pi_projection, power_mode_problem
 
 
 def test_local_system_transport_only():
@@ -477,9 +477,13 @@ def test_singular_local_system_names_the_first_singular_mode(monkeypatch):
     # at p = 0 the local system is 1 + lambda (D + J); with D + J = -1 it is
     # singular exactly for the modes with lambda = 1
     def block(mesh, j, n, order, **kwargs):
-        return MemoryBlock(np.full((1, 1), -0.5), np.full(1, -0.5))
+        return np.full((1, 1), -0.5)
+
+    def jump_columns(nodes, alpha, target_degrees):
+        return [np.full((n, 1), -0.5) for n in range(1, len(target_degrees) + 1)]
 
     monkeypatch.setattr(kernel_mod, "memory_block", block)
+    monkeypatch.setattr(kernel_mod, "_jump_columns", jump_columns)
     problems = [ModeProblem(lam, None, 1.0) for lam in (0.5, 1.0, 1.0)]
     with pytest.raises(RuntimeError, match="singular local system on interval 1, mode 2"):
         solve(problems, TimeMesh(np.linspace(0.0, 1.0, 4), np.zeros(3, dtype=int)), -0.5)
@@ -597,8 +601,9 @@ def test_memory_form_with_other_degrees_matches_a_per_block_loop():
             jump = c @ (-1.0) ** np.arange(len(c))
             if j > 1:
                 jump -= v[j - 2].sum()
-            blk = memory_block(mesh, j, n, alpha, degrees=(len(c) - 1, len(w[n - 1]) - 1))
-            total += w[n - 1] @ (blk.matrix @ c + blk.jump_column * jump)
+            degrees = (len(c) - 1, len(w[n - 1]) - 1)
+            matrix, jump_column = block_and_jump_column(mesh, j, n, alpha, degrees=degrees)
+            total += w[n - 1] @ (matrix @ c + jump_column * jump)
     assert memory_form(mesh, alpha, v, w) == pytest.approx(total, rel=1e-13)
 
 
