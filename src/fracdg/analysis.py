@@ -79,14 +79,11 @@ class ConvergenceReport:
             if not row.error >= 0.0:
                 raise ValueError(f"errors must be nonnegative, got {row.error}")
 
-    def to_csv(self, timings=True, config_hash=""):
-        """CSV text, with a config_hash column when given a hash;
+    def to_csv(self, timings, config_hash):
+        """CSV text with a config_hash column holding `config_hash`;
         `timings=False` zeroes the seconds column so that repeated runs of
         the same configuration are byte-identical."""
-        header = list(CSV_COLUMNS)
-        if config_hash:
-            header.append("config_hash")
-        lines = [",".join(header)]
+        lines = [",".join(CSV_COLUMNS + ("config_hash",))]
         for row in self.rows:
             cells = [
                 row.family,
@@ -99,9 +96,8 @@ class ConvergenceReport:
                 f"{row.error:.6e}",
                 f"{row.rate_or_b:.4f}" if math.isfinite(row.rate_or_b) else "",
                 f"{row.seconds:.3f}" if timings else "0.000",
+                config_hash,
             ]
-            if config_hash:
-                cells.append(config_hash)
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -142,12 +138,15 @@ def error_measure(solution, problem, backend, m, method="auto"):
 
 def _consecutive_rates(errors, spacing):
     """log(e_{i-1}/e_i) / spacing(i) for each consecutive pair of positive
-    errors; nan where undefined.  spacing(i) is called only for those pairs."""
+    errors at a nonzero spacing (a repeated refinement level has none); nan
+    where undefined.  spacing(i) is called only for pairs of positive errors."""
     errors = np.asarray(errors, dtype=float)
     rates = np.full(errors.shape, np.nan)
     for i in range(1, len(errors)):
         if errors[i - 1] > 0.0 and errors[i] > 0.0:
-            rates[i] = math.log(errors[i - 1] / errors[i]) / spacing(i)
+            step = spacing(i)
+            if step != 0.0:
+                rates[i] = math.log(errors[i - 1] / errors[i]) / step
     return rates
 
 

@@ -112,7 +112,13 @@ def _parse_float(key, text):
 
 
 def _parse_list(parse):
-    return lambda key, text: tuple(parse(key, part.strip()) for part in text.split(",") if part.strip())
+    def parse_list(key, text):
+        parts = [part.strip() for part in text.split(",")]
+        if "" in parts:
+            raise ConfigError(f"{key} has an empty entry: {text!r}")
+        return tuple(parse(key, part) for part in parts)
+
+    return parse_list
 
 
 # field type -> parser(key, text)

@@ -29,22 +29,13 @@ block is L K R: cached tables of the weighted basis at reference
 Gauss-Legendre nodes on either side of the kernel matrix
 K = (t_q - s_r)^alpha, the only factor built per pair.
 
-A Gauss-Legendre rule mapped to one interval serves many pairs: every jump
-column of a target whose singular point is far enough off takes one of a
-few point counts, and every far block maps the same rule to its target and
-its source.  The build's table (`_interval_rule`) holds these rules, with
-the Legendre values the jump columns need, read-only and keyed by (point
-count, interval, degree).  The jump columns of one target and point count
-read their entry once and make one stacked product; a far block takes only
-its kernel powers and products per pair.  A load of `solve` (`power_rule`,
-singular point t_0 = 0) has the key of its target's first jump column and
-reads that entry.
+The far blocks share one table of mapped Gauss-Legendre nodes
+(`_interval_rule`), emptied when each operator build starts.
 
 `MemoryOperator` holds every block and jump column of one mesh, order and
 pair of degree vectors, built once; the DG march, the stability report and
 the bilinear form `memory_form` all get it from `memory_operator`, which
-shares every live operator by its key and retains none.  Each build starts
-with an empty table, so no build reads another's entries.  `apply` takes
+shares every live operator by its key and retains none.  `apply` takes
 the sources' coefficients zero-padded and stacked (`_stacked`): one product
 per run of sources of one degree, never over the padding, and one sum of
 the terms in the order of a loop over the sources, so stacking moves no
@@ -159,8 +150,7 @@ def power_rule(a, b, z, beta, deg):
       rho < 1.25      difference of two `_jacobi_rule`s anchored at z
                       (exact; some nodes fall just outside (a,b), polynomial
                       evaluation there is legitimate),
-      otherwise       Gauss-Legendre with a rho-dependent point count, from
-                      the build's table (`_left_power_rule`).
+      otherwise       Gauss-Legendre with a rho-dependent point count.
     ValueError for beta <= -1 or z > a: every load of `solve` has its
     singular point t_0 = 0 left of the interval, and the near field's right
     singularities are `_right_power_rules`.
@@ -169,31 +159,24 @@ def power_rule(a, b, z, beta, deg):
         raise ValueError(f"weight exponent must exceed -1, got {beta}")
     if z > a:
         raise ValueError(f"singular point z={z} lies right of a={a}")
-    nodes, weights, _ = _left_power_rule(a, b, z, beta, deg)
-    return nodes, weights
+    return _left_power_rule(a, b, z, beta, deg)
 
 
 def _left_power_rule(a, b, z, beta, deg):
-    """power_rule(a, b, z, beta, deg) for z <= a, as (nodes, weights, values).
-
-    values[r, k] = P_k(ref(nodes[r])), k <= deg, mapped to (a, b); the
-    Gauss-Legendre branch takes its mapped rule and these values from the
-    build's table (`_interval_rule`), shared by every singular point with
-    the same point count.
-    """
+    """power_rule(a, b, z, beta, deg) without its checks, as (nodes,
+    weights): every load's rule, and that of each exact or difference pair
+    of the jump columns."""
     A = a - z
     npts = deg // 2 + 1
     if A == 0.0:
-        nodes, weights = _jacobi_rule(npts, beta, a, b, at_a=True)
-    else:
-        rho = _ellipse_rho(A, b - a)
-        if rho >= _DIFF_RHO:
-            nodes, w, values = _interval_rule(_gl_point_count(deg, rho), a, b, deg)
-            return nodes, w * (nodes - z) ** beta, values
-        n_full, w_full = _jacobi_rule(npts, beta, z, b, at_a=True)
-        n_cut, w_cut = _jacobi_rule(npts, beta, z, a, at_a=True)
-        nodes, weights = np.concatenate([n_full, n_cut]), np.concatenate([w_full, -w_cut])
-    return nodes, weights, legendre_values(nodes, a, b, deg)
+        return _jacobi_rule(npts, beta, a, b, at_a=True)
+    rho = _ellipse_rho(A, b - a)
+    if rho >= _DIFF_RHO:
+        nodes, w = _gauss_legendre(_gl_point_count(deg, rho), a, b)
+        return nodes, w * (nodes - z) ** beta
+    n_full, w_full = _jacobi_rule(npts, beta, z, b, at_a=True)
+    n_cut, w_cut = _jacobi_rule(npts, beta, z, a, at_a=True)
+    return np.concatenate([n_full, n_cut]), np.concatenate([w_full, -w_cut])
 
 
 def _right_power_rules(a, b, z, beta, deg):
@@ -324,29 +307,18 @@ def _weighted_reference_basis(npts, max_degree, nderiv):
 
 
 # Bound on the entries of the build's table; a graded N=150, p=2 build
-# fills 1118: 968 jump-column rules, one per group of one target and point
-# count, and 150 far-node rules.
+# fills 150, one per interval that is a far block's target or source.
 _TABLE_SIZE = 4096
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _interval_rule(npts, a, b, deg):
-    """The build's table: the npts-point Gauss-Legendre rule mapped to (a, b)
-    as read-only (nodes, weights, values), values[r, k] = P_k(ref(nodes[r]))
-    for k <= deg, or None when deg is None.
-
-    Each group of jump columns of one target and point count reads one
-    entry (`_jump_columns`), a load the entry of its target's first jump
-    column (`_left_power_rule`), and every far pair its t and s nodes.
-    `MemoryOperator` empties the table when a build starts, so no build
-    reads another's entries.
-    """
-    nodes, weights = _gauss_legendre(npts, a, b)
-    values = None if deg is None else legendre_values(nodes, a, b, deg)
-    for array in (nodes, weights, values):
-        if array is not None:
-            array.setflags(write=False)
-    return nodes, weights, values
+def _interval_rule(npts, a, b):
+    """The build's table: the read-only nodes of the npts-point
+    Gauss-Legendre rule mapped to (a, b), the t or s nodes of every far
+    block on that interval."""
+    nodes = _gauss_legendre(npts, a, b)[0]
+    nodes.setflags(write=False)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +449,12 @@ def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
     One reference rule (x, w) mapped to both intervals makes the block
     L K R (k_n/2): L[i, q] = w_q P_i(x_q) and R[r, l] = w_r P_l'(x_r) are
     cached reference tables (the source half-step cancels against the chain
-    rule of the derivative), the mapped nodes come from the build's table,
-    and only K[q, r] = (t_q - s_r)^alpha is built per pair.
+    rule of the derivative), the mapped nodes come from the build's table
+    (`_interval_rule`), and only K[q, r] = (t_q - s_r)^alpha is built per pair.
     """
     npts = max(p_n, p_j) + _FAR_PADDING
-    t_nodes = _interval_rule(npts, tl, tr, None)[0]
-    s_nodes = _interval_rule(npts, sl, sr, None)[0]
+    t_nodes = _interval_rule(npts, tl, tr)
+    s_nodes = _interval_rule(npts, sl, sr)
     kern = (t_nodes[:, None] - s_nodes[None, :]) ** alpha
     left = _weighted_reference_basis(npts, p_n, 0).T
     right = _weighted_reference_basis(npts, p_j, 1)
@@ -534,10 +506,11 @@ def _jump_columns(nodes, alpha, target_degrees):
     the moment vector of `power_rule(t_{n-1}, t_n, t_{j-1}, alpha, q_n)`,
     bit for bit.  One array pass over the lower triangle finds the branch
     and point count of every pair.  The exact (j == n) and difference pairs
-    take `_left_power_rule` one at a time.  The Gauss-Legendre pairs fall
-    into groups of one target and one point count: each group reads its
-    table entry once, takes the kernel powers of all its sources together
-    and makes one stacked product, which rounds as the one-pair product.
+    take `_left_power_rule` and a basis evaluation one at a time.  The
+    Gauss-Legendre pairs fall into groups of one target and one point
+    count: each group maps its rule and evaluates the basis once, takes the
+    kernel powers of all its sources together and makes one stacked
+    product, which rounds as the one-pair product.
     """
     scale = _kernel_scale(alpha)
     columns = [np.empty((n, q + 1)) for n, q in enumerate(target_degrees, start=1)]
@@ -546,9 +519,9 @@ def _jump_columns(nodes, alpha, target_degrees):
     rho = _ellipse_rho(nodes[target] - nodes[source], nodes[target + 1] - nodes[target])
     singular = rho < _DIFF_RHO
     for n, j in zip(target[singular].tolist(), source[singular].tolist()):
-        tl, tr, sl = float(nodes[n]), float(nodes[n + 1]), float(nodes[j])
-        _, weights, values = _left_power_rule(tl, tr, sl, alpha, target_degrees[n])
-        columns[n][j] = (values.T @ weights) * scale
+        tl, tr, q = float(nodes[n]), float(nodes[n + 1]), target_degrees[n]
+        x, weights = _left_power_rule(tl, tr, float(nodes[j]), alpha, q)
+        columns[n][j] = (legendre_values(x, tl, tr, q).T @ weights) * scale
     target, source, rho = target[~singular], source[~singular], rho[~singular]
     counts = _gl_point_count(np.asarray(target_degrees)[target], rho)
     by_group = np.lexsort((counts, target))
@@ -559,8 +532,10 @@ def _jump_columns(nodes, alpha, target_degrees):
     firsts = np.flatnonzero(first).tolist()
     for lo, hi in zip(firsts, firsts[1:] + [target.size]):
         n, rows = int(target[lo]), source[lo:hi]
-        x, w, values = _interval_rule(int(counts[lo]), float(nodes[n]), float(nodes[n + 1]), target_degrees[n])
+        tl, tr = float(nodes[n]), float(nodes[n + 1])
+        x, w = _gauss_legendre(int(counts[lo]), tl, tr)
         weights = w * (x - nodes[rows, None]) ** alpha
+        values = legendre_values(x, tl, tr, target_degrees[n])
         columns[n][rows] = np.matmul(weights[:, None, :], values)[:, 0] * scale
     return columns
 
@@ -622,11 +597,8 @@ class MemoryOperator:
     stop, p) for each run of consecutive sources start+1..stop of one
     degree p.
 
-    A build empties the table of mapped Gauss-Legendre rules and basis
-    values (`_interval_rule`) when it starts; within the build, the jump
-    columns of one target read an entry once per point count and the far
-    blocks share one per interval, so a rule is mapped and its basis
-    evaluated once per build, not once per pair.
+    A build empties the far blocks' table of mapped nodes (`_interval_rule`)
+    when it starts, so no build reads another's entries.
 
     `key` is (mesh.nodes.tobytes(), alpha, source degrees, target degrees),
     the degrees as tuples of ints.  Every live operator is shared by its

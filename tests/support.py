@@ -25,6 +25,7 @@ from fracdg.kernel import (
     _left_power_rule,
     _stacked,
     legendre_derivative_values,
+    legendre_values,
     memory_block,
 )
 from fracdg.problems import ManufacturedProblem, PowerSum, _mode
@@ -114,14 +115,15 @@ def block_and_jump_column(mesh, j, n, order, degrees=None):
 
 def per_pair_jump_columns(nodes, alpha, target_degrees):
     """`kernel._jump_columns` one (j, n) pair at a time: each column the
-    moment vector of its own `_left_power_rule`, contracted alone."""
+    moment vector of its own `_left_power_rule` against its own basis
+    values, contracted alone."""
     columns = []
     for n, q in enumerate(target_degrees, start=1):
         tl, tr = float(nodes[n - 1]), float(nodes[n])
         target = np.empty((n, q + 1))
         for j in range(1, n + 1):
-            _, weights, values = _left_power_rule(tl, tr, float(nodes[j - 1]), alpha, q)
-            target[j - 1] = (values.T @ weights) * _kernel_scale(alpha)
+            x, weights = _left_power_rule(tl, tr, float(nodes[j - 1]), alpha, q)
+            target[j - 1] = (legendre_values(x, tl, tr, q).T @ weights) * _kernel_scale(alpha)
         columns.append(target)
     return columns
 

@@ -64,6 +64,10 @@ def test_eoc_exact_halving():
 def test_eoc_degenerate_errors_marked():
     rates = eoc([1.0, 0.0, 1e-3], [10, 20, 40])
     assert math.isnan(rates[1]) and math.isnan(rates[2])
+    # a repeated refinement level has no spacing to divide by
+    rates = eoc([1.0, 0.5, 0.25], [10, 10, 20])
+    assert math.isnan(rates[1]) and rates[2] == pytest.approx(1.0, rel=1e-12)
+    assert math.isnan(exp_coefficient([2.66e-4, 4.20e-5], [14, 14])[1])
 
 
 def test_exp_coefficient_table_values():
@@ -286,22 +290,21 @@ def test_projection_bound_constant_stable():
 
 
 def test_csv_schema(h_study_p1):
-    text = h_study_p1.to_csv()
+    text = h_study_p1.to_csv(True, "0123456789ab")
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(CSV_COLUMNS) + ",config_hash"
     assert len(lines) == 1 + len(h_study_p1.rows)
     first = lines[1].split(",")
     assert first[:7] == ["graded", "-0.7", "spectral", "1.6", "1", "18", "36"]
     assert first[8] == ""  # no rate on the first row of a column
-    hashed = h_study_p1.to_csv(config_hash="0123456789ab")
-    assert hashed.splitlines()[0].endswith(",config_hash")
+    assert all(line.endswith(",0123456789ab") for line in lines[1:])
 
 
 def test_csv_deterministic_without_timings():
-    a = run_h_study(-0.5, [1.0], [1], [4, 6]).to_csv(timings=False)
-    b = run_h_study(-0.5, [1.0], [1], [4, 6]).to_csv(timings=False)
+    a = run_h_study(-0.5, [1.0], [1], [4, 6]).to_csv(False, "0123456789ab")
+    b = run_h_study(-0.5, [1.0], [1], [4, 6]).to_csv(False, "0123456789ab")
     assert a == b
-    assert all(line.endswith(",0.000") for line in a.strip().splitlines()[1:])
+    assert all(line.endswith(",0.000,0123456789ab") for line in a.strip().splitlines()[1:])
 
 
 def test_plot_data_roundtrip(tmp_path, hp_study):

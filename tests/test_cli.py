@@ -235,6 +235,22 @@ Ls = 2, 3
     assert (tmp_path / "out" / "plots" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, grid, csv_name",
+    [("h-study", "gammas = 1.3\nps = 1\nNs = 4, 4", "h_study.csv"),
+     ("hp-study", "deltas = 0.3\nLs = 3, 3", "hp_study.csv")],
+    ids=["h-study", "hp-study"],
+)
+def test_repeated_refinement_level_leaves_its_rate_empty(tmp_path, command, grid, csv_name):
+    # two cells of one level have no spacing between them, so no rate
+    cfg = _write_config(tmp_path, f"[problem]\nalpha = -0.5\n[study]\nm = 5\n{grid}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = [line.split(",") for line in (tmp_path / "out" / csv_name).read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert rows[0][:8] == rows[1][:8]
+    assert rows[0][8] == rows[1][8] == ""
+
+
 def test_expectation_gate_exit(tmp_path, capsys):
     text = MINIMAL + "\n[expect]\nerror_max = 1e-9\n"
     cfg = _write_config(tmp_path, text)

@@ -123,6 +123,8 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = -0.5\n[mesh]\np = 0", "p must be >= 1"),
         ("[problem]\nalpha = -0.5\n[study]\nm = 0", "m must be >= 1"),
         ("[problem]\nalpha = -0.5\n[study]\nNs = 4, -2", "Ns entries must be >= 1"),
+        ("[problem]\nalpha = -0.5\n[study]\nNs = 4,,6", "Ns has an empty entry: '4,,6'"),
+        ("[problem]\nalpha = -0.5\n[study]\nLs = 3, 4,", "Ls has an empty entry: '3, 4,'"),
         ("[problem]\nalpha = -0.5\n[mesh]\nwidth = 1", "mesh.width"),
         ("[problem]\nalpha = -0.5\n[study]\nthreads = 1", "unknown key study.threads"),
         ("[problem]\nalpha = -0.5\n[grid]\nN = 4", "unknown section"),

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fracdg import kernel
+from fracdg import stepper as stepper_mod
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
 from fracdg.problems import two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
@@ -801,8 +802,8 @@ def test_memory_block_at_the_far_switch_against_oracle(monkeypatch, branch, k_n)
 
 def test_far_block_evaluates_no_basis(monkeypatch):
     # the far matrix reads cached read-only reference tables and takes its
-    # mapped nodes from the build's table, which holds no basis for them;
-    # the block builds no jump column, so it evaluates no basis at all
+    # mapped nodes from the build's table, which holds nodes alone; the
+    # block builds no jump column, so it evaluates no basis at all
     alpha = -0.7
     mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
     pairs = ((1, 40), (10, 30), (25, 40))
@@ -838,9 +839,9 @@ def test_far_block_evaluates_no_basis(monkeypatch):
 
 
 def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
-    # within one build, a Gauss-Legendre jump column evaluates the basis
-    # only when its (point count, target) first appears; the others (the
-    # exact and difference branches) evaluate it once per pair
+    # within one build, the Gauss-Legendre jump columns evaluate the basis
+    # once per (point count, target) group; the others (the exact and
+    # difference branches) once per pair; no rule evaluates it for them
     alpha = -0.7
     mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
     keys, tabled, other = set(), 0, 0
@@ -855,7 +856,7 @@ def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
                 other += 1
     assert len(keys) < tabled
     real_values = kernel.legendre_values
-    counts = {"_interval_rule": 0, "_left_power_rule": 0}
+    counts = {"_jump_columns": 0, "_interval_rule": 0, "_left_power_rule": 0}
 
     def values(*args):
         caller = sys._getframe(1).f_code.co_name
@@ -865,38 +866,47 @@ def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
 
     monkeypatch.setattr(kernel, "legendre_values", values)
     kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-    assert counts == {"_interval_rule": len(keys), "_left_power_rule": other}
+    assert counts == {"_jump_columns": len(keys) + other, "_interval_rule": 0, "_left_power_rule": 0}
 
 
 def test_each_build_starts_with_an_empty_table(monkeypatch):
-    # no build reads another's entries: the jump columns, the build's first
-    # reader of the table, find it empty, two identical builds in a row
-    # miss the same number of times, and every array the table shares is
-    # read-only
+    # no build reads another's entries: the jump columns neither read nor
+    # fill the table, the first far block, its first reader, finds it
+    # empty, two identical builds in a row miss the same number of times,
+    # and every array the table shares is read-only
     alpha = -0.7
     mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
     kernel.memory_block(mesh, 1, 40, alpha)
     assert kernel._interval_rule.cache_info().currsize > 0
-    real_columns, real_rule = kernel._jump_columns, kernel._interval_rule
-    sizes, shared = [], []
+    real_columns, real_far, real_rule = kernel._jump_columns, kernel._far_block, kernel._interval_rule
+    sizes, far_sizes, shared = [], [], []
 
     def columns(*args):
         sizes.append(real_rule.cache_info().currsize)
-        return real_columns(*args)
+        out = real_columns(*args)
+        sizes.append(real_rule.cache_info().currsize)
+        return out
+
+    def far(*args):
+        far_sizes.append(real_rule.cache_info().currsize)
+        return real_far(*args)
 
     def rule(*key):
         entry = real_rule(*key)
-        shared.extend(array for array in entry if array is not None)
+        shared.append(entry)
         return entry
 
     rule.cache_clear = real_rule.cache_clear
     monkeypatch.setattr(kernel, "_jump_columns", columns)
+    monkeypatch.setattr(kernel, "_far_block", far)
     monkeypatch.setattr(kernel, "_interval_rule", rule)
     misses = []
     for _ in range(2):
         sizes.clear()
+        far_sizes.clear()
         kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-        assert sizes == [0]
+        assert sizes == [0, 0]
+        assert far_sizes[0] == 0 and len(far_sizes) > 1
         misses.append(real_rule.cache_info().misses)
     assert misses[0] == misses[1] > 0
     assert shared
@@ -906,28 +916,31 @@ def test_each_build_starts_with_an_empty_table(monkeypatch):
             array[0] = 1.0
 
 
-def test_solve_loads_read_the_build_table(monkeypatch):
-    # a load (power_rule, singular point t_0 = 0) has the key of its target's
-    # first jump column: the left rule maps no Gauss-Legendre rule of its own,
-    # and the march after the build adds no miss to the table
-    real_gauss_legendre = kernel._gauss_legendre
-    callers = []
+def test_each_load_evaluates_the_basis_once_per_exponent(monkeypatch):
+    # a load's rule (power_rule, singular point t_0 = 0) evaluates no basis:
+    # `_power_moments` evaluates it once per exponent, on interval 1 (the
+    # exact branch) and on an interval the Gauss-Legendre branch takes
+    calls = []
 
-    def gauss_legendre(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real_gauss_legendre(*args)
+    def counting(func):
+        def wrapped(*args):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return func(*args)
 
-    monkeypatch.setattr(kernel, "_gauss_legendre", gauss_legendre)
-    problems = mode_problems(two_mode_problem(-0.7))
-    for mesh in (graded_mesh(1.0, 40, 2.3, 2), geometric_mesh(1.0, 1.0, 0.2, 12, 1.0)):
-        kernel.MemoryOperator(mesh, -0.7, mesh.degrees, mesh.degrees)
-        built = kernel._interval_rule.cache_info()
-        solve(problems, mesh, -0.7)
-        marched = kernel._interval_rule.cache_info()
-        assert marched.misses == built.misses
-        assert marched.hits > built.hits
-    assert "_interval_rule" in callers
-    assert "_left_power_rule" not in callers
+        return wrapped
+
+    monkeypatch.setattr(kernel, "legendre_values", counting(kernel.legendre_values))
+    monkeypatch.setattr(stepper_mod, "legendre_values", counting(stepper_mod.legendre_values))
+    forcings = stepper_mod._power_table([m.forcing for m in mode_problems(two_mode_problem(-0.7))])
+    assert len(forcings) > 1
+    mesh = graded_mesh(1.0, 40, 2.3, 2)
+    a, b = mesh.interval(30)
+    assert kernel._ellipse_rho(a, b - a) >= kernel._DIFF_RHO
+    for n in (1, 30):
+        calls.clear()
+        a, b = mesh.interval(n)
+        stepper_mod._power_moments(forcings, 2, a, b, 2)
+        assert calls == ["_power_moments"] * len(forcings)
 
 
 def _straddling_intervals(tl, tr, margin, degrees):
@@ -977,22 +990,24 @@ def test_operator_arrays_keep_their_pinned_digest():
         for j in range(1, n)
     ]
     assert sum(r < kernel._DIFF_RHO for r in rho) == 4
+    # each with the entries its build leaves in the table, where pinned: one
+    # far-node rule per interval of the graded N=150 mesh, and none for a
+    # geometric mesh, which has no far block
     cases = [
-        (graded_mesh(1.0, 150, 2.3, 2), -0.7),
-        (graded_mesh(1.0, 60, 2.3, 4), -0.3),
-        (geometric_mesh(1.0, 1.0, 0.1, 12, 1.0), -0.5),
-        (mixed, -0.85),
+        (graded_mesh(1.0, 150, 2.3, 2), -0.7, 150),
+        (graded_mesh(1.0, 60, 2.3, 4), -0.3, None),
+        (geometric_mesh(1.0, 1.0, 0.1, 12, 1.0), -0.5, 0),
+        (mixed, -0.85, None),
     ]
     digest = hashlib.sha256()
-    for mesh, alpha in cases:
+    for mesh, alpha, entries in cases:
         operator = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-        if mesh.interval_count == 150:
-            # 968 jump-column rules and 150 far-node rules; the march reads
-            # the table and adds no entry
+        if entries is not None:
+            # the march after the build adds no entry
             built = kernel._interval_rule.cache_info()
-            assert built.currsize == built.misses == 1118
+            assert built.currsize == built.misses == entries
             solve(mode_problems(two_mode_problem(alpha)), mesh, alpha)
-            assert kernel._interval_rule.cache_info().misses == built.misses
+            assert kernel._interval_rule.cache_info().currsize == entries
         for arrays in (operator.matrices, operator.jump_columns):
             for array in arrays:
                 digest.update(array.tobytes())
