@@ -16,9 +16,15 @@ integrals with Gauss-Jacobi rules (`_jacobi_rule`, singular at either end;
 exact for the near-diagonal cases), differences of such rules, or
 Gauss-Legendre once the singularity is well separated from the integration
 interval, and assembles them into the memory-matrix blocks that discretize
-the history term.  A singular point left of its interval (a load's t_0 = 0)
-takes `power_rule`.  The jump columns, one per source node and target
-interval, take the same rules, all of a mesh in one pass (`_jump_columns`).
+the history term.  A singular point left of its interval takes
+`power_rule`: a load's t_0 = 0, and a jump column's source node (one column
+per source node and target interval).  Their Gauss-Legendre rules do not
+depend on the exponent, so one grouped pass (`_left_rule_groups`) builds
+every such rule of a mesh's jump columns (`_jump_columns`) or of a solve's
+loads: pairs sorted by target and point count, every group's rule mapped
+and the basis evaluated at all their nodes at once; each group then takes
+its own kernel power and one stacked product.  The exact and difference
+rules depend on the exponent and stay one `_left_power_rule` per pair.
 A singular point right of its interval arises only where many time nodes
 share one source interval (the near-field blocks), and `_right_power_rules`
 builds all their rules as one flat rule set: rows sorted by branch and point
@@ -115,14 +121,15 @@ def _gauss_legendre(npoints, a, b):
     return a + half * (x + 1.0), w * half
 
 
-# Singularity-to-interval distance ratio below which the difference-of-rules
-# closed form is used; above it plain Gauss-Legendre converges geometrically.
-# Diff-of-Jacobi cancellation grows like rho^deg with rho the Bernstein
-# ellipse parameter of the singular point; restricting the branch to
-# rho < 1.25 bounds the loss at 1.25^64 never arising in practice and
-# ~1.25^8 = 6 ulps for the degrees the stepper uses.  Beyond that the
-# Gauss-Legendre error rho^(-2n) converges fast enough that
-# n = deg//2 + 2 + 22/ln(rho) points reach machine precision.
+# Bernstein ellipse parameter rho of the singular point below which the
+# difference-of-rules closed form is used; above it plain Gauss-Legendre
+# converges geometrically, its error rho^(-2n) small enough that
+# n = deg//2 + 2 + 22/ln(rho) points reach machine precision.  The
+# difference cancels digits as the degree grows: against the mpmath oracle
+# its moments meet the tolerance at the degrees the stepper uses (loads
+# p <= 8, near rows p - 1), but miss it from degree 16 on the right and by
+# about 1e6 (right) to 1e7 (left) at degree 64, the strict xfails of
+# test_power_rule_to_degree_64_against_oracle (ROADMAP item 6).
 _DIFF_RHO = 1.25
 
 
@@ -164,8 +171,8 @@ def power_rule(a, b, z, beta, deg):
 
 def _left_power_rule(a, b, z, beta, deg):
     """power_rule(a, b, z, beta, deg) without its checks, as (nodes,
-    weights): every load's rule, and that of each exact or difference pair
-    of the jump columns."""
+    weights): the rule of each exact or difference pair of the jump
+    columns; the Gauss-Legendre pairs and loads take `_left_rule_groups`."""
     A = a - z
     npts = deg // 2 + 1
     if A == 0.0:
@@ -173,10 +180,17 @@ def _left_power_rule(a, b, z, beta, deg):
     rho = _ellipse_rho(A, b - a)
     if rho >= _DIFF_RHO:
         nodes, w = _gauss_legendre(_gl_point_count(deg, rho), a, b)
-        return nodes, w * (nodes - z) ** beta
+        return nodes, _left_weights(nodes, w, z, beta)
     n_full, w_full = _jacobi_rule(npts, beta, z, b, at_a=True)
     n_cut, w_cut = _jacobi_rule(npts, beta, z, a, at_a=True)
     return np.concatenate([n_full, n_cut]), np.concatenate([w_full, -w_cut])
+
+
+def _left_weights(x, w, z, beta):
+    """Weights w (x - z)^beta of a Gauss-Legendre rule (x, w) against the
+    kernel (s - z)^beta: the arithmetic every left-singular rule, the loads
+    and the jump columns share, so that each keeps the bits of `power_rule`."""
+    return w * (x - z) ** beta
 
 
 def _right_power_rules(a, b, z, beta, deg):
@@ -306,6 +320,67 @@ def _weighted_reference_basis(npts, max_degree, nderiv):
     return table
 
 
+def _left_rule_order(nodes, degrees, target, z):
+    """The pairs of `_left_rule_groups` by branch: (singular, pairs, starts,
+    group_target, group_count).  `pairs` indexes the Gauss-Legendre pairs
+    sorted by target and point count, and group g, of target
+    group_target[g] and group_count[g] points, is pairs[starts[g]:] up to
+    the next start.  A function of its own so that its per-pair
+    temporaries are freed before the rules are mapped."""
+    rho = _ellipse_rho(nodes[target] - z, nodes[target + 1] - nodes[target])
+    singular = np.flatnonzero(rho < _DIFF_RHO)
+    pairs = np.flatnonzero(rho >= _DIFF_RHO)
+    counts = _gl_point_count(degrees[target[pairs]], rho[pairs])
+    by_group = np.lexsort((counts, target[pairs]))
+    pairs, counts = pairs[by_group], counts[by_group]
+    targets = target[pairs]
+    # a group starts where the target or the point count changes
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = (targets[1:] != targets[:-1]) | (counts[1:] != counts[:-1])
+    starts = np.flatnonzero(first)
+    return singular, pairs, starts, targets[starts], counts[starts]
+
+
+def _left_rule_groups(nodes, degrees, target, z):
+    """The Gauss-Legendre rules of int_{I_n} F(t) (t - z)^beta dt, z <= t_{n-1},
+    for the pairs (0-based target n = target[k], z = z[k]) of two arrays,
+    built in one pass: the rules of `power_rule(t_{n-1}, t_n, z, beta, p)`,
+    p = degrees[n], whose branch and point count do not depend on beta.
+
+    Returns (singular, groups).  `singular` indexes the pairs whose rule is
+    exact or a difference (rho < _DIFF_RHO); their Jacobi rules depend on
+    beta, so each takes `_left_power_rule`.  The others are sorted by
+    target and point count into groups (`_left_rule_order`).  Every group's
+    rule is mapped at once, with the arithmetic of `_gauss_legendre`, and
+    one `_legvander` recurrence at the largest degree evaluates the basis
+    at all their nodes.  `groups` yields, in that order and once, one (n,
+    pairs, x, w, values) per group: its target, the indices of its pairs,
+    and views of the shared arrays, made as they are read: its mapped nodes
+    and weights and its (count, p+1) basis values.  The caller takes the
+    kernel power (`_left_weights`) one group at a time: gathered over every
+    pair, it would hold them all at once.
+    """
+    degrees = np.asarray(degrees)
+    singular, pairs, starts, group_target, group_count = _left_rule_order(nodes, degrees, target, z)
+    if not pairs.size:
+        return singular, []
+    x, w = map(np.concatenate, zip(*map(_legendre_ref, group_count.tolist())))
+    a = np.repeat(nodes[group_target], group_count)
+    b = np.repeat(nodes[group_target + 1], group_count)
+    # `_gauss_legendre` and `legendre_values` of every group, the same arithmetic
+    half = 0.5 * (b - a)
+    x = a + half * (x + 1.0)
+    w = w * half
+    values = _legvander(_map_to_reference(x, a, b), int(degrees[group_target].max()))
+    pair_bounds = [*starts.tolist(), pairs.size]
+    node_bounds = [0, *np.cumsum(group_count).tolist()]
+    groups = (
+        (n, pairs[pair_bounds[g] : pair_bounds[g + 1]], x[lo:hi], w[lo:hi], values[lo:hi, : degrees[n] + 1])
+        for g, (n, lo, hi) in enumerate(zip(group_target.tolist(), node_bounds, node_bounds[1:]))
+    )
+    return singular, groups
+
+
 # Bound on the entries of the build's table; a graded N=150, p=2 build
 # fills 150, one per interval that is a far block's target or source.
 _TABLE_SIZE = 4096
@@ -361,9 +436,13 @@ _NEAR_SIGMA = 0.15
 # _FAR_RATIO times the larger step, the kernel singularity sits at ellipse
 # parameter rho >= 5 + sqrt(24) ~ 9.9 in both directions, and tensor
 # Gauss-Legendre with max degree + _FAR_PADDING points per direction is
-# accurate to about rho^-8 ~ 1e-8 relative, the tolerance of the far-field
-# oracle tests.  Both directions use the same reference rule, so the block
-# is L K R with L and R cached per (points, degree) (`_far_block`).
+# accurate to about rho^-8 ~ 1e-8 relative.  That is the far-field oracle
+# tolerance itself, so at the switch some blocks miss it, by up to 2.66x
+# (p = 2, alpha = -0.95): the strict xfail of
+# test_memory_block_at_the_far_switch_against_oracle[far-1.0] (ROADMAP
+# item 4); further out the rule meets it.  Both directions use the same
+# reference rule, so the block is L K R with L and R cached per (points,
+# degree) (`_far_block`).
 _FAR_RATIO = 2.0
 _FAR_PADDING = 4
 
@@ -504,38 +583,26 @@ def _jump_columns(nodes, alpha, target_degrees):
 
     the weight of v(0+) for j = 1 and of the jump [v]^{j-1} after it.  It is
     the moment vector of `power_rule(t_{n-1}, t_n, t_{j-1}, alpha, q_n)`,
-    bit for bit.  One array pass over the lower triangle finds the branch
-    and point count of every pair.  The exact (j == n) and difference pairs
-    take `_left_power_rule` and a basis evaluation one at a time.  The
-    Gauss-Legendre pairs fall into groups of one target and one point
-    count: each group maps its rule and evaluates the basis once, takes the
-    kernel powers of all its sources together and makes one stacked
-    product, which rounds as the one-pair product.
+    bit for bit.  One grouped rule pass over the lower triangle
+    (`_left_rule_groups`) sorts the pairs.  The exact (j == n) and
+    difference pairs take `_left_power_rule` and a basis evaluation one at
+    a time.  The Gauss-Legendre pairs come in groups of one target and one
+    point count, whose rules and basis values the pass built all at once:
+    each group takes the kernel powers of its sources together and makes
+    one stacked product, which rounds as the one-pair product.
     """
     scale = _kernel_scale(alpha)
     columns = [np.empty((n, q + 1)) for n, q in enumerate(target_degrees, start=1)]
     # every pair j <= n, as 0-based target and source indices
     target, source = np.tril_indices(len(target_degrees))
-    rho = _ellipse_rho(nodes[target] - nodes[source], nodes[target + 1] - nodes[target])
-    singular = rho < _DIFF_RHO
+    singular, groups = _left_rule_groups(nodes, target_degrees, target, nodes[source])
     for n, j in zip(target[singular].tolist(), source[singular].tolist()):
         tl, tr, q = float(nodes[n]), float(nodes[n + 1]), target_degrees[n]
         x, weights = _left_power_rule(tl, tr, float(nodes[j]), alpha, q)
         columns[n][j] = (legendre_values(x, tl, tr, q).T @ weights) * scale
-    target, source, rho = target[~singular], source[~singular], rho[~singular]
-    counts = _gl_point_count(np.asarray(target_degrees)[target], rho)
-    by_group = np.lexsort((counts, target))
-    target, source, counts = target[by_group], source[by_group], counts[by_group]
-    # a group starts where the target or the point count changes
-    first = np.ones(target.size, dtype=bool)
-    first[1:] = (target[1:] != target[:-1]) | (counts[1:] != counts[:-1])
-    firsts = np.flatnonzero(first).tolist()
-    for lo, hi in zip(firsts, firsts[1:] + [target.size]):
-        n, rows = int(target[lo]), source[lo:hi]
-        tl, tr = float(nodes[n]), float(nodes[n + 1])
-        x, w = _gauss_legendre(int(counts[lo]), tl, tr)
-        weights = w * (x - nodes[rows, None]) ** alpha
-        values = legendre_values(x, tl, tr, target_degrees[n])
+    for n, pairs, x, w, values in groups:
+        rows = source[pairs]
+        weights = _left_weights(x, w, nodes[rows, None], alpha)
         columns[n][rows] = np.matmul(weights[:, None, :], values)[:, 0] * scale
     return columns
 

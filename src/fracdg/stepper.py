@@ -17,9 +17,14 @@ march, the stability report (energy term int A(B U, U) dt) and
 `kernel.memory_form` all get it from `kernel.memory_operator`, shared by
 its key while the solution holds it; nothing keeps it after.
 
-Forcings are power sums (`problems.PowerSum`), so the load vectors come
-exactly from `kernel.power_rule`: per interval, one rule for each exponent,
-shared by every sum that carries it.
+Forcings are power sums (`problems.PowerSum`), so the load vectors are
+exact: `solve` computes every interval's before the march.  One grouped
+rule pass (`kernel._left_rule_groups`, the jump columns' too) maps every
+Gauss-Legendre interval's rule and evaluates its basis once per solve.
+The exact rule of interval 1, and a difference rule, depend on the
+exponent: such an interval takes `kernel.power_rule` for each exponent.
+Each exponent's moment on an interval is shared by every sum that carries
+it.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +36,8 @@ from .kernel import (
     _gauss_legendre,
     _jacobi_rule,
     _jump_values,
+    _left_rule_groups,
+    _left_weights,
     _parity,
     _stacked,
     coercivity_constants,
@@ -103,18 +110,33 @@ def _power_table(power_sums):
     ]
 
 
-def _power_moments(table, count, a, b, p):
-    """Moments int_a^b u P_i dt, i <= p, of each of the `count` power sums
-    u of a `_power_table`, one row per sum; exact.
+def _power_moments(table, count, mesh):
+    """Moments int_{I_n} u P_i dt, i <= p_n, of each of the `count` power
+    sums u of a `_power_table` on every interval n of the mesh: one
+    (count, p_n+1) array per interval, one row per sum; exact.
 
-    One rule and one moment per exponent, added only into the rows of the
-    sums that carry it (a sum without it never sees that moment, finite or
-    not), in increasing exponent order as each sum's terms are.
+    The rules are those of `kernel.power_rule` with singular point t_0 = 0.
+    One grouped rule pass (`kernel._left_rule_groups`) maps every
+    Gauss-Legendre interval's rule and evaluates its basis, which do not
+    depend on the exponent; an interval whose rule is exact or a difference
+    takes `power_rule` per exponent.  On each interval every exponent in
+    increasing order, as each sum's terms are, takes its power and one
+    moment, added only into the rows of the sums that carry it (a sum
+    without it never sees that moment, finite or not).
     """
-    moments = np.zeros((count, p + 1))
-    for exponent, rows, coeffs in table:
-        nodes, weights = power_rule(a, b, 0.0, exponent, p)
-        moments[rows] += coeffs * (weights @ legendre_values(nodes, a, b, p))
+    moments = [np.zeros((count, p + 1)) for p in mesh.degrees]
+    if not table:
+        return moments
+    nodes, intervals = mesh.nodes, mesh.interval_count
+    singular, groups = _left_rule_groups(nodes, mesh.degrees, np.arange(intervals), np.zeros(intervals))
+    for n in singular.tolist():
+        a, b, p = float(nodes[n]), float(nodes[n + 1]), int(mesh.degrees[n])
+        for exponent, rows, coeffs in table:
+            x, weights = power_rule(a, b, 0.0, exponent, p)
+            moments[n][rows] += coeffs * (weights @ legendre_values(x, a, b, p))
+    for n, _, x, w, values in groups:
+        for exponent, rows, coeffs in table:
+            moments[n][rows] += coeffs * (_left_weights(x, w, 0.0, exponent) @ values)
     return moments
 
 
@@ -222,9 +244,10 @@ def solve(problems, mesh, alpha):
     builds each once per (j, n) and applies it to every mode's stored
     coefficients: the blocks go into one (N, P+1, modes) array, zero past
     each degree, and the history of interval n applies its first n-1 rows;
-    the solution's blocks are (p_n+1, modes) views into it.  The loads
-    likewise take one moment per forcing exponent and interval, shared by
-    every mode that carries that exponent.  The operator comes from
+    the solution's blocks are (p_n+1, modes) views into it.  Every
+    interval's loads are computed before the march, from one grouped rule
+    pass (`_power_moments`): one moment per forcing exponent and interval,
+    shared by every mode that carries that exponent.  The operator comes from
     `kernel.memory_operator`, and the solution holds it
     (`DgSolution.memory_operator`) for `stability_report` and the forms.
     """
@@ -232,21 +255,19 @@ def solve(problems, mesh, alpha):
     modes = len(problems)
     lam = np.array([pr.eigenvalue for pr in problems])
     initial_values = np.array([pr.initial_value for pr in problems], dtype=float)
-    forcings = _power_table([pr.forcing for pr in problems])
+    loads = _power_moments(_power_table([pr.forcing for pr in problems]), modes, mesh)
     operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
     stacked = np.zeros((mesh.interval_count, max(mesh.degrees) + 1, modes))
     jump_vals = np.empty((mesh.interval_count, modes))
     incoming = initial_values.copy()
     for n in range(1, mesh.interval_count + 1):
         p = mesh.degree(n)
-        a, b = mesh.interval(n)
         parity = _parity(p)
         history = operator.apply(n, stacked[: n - 1], jump_vals[: n - 1])
         local_jump = operator.jump_columns[n - 1][n - 1]
         base = np.outer(parity, parity) + _transport_matrix(p)
         memory = operator.matrices[n - 1][n - 1, :, : p + 1] + np.outer(local_jump, parity)
-        loads = _power_moments(forcings, modes, a, b, p)
-        rhs = incoming[:, None] * parity + loads - lam[:, None] * history.T
+        rhs = incoming[:, None] * parity + loads[n - 1] - lam[:, None] * history.T
         if n >= 2:
             rhs += lam[:, None] * local_jump * incoming[:, None]
         block = _solve_modes(base + lam[:, None, None] * memory, rhs, n)

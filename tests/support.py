@@ -1,6 +1,8 @@
 """Helpers the tests share that the package itself never calls: the
-one-mode manufactured problem t^nu, the interpolatory projection of
-power-sum profiles, the semilog fit of an hp convergence history, the
+one-mode manufactured problem t^nu, the loads of one interval one
+exponent at a time that the grouped loads of `stepper._power_moments`
+must reproduce, the interpolatory projection of power-sum profiles, the
+semilog fit of an hp convergence history, the
 bilinear form through a given operator, the history sum one source at a
 time that the stacked `MemoryOperator.apply` must reproduce, one memory
 block with its jump column, the jump columns one pair at a time that
@@ -27,9 +29,10 @@ from fracdg.kernel import (
     legendre_derivative_values,
     legendre_values,
     memory_block,
+    power_rule,
 )
 from fracdg.problems import ManufacturedProblem, PowerSum, _mode
-from fracdg.stepper import DgSolution, _power_moments, _power_table
+from fracdg.stepper import DgSolution, _power_table
 
 
 def power_mode_problem(lam, nu, alpha):
@@ -43,17 +46,32 @@ def power_mode_problem(lam, nu, alpha):
     return ManufacturedProblem(alpha, 1.0, modes)
 
 
+def power_moments(table, count, a, b, p):
+    """Moments int_a^b u P_i dt, i <= p, of each of the `count` power sums
+    u of a `stepper._power_table`, one row per sum; exact.
+
+    One `power_rule` and one moment per exponent, added only into the rows
+    of the sums that carry it, in increasing exponent order.
+    """
+    moments = np.zeros((count, p + 1))
+    for exponent, rows, coeffs in table:
+        nodes, weights = power_rule(a, b, 0.0, exponent, p)
+        moments[rows] += coeffs * (weights @ legendre_values(nodes, a, b, p))
+    return moments
+
+
 def pi_projection(profiles, mesh):
     """Interpolatory projection: right-endpoint match plus orthogonality
     of the residual to P_{p_n - 1} on each interval.  The moments come
-    exactly from `kernel.power_rule`, as the loads of `solve` do."""
+    exactly from `kernel.power_rule` (`power_moments`), as the loads of
+    `solve` do."""
     table = _power_table(profiles)
     coeffs = []
     for n in range(1, mesh.interval_count + 1):
         a, b = mesh.interval(n)
         p = mesh.degree(n)
         width = b - a
-        moments = _power_moments(table, len(profiles), a, b, p)
+        moments = power_moments(table, len(profiles), a, b, p)
         block = np.empty((p + 1, len(profiles)))
         for m, u in enumerate(profiles):
             c = np.zeros(p + 1)

@@ -21,7 +21,7 @@ import oracles
 from fracdg import kernel
 from fracdg import stepper as stepper_mod
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
-from fracdg.problems import two_mode_problem
+from fracdg.problems import PowerSum, two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
 from support import (
     apply_per_source,
@@ -30,6 +30,7 @@ from support import (
     grouped_near_rows,
     grouped_right_power_rules,
     per_pair_jump_columns,
+    power_moments,
 )
 
 # Largest Legendre degree the kernel rules are checked to; far beyond
@@ -838,35 +839,43 @@ def test_far_block_evaluates_no_basis(monkeypatch):
             table[0, 0] = 1.0
 
 
+def _basis_asker(frame):
+    """Name of the function that asked for a basis evaluation: the caller
+    of `_legvander`, or of `legendre_values` when that called it."""
+    if frame.f_code.co_name == "legendre_values":
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
-    # within one build, the Gauss-Legendre jump columns evaluate the basis
-    # once per (point count, target) group; the others (the exact and
-    # difference branches) once per pair; no rule evaluates it for them
+    # within one build, one recurrence of the grouped rule pass evaluates
+    # the basis of every Gauss-Legendre jump column, over all its (point
+    # count, target) groups; the others (the exact and difference branches)
+    # evaluate it once per pair; no rule evaluates it for them
     alpha = -0.7
     mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
-    keys, tabled, other = set(), 0, 0
+    keys, other = set(), 0
     for n in range(1, mesh.interval_count + 1):
         tl, tr = mesh.interval(n)
         for j in range(1, n + 1):
             sl = mesh.interval(j)[0]
             if tl > sl and kernel._ellipse_rho(tl - sl, tr - tl) >= kernel._DIFF_RHO:
                 keys.add((kernel.power_rule(tl, tr, sl, alpha, 2)[0].size, n))
-                tabled += 1
             else:
                 other += 1
-    assert len(keys) < tabled
-    real_values = kernel.legendre_values
-    counts = {"_jump_columns": 0, "_interval_rule": 0, "_left_power_rule": 0}
+    assert len(keys) > 1 and other > 1
+    real_legvander = kernel._legvander
+    counts = {"_left_rule_groups": 0, "_jump_columns": 0, "_interval_rule": 0, "_left_power_rule": 0}
 
-    def values(*args):
-        caller = sys._getframe(1).f_code.co_name
+    def legvander(*args):
+        caller = _basis_asker(sys._getframe(1))
         if caller in counts:
             counts[caller] += 1
-        return real_values(*args)
+        return real_legvander(*args)
 
-    monkeypatch.setattr(kernel, "legendre_values", values)
+    monkeypatch.setattr(kernel, "_legvander", legvander)
     kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-    assert counts == {"_jump_columns": len(keys) + other, "_interval_rule": 0, "_left_power_rule": 0}
+    assert counts == {"_left_rule_groups": 1, "_jump_columns": other, "_interval_rule": 0, "_left_power_rule": 0}
 
 
 def test_each_build_starts_with_an_empty_table(monkeypatch):
@@ -916,31 +925,34 @@ def test_each_build_starts_with_an_empty_table(monkeypatch):
             array[0] = 1.0
 
 
-def test_each_load_evaluates_the_basis_once_per_exponent(monkeypatch):
+def test_loads_evaluate_the_basis_once_per_solve(monkeypatch):
     # a load's rule (power_rule, singular point t_0 = 0) evaluates no basis:
-    # `_power_moments` evaluates it once per exponent, on interval 1 (the
-    # exact branch) and on an interval the Gauss-Legendre branch takes
+    # the loads of a solve evaluate it at every Gauss-Legendre interval (all
+    # past interval 1 here) in one recurrence, shared by every exponent,
+    # and on interval 1, whose exact rule depends on the exponent, once per
+    # exponent
+    real_legvander = kernel._legvander
     calls = []
 
-    def counting(func):
-        def wrapped(*args):
-            calls.append(sys._getframe(1).f_code.co_name)
-            return func(*args)
+    def legvander(*args):
+        frame = sys._getframe(1)
+        caller = _basis_asker(frame)
+        while frame is not None and frame.f_code.co_name != "_power_moments":
+            frame = frame.f_back
+        if frame is not None:
+            calls.append(caller)
+        return real_legvander(*args)
 
-        return wrapped
-
-    monkeypatch.setattr(kernel, "legendre_values", counting(kernel.legendre_values))
-    monkeypatch.setattr(stepper_mod, "legendre_values", counting(stepper_mod.legendre_values))
-    forcings = stepper_mod._power_table([m.forcing for m in mode_problems(two_mode_problem(-0.7))])
+    monkeypatch.setattr(kernel, "_legvander", legvander)
+    problems = mode_problems(two_mode_problem(-0.7))
+    forcings = stepper_mod._power_table([m.forcing for m in problems])
     assert len(forcings) > 1
     mesh = graded_mesh(1.0, 40, 2.3, 2)
-    a, b = mesh.interval(30)
-    assert kernel._ellipse_rho(a, b - a) >= kernel._DIFF_RHO
-    for n in (1, 30):
-        calls.clear()
+    for n in range(2, mesh.interval_count + 1):
         a, b = mesh.interval(n)
-        stepper_mod._power_moments(forcings, 2, a, b, 2)
-        assert calls == ["_power_moments"] * len(forcings)
+        assert kernel._ellipse_rho(a, b - a) >= kernel._DIFF_RHO
+    solve(problems, mesh, -0.7)
+    assert sorted(calls) == ["_left_rule_groups"] + ["_power_moments"] * len(forcings)
 
 
 def _straddling_intervals(tl, tr, margin, degrees):
@@ -970,6 +982,52 @@ def test_jump_columns_equal_the_per_pair_loop_bytewise(alpha, intervals):
     assert len(got) == len(want)
     for columns, expected in zip(got, want):
         assert columns.shape == expected.shape and columns.tobytes() == expected.tobytes()
+
+
+# exponents of the drawn forcings: singular ones in (-1, 0) as a forcing
+# has, 0 and positive ones; few, so that sums share them
+_LOAD_EXPONENTS = (-0.7, -0.3, 0.0, 0.5, 1.0, 2.3)
+
+
+def _load_switch_step(left, margin):
+    """The step whose interval, left node `left`, sees t_0 = 0 a relative
+    `margin` below (difference rule) or, for a negative margin, above
+    (Gauss-Legendre) the difference switch."""
+    below, above = diff_switch_gaps(0.0, 1.0, abs(margin))
+    return left / (below if margin > 0.0 else above)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    intervals=st.lists(
+        st.tuples(st.floats(-4.0, 0.0).map(lambda e: 10.0**e), st.integers(0, 8)), min_size=1, max_size=16
+    ),
+    switch=st.none() | st.tuples(st.integers(1, 15), st.sampled_from([1e-9, -1e-9, 1e-6, -1e-6])),
+    sums=st.lists(
+        st.lists(st.tuples(st.floats(-2.0, 2.0), st.sampled_from(_LOAD_EXPONENTS)), max_size=4),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(intervals=[(0.01, 3), (1.0, 8), (0.5, 0)], switch=(1, 1e-9), sums=[[(1.0, -0.7), (2.0, 0.5)], [(1.0, 0.5)]])
+@example(intervals=[(0.01, 3), (1.0, 8), (0.5, 2)], switch=(1, -1e-9), sums=[[], [(1.0, 0.0)], [(-1.0, 2.3)]])
+@example(intervals=[(0.3, 1), (0.2, 2)], switch=None, sums=[[], []])
+def test_loads_equal_the_per_interval_loop_bytewise(intervals, switch, sums):
+    # log-uniform steps give exact, difference and Gauss-Legendre loads, and
+    # `switch` puts one interval just below or above the difference switch;
+    # the drawn sums share exponents, lack some, or are empty
+    steps = [step for step, _ in intervals]
+    if switch is not None and switch[0] < len(steps):
+        i, margin = switch
+        steps[i] = _load_switch_step(sum(steps[:i]), margin)
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]), [p for _, p in intervals])
+    table = stepper_mod._power_table([PowerSum(tuple(terms)) for terms in sums])
+    got = stepper_mod._power_moments(table, len(sums), mesh)
+    assert len(got) == mesh.interval_count
+    for n, moments in enumerate(got, start=1):
+        a, b = mesh.interval(n)
+        expected = power_moments(table, len(sums), a, b, mesh.degree(n))
+        assert moments.shape == expected.shape and moments.tobytes() == expected.tobytes()
 
 
 def _mixed_degree_mesh():

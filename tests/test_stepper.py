@@ -279,16 +279,18 @@ def test_determinism():
 
 def test_non_finite_load_names_interval_and_mode(monkeypatch):
     # the moment of t^0, which only mode 2 carries, turns nan past t = 0.5,
-    # inside interval 3 of 4; mode 1 shares t^0.5 with it and stays finite
-    real_rule = stepper_mod.power_rule
+    # inside interval 3 of 4; mode 1 shares t^0.5 with it and stays finite.
+    # Intervals 2 to 4 take the grouped Gauss-Legendre loads, whose weights
+    # for each exponent come from `_left_weights`
+    real_weights = stepper_mod._left_weights
 
-    def power_rule(a, b, z, beta, deg):
-        nodes, weights = real_rule(a, b, z, beta, deg)
-        if beta == 0.0 and b > 0.5:
+    def left_weights(x, w, z, beta):
+        weights = real_weights(x, w, z, beta)
+        if beta == 0.0 and x.max() > 0.5:
             weights = np.full_like(weights, np.nan)
-        return nodes, weights
+        return weights
 
-    monkeypatch.setattr(stepper_mod, "power_rule", power_rule)
+    monkeypatch.setattr(stepper_mod, "_left_weights", left_weights)
     mesh = graded_mesh(1.0, 4, 1.0, 1)
     problems = [
         ModeProblem(1.0, PowerSum.of((1.0, 0.5)), 1.0),
