@@ -26,13 +26,18 @@ and the basis evaluated at all their nodes at once; each group then takes
 its own kernel power and one stacked product.  The exact and difference
 rules depend on the exponent and stay one `_left_power_rule` per pair.
 A singular point right of its interval arises only where many time nodes
-share one source interval (the near-field blocks), and `_right_power_rules`
-builds all their rules as one flat rule set: rows sorted by branch and point
-count, every Gauss-Legendre rule mapped and every kernel power taken at
-once.  Only the contraction with the basis values stays one product per
-group (`_near_rows`), because a batched one rounds differently.  A far-field
-block is L K R: cached tables of the weighted basis at reference
-Gauss-Legendre nodes on either side of the kernel matrix
+share one source interval (the near-field blocks).  A near block's time
+nodes are its graded t-layers (`_near_t_layers`), a geometric composite
+Gauss rule toward the source, mapped in one step; `_right_power_rules`
+builds the rules of all of them as one flat rule set: rows sorted by branch
+and point count, every Gauss-Legendre rule mapped and every kernel power
+taken at once.  The t-layers and the rows each gather their reference
+rules from one table of every Gauss-Legendre rule laid end to end
+(`_legendre_rules`), as do the left-singular groups.  Only the contraction
+with the basis values stays one product per group (`_near_rows`), and the
+t-sum one einsum per layer, because a batched one rounds differently.
+A far-field block is L K R: cached tables of the weighted basis at
+reference Gauss-Legendre nodes on either side of the kernel matrix
 K = (t_q - s_r)^alpha, the only factor built per pair.
 
 The far blocks share one table of mapped Gauss-Legendre nodes
@@ -96,16 +101,66 @@ def coercivity_constants(alpha):
 # ---------------------------------------------------------------------------
 
 
+def _read_only(*arrays):
+    # the arrays, read-only: a cached rule is shared by every later caller
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=4096)
 def _jacobi_ref(npoints, exponent, at_a):
-    # weight (1+x)^exponent on [-1, 1] at_a, else (1-x)^exponent
-    return roots_jacobi(npoints, 0.0, exponent) if at_a else roots_jacobi(npoints, exponent, 0.0)
+    # read-only rule of weight (1+x)^exponent on [-1, 1] at_a, else (1-x)^exponent
+    rule = roots_jacobi(npoints, 0.0, exponent) if at_a else roots_jacobi(npoints, exponent, 0.0)
+    return _read_only(*rule)
 
 
-@lru_cache(maxsize=1024)
+# Every Gauss-Legendre rule on [-1, 1] of 1, 2, ..., n points, laid end to
+# end as read-only (x, w), with start[m] = m(m-1)/2 the first entry of the
+# m-point rule, m <= n.  `_legendre_table` grows it to the largest point
+# count asked for; it is the one store of these rules, and no entry changes
+# once written.
+_LEGENDRE = [np.empty(0), np.empty(0), np.zeros(1, dtype=int)]
+
+
+def _legendre_table(npoints):
+    """`_LEGENDRE` as (x, w, start), first grown to hold the npoints-point rule."""
+    x, w, start = _LEGENDRE
+    if start.size <= npoints:
+        rules = [np.polynomial.legendre.leggauss(count) for count in range(start.size, npoints + 1)]
+        x = np.concatenate([x, *(nodes for nodes, _ in rules)])
+        w = np.concatenate([w, *(weights for _, weights in rules)])
+        counts = np.arange(npoints + 1)
+        _LEGENDRE[:] = _read_only(x, w, counts * (counts - 1) // 2)
+    return tuple(_LEGENDRE)
+
+
 def _legendre_ref(npoints):
-    x, w = np.polynomial.legendre.leggauss(npoints)
-    return x, w
+    # read-only npoints-point rule, a view of the table
+    x, w, _ = _legendre_table(npoints)
+    first = npoints * (npoints - 1) // 2
+    return x[first : first + npoints], w[first : first + npoints]
+
+
+def _legendre_rules(counts):
+    """The Gauss-Legendre rules on [-1, 1] of the point counts `counts` (an
+    int array), laid end to end as (x, w): one gather from the table, so
+    every rule keeps its bits.  A near block's t-layers (`_near_t_layers`)
+    and its smooth rows (`_right_power_rules`) each take one gather, and so
+    do the jump columns' and loads' groups (`_left_rule_groups`).
+    """
+    x, w, start = _LEGENDRE
+    try:
+        first = start[counts]
+    except IndexError:
+        # a count past the table: grow it
+        x, w, start = _legendre_table(int(counts.max()))
+        first = start[counts]
+    # rule k is table entries first[k] on, and result entries ends[k] - counts[k] on
+    ends = counts.cumsum()
+    index = (first - (ends - counts)).repeat(counts)
+    index += np.arange(ends[-1])
+    return x[index], w[index]
 
 
 def _jacobi_rule(npoints, exponent, a, b, at_a):
@@ -204,9 +259,11 @@ def _right_power_rules(a, b, z, beta, deg):
     The branch of z_q depends only on its rho, and within a branch every
     z_q shares one reference rule, so the points fall into groups: the
     exact ones, the difference ones, then the Gauss-Legendre ones by
-    ascending point count.  The Gauss-Legendre groups are built together:
-    their reference rules are mapped to (a, b) once, and the weights of
-    every (z_q, node) pair come from one gathered power.
+    ascending point count.  When no z_q has rho < 1.25, the exact and
+    difference branches are skipped.  The Gauss-Legendre groups are built
+    together: their reference rules come from one `_legendre_rules` gather
+    of their ascending point counts and are mapped to (a, b) at once, and
+    the weights of every (z_q, node) pair come from one gathered power.
 
     Returns (rows, nodes, weights, groups), the groups laid end to end:
     group g is groups[g] = (size, shape), the rules of z[rows[i]] for the
@@ -217,43 +274,47 @@ def _right_power_rules(a, b, z, beta, deg):
     """
     dist = z - b
     rho = _ellipse_rho(dist, b - a)
-    npts = deg // 2 + 1
     parts, groups = [], []
-    exact = dist == 0.0
-    if exact.any():
-        group_rows = np.flatnonzero(exact)
-        group_nodes, w = _jacobi_rule(npts, beta, a, b, at_a=False)
-        parts.append((group_rows, group_nodes, np.tile(w, group_rows.size)))
-        groups.append((group_rows.size, group_nodes.shape))
-    diff = (rho < _DIFF_RHO) & ~exact
-    if diff.any():
-        group_rows = np.flatnonzero(diff)
-        zr = z[group_rows, None]
-        n_full, w_full = _jacobi_rule(npts, beta, a, zr, at_a=False)
-        n_cut, w_cut = _jacobi_rule(npts, beta, b, zr, at_a=False)
-        group_nodes = np.hstack([n_full, n_cut])
-        parts.append((group_rows, group_nodes.ravel(), np.hstack([w_full, -w_cut]).ravel()))
-        groups.append((group_rows.size, group_nodes.shape))
-    smooth = np.flatnonzero(rho >= _DIFF_RHO)
+    near = rho < _DIFF_RHO
+    if near.any():
+        npts = deg // 2 + 1
+        exact = dist == 0.0
+        if exact.any():
+            group_rows = exact.nonzero()[0]
+            group_nodes, w = _jacobi_rule(npts, beta, a, b, at_a=False)
+            parts.append((group_rows, group_nodes, np.tile(w, group_rows.size)))
+            groups.append((group_rows.size, group_nodes.shape))
+        diff = near & ~exact
+        if diff.any():
+            group_rows = diff.nonzero()[0]
+            zr = z[group_rows, None]
+            n_full, w_full = _jacobi_rule(npts, beta, a, zr, at_a=False)
+            n_cut, w_cut = _jacobi_rule(npts, beta, b, zr, at_a=False)
+            group_nodes = np.hstack([n_full, n_cut])
+            parts.append((group_rows, group_nodes.ravel(), np.hstack([w_full, -w_cut]).ravel()))
+            groups.append((group_rows.size, group_nodes.shape))
+    smooth = (rho >= _DIFF_RHO).nonzero()[0]
     if smooth.size:
         counts = _gl_point_count(deg, rho[smooth])
-        by_count = np.argsort(counts, kind="stable")
+        by_count = counts.argsort(kind="stable")
         row_counts = counts[by_count]
-        unique, sizes = np.unique(row_counts, return_counts=True)
-        x, w = map(np.concatenate, zip(*map(_legendre_ref, unique.tolist())))
+        rows_per_count = np.bincount(counts)
+        unique = rows_per_count.nonzero()[0]
+        sizes = rows_per_count[unique]
+        x, w = _legendre_rules(unique)
         # `_gauss_legendre` of every count at once, the same arithmetic
         half = 0.5 * (b - a)
         group_nodes = a + half * (x + 1.0)
         w = w * half
         # pair (row i, node k) reads node first[i] + k, first[i] its count's first node
-        first = np.repeat(np.cumsum(unique) - unique, sizes)
-        pair_node = np.repeat(first - (np.cumsum(row_counts) - row_counts), row_counts)
+        first = (unique.cumsum() - unique).repeat(sizes)
+        pair_node = (first - (row_counts.cumsum() - row_counts)).repeat(row_counts)
         pair_node += np.arange(pair_node.size)
         group_rows = smooth[by_count]
-        pair_z = np.repeat(z[group_rows], row_counts)
+        pair_z = z[group_rows].repeat(row_counts)
         parts.append((group_rows, group_nodes, w[pair_node] * (pair_z - group_nodes[pair_node]) ** beta))
-        groups.extend((size, (count,)) for count, size in zip(unique.tolist(), sizes.tolist()))
-    rows, nodes, weights = map(np.concatenate, zip(*parts))
+        groups.extend(zip(sizes.tolist(), ((count,) for count in unique.tolist())))
+    rows, nodes, weights = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return rows, nodes, weights, groups
 
 
@@ -364,7 +425,7 @@ def _left_rule_groups(nodes, degrees, target, z):
     singular, pairs, starts, group_target, group_count = _left_rule_order(nodes, degrees, target, z)
     if not pairs.size:
         return singular, []
-    x, w = map(np.concatenate, zip(*map(_legendre_ref, group_count.tolist())))
+    x, w = _legendre_rules(group_count)
     a = np.repeat(nodes[group_target], group_count)
     b = np.repeat(nodes[group_target + 1], group_count)
     # `_gauss_legendre` and `legendre_values` of every group, the same arithmetic
@@ -448,28 +509,36 @@ _FAR_PADDING = 4
 
 
 def _near_t_layers(tl, tr, gap, deg):
-    """Gauss-Legendre rules (nodes, weights) of the t-layers of a near block.
+    """Gauss-Legendre rules of the t-layers of a near block, laid end to
+    end: (nodes, weights, counts), layer k the next counts[k] entries.
 
     The inner integral loses analyticity in t as t approaches the source
     interval, which ends `gap` below tl, so the layers grade geometrically
     toward tl; the ladder stops at the gap (or at a machine-negligible
-    sliver when the intervals are adjacent, which is dropped).
+    sliver when the intervals are adjacent, which is dropped).  Each
+    layer's point count follows from its own ellipse parameter; one
+    `_legendre_rules` gather of the counts gives every reference rule,
+    and all of them are mapped in one step with `_gauss_legendre`'s
+    arithmetic, so each layer keeps the bits of its own rule.
     """
     k_n = tr - tl
     offsets = [k_n]
     while offsets[-1] * _NEAR_SIGMA > max(gap, 1e-16 * k_n):
         offsets.append(offsets[-1] * _NEAR_SIGMA)
     offsets.append(0.0)
-    layers = []
-    for hi_off, lo_off in zip(offsets[:-1], offsets[1:]):
-        width = hi_off - lo_off
-        if width <= 1e-15 * k_n:
-            continue
-        lo = tl + lo_off
-        # singularity sits at sr = tl - gap, below the layer by gap + lo_off
-        rho = _ellipse_rho(gap + lo_off, width)
-        layers.append(_gauss_legendre(_gl_point_count(deg, rho), lo, lo + width))
-    return layers
+    offsets = np.array(offsets)
+    lo_off = offsets[1:]
+    width = offsets[:-1] - lo_off
+    kept = width > 1e-15 * k_n
+    lo_off, width = lo_off[kept], width[kept]
+    # singularity sits at sr = tl - gap, below each layer by gap + lo_off
+    counts = _gl_point_count(deg, _ellipse_rho(gap + lo_off, width))
+    x, w = _legendre_rules(counts)
+    # `_gauss_legendre` of every layer at once, the same arithmetic
+    a = (tl + lo_off).repeat(counts)
+    b = a + width.repeat(counts)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), w * half, counts
 
 
 def _near_rows(sl, sr, t, alpha, p_j):
@@ -478,23 +547,28 @@ def _near_rows(sl, sr, t, alpha, p_j):
     One flat rule set (`_right_power_rules`) and one basis evaluation at
     all its nodes; neither is repeated per t_q or per group.  Only the
     contraction of each group's weights with its basis values, a stacked
-    (size, 1, count) @ (count, p_j+1) product, stays one matmul per group:
-    a single 2-D product, an einsum or a zero-padded node count each round
-    differently, and the rows must keep their bits.  The products fill one
-    buffer in group order, scattered to the rows of t once.
+    (size, 1, count) @ (1 or size, count, p_j+1) product, stays one matmul
+    per group: a single 2-D product, an einsum or a zero-padded node count
+    each round differently, and the rows must keep their bits.  The loop
+    reads each group's node span from its shape: `count` nodes when its
+    rules share them, size * count when each has its own.  The products
+    fill one buffer in group order, scattered to the rows of t once.
     """
     rows, nodes, weights, groups = _right_power_rules(sl, sr, t, alpha, p_j - 1)
     dvals = legendre_derivative_values(nodes, sl, sr, p_j, 1)
     by_group = np.empty((t.size, 1, p_j + 1))
     row = node = pair = 0
     for size, shape in groups:
-        count, span = shape[-1], math.prod(shape)
+        count = shape[-1]
+        stop = pair + size * count
+        # a shared node set spans `count` nodes, one per rule `size * count`
+        span = count if len(shape) == 1 else stop - pair
         np.matmul(
-            weights[pair : pair + size * count].reshape(size, 1, count),
-            dvals[node : node + span].reshape(shape + (p_j + 1,)),
+            weights[pair:stop].reshape(size, 1, count),
+            dvals[node : node + span].reshape(-1, count, p_j + 1),
             out=by_group[row : row + size],
         )
-        row, node, pair = row + size, node + span, pair + size * count
+        row, node, pair = row + size, node + span, stop
     out = np.empty((t.size, p_j + 1))
     out[rows] = by_group[:, 0]
     return out
@@ -505,20 +579,19 @@ def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
 
     At every time node the s-integral against the kernel is a signed power
     rule, stable at any ratio of step sizes; the t-integral sums the graded
-    layers of `_near_t_layers`.  The rows and target basis values of every
-    layer's nodes come from one `_near_rows` and one `legendre_values` call;
-    the layers are then summed one slice at a time, in layer order.
+    layers of `_near_t_layers`, which come laid end to end with their point
+    counts.  The rows and target basis values of every layer's nodes come
+    from one `_near_rows` and one `legendre_values` call; the layers are
+    then summed one einsum per count slice, in layer order.
     """
-    layers = _near_t_layers(tl, tr, tl - sr, p_n + p_j)
-    t_nodes = np.concatenate([nodes for nodes, _ in layers])
+    t_nodes, t_w, counts = _near_t_layers(tl, tr, tl - sr, p_n + p_j)
     tvals = legendre_values(t_nodes, tl, tr, p_n)
     rows = _near_rows(sl, sr, t_nodes, alpha, p_j)
     total = np.zeros((p_n + 1, p_j + 1))
     start = 0
-    for _, t_w in layers:
-        layer = slice(start, start + t_w.size)
-        start += t_w.size
-        total += np.einsum("q,qi,ql->il", t_w, tvals[layer], rows[layer])
+    for stop in counts.cumsum().tolist():
+        total += np.einsum("q,qi,ql->il", t_w[start:stop], tvals[start:stop], rows[start:stop])
+        start = stop
     return total * _kernel_scale(alpha)
 
 

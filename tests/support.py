@@ -8,14 +8,16 @@ time that the stacked `MemoryOperator.apply` must reproduce, one memory
 block with its jump column, the jump columns one pair at a time that
 the flat pass of `kernel._jump_columns` must reproduce, the per-group
 near-field rows that the flat rule set of
-`kernel._right_power_rules` must reproduce and the canonical config text
-that the round trip reads back."""
+`kernel._right_power_rules` must reproduce, the per-layer t-rules that
+the flat t-layers of `kernel._near_t_layers` must reproduce and the
+canonical config text that the round trip reads back."""
 
 import numpy as np
 
 from fracdg import config
 from fracdg.kernel import (
     _DIFF_RHO,
+    _NEAR_SIGMA,
     _check_alpha,
     _ellipse_rho,
     _gauss_legendre,
@@ -192,6 +194,33 @@ def grouped_near_rows(sl, sr, t, alpha, p_j):
         start += s_nodes.size
         out[rows] = (s_w[:, None, :] @ group_dvals)[:, 0]
     return out
+
+
+def near_t_layers(tl, tr, gap, deg):
+    """Gauss-Legendre rules (nodes, weights) of the t-layers of a near block,
+    one `_gauss_legendre` per layer: the list that `kernel._near_t_layers`
+    lays end to end.
+
+    The inner integral loses analyticity in t as t approaches the source
+    interval, which ends `gap` below tl, so the layers grade geometrically
+    toward tl; the ladder stops at the gap (or at a machine-negligible
+    sliver when the intervals are adjacent, which is dropped).
+    """
+    k_n = tr - tl
+    offsets = [k_n]
+    while offsets[-1] * _NEAR_SIGMA > max(gap, 1e-16 * k_n):
+        offsets.append(offsets[-1] * _NEAR_SIGMA)
+    offsets.append(0.0)
+    layers = []
+    for hi_off, lo_off in zip(offsets[:-1], offsets[1:]):
+        width = hi_off - lo_off
+        if width <= 1e-15 * k_n:
+            continue
+        lo = tl + lo_off
+        # singularity sits at sr = tl - gap, below the layer by gap + lo_off
+        rho = _ellipse_rho(gap + lo_off, width)
+        layers.append(_gauss_legendre(_gl_point_count(deg, rho), lo, lo + width))
+    return layers
 
 
 def serialize(cfg):

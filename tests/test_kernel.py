@@ -29,6 +29,7 @@ from support import (
     form_through,
     grouped_near_rows,
     grouped_right_power_rules,
+    near_t_layers,
     per_pair_jump_columns,
     power_moments,
 )
@@ -200,6 +201,42 @@ def test_gauss_jacobi_rule_polynomial_exactness():
             )
             val = float(weights @ nodes**m)
             assert math.isclose(val, ref, rel_tol=1e-11, abs_tol=1e-13 * abs(ref) + 1e-15)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [lambda: kernel._legendre_ref(5), lambda: kernel._legendre_table(5),
+     lambda: kernel._jacobi_ref(3, -0.5, True), lambda: kernel._jacobi_ref(3, -0.5, False)],
+    ids=["legendre", "legendre-table", "jacobi-at-a", "jacobi-at-b"],
+)
+def test_reference_rules_are_read_only(rule):
+    # every later caller shares the stored arrays: one in-place write
+    # would corrupt every later rule of that size in the process
+    for array in rule():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("counts", [[6], [4, 4, 7, 4], [2, 9, 9], [1, 60]])
+def test_gathered_rules_are_the_single_count_rules_end_to_end(counts):
+    x, w = kernel._legendre_rules(np.array(counts))
+    singles = [np.polynomial.legendre.leggauss(count) for count in counts]
+    assert same_bits(x, np.concatenate([nodes for nodes, _ in singles]))
+    assert same_bits(w, np.concatenate([weights for _, weights in singles]))
+
+
+def test_legendre_table_grows_without_changing_a_rule(monkeypatch):
+    # an empty table, grown twice, the second time by a gather past its end:
+    # a rule read before the table grows, and the same rule read after, are
+    # the 5-point rule, bit for bit
+    monkeypatch.setattr(kernel, "_LEGENDRE", [np.empty(0), np.empty(0), np.zeros(1, dtype=int)])
+    before = kernel._legendre_ref(5)
+    assert [array.size for array in kernel._legendre_table(1)] == [15, 15, 6]
+    kernel._legendre_rules(np.array([2, 9]))
+    assert [array.size for array in kernel._legendre_table(1)] == [45, 45, 10]
+    for count, rule in ((5, before), (5, kernel._legendre_ref(5)), (9, kernel._legendre_ref(9))):
+        reference = np.polynomial.legendre.leggauss(count)
+        assert all(same_bits(got, want) for got, want in zip(rule, reference))
 
 
 def test_power_rule_rejects_interior_singularity_and_bad_exponent():
@@ -570,7 +607,7 @@ def test_near_rows_match_per_node_power_rules(alpha, gap_ratio, log_step_ratio, 
     k_n = 10.0**log_step_ratio
     gap = gap_ratio * max(k_n, sr - sl)
     tl = sr + gap
-    layers = kernel._near_t_layers(tl, tl + k_n, gap, 2 * p_j)
+    layers = near_t_layers(tl, tl + k_n, gap, 2 * p_j)
     # the layers of the block plus a node on the singular endpoint (A == 0),
     # two straddling rho = _DIFF_RHO (distance 0.0125 k_j) and three with
     # different Gauss-Legendre point counts
@@ -620,7 +657,7 @@ def test_near_rows_equal_the_per_group_loop_bitwise(alpha, gap_ratio, log_step_r
     k_n = 10.0**log_step_ratio
     gap = gap_ratio * max(k_n, sr - sl)
     tl = sr + gap
-    layers = kernel._near_t_layers(tl, tl + k_n, gap, 2 * p_j)
+    layers = near_t_layers(tl, tl + k_n, gap, 2 * p_j)
     edge = (kernel._DIFF_RHO + 1.0 / kernel._DIFF_RHO) / 2.0 - 1.0
     probes = sr + (sr - sl) * np.array(
         [0.0, 0.5 * edge * (1.0 - 1e-6), 0.5 * edge * (1.0 + 1e-6), 0.3, 3.0, 40.0]
@@ -637,6 +674,7 @@ _FLAT_RULE_CASES = {
     "no-smooth-row": ([0.0, 1e-9, 1e-3, 0.012, 0.0], "ED"),
     "single-point-count": ([40.0, 40.0 + 1e-9, 40.0 + 2e-9], "G"),
     "single-t-node": ([0.3], "G"),
+    "several-point-counts": ([40.0, 0.3, 3.0, 0.3], "GGG"),
 }
 
 
@@ -656,17 +694,20 @@ def test_flat_rules_edge_cases_equal_the_per_group_loop(case, p_j):
 
 def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
     # one flat rule set and one basis evaluation for all t-layers of a
-    # near block, not one per layer or per t node; the block builds no
-    # jump column (the operator's `_jump_columns` does) and no power_rule
+    # near block, not one per layer or per t node, and one reference-rule
+    # gather for the t-layers and one for the rows' Gauss-Legendre counts;
+    # the block builds no jump column (the operator's `_jump_columns`
+    # does) and no power_rule
     real_rules = kernel._right_power_rules
     real_values = kernel.legendre_derivative_values
     real_power_rule = kernel.power_rule
     real_left_rule = kernel._left_power_rule
-    calls, counts = [], {"values": 0, "power_rule": 0, "jump_rule": 0}
+    real_gather = kernel._legendre_rules
+    calls, gathers, counts = [], [], {"values": 0, "power_rule": 0, "jump_rule": 0}
 
     def rules(a, b, z, beta, deg):
         flat = real_rules(a, b, z, beta, deg)
-        calls.append((z.size, len(flat[3])))
+        calls.append((z.size, flat[3]))
         return flat
 
     def values(*args):
@@ -681,24 +722,34 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
         counts["jump_rule"] += 1
         return real_left_rule(*args, **kwargs)
 
+    def gather(point_counts):
+        gathers.append(tuple(point_counts.tolist()))
+        return real_gather(point_counts)
+
     monkeypatch.setattr(kernel, "_right_power_rules", rules)
     monkeypatch.setattr(kernel, "legendre_derivative_values", values)
     monkeypatch.setattr(kernel, "power_rule", power_rule)
     monkeypatch.setattr(kernel, "_left_power_rule", jump_rule)
+    monkeypatch.setattr(kernel, "_legendre_rules", gather)
     mesh = geometric_mesh(T=1.0, T_1=1.0, delta=0.1, L=12, mu=1.0)
     for j, n in ((5, 6), (3, 6), (11, 12)):
         calls.clear()
+        gathers.clear()
         counts.update(values=0, power_rule=0, jump_rule=0)
         kernel.memory_block(mesh, j, n, -0.7)
         sl, sr = mesh.interval(j)
         tl, tr = mesh.interval(n)
-        expected = kernel._near_t_layers(tl, tr, tl - sr, mesh.degree(j) + mesh.degree(n))
+        expected = near_t_layers(tl, tr, tl - sr, mesh.degree(j) + mesh.degree(n))
         assert len(expected) > 1
         assert [size for size, _ in calls] == [sum(nodes.size for nodes, _ in expected)]
         assert counts == {"values": 1, "power_rule": 0, "jump_rule": 0}
         # the grouping is real: fewer branch groups than t nodes
         ((size, groups),) = calls
-        assert groups < size
+        assert len(groups) < size
+        # no t node lies on the source, so every 1-D group is Gauss-Legendre
+        gauss_legendre = tuple(shape[0] for _, shape in groups if len(shape) == 1)
+        assert len(gauss_legendre) > 1
+        assert gathers == [tuple(nodes.size for nodes, _ in expected), gauss_legendre]
 
 
 def per_layer_near_block(sl, sr, tl, tr, alpha, p_n, p_j):
@@ -706,7 +757,7 @@ def per_layer_near_block(sl, sr, tl, tr, alpha, p_n, p_j):
     if p_j == 0:
         return np.zeros((p_n + 1, p_j + 1))
     total = np.zeros((p_n + 1, p_j + 1))
-    for t_nodes, t_w in kernel._near_t_layers(tl, tr, tl - sr, p_n + p_j):
+    for t_nodes, t_w in near_t_layers(tl, tr, tl - sr, p_n + p_j):
         tvals = kernel.legendre_values(t_nodes, tl, tr, p_n)
         rows = kernel._near_rows(sl, sr, t_nodes, alpha, p_j)
         total += np.einsum("q,qi,ql->il", t_w, tvals, rows)
@@ -727,7 +778,46 @@ def test_near_block_equals_the_per_layer_sum_bitwise(alpha, gap_ratio, log_step_
     k_n = 10.0**log_step_ratio
     tl = sr + gap_ratio * max(k_n, sr - sl)
     got = kernel._near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j)
-    assert np.array_equal(got, per_layer_near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j))
+    assert same_bits(got, per_layer_near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j))
+
+
+def _ladder_offset(k_n, rungs):
+    # the ladder's offset after `rungs` steps, multiplied as the ladder does
+    offset = k_n
+    for _ in range(rungs):
+        offset *= kernel._NEAR_SIGMA
+    return offset
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    log_step_ratio=st.floats(-6.0, 6.0),
+    gap=st.one_of(
+        st.just(("adjacent", 0, 0.0)),
+        st.tuples(st.just("ratio"), st.just(0), st.floats(0.0, kernel._FAR_RATIO * (1.0 - 1e-9))),
+        # on either side of the stop offset * _NEAR_SIGMA = gap after 1 to 19 rungs
+        st.tuples(st.just("stop"), st.integers(1, 19), st.sampled_from([-1e-9, 1e-9])),
+    ),
+    deg=st.integers(1, 16),
+)
+@example(log_step_ratio=0.0, gap=("adjacent", 0, 0.0), deg=16)
+@example(log_step_ratio=-6.0, gap=("stop", 19, -1e-9), deg=1)
+@example(log_step_ratio=6.0, gap=("stop", 1, 1e-9), deg=7)
+def test_flat_t_layers_equal_the_per_layer_rules_bytewise(log_step_ratio, gap, deg):
+    # source (2, 3); target k_n = ratio * k_j, gap below the far-field switch
+    sr = 3.0
+    k_n = 10.0**log_step_ratio
+    kind, rungs, value = gap
+    if kind == "stop":
+        gap = _ladder_offset(k_n, rungs) * (1.0 + value)
+    else:
+        gap = value * max(k_n, 1.0)
+    tl = sr + gap
+    nodes, weights, counts = kernel._near_t_layers(tl, tl + k_n, gap, deg)
+    layers = near_t_layers(tl, tl + k_n, gap, deg)
+    assert counts.tolist() == [layer_nodes.size for layer_nodes, _ in layers]
+    assert same_bits(nodes, np.concatenate([layer_nodes for layer_nodes, _ in layers]))
+    assert same_bits(weights, np.concatenate([layer_weights for _, layer_weights in layers]))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
