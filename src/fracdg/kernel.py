@@ -16,26 +16,27 @@ integrals with Gauss-Jacobi rules (`_jacobi_rule`, singular at either end;
 exact for the near-diagonal cases), differences of such rules, or
 Gauss-Legendre once the singularity is well separated from the integration
 interval, and assembles them into the memory-matrix blocks that discretize
-the history term.  A singular point left of its interval takes
-`power_rule`: a load's t_0 = 0, and a jump column's source node (one column
-per source node and target interval).  Their Gauss-Legendre rules do not
-depend on the exponent, so one grouped pass (`_left_rule_groups`) builds
-every such rule of a mesh's jump columns (`_jump_columns`) or of a solve's
-loads: pairs sorted by target and point count, every group's rule mapped
-and the basis evaluated at all their nodes at once; each group then takes
-its own kernel power and one stacked product.  The exact and difference
-rules depend on the exponent and stay one `_left_power_rule` per pair.
-A singular point right of its interval arises only where many time nodes
-share one source interval (the near-field blocks).  A near block's time
-nodes are its graded t-layers (`_near_t_layers`), a geometric composite
-Gauss rule toward the source, mapped in one step; `_right_power_rules`
-builds the rules of all of them as one flat rule set: rows sorted by branch
-and point count, every Gauss-Legendre rule mapped and every kernel power
-taken at once.  The t-layers and the rows each gather their reference
-rules from one table of every Gauss-Legendre rule laid end to end
-(`_legendre_rules`), as do the left-singular groups.  Only the contraction
-with the basis values stays one product per group (`_near_rows`), and the
-t-sum one einsum per layer, because a batched one rounds differently.
+the history term.  Every Gauss-Legendre rule comes from one table of the
+reference rules laid end to end (`_legendre_rules`) and is mapped onto its
+interval by one function, `_gauss_legendre`, one rule or many at once.
+A singular point left of its interval takes `power_rule`: a load's
+t_0 = 0, and a jump column's source node (one column per source node and
+target interval).  Their Gauss-Legendre rules do not depend on the
+exponent, so one grouped pass (`_left_rule_groups`) builds every such rule
+of a mesh's jump columns (`_jump_columns`) or of a solve's loads: pairs
+sorted by target and point count, every group's rule mapped and the basis
+evaluated at all their nodes at once; each group then takes its own kernel
+power and one stacked product.  The exact and difference rules depend on
+the exponent and stay one `power_rule` per pair.  A singular point right
+of its interval arises only where many time nodes share one source
+interval (the near-field blocks).  A near block's time nodes are its
+graded t-layers (`_near_t_layers`), a geometric composite Gauss rule
+toward the source, mapped in one step; `_right_power_rules` builds the
+rules of all of them as one flat rule set: rows sorted by branch and point
+count, every Gauss-Legendre rule mapped and every kernel power taken at
+once.  Only the contraction with the basis values stays one product per
+group (`_near_rows`), and the t-sum one einsum per layer, because a
+batched one rounds differently.
 A far-field block is L K R: cached tables of the weighted basis at
 reference Gauss-Legendre nodes on either side of the kernel matrix
 K = (t_q - s_r)^alpha, the only factor built per pair.
@@ -135,19 +136,11 @@ def _legendre_table(npoints):
     return tuple(_LEGENDRE)
 
 
-def _legendre_ref(npoints):
-    # read-only npoints-point rule, a view of the table
-    x, w, _ = _legendre_table(npoints)
-    first = npoints * (npoints - 1) // 2
-    return x[first : first + npoints], w[first : first + npoints]
-
-
 def _legendre_rules(counts):
     """The Gauss-Legendre rules on [-1, 1] of the point counts `counts` (an
     int array), laid end to end as (x, w): one gather from the table, so
-    every rule keeps its bits.  A near block's t-layers (`_near_t_layers`)
-    and its smooth rows (`_right_power_rules`) each take one gather, and so
-    do the jump columns' and loads' groups (`_left_rule_groups`).
+    every rule keeps its bits.  `_gauss_legendre` maps them, and
+    `_weighted_reference_basis` tabulates the basis at them.
     """
     x, w, start = _LEGENDRE
     try:
@@ -170,8 +163,19 @@ def _jacobi_rule(npoints, exponent, a, b, at_a):
     return a + half * (x + 1.0), w * half ** (exponent + 1.0)
 
 
-def _gauss_legendre(npoints, a, b):
-    x, w = _legendre_ref(int(npoints))
+def _gauss_legendre(counts, a, b):
+    """The Gauss-Legendre rules of `counts` points (an int, or an int array
+    of one count per rule) mapped onto (a, b), laid end to end as (nodes,
+    weights); a and b are floats, or arrays of one entry per rule.  The one
+    mapping of a reference Gauss-Legendre rule: an endpoint repeated per
+    node rounds as the same float, so a rule mapped with others keeps the
+    bits it has alone.
+    """
+    if not isinstance(counts, np.ndarray):
+        counts = np.array([counts])
+    if isinstance(a, np.ndarray):
+        a, b = a.repeat(counts), b.repeat(counts)
+    x, w = _legendre_rules(counts)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), w * half
 
@@ -215,19 +219,14 @@ def power_rule(a, b, z, beta, deg):
       otherwise       Gauss-Legendre with a rho-dependent point count.
     ValueError for beta <= -1 or z > a: every load of `solve` has its
     singular point t_0 = 0 left of the interval, and the near field's right
-    singularities are `_right_power_rules`.
+    singularities are `_right_power_rules`.  The loads and the jump columns
+    take it where the rule is exact or a difference; their Gauss-Legendre
+    rules come from `_left_rule_groups`, bit for bit.
     """
     if beta <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {beta}")
     if z > a:
         raise ValueError(f"singular point z={z} lies right of a={a}")
-    return _left_power_rule(a, b, z, beta, deg)
-
-
-def _left_power_rule(a, b, z, beta, deg):
-    """power_rule(a, b, z, beta, deg) without its checks, as (nodes,
-    weights): the rule of each exact or difference pair of the jump
-    columns; the Gauss-Legendre pairs and loads take `_left_rule_groups`."""
     A = a - z
     npts = deg // 2 + 1
     if A == 0.0:
@@ -261,9 +260,9 @@ def _right_power_rules(a, b, z, beta, deg):
     exact ones, the difference ones, then the Gauss-Legendre ones by
     ascending point count.  When no z_q has rho < 1.25, the exact and
     difference branches are skipped.  The Gauss-Legendre groups are built
-    together: their reference rules come from one `_legendre_rules` gather
-    of their ascending point counts and are mapped to (a, b) at once, and
-    the weights of every (z_q, node) pair come from one gathered power.
+    together: one `_gauss_legendre` call maps the rules of their ascending
+    point counts to (a, b), and the weights of every (z_q, node) pair come
+    from one gathered power.
 
     Returns (rows, nodes, weights, groups), the groups laid end to end:
     group g is groups[g] = (size, shape), the rules of z[rows[i]] for the
@@ -301,11 +300,7 @@ def _right_power_rules(a, b, z, beta, deg):
         rows_per_count = np.bincount(counts)
         unique = rows_per_count.nonzero()[0]
         sizes = rows_per_count[unique]
-        x, w = _legendre_rules(unique)
-        # `_gauss_legendre` of every count at once, the same arithmetic
-        half = 0.5 * (b - a)
-        group_nodes = a + half * (x + 1.0)
-        w = w * half
+        group_nodes, w = _gauss_legendre(unique, a, b)
         # pair (row i, node k) reads node first[i] + k, first[i] its count's first node
         first = (unique.cumsum() - unique).repeat(sizes)
         pair_node = (first - (row_counts.cumsum() - row_counts)).repeat(row_counts)
@@ -330,9 +325,7 @@ def _map_to_reference(s, a, b):
 @lru_cache(maxsize=256)
 def _legendre_derivative_matrix(max_degree, nderiv):
     # column k holds the Legendre coefficients of the nderiv-th derivative of P_k
-    mat = _leg.legder(np.eye(max_degree + 1), nderiv, axis=0)
-    mat.setflags(write=False)
-    return mat
+    return _read_only(_leg.legder(np.eye(max_degree + 1), nderiv, axis=0))[0]
 
 
 def _legvander(x, deg):
@@ -375,10 +368,8 @@ def _weighted_reference_basis(npts, max_degree, nderiv):
     """Read-only table w_r P_k^(nderiv)(x_r) at the npts-point Gauss-Legendre
     rule (x, w) on [-1, 1], one row per node r, column k <= max_degree.
     """
-    x, w = _legendre_ref(npts)
-    table = w[:, None] * legendre_derivative_values(x, -1.0, 1.0, max_degree, nderiv)
-    table.setflags(write=False)
-    return table
+    x, w = _legendre_rules(np.array([npts]))
+    return _read_only(w[:, None] * legendre_derivative_values(x, -1.0, 1.0, max_degree, nderiv))[0]
 
 
 def _left_rule_order(nodes, degrees, target, z):
@@ -410,29 +401,24 @@ def _left_rule_groups(nodes, degrees, target, z):
 
     Returns (singular, groups).  `singular` indexes the pairs whose rule is
     exact or a difference (rho < _DIFF_RHO); their Jacobi rules depend on
-    beta, so each takes `_left_power_rule`.  The others are sorted by
-    target and point count into groups (`_left_rule_order`).  Every group's
-    rule is mapped at once, with the arithmetic of `_gauss_legendre`, and
-    one `_legvander` recurrence at the largest degree evaluates the basis
-    at all their nodes.  `groups` yields, in that order and once, one (n,
-    pairs, x, w, values) per group: its target, the indices of its pairs,
-    and views of the shared arrays, made as they are read: its mapped nodes
-    and weights and its (count, p+1) basis values.  The caller takes the
-    kernel power (`_left_weights`) one group at a time: gathered over every
-    pair, it would hold them all at once.
+    beta, so each takes `power_rule`.  The others are sorted by target and
+    point count into groups (`_left_rule_order`).  One `_gauss_legendre`
+    call maps every group's rule, and one `legendre_values` recurrence at
+    the largest degree evaluates the basis at all their nodes.  `groups`
+    yields, in that order and once, one (n, pairs, x, w, values) per group:
+    its target, the indices of its pairs, and views of the shared arrays,
+    made as they are read: its mapped nodes and weights and its (count,
+    p+1) basis values.  The caller takes the kernel power (`_left_weights`)
+    one group at a time: gathered over every pair, it would hold them all
+    at once.
     """
     degrees = np.asarray(degrees)
     singular, pairs, starts, group_target, group_count = _left_rule_order(nodes, degrees, target, z)
     if not pairs.size:
         return singular, []
-    x, w = _legendre_rules(group_count)
-    a = np.repeat(nodes[group_target], group_count)
-    b = np.repeat(nodes[group_target + 1], group_count)
-    # `_gauss_legendre` and `legendre_values` of every group, the same arithmetic
-    half = 0.5 * (b - a)
-    x = a + half * (x + 1.0)
-    w = w * half
-    values = _legvander(_map_to_reference(x, a, b), int(degrees[group_target].max()))
+    a, b = nodes[group_target], nodes[group_target + 1]
+    x, w = _gauss_legendre(group_count, a, b)
+    values = legendre_values(x, a.repeat(group_count), b.repeat(group_count), int(degrees[group_target].max()))
     pair_bounds = [*starts.tolist(), pairs.size]
     node_bounds = [0, *np.cumsum(group_count).tolist()]
     groups = (
@@ -452,9 +438,7 @@ def _interval_rule(npts, a, b):
     """The build's table: the read-only nodes of the npts-point
     Gauss-Legendre rule mapped to (a, b), the t or s nodes of every far
     block on that interval."""
-    nodes = _gauss_legendre(npts, a, b)[0]
-    nodes.setflags(write=False)
-    return nodes
+    return _read_only(_gauss_legendre(npts, a, b)[0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +500,9 @@ def _near_t_layers(tl, tr, gap, deg):
     interval, which ends `gap` below tl, so the layers grade geometrically
     toward tl; the ladder stops at the gap (or at a machine-negligible
     sliver when the intervals are adjacent, which is dropped).  Each
-    layer's point count follows from its own ellipse parameter; one
-    `_legendre_rules` gather of the counts gives every reference rule,
-    and all of them are mapped in one step with `_gauss_legendre`'s
-    arithmetic, so each layer keeps the bits of its own rule.
+    layer's point count follows from its own ellipse parameter, and one
+    `_gauss_legendre` call maps every layer's rule, each keeping the bits
+    of its own.
     """
     k_n = tr - tl
     offsets = [k_n]
@@ -533,12 +516,8 @@ def _near_t_layers(tl, tr, gap, deg):
     lo_off, width = lo_off[kept], width[kept]
     # singularity sits at sr = tl - gap, below each layer by gap + lo_off
     counts = _gl_point_count(deg, _ellipse_rho(gap + lo_off, width))
-    x, w = _legendre_rules(counts)
-    # `_gauss_legendre` of every layer at once, the same arithmetic
-    a = (tl + lo_off).repeat(counts)
-    b = a + width.repeat(counts)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), w * half, counts
+    lo = tl + lo_off
+    return (*_gauss_legendre(counts, lo, lo + width), counts)
 
 
 def _near_rows(sl, sr, t, alpha, p_j):
@@ -658,8 +637,8 @@ def _jump_columns(nodes, alpha, target_degrees):
     the moment vector of `power_rule(t_{n-1}, t_n, t_{j-1}, alpha, q_n)`,
     bit for bit.  One grouped rule pass over the lower triangle
     (`_left_rule_groups`) sorts the pairs.  The exact (j == n) and
-    difference pairs take `_left_power_rule` and a basis evaluation one at
-    a time.  The Gauss-Legendre pairs come in groups of one target and one
+    difference pairs take `power_rule` and a basis evaluation one at a
+    time.  The Gauss-Legendre pairs come in groups of one target and one
     point count, whose rules and basis values the pass built all at once:
     each group takes the kernel powers of its sources together and makes
     one stacked product, which rounds as the one-pair product.
@@ -671,7 +650,7 @@ def _jump_columns(nodes, alpha, target_degrees):
     singular, groups = _left_rule_groups(nodes, target_degrees, target, nodes[source])
     for n, j in zip(target[singular].tolist(), source[singular].tolist()):
         tl, tr, q = float(nodes[n]), float(nodes[n + 1]), target_degrees[n]
-        x, weights = _left_power_rule(tl, tr, float(nodes[j]), alpha, q)
+        x, weights = power_rule(tl, tr, float(nodes[j]), alpha, q)
         columns[n][j] = (legendre_values(x, tl, tr, q).T @ weights) * scale
     for n, pairs, x, w, values in groups:
         rows = source[pairs]
@@ -758,8 +737,7 @@ class MemoryOperator:
             for j in range(1, n + 1):
                 p = source_degrees[j - 1]
                 target_matrices[j - 1, :, : p + 1] = memory_block(mesh, j, n, alpha, degrees=(p, q))
-            target_matrices.setflags(write=False)
-            jump_columns[n - 1].setflags(write=False)
+            _read_only(target_matrices, jump_columns[n - 1])
             matrices.append(target_matrices)
         self.matrices = tuple(matrices)
         self.jump_columns = tuple(jump_columns)

@@ -86,14 +86,14 @@ def graded_mesh(T, N, gamma, p, first_interval_linear=False):
     (1, p, ..., p) when the first-interval flag is set (the strongly graded
     first step carries only a linear space).
     """
-    if T <= 0.0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
     if N < 1:
         raise ValueError(f"interval count N must be >= 1, got {N}")
-    if gamma < 1.0:
-        raise ValueError(f"mesh grading gamma must be >= 1, got {gamma}")
-    if p < 1:
-        raise ValueError(f"polynomial degree p must be >= 1, got {p}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"mesh grading gamma must be finite and >= 1, got {gamma}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"polynomial degree p must be finite and >= 1, got {p}")
     k = T ** (1.0 / gamma) / N
     nodes = (np.arange(N + 1) * k) ** gamma
     nodes[-1] = T
@@ -110,16 +110,16 @@ def geometric_mesh(T, T_1, delta, L, mu):
     remainder is covered by the fewest uniform coarse intervals of width at
     most T_1, all carrying the last geometric degree.
     """
-    if T <= 0.0 or T_1 <= 0.0:
-        raise ValueError(f"horizons must be positive, got T={T}, T_1={T_1}")
+    if not (0.0 < T < math.inf and 0.0 < T_1 < math.inf):
+        raise ValueError(f"horizons must be positive and finite, got T={T}, T_1={T_1}")
     if T_1 > T:
         raise ValueError(f"first coarse interval T_1={T_1} exceeds the horizon T={T}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"geometric grading delta must lie in (0, 1), got {delta}")
     if L < 0:
         raise ValueError(f"refinement level count L must be >= 0, got {L}")
-    if mu <= 0.0:
-        raise ValueError(f"degree slope mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"degree slope mu must be positive and finite, got {mu}")
     nodes = [0.0] + [delta ** (L + 1 - n) * T_1 for n in range(1, L + 2)]
     degrees = [max(1, int(math.floor(mu * n + 1e-12))) for n in range(1, L + 2)]
     if T_1 < T:

@@ -50,6 +50,9 @@ class PowerSum:
 
     @classmethod
     def of(cls, *pairs):
+        for coeff, exponent in pairs:
+            if not (math.isfinite(coeff) and math.isfinite(exponent)):
+                raise ValueError(f"power-sum terms must be finite, got {(coeff, exponent)}")
         terms = _merged(pairs)
         if any(e < 0.0 for _, e in terms):
             raise ValueError("power-sum exponents must be nonnegative")
@@ -138,8 +141,8 @@ def two_mode_problem(alpha, K=1.0):
     -t^{alpha+2}/sqrt(2), so the solution's regularity exponent is alpha + 2.
     """
     alpha = _check_alpha(alpha)
-    if K <= 0.0:
-        raise ValueError(f"diffusivity K must be positive, got {K}")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"diffusivity K must be positive and finite, got {K}")
     lam = K * math.pi**2 * np.array([1.0, 4.0])
     root_half = 1.0 / math.sqrt(2.0)
     modes = (

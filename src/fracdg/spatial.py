@@ -83,8 +83,8 @@ class ModeSystem:
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", lam)
-        if lam.size < 1 or np.any(lam <= 0.0):
-            raise ValueError("eigenvalues must be positive")
+        if lam.size < 1 or not np.all((0.0 < lam) & (lam < np.inf)):
+            raise ValueError(f"eigenvalues must be positive and finite, got {lam}")
         if np.any(np.diff(lam) < 0.0):
             raise ValueError("eigenvalues must be nondecreasing")
 
@@ -104,8 +104,8 @@ def spectral_backend(M, K=1.0):
     """Exact sine eigensystem on (0, 1): lambda_m = K m^2 pi^2."""
     if M < 1:
         raise ValueError(f"mode count M must be >= 1, got {M}")
-    if K <= 0.0:
-        raise ValueError(f"diffusivity K must be positive, got {K}")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"diffusivity K must be positive and finite, got {K}")
     m = np.arange(1, M + 1)
     return ModeSystem(K * (m * math.pi) ** 2, float(K), "spectral")
 
@@ -135,8 +135,8 @@ def fem_backend(elements, r, K=1.0):
         raise ValueError(f"element count must be >= 2, got {elements}")
     if r < 1:
         raise ValueError(f"polynomial degree r must be >= 1, got {r}")
-    if K <= 0.0:
-        raise ValueError(f"diffusivity K must be positive, got {K}")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"diffusivity K must be positive and finite, got {K}")
     space = _assemble(elements, r, K)
     lam, vecs = eigh(space.stiffness, space.mass)
     system = ModeSystem(lam, float(K), "fem", mode_shapes=vecs, space=space)

@@ -11,11 +11,11 @@ block and J its jump column.  Everything already computed on intervals
 1..n-1 enters the right-hand side through the memory load, one application
 of the memory operator (`kernel.MemoryOperator.apply`) to the coefficients
 stored so far, zero-padded in one (N, P+1, modes) array, so a full march
-costs O(N^2) block evaluations shared across modes; the stability report
-and `kernel.memory_form` stack theirs once per call.  The
-march, the stability report (energy term int A(B U, U) dt) and
-`kernel.memory_form` all get it from `kernel.memory_operator`, shared by
-its key while the solution holds it; nothing keeps it after.
+costs O(N^2) block evaluations shared across modes.  The march, the
+stability report (energy term int A(B U, U) dt) and `kernel.memory_form`
+each stack their coefficients once per call and get the operator from
+`kernel.memory_operator`, shared by its key while the solution holds it;
+nothing keeps it after.
 
 Forcings are power sums (`problems.PowerSum`), so the load vectors are
 exact: `solve` computes every interval's before the march.  One grouped
@@ -27,6 +27,7 @@ Each exponent's moment on an interval is shared by every sum that carries
 it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,7 @@ class ModeProblem:
     """One scalar mode: u' + lambda B u = f with initial value u0.
 
     The forcing f is a `PowerSum`, integrated exactly; None means f = 0.
+    ValueError unless lambda >= 0, u0 and every term of f are finite.
     """
 
     eigenvalue: float
@@ -72,13 +74,17 @@ class ModeProblem:
     initial_value: float
 
     def __post_init__(self):
-        if self.eigenvalue < 0.0:
-            raise ValueError(f"eigenvalue must be >= 0, got {self.eigenvalue}")
+        if not 0.0 <= self.eigenvalue < math.inf:
+            raise ValueError(f"eigenvalue must be finite and >= 0, got {self.eigenvalue}")
+        if not math.isfinite(self.initial_value):
+            raise ValueError(f"initial value must be finite, got {self.initial_value}")
         if self.forcing is None:
             object.__setattr__(self, "forcing", PowerSum.of())
         elif not isinstance(self.forcing, PowerSum):
             kind = type(self.forcing).__name__
             raise TypeError(f"forcing must be a PowerSum or None, got {kind}")
+        if not all(math.isfinite(coeff) and math.isfinite(exponent) for coeff, exponent in self.forcing.terms):
+            raise ValueError(f"forcing terms must be finite, got {self.forcing.terms}")
 
 
 def mode_problems(problem):

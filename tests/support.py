@@ -6,7 +6,8 @@ semilog fit of an hp convergence history, the
 bilinear form through a given operator, the history sum one source at a
 time that the stacked `MemoryOperator.apply` must reproduce, one memory
 block with its jump column, the jump columns one pair at a time that
-the flat pass of `kernel._jump_columns` must reproduce, the per-group
+the flat pass of `kernel._jump_columns` must reproduce, one
+Gauss-Legendre rule mapped alone, the per-group
 near-field rows that the flat rule set of
 `kernel._right_power_rules` must reproduce, the per-layer t-rules that
 the flat t-layers of `kernel._near_t_layers` must reproduce and the
@@ -26,7 +27,6 @@ from fracdg.kernel import (
     _jump_columns,
     _jump_values,
     _kernel_scale,
-    _left_power_rule,
     _stacked,
     legendre_derivative_values,
     legendre_values,
@@ -135,17 +135,26 @@ def block_and_jump_column(mesh, j, n, order, degrees=None):
 
 def per_pair_jump_columns(nodes, alpha, target_degrees):
     """`kernel._jump_columns` one (j, n) pair at a time: each column the
-    moment vector of its own `_left_power_rule` against its own basis
+    moment vector of its own `power_rule` against its own basis
     values, contracted alone."""
     columns = []
     for n, q in enumerate(target_degrees, start=1):
         tl, tr = float(nodes[n - 1]), float(nodes[n])
         target = np.empty((n, q + 1))
         for j in range(1, n + 1):
-            x, weights = _left_power_rule(tl, tr, float(nodes[j - 1]), alpha, q)
+            x, weights = power_rule(tl, tr, float(nodes[j - 1]), alpha, q)
             target[j - 1] = (legendre_values(x, tl, tr, q).T @ weights) * _kernel_scale(alpha)
         columns.append(target)
     return columns
+
+
+def mapped_leggauss(count, a, b):
+    """numpy's `leggauss(count)` mapped onto (a, b), floats, with the scalar
+    arithmetic of one rule: the rule that `kernel._gauss_legendre` must give,
+    bit for bit, for each of the rules it maps at once."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), w * half
 
 
 def grouped_right_power_rules(a, b, z, beta, deg):

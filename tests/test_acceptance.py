@@ -250,6 +250,7 @@ def test_06_coercivity_continuity_randomized():
     assert worst_continuity >= -1e-10
 
 
+@pytest.mark.slow
 def test_07_memory_block_oracle():
     rng = np.random.default_rng(11)
     compared = far_count = 0

@@ -105,6 +105,23 @@ def test_only_kernel_builds_a_memory_operator():
     assert builders == []
 
 
+def test_only_the_mapping_and_the_far_tables_gather_reference_rules():
+    # every mapped Gauss-Legendre rule goes through kernel._gauss_legendre,
+    # and the far blocks' weighted basis tables read the reference rules
+    # unmapped; no other function gathers them
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.walk(parse(path.stem)):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                        if name == "_legendre_rules":
+                            callers.add(f"{path.stem}.{function.name}")
+    assert callers == {"kernel._gauss_legendre", "kernel._weighted_reference_basis"}
+
+
 def test_every_export_is_named_by_program_code():
     # a package export no program module reads, as a Name or an Attribute,
     # is API that only the tests use; its own def or class is no reader

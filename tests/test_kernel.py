@@ -29,6 +29,7 @@ from support import (
     form_through,
     grouped_near_rows,
     grouped_right_power_rules,
+    mapped_leggauss,
     near_t_layers,
     per_pair_jump_columns,
     power_moments,
@@ -205,9 +206,9 @@ def test_gauss_jacobi_rule_polynomial_exactness():
 
 @pytest.mark.parametrize(
     "rule",
-    [lambda: kernel._legendre_ref(5), lambda: kernel._legendre_table(5),
+    [lambda: kernel._legendre_table(5),
      lambda: kernel._jacobi_ref(3, -0.5, True), lambda: kernel._jacobi_ref(3, -0.5, False)],
-    ids=["legendre", "legendre-table", "jacobi-at-a", "jacobi-at-b"],
+    ids=["legendre-table", "jacobi-at-a", "jacobi-at-b"],
 )
 def test_reference_rules_are_read_only(rule):
     # every later caller shares the stored arrays: one in-place write
@@ -225,16 +226,52 @@ def test_gathered_rules_are_the_single_count_rules_end_to_end(counts):
     assert same_bits(w, np.concatenate([weights for _, weights in singles]))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    start=st.floats(-10.0, 10.0),
+    rules=st.lists(
+        st.tuples(
+            st.integers(1, 60),
+            st.floats(-9.0, 1.0),  # log10 of the width
+            st.one_of(st.none(), st.floats(-9.0, 1.0)),  # adjacent, else log10 of the gap
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_mapped_rules_are_the_single_rules_end_to_end(start, rules):
+    # the array form of `_gauss_legendre`, one count and one interval per
+    # rule, is each rule mapped alone with the scalar arithmetic, bytewise
+    counts, lo, hi = [], [], []
+    b = start
+    for count, log_width, log_gap in rules:
+        a = b if log_gap is None else b + 10.0**log_gap
+        b = a + 10.0**log_width
+        counts.append(count)
+        lo.append(a)
+        hi.append(b)
+    x, w = kernel._gauss_legendre(np.array(counts), np.array(lo), np.array(hi))
+    singles = [mapped_leggauss(*rule) for rule in zip(counts, lo, hi)]
+    assert same_bits(x, np.concatenate([nodes for nodes, _ in singles]))
+    assert same_bits(w, np.concatenate([weights for _, weights in singles]))
+    # one interval shared by every rule, given as floats
+    x, w = kernel._gauss_legendre(np.array(counts), lo[0], hi[0])
+    singles = [mapped_leggauss(count, lo[0], hi[0]) for count in counts]
+    assert same_bits(x, np.concatenate([nodes for nodes, _ in singles]))
+    assert same_bits(w, np.concatenate([weights for _, weights in singles]))
+
+
 def test_legendre_table_grows_without_changing_a_rule(monkeypatch):
     # an empty table, grown twice, the second time by a gather past its end:
     # a rule read before the table grows, and the same rule read after, are
     # the 5-point rule, bit for bit
     monkeypatch.setattr(kernel, "_LEGENDRE", [np.empty(0), np.empty(0), np.zeros(1, dtype=int)])
-    before = kernel._legendre_ref(5)
+    before = kernel._legendre_rules(np.array([5]))
     assert [array.size for array in kernel._legendre_table(1)] == [15, 15, 6]
     kernel._legendre_rules(np.array([2, 9]))
     assert [array.size for array in kernel._legendre_table(1)] == [45, 45, 10]
-    for count, rule in ((5, before), (5, kernel._legendre_ref(5)), (9, kernel._legendre_ref(9))):
+    rules = ((5, before), (5, kernel._legendre_rules(np.array([5]))), (9, kernel._legendre_rules(np.array([9]))))
+    for count, rule in rules:
         reference = np.polynomial.legendre.leggauss(count)
         assert all(same_bits(got, want) for got, want in zip(rule, reference))
 
@@ -473,6 +510,7 @@ def test_stacked_apply_equals_the_per_source_loop_bytewise(alpha, gamma, degrees
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.slow
 def test_memory_block_entries_against_oracle():
     rng = np.random.default_rng(42)
     cases = [
@@ -701,9 +739,8 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
     real_rules = kernel._right_power_rules
     real_values = kernel.legendre_derivative_values
     real_power_rule = kernel.power_rule
-    real_left_rule = kernel._left_power_rule
     real_gather = kernel._legendre_rules
-    calls, gathers, counts = [], [], {"values": 0, "power_rule": 0, "jump_rule": 0}
+    calls, gathers, counts = [], [], {"values": 0, "power_rule": 0}
 
     def rules(a, b, z, beta, deg):
         flat = real_rules(a, b, z, beta, deg)
@@ -718,10 +755,6 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
         counts["power_rule"] += 1
         return real_power_rule(*args)
 
-    def jump_rule(*args, **kwargs):
-        counts["jump_rule"] += 1
-        return real_left_rule(*args, **kwargs)
-
     def gather(point_counts):
         gathers.append(tuple(point_counts.tolist()))
         return real_gather(point_counts)
@@ -729,20 +762,21 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
     monkeypatch.setattr(kernel, "_right_power_rules", rules)
     monkeypatch.setattr(kernel, "legendre_derivative_values", values)
     monkeypatch.setattr(kernel, "power_rule", power_rule)
-    monkeypatch.setattr(kernel, "_left_power_rule", jump_rule)
     monkeypatch.setattr(kernel, "_legendre_rules", gather)
     mesh = geometric_mesh(T=1.0, T_1=1.0, delta=0.1, L=12, mu=1.0)
     for j, n in ((5, 6), (3, 6), (11, 12)):
-        calls.clear()
-        gathers.clear()
-        counts.update(values=0, power_rule=0, jump_rule=0)
-        kernel.memory_block(mesh, j, n, -0.7)
         sl, sr = mesh.interval(j)
         tl, tr = mesh.interval(n)
+        # the reference maps its layers through `_gauss_legendre` too: built
+        # before the gathers are recorded
         expected = near_t_layers(tl, tr, tl - sr, mesh.degree(j) + mesh.degree(n))
+        calls.clear()
+        gathers.clear()
+        counts.update(values=0, power_rule=0)
+        kernel.memory_block(mesh, j, n, -0.7)
         assert len(expected) > 1
         assert [size for size, _ in calls] == [sum(nodes.size for nodes, _ in expected)]
-        assert counts == {"values": 1, "power_rule": 0, "jump_rule": 0}
+        assert counts == {"values": 1, "power_rule": 0}
         # the grouping is real: fewer branch groups than t nodes
         ((size, groups),) = calls
         assert len(groups) < size
@@ -955,7 +989,7 @@ def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
                 other += 1
     assert len(keys) > 1 and other > 1
     real_legvander = kernel._legvander
-    counts = {"_left_rule_groups": 0, "_jump_columns": 0, "_interval_rule": 0, "_left_power_rule": 0}
+    counts = {"_left_rule_groups": 0, "_jump_columns": 0, "_interval_rule": 0, "power_rule": 0}
 
     def legvander(*args):
         caller = _basis_asker(sys._getframe(1))
@@ -965,7 +999,7 @@ def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
 
     monkeypatch.setattr(kernel, "_legvander", legvander)
     kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-    assert counts == {"_left_rule_groups": 1, "_jump_columns": other, "_interval_rule": 0, "_left_power_rule": 0}
+    assert counts == {"_left_rule_groups": 1, "_jump_columns": other, "_interval_rule": 0, "power_rule": 0}
 
 
 def test_each_build_starts_with_an_empty_table(monkeypatch):

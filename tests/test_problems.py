@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from fracdg.mesh import geometric_mesh, graded_mesh
 from fracdg.problems import (
     ManufacturedProblem,
     PowerSum,
     _mode,
     two_mode_problem,
 )
+from fracdg.spatial import ModeSystem, fem_backend, spectral_backend
+from fracdg.stepper import ModeProblem
 
 from oracles import riemann_liouville_oracle
 from support import power_mode_problem
@@ -24,6 +27,42 @@ def test_power_sum_merging_and_eval():
     assert p.at_zero() == pytest.approx(0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         PowerSum.of((1.0, -0.5))
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    ("build", "argument"),
+    [
+        pytest.param(lambda: spectral_backend(2, NAN), "diffusivity K", id="spectral_backend-K-nan"),
+        pytest.param(lambda: spectral_backend(2, INF), "diffusivity K", id="spectral_backend-K-inf"),
+        pytest.param(lambda: fem_backend(4, 1, NAN), "diffusivity K", id="fem_backend-K-nan"),
+        pytest.param(lambda: two_mode_problem(-0.5, NAN), "diffusivity K", id="two_mode_problem-K-nan"),
+        pytest.param(lambda: ModeSystem([NAN], 1.0, "spectral"), "eigenvalues", id="ModeSystem-nan"),
+        pytest.param(lambda: ModeSystem([1.0, INF], 1.0, "spectral"), "eigenvalues", id="ModeSystem-inf"),
+        pytest.param(lambda: ModeProblem(NAN, None, 0.0), "eigenvalue", id="ModeProblem-eigenvalue-nan"),
+        pytest.param(lambda: ModeProblem(INF, None, 0.0), "eigenvalue", id="ModeProblem-eigenvalue-inf"),
+        pytest.param(lambda: ModeProblem(1.0, None, NAN), "initial value", id="ModeProblem-initial-nan"),
+        pytest.param(
+            lambda: ModeProblem(1.0, PowerSum(((1.0, NAN),)), 0.0), "forcing terms", id="ModeProblem-forcing-nan"
+        ),
+        pytest.param(lambda: PowerSum.of((1.0, NAN)), "power-sum terms", id="PowerSum-exponent-nan"),
+        pytest.param(lambda: PowerSum.of((INF, 1.0)), "power-sum terms", id="PowerSum-coefficient-inf"),
+        pytest.param(lambda: PowerSum.of((NAN, 1.0)), "power-sum terms", id="PowerSum-coefficient-nan"),
+        pytest.param(lambda: geometric_mesh(1.0, 1.0, 0.5, 4, NAN), "mu", id="geometric_mesh-mu-nan"),
+        pytest.param(lambda: geometric_mesh(NAN, 1.0, 0.5, 4, 1.0), "horizons", id="geometric_mesh-T-nan"),
+        pytest.param(lambda: graded_mesh(1.0, 4, 2.0, NAN), "degree p", id="graded_mesh-p-nan"),
+        pytest.param(lambda: graded_mesh(1.0, 4, 2.0, INF), "degree p", id="graded_mesh-p-inf"),
+        pytest.param(lambda: graded_mesh(1.0, 4, NAN, 2), "gamma", id="graded_mesh-gamma-nan"),
+        pytest.param(lambda: graded_mesh(INF, 4, 2.0, 2), "horizon T", id="graded_mesh-T-inf"),
+    ],
+)
+def test_non_finite_arguments_are_refused_by_name(build, argument):
+    # a NaN fails every comparison, so a guard written as `x <= 0.0` lets
+    # it through; each entry point names the argument instead
+    with pytest.raises(ValueError, match=argument):
+        build()
 
 
 def test_power_sum_derivative():
@@ -132,6 +171,7 @@ def test_power_mode_validation():
         power_mode_problem(1.0, -0.5, -0.5)
 
 
+@pytest.mark.slow
 def test_forcing_residual_against_quadrature():
     # f_m must equal u_m' + lam B_alpha u_m; B_alpha evaluated by
     # independent singular quadrature, nothing shared with the package
