@@ -39,10 +39,17 @@ group (`_near_rows`), and the t-sum one einsum per layer, because a
 batched one rounds differently.
 A far-field block is L K R: cached tables of the weighted basis at
 reference Gauss-Legendre nodes on either side of the kernel matrix
-K = (t_q - s_r)^alpha, the only factor built per pair.
-
-The far blocks share one table of mapped Gauss-Legendre nodes
-(`_interval_rule`), emptied when each operator build starts.
+K = (t_q - s_r)^alpha, the only factor built per pair.  On the graded
+meshes of the paper almost every block is far, and a far block takes a
+few microseconds, so its fixed costs count: the far blocks share one
+table of mapped Gauss-Legendre nodes (`_interval_rule`), each rule a
+read-only column, emptied when each operator build starts; K is formed
+and raised to its power in place; and both products are `ndarray.dot`,
+which calls the same BLAS routine as `@` and gives the same bits in
+about half the time, without the matmul ufunc's dispatch.  Only 2-D
+products that go to BLAS take `.dot` (the far block's and
+`legendre_derivative_values`'): a stacked product done as one 2-D
+product, or a 1-D one done by `.dot`, rounds differently.
 
 `MemoryOperator` holds every block and jump column of one mesh, order and
 pair of degree vectors, built once; the DG march, the stability report and
@@ -217,15 +224,16 @@ def power_rule(a, b, z, beta, deg):
                       (exact; some nodes fall just outside (a,b), polynomial
                       evaluation there is legitimate),
       otherwise       Gauss-Legendre with a rho-dependent point count.
-    ValueError for beta <= -1 or z > a: every load of `solve` has its
-    singular point t_0 = 0 left of the interval, and the near field's right
-    singularities are `_right_power_rules`.  The loads and the jump columns
-    take it where the rule is exact or a difference; their Gauss-Legendre
-    rules come from `_left_rule_groups`, bit for bit.
+    ValueError unless beta > -1 and z <= a, so also for a NaN beta or z:
+    every load of `solve` has its singular point t_0 = 0 left of the
+    interval, and the near field's right singularities are
+    `_right_power_rules`.  The loads and the jump columns take it where the
+    rule is exact or a difference; their Gauss-Legendre rules come from
+    `_left_rule_groups`, bit for bit.
     """
-    if beta <= -1.0:
+    if not beta > -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {beta}")
-    if z > a:
+    if not z <= a:
         raise ValueError(f"singular point z={z} lies right of a={a}")
     A = a - z
     npts = deg // 2 + 1
@@ -360,7 +368,7 @@ def legendre_derivative_values(s, a, b, max_degree, nderiv):
     x = _map_to_reference(s, a, b)
     scale = (2.0 / (b - a)) ** nderiv
     deriv = _legendre_derivative_matrix(max_degree, nderiv)
-    return _legvander(x, deriv.shape[0] - 1) @ deriv * scale
+    return _legvander(x, deriv.shape[0] - 1).dot(deriv) * scale
 
 
 @lru_cache(maxsize=256)
@@ -435,10 +443,10 @@ _TABLE_SIZE = 4096
 
 @lru_cache(maxsize=_TABLE_SIZE)
 def _interval_rule(npts, a, b):
-    """The build's table: the read-only nodes of the npts-point
-    Gauss-Legendre rule mapped to (a, b), the t or s nodes of every far
-    block on that interval."""
-    return _read_only(_gauss_legendre(npts, a, b)[0])[0]
+    """The build's table: the nodes of the npts-point Gauss-Legendre rule
+    mapped to (a, b), a read-only (npts, 1) column, the t or s nodes of
+    every far block on that interval."""
+    return _read_only(_gauss_legendre(npts, a, b)[0].reshape(npts, 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +454,8 @@ def _interval_rule(npts, a, b):
 # ---------------------------------------------------------------------------
 
 
-# reciprocal Gamma factor applied to every kernel integral
+# reciprocal Gamma factor applied to every kernel integral, once per order
+@lru_cache(maxsize=256)
 def _kernel_scale(alpha):
     return 1.0 / math.gamma(alpha + 1.0)
 
@@ -581,15 +590,20 @@ def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
     L K R (k_n/2): L[i, q] = w_q P_i(x_q) and R[r, l] = w_r P_l'(x_r) are
     cached reference tables (the source half-step cancels against the chain
     rule of the derivative), the mapped nodes come from the build's table
-    (`_interval_rule`), and only K[q, r] = (t_q - s_r)^alpha is built per pair.
+    (`_interval_rule`) as columns, and only K[q, r] = (t_q - s_r)^alpha is
+    built per pair, in place.  The two products are `ndarray.dot`: the same
+    BLAS calls as `left @ kern @ right`, so the same bits, without the
+    matmul ufunc's dispatch; the scale is applied after them, in place,
+    as `(left @ kern @ right) * scale` rounds.
     """
     npts = max(p_n, p_j) + _FAR_PADDING
-    t_nodes = _interval_rule(npts, tl, tr)
-    s_nodes = _interval_rule(npts, sl, sr)
-    kern = (t_nodes[:, None] - s_nodes[None, :]) ** alpha
+    kern = _interval_rule(npts, tl, tr) - _interval_rule(npts, sl, sr).T
+    kern **= alpha
     left = _weighted_reference_basis(npts, p_n, 0).T
     right = _weighted_reference_basis(npts, p_j, 1)
-    return left @ kern @ right * (0.5 * (tr - tl) * _kernel_scale(alpha))
+    out = left.dot(kern).dot(right)
+    out *= 0.5 * (tr - tl) * _kernel_scale(alpha)
+    return out
 
 
 def memory_block(mesh, j, n, order, degrees=None):
@@ -611,8 +625,8 @@ def memory_block(mesh, j, n, order, degrees=None):
     if not 1 <= j <= n <= mesh.interval_count:
         raise IndexError(f"interval pair (j={j}, n={n}) outside 1..{mesh.interval_count}")
     alpha = _check_alpha(order)
-    nodes = mesh.nodes
-    sl, sr, tl, tr = float(nodes[j - 1]), float(nodes[j]), float(nodes[n - 1]), float(nodes[n])
+    nodes = mesh._node_list
+    sl, sr, tl, tr = nodes[j - 1], nodes[j], nodes[n - 1], nodes[n]
     if degrees is None:
         p_j, p_n = mesh.degree(j), mesh.degree(n)
     else:

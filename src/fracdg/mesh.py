@@ -8,6 +8,7 @@ for exponential accuracy in the degrees of freedom.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,11 @@ class TimeMesh:
             raise ValueError("interval degrees must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "degrees", degrees)
+
+    @cached_property
+    def _node_list(self):
+        # the nodes as Python floats, for code that reads a few per call
+        return self.nodes.tolist()
 
     @property
     def interval_count(self):

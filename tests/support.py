@@ -10,14 +10,17 @@ the flat pass of `kernel._jump_columns` must reproduce, one
 Gauss-Legendre rule mapped alone, the per-group
 near-field rows that the flat rule set of
 `kernel._right_power_rules` must reproduce, the per-layer t-rules that
-the flat t-layers of `kernel._near_t_layers` must reproduce and the
-canonical config text that the round trip reads back."""
+the flat t-layers of `kernel._near_t_layers` must reproduce, the far
+block and the basis derivative values as the matmul products whose bits
+their `ndarray.dot` products must keep, and the canonical config text
+that the round trip reads back."""
 
 import numpy as np
 
 from fracdg import config
 from fracdg.kernel import (
     _DIFF_RHO,
+    _FAR_PADDING,
     _NEAR_SIGMA,
     _check_alpha,
     _ellipse_rho,
@@ -27,7 +30,11 @@ from fracdg.kernel import (
     _jump_columns,
     _jump_values,
     _kernel_scale,
+    _legendre_derivative_matrix,
+    _legvander,
+    _map_to_reference,
     _stacked,
+    _weighted_reference_basis,
     legendre_derivative_values,
     legendre_values,
     memory_block,
@@ -230,6 +237,28 @@ def near_t_layers(tl, tr, gap, deg):
         rho = _ellipse_rho(gap + lo_off, width)
         layers.append(_gauss_legendre(_gl_point_count(deg, rho), lo, lo + width))
     return layers
+
+
+def matmul_far_block(sl, sr, tl, tr, alpha, p_n, p_j):
+    """`kernel._far_block` as the matmul chain `left @ kern @ right * scale`
+    on freshly mapped `_gauss_legendre` nodes: the bits its `ndarray.dot`
+    products must keep."""
+    npts = max(p_n, p_j) + _FAR_PADDING
+    t_nodes = _gauss_legendre(npts, tl, tr)[0]
+    s_nodes = _gauss_legendre(npts, sl, sr)[0]
+    kern = (t_nodes[:, None] - s_nodes[None, :]) ** alpha
+    left = _weighted_reference_basis(npts, p_n, 0).T
+    right = _weighted_reference_basis(npts, p_j, 1)
+    return left @ kern @ right * (0.5 * (tr - tl) * _kernel_scale(alpha))
+
+
+def matmul_legendre_derivative_values(s, a, b, max_degree, nderiv):
+    """`kernel.legendre_derivative_values` with the product `@`: the bits its
+    `ndarray.dot` product must keep."""
+    x = _map_to_reference(s, a, b)
+    scale = (2.0 / (b - a)) ** nderiv
+    deriv = _legendre_derivative_matrix(max_degree, nderiv)
+    return _legvander(x, deriv.shape[0] - 1) @ deriv * scale
 
 
 def serialize(cfg):

@@ -30,6 +30,8 @@ from support import (
     grouped_near_rows,
     grouped_right_power_rules,
     mapped_leggauss,
+    matmul_far_block,
+    matmul_legendre_derivative_values,
     near_t_layers,
     per_pair_jump_columns,
     power_moments,
@@ -285,6 +287,12 @@ def test_power_rule_rejects_interior_singularity_and_bad_exponent():
     for z in (1e-300, 1.0, 2.0):
         with pytest.raises(ValueError, match="right of"):
             kernel.power_rule(0.0, 1.0, z, -0.5, 3)
+    # a NaN singular point or exponent is refused by name
+    with pytest.raises(ValueError, match="right of"):
+        kernel.power_rule(0.0, 1.0, math.nan, -0.5, 3)
+    for z in (-0.5, 0.0):
+        with pytest.raises(ValueError, match="exceed -1"):
+            kernel.power_rule(0.0, 1.0, z, math.nan, 3)
 
 
 def test_power_rule_mass_identity():
@@ -422,6 +430,26 @@ def test_legvander_is_bitwise_numpys():
 def test_legendre_values_keep_their_shape():
     assert kernel.legendre_values(0.4, 0.0, 1.0, 3).shape == (1, 4)
     assert kernel.legendre_values(np.linspace(0.0, 1.0, 5), 0.0, 1.0, 3).shape == (5, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 2000),
+    max_degree=st.integers(0, 16),
+    nderiv=st.integers(0, 2),
+    start=st.floats(-10.0, 10.0),
+    log_step=st.floats(-6.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(count=2000, max_degree=16, nderiv=1, start=0.0, log_step=0.0, seed=0)
+@example(count=1, max_degree=0, nderiv=0, start=0.0, log_step=0.0, seed=0)
+def test_legendre_derivative_values_equal_the_matmul_product_bytewise(
+    count, max_degree, nderiv, start, log_step, seed
+):
+    a, b = start, start + 10.0**log_step
+    s = np.random.default_rng(seed).uniform(a, b, count)
+    got = kernel.legendre_derivative_values(s, a, b, max_degree, nderiv)
+    assert same_bits(got, matmul_legendre_derivative_values(s, a, b, max_degree, nderiv))
 
 
 def test_legendre_derivative_values_match_per_degree_evaluation():
@@ -881,6 +909,28 @@ def test_far_block_matches_tensor_einsum(alpha, gap_ratio, log_step_ratio, p_n, 
     assert np.max(np.abs(got - ref)) <= tol * mapping * np.max(np.abs(ref))
     exact = longdouble_far_block(sl, sr, tl, tr, alpha, p_n, p_j)
     assert np.max(np.abs(got - exact)) <= tol * np.max(np.abs(ref))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+    p_n=st.integers(0, 12),
+    p_j=st.integers(1, 12),
+    log_steps=st.tuples(st.floats(-6.0, 2.0), st.floats(-6.0, 2.0)),
+    gap_ratio=st.one_of(st.just(kernel._FAR_RATIO), st.floats(kernel._FAR_RATIO, 1e3)),
+    start=st.floats(0.0, 10.0),
+)
+@example(alpha=-0.5, p_n=0, p_j=1, log_steps=(0.0, 0.0), gap_ratio=kernel._FAR_RATIO, start=0.0)
+@example(alpha=-0.5, p_n=12, p_j=12, log_steps=(-6.0, 2.0), gap_ratio=kernel._FAR_RATIO, start=10.0)
+def test_far_block_equals_the_matmul_chain_bytewise(alpha, p_n, p_j, log_steps, gap_ratio, start):
+    # source of step k_j from `start`, target of step k_n at a gap of
+    # gap_ratio times the larger step, on or beyond the far switch
+    k_j, k_n = (10.0**log_step for log_step in log_steps)
+    sl, sr = start, start + k_j
+    tl = sr + gap_ratio * max(k_n, k_j)
+    tr = tl + k_n
+    got = kernel._far_block(sl, sr, tl, tr, alpha, p_n, p_j)
+    assert same_bits(got, matmul_far_block(sl, sr, tl, tr, alpha, p_n, p_j))
 
 
 # At the switch the kernel singularity sits at rho = 5 + sqrt(24) from both
