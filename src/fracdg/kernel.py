@@ -27,16 +27,21 @@ of a mesh's jump columns (`_jump_columns`) or of a solve's loads: pairs
 sorted by target and point count, every group's rule mapped and the basis
 evaluated at all their nodes at once; each group then takes its own kernel
 power and one stacked product.  The exact and difference rules depend on
-the exponent and stay one `power_rule` per pair.  A singular point right
-of its interval arises only where many time nodes share one source
+the exponent and stay one `power_rule` per pair; the exact (j == n)
+pairs of a mesh share one basis evaluation and, per run of targets of one
+degree, one stacked product (`_diagonal_jump_columns`).  A singular point
+right of its interval arises only where many time nodes share one source
 interval (the near-field blocks).  A near block's time nodes are its
 graded t-layers (`_near_t_layers`), a geometric composite Gauss rule
 toward the source, mapped in one step; `_right_power_rules` builds the
 rules of all of them as one flat rule set: rows sorted by branch and point
 count, every Gauss-Legendre rule mapped and every kernel power taken at
 once.  Only the contraction with the basis values stays one product per
-group (`_near_rows`), and the t-sum one einsum per layer, because a
-batched one rounds differently.
+group (`_near_rows`).  The t-sum takes one einsum per run of consecutive
+layers of one point count, with a layer axis that keeps each layer's
+bits, and one accumulate adds the layers in order: merging layers into
+one sum, or reducing over them (numpy may sum pairwise), would round
+differently.
 A far-field block is L K R: cached tables of the weighted basis at
 reference Gauss-Legendre nodes on either side of the kernel matrix
 K = (t_q - s_r)^alpha, the only factor built per pair.  On the graded
@@ -64,6 +69,7 @@ bit.
 import math
 import weakref
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
@@ -146,10 +152,17 @@ def _legendre_table(npoints):
 def _legendre_rules(counts):
     """The Gauss-Legendre rules on [-1, 1] of the point counts `counts` (an
     int array), laid end to end as (x, w): one gather from the table, so
-    every rule keeps its bits.  `_gauss_legendre` maps them, and
-    `_weighted_reference_basis` tabulates the basis at them.
+    every rule keeps its bits.  For an int, the one rule is a read-only
+    slice of the table, without the gather's index arithmetic.
+    `_gauss_legendre` maps them, and `_weighted_reference_basis` tabulates
+    the basis at them.
     """
     x, w, start = _LEGENDRE
+    if not isinstance(counts, np.ndarray):
+        if counts >= start.size:
+            x, w, start = _legendre_table(counts)
+        first = start[counts]
+        return x[first : first + counts], w[first : first + counts]
     try:
         first = start[counts]
     except IndexError:
@@ -178,8 +191,6 @@ def _gauss_legendre(counts, a, b):
     node rounds as the same float, so a rule mapped with others keeps the
     bits it has alone.
     """
-    if not isinstance(counts, np.ndarray):
-        counts = np.array([counts])
     if isinstance(a, np.ndarray):
         a, b = a.repeat(counts), b.repeat(counts)
     x, w = _legendre_rules(counts)
@@ -376,7 +387,7 @@ def _weighted_reference_basis(npts, max_degree, nderiv):
     """Read-only table w_r P_k^(nderiv)(x_r) at the npts-point Gauss-Legendre
     rule (x, w) on [-1, 1], one row per node r, column k <= max_degree.
     """
-    x, w = _legendre_rules(np.array([npts]))
+    x, w = _legendre_rules(npts)
     return _read_only(w[:, None] * legendre_derivative_values(x, -1.0, 1.0, max_degree, nderiv))[0]
 
 
@@ -569,18 +580,32 @@ def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
     rule, stable at any ratio of step sizes; the t-integral sums the graded
     layers of `_near_t_layers`, which come laid end to end with their point
     counts.  The rows and target basis values of every layer's nodes come
-    from one `_near_rows` and one `legendre_values` call; the layers are
-    then summed one einsum per count slice, in layer order.
+    from one `_near_rows` and one `legendre_values` call.  Each run of
+    consecutive layers of one point count is contracted by one einsum
+    with a layer axis, which keeps each layer's sum as its own einsum
+    gives it, into slot 1, 2, ... of a stack whose slot 0 is zeros; one
+    accumulate then adds the layers onto zeros one after another, in
+    layer order.  Merging layers into one sum over their nodes, or
+    reducing the stack (which numpy may do pairwise), would round
+    differently.
     """
     t_nodes, t_w, counts = _near_t_layers(tl, tr, tl - sr, p_n + p_j)
     tvals = legendre_values(t_nodes, tl, tr, p_n)
     rows = _near_rows(sl, sr, t_nodes, alpha, p_j)
-    total = np.zeros((p_n + 1, p_j + 1))
-    start = 0
-    for stop in counts.cumsum().tolist():
-        total += np.einsum("q,qi,ql->il", t_w[start:stop], tvals[start:stop], rows[start:stop])
-        start = stop
-    return total * _kernel_scale(alpha)
+    layers = np.zeros((counts.size + 1, p_n + 1, p_j + 1))
+    layer = node = 0
+    for count, run in groupby(counts.tolist()):
+        size = len(list(run))
+        stop = node + size * count
+        np.einsum(
+            "kq,kqi,kql->kil",
+            t_w[node:stop].reshape(size, count),
+            tvals[node:stop].reshape(size, count, p_n + 1),
+            rows[node:stop].reshape(size, count, p_j + 1),
+            out=layers[layer + 1 : layer + 1 + size],
+        )
+        layer, node = layer + size, stop
+    return np.add.accumulate(layers)[-1] * _kernel_scale(alpha)
 
 
 def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):
@@ -641,6 +666,44 @@ def memory_block(mesh, j, n, order, degrees=None):
     return _near_block(sl, sr, tl, tr, alpha, p_n, p_j)
 
 
+def _diagonal_jump_columns(nodes, alpha, target_degrees):
+    """The exact (j == n) jump columns of `_jump_columns`, one row per
+    target n, unscaled: the moment vector of `power_rule(t_{n-1}, t_n,
+    t_{n-1}, alpha, q_n)`, bit for bit.
+
+    Each pair keeps its own `power_rule`, whose Gauss-Jacobi rule depends
+    on alpha.  One `legendre_values` recurrence at the largest degree
+    evaluates the basis at the nodes of every rule, and each pair reads
+    its first q_n+1 columns.  A run of consecutive targets of one degree
+    shares one node count, so its moments are one stacked matrix-vector
+    product, which rounds as the one-pair product; a run of one target
+    makes that one-pair product itself.
+    """
+    bounds = nodes.tolist()
+    rules = [power_rule(tl, tr, tl, alpha, q) for tl, tr, q in zip(bounds, bounds[1:], target_degrees)]
+    sizes = [x.size for x, _ in rules]
+    values = legendre_values(
+        np.concatenate([x for x, _ in rules]),
+        np.repeat(bounds[:-1], sizes),
+        np.repeat(bounds[1:], sizes),
+        max(target_degrees),
+    )
+    rows = []
+    node = 0
+    for q, run in groupby(target_degrees):
+        run_rules = rules[len(rows) : len(rows) + len(list(run))]
+        count = run_rules[0][0].size
+        stop = node + len(run_rules) * count
+        if len(run_rules) == 1:
+            rows.append(values[node:stop, : q + 1].T @ run_rules[0][1])
+        else:
+            run_values = values[node:stop].reshape(len(run_rules), count, -1)[:, :, : q + 1]
+            weights = np.array([w for _, w in run_rules])
+            rows.extend(np.matmul(run_values.transpose(0, 2, 1), weights[:, :, None])[:, :, 0])
+        node = stop
+    return rows
+
+
 def _jump_columns(nodes, alpha, target_degrees):
     """Every jump column of a mesh with these nodes, one (n, q_n+1) array per
     target n, row j-1 that of source j:
@@ -650,19 +713,25 @@ def _jump_columns(nodes, alpha, target_degrees):
     the weight of v(0+) for j = 1 and of the jump [v]^{j-1} after it.  It is
     the moment vector of `power_rule(t_{n-1}, t_n, t_{j-1}, alpha, q_n)`,
     bit for bit.  One grouped rule pass over the lower triangle
-    (`_left_rule_groups`) sorts the pairs.  The exact (j == n) and
-    difference pairs take `power_rule` and a basis evaluation one at a
-    time.  The Gauss-Legendre pairs come in groups of one target and one
-    point count, whose rules and basis values the pass built all at once:
-    each group takes the kernel powers of its sources together and makes
-    one stacked product, which rounds as the one-pair product.
+    (`_left_rule_groups`) sorts the pairs.  The exact (j == n) pairs take
+    one `power_rule` each and share one basis evaluation and, per run of
+    targets of one degree, one product (`_diagonal_jump_columns`).  The
+    difference pairs, rare on graded meshes, take `power_rule` and a basis
+    evaluation one at a time.  The Gauss-Legendre pairs come in groups of
+    one target and one point count, whose rules and basis values the pass
+    built all at once: each group takes the kernel powers of its sources
+    together and makes one stacked product, which rounds as the one-pair
+    product.
     """
     scale = _kernel_scale(alpha)
     columns = [np.empty((n, q + 1)) for n, q in enumerate(target_degrees, start=1)]
     # every pair j <= n, as 0-based target and source indices
     target, source = np.tril_indices(len(target_degrees))
     singular, groups = _left_rule_groups(nodes, target_degrees, target, nodes[source])
-    for n, j in zip(target[singular].tolist(), source[singular].tolist()):
+    for n, row in enumerate(_diagonal_jump_columns(nodes, alpha, target_degrees)):
+        columns[n][n] = row * scale
+    difference = singular[target[singular] != source[singular]]
+    for n, j in zip(target[difference].tolist(), source[difference].tolist()):
         tl, tr, q = float(nodes[n]), float(nodes[n + 1]), target_degrees[n]
         x, weights = power_rule(tl, tr, float(nodes[j]), alpha, q)
         columns[n][j] = (legendre_values(x, tl, tr, q).T @ weights) * scale

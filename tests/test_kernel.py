@@ -784,7 +784,8 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
         return real_power_rule(*args)
 
     def gather(point_counts):
-        gathers.append(tuple(point_counts.tolist()))
+        # a single rule's count comes as an int
+        gathers.append(tuple(np.atleast_1d(point_counts).tolist()))
         return real_gather(point_counts)
 
     monkeypatch.setattr(kernel, "_right_power_rules", rules)
@@ -831,13 +832,24 @@ def per_layer_near_block(sl, sr, tl, tr, alpha, p_n, p_j):
     alpha=st.floats(-0.95, -0.05),
     gap_ratio=st.one_of(st.just(0.0), st.floats(0.0, kernel._FAR_RATIO * (1.0 - 1e-9))),
     log_step_ratio=st.floats(-6.0, 6.0),
-    p_n=st.integers(1, 8),
+    p_n=st.integers(0, 8),
     p_j=st.integers(1, 8),
+    source=st.tuples(st.floats(-10.0, 10.0), st.floats(-4.0, 2.0)),
 )
-def test_near_block_equals_the_per_layer_sum_bitwise(alpha, gap_ratio, log_step_ratio, p_n, p_j):
-    # source (2, 3); target k_n = ratio * k_j, gap below the far-field switch
-    sl, sr = 2.0, 3.0
-    k_n = 10.0**log_step_ratio
+# t-layers of several point counts, not monotone: 33, 33, 33, 31, 32 ...
+@example(alpha=-0.7, gap_ratio=1e-4, log_step_ratio=3.0, p_n=4, p_j=4, source=(2.0, 0.0))
+# ... 35, 35, 35, 35, 33, 31 ...
+@example(alpha=-0.3, gap_ratio=1.9e-5, log_step_ratio=3.76, p_n=6, p_j=6, source=(2.0, 0.0))
+# ... 33, 33, 31, 31: each run's layers are added to the total one by one ...
+@example(alpha=-0.7, gap_ratio=6.9e-4, log_step_ratio=-0.02, p_n=4, p_j=5, source=(2.0, 0.0))
+# ... and the smallest block, one row
+@example(alpha=-0.5, gap_ratio=1e-4, log_step_ratio=3.0, p_n=0, p_j=1, source=(2.0, 0.0))
+def test_near_block_equals_the_per_layer_sum_bitwise(alpha, gap_ratio, log_step_ratio, p_n, p_j, source):
+    # source (sl, sl + 10^log_k_j); target k_n = ratio * k_j, gap below the far-field switch
+    sl, log_k_j = source
+    k_j = 10.0**log_k_j
+    sr = sl + k_j
+    k_n = k_j * 10.0**log_step_ratio
     tl = sr + gap_ratio * max(k_n, sr - sl)
     got = kernel._near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j)
     assert same_bits(got, per_layer_near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j))
@@ -1024,22 +1036,28 @@ def _basis_asker(frame):
 def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
     # within one build, one recurrence of the grouped rule pass evaluates
     # the basis of every Gauss-Legendre jump column, over all its (point
-    # count, target) groups; the others (the exact and difference branches)
-    # evaluate it once per pair; no rule evaluates it for them
+    # count, target) groups, and one more that of every exact (j == n)
+    # column; each difference column evaluates it once; no rule evaluates
+    # it for them.  Graded N=40, then three steps each 100 times the one
+    # before: their (n, n-1) pairs are difference pairs
     alpha = -0.7
-    mesh = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
-    keys, other = set(), 0
+    graded = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
+    steps = np.diff(graded.nodes)[-1] * 100.0 ** np.arange(1, 4)
+    mesh = TimeMesh(np.concatenate([graded.nodes, graded.nodes[-1] + np.cumsum(steps)]), np.full(43, 2))
+    keys, difference = set(), 0
     for n in range(1, mesh.interval_count + 1):
         tl, tr = mesh.interval(n)
-        for j in range(1, n + 1):
+        for j in range(1, n):
             sl = mesh.interval(j)[0]
-            if tl > sl and kernel._ellipse_rho(tl - sl, tr - tl) >= kernel._DIFF_RHO:
+            if kernel._ellipse_rho(tl - sl, tr - tl) >= kernel._DIFF_RHO:
                 keys.add((kernel.power_rule(tl, tr, sl, alpha, 2)[0].size, n))
             else:
-                other += 1
-    assert len(keys) > 1 and other > 1
+                difference += 1
+    assert len(keys) > 1 and difference > 1
     real_legvander = kernel._legvander
-    counts = {"_left_rule_groups": 0, "_jump_columns": 0, "_interval_rule": 0, "power_rule": 0}
+    counts = dict.fromkeys(
+        ["_left_rule_groups", "_diagonal_jump_columns", "_jump_columns", "_interval_rule", "power_rule"], 0
+    )
 
     def legvander(*args):
         caller = _basis_asker(sys._getframe(1))
@@ -1049,7 +1067,13 @@ def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
 
     monkeypatch.setattr(kernel, "_legvander", legvander)
     kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-    assert counts == {"_left_rule_groups": 1, "_jump_columns": other, "_interval_rule": 0, "power_rule": 0}
+    assert counts == {
+        "_left_rule_groups": 1,
+        "_diagonal_jump_columns": 1,
+        "_jump_columns": difference,
+        "_interval_rule": 0,
+        "power_rule": 0,
+    }
 
 
 def test_each_build_starts_with_an_empty_table(monkeypatch):
@@ -1146,9 +1170,12 @@ def _straddling_intervals(tl, tr, margin, degrees):
 )
 @example(alpha=-0.7, intervals=_straddling_intervals(2.0, 3.5, 1e-9, (0, 3, 8, 5)))
 @example(alpha=-0.3, intervals=_straddling_intervals(1.0, 2.0, 1e-6, (8, 1, 2, 8)))
+@example(alpha=-0.5, intervals=list(zip(np.geomspace(1e-3, 1.0, 13).tolist(), (2,) * 10 + (0, 5, 8))))
 def test_jump_columns_equal_the_per_pair_loop_bytewise(alpha, intervals):
     # log-uniform steps from 1e-4 to 1 give exact, difference and
-    # Gauss-Legendre pairs; the examples straddle the difference switch
+    # Gauss-Legendre pairs; two examples straddle the difference switch,
+    # and one has a run of ten targets of one degree, whose exact (j == n)
+    # columns make one stacked product, next to runs of one
     steps, degrees = zip(*intervals)
     nodes = np.concatenate([[0.0], np.cumsum(steps)])
     got = kernel._jump_columns(nodes, alpha, degrees)
