@@ -21,15 +21,16 @@ reference rules laid end to end (`_legendre_rules`) and is mapped onto its
 interval by one function, `_gauss_legendre`, one rule or many at once.
 A singular point left of its interval takes `power_rule`: a load's
 t_0 = 0, and a jump column's source node (one column per source node and
-target interval).  Their Gauss-Legendre rules do not depend on the
-exponent, so one grouped pass (`_left_rule_groups`) builds every such rule
-of a mesh's jump columns (`_jump_columns`) or of a solve's loads: pairs
-sorted by target and point count, every group's rule mapped and the basis
-evaluated at all their nodes at once; each group then takes its own kernel
-power and one stacked product.  The exact and difference rules depend on
-the exponent and stay one `power_rule` per pair; the exact (j == n)
-pairs of a mesh share one basis evaluation and, per run of targets of one
-degree, one stacked product (`_diagonal_jump_columns`).  A singular point
+target interval).  One function computes every such moment, the jump
+columns' (`_jump_columns`) and the loads': `_left_moments`, over any
+pairs of target and singular point and any exponents.  Its Gauss-Legendre
+rules do not depend on the exponent: pairs sorted by target and point
+count, every group's rule mapped and the basis evaluated at all their
+nodes at once, then each group takes its kernel power per exponent and
+one stacked product.  Its exact and difference rules depend on the
+exponent: one `power_rule` per exponent and pair, one basis evaluation
+for all of them, and one stacked product per run of rules of one
+exponent, degree and node count.  A singular point
 right of its interval arises only where many time nodes share one source
 interval (the near-field blocks).  A near block's time nodes are its
 graded t-layers (`_near_t_layers`), a geometric composite Gauss rule
@@ -240,7 +241,7 @@ def power_rule(a, b, z, beta, deg):
     interval, and the near field's right singularities are
     `_right_power_rules`.  The loads and the jump columns take it where the
     rule is exact or a difference; their Gauss-Legendre rules come from
-    `_left_rule_groups`, bit for bit.
+    `_left_moments`, bit for bit.
     """
     if not beta > -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {beta}")
@@ -392,7 +393,7 @@ def _weighted_reference_basis(npts, max_degree, nderiv):
 
 
 def _left_rule_order(nodes, degrees, target, z):
-    """The pairs of `_left_rule_groups` by branch: (singular, pairs, starts,
+    """The pairs of `_left_moments` by branch: (singular, pairs, starts,
     group_target, group_count).  `pairs` indexes the Gauss-Legendre pairs
     sorted by target and point count, and group g, of target
     group_target[g] and group_count[g] points, is pairs[starts[g]:] up to
@@ -412,39 +413,68 @@ def _left_rule_order(nodes, degrees, target, z):
     return singular, pairs, starts, targets[starts], counts[starts]
 
 
-def _left_rule_groups(nodes, degrees, target, z):
-    """The Gauss-Legendre rules of int_{I_n} F(t) (t - z)^beta dt, z <= t_{n-1},
-    for the pairs (0-based target n = target[k], z = z[k]) of two arrays,
-    built in one pass: the rules of `power_rule(t_{n-1}, t_n, z, beta, p)`,
-    p = degrees[n], whose branch and point count do not depend on beta.
+def _left_moments(nodes, degrees, target, z, betas):
+    """Moments int_{I_n} P_i(t) (t - z)^beta dt, z <= t_{n-1}, for the pairs
+    (0-based target n = target[k], z = z[k]) of two arrays and each beta of
+    `betas`: out[b, k] holds the moment vector of `power_rule(t_{n-1}, t_n,
+    z, betas[b], q_n)`, q_n = degrees[n], against P_0..P_{q_n}, bit for
+    bit, and zeros past it up to the widest of `degrees`.
 
-    Returns (singular, groups).  `singular` indexes the pairs whose rule is
-    exact or a difference (rho < _DIFF_RHO); their Jacobi rules depend on
-    beta, so each takes `power_rule`.  The others are sorted by target and
-    point count into groups (`_left_rule_order`).  One `_gauss_legendre`
-    call maps every group's rule, and one `legendre_values` recurrence at
-    the largest degree evaluates the basis at all their nodes.  `groups`
-    yields, in that order and once, one (n, pairs, x, w, values) per group:
-    its target, the indices of its pairs, and views of the shared arrays,
-    made as they are read: its mapped nodes and weights and its (count,
-    p+1) basis values.  The caller takes the kernel power (`_left_weights`)
-    one group at a time: gathered over every pair, it would hold them all
-    at once.
+    `_left_rule_order` sorts the pairs by branch.  A Gauss-Legendre rule
+    does not depend on beta: one `_gauss_legendre` call maps the rule of
+    every group of one target and point count, one basis recurrence
+    evaluates them all, and each group takes its kernel powers
+    (`_left_weights`) one beta at a time, then one stacked product for all
+    of them.  An exact or difference rule depends on beta: each (beta,
+    pair) takes `power_rule`, one basis recurrence covers all their nodes,
+    and each run of consecutive rules of one beta, degree and node count
+    makes one stacked product, a run of one the 2-D product.  A stacked
+    product rounds as the one-pair product.
     """
     degrees = np.asarray(degrees)
     singular, pairs, starts, group_target, group_count = _left_rule_order(nodes, degrees, target, z)
-    if not pairs.size:
-        return singular, []
-    a, b = nodes[group_target], nodes[group_target + 1]
-    x, w = _gauss_legendre(group_count, a, b)
-    values = legendre_values(x, a.repeat(group_count), b.repeat(group_count), int(degrees[group_target].max()))
-    pair_bounds = [*starts.tolist(), pairs.size]
-    node_bounds = [0, *np.cumsum(group_count).tolist()]
-    groups = (
-        (n, pairs[pair_bounds[g] : pair_bounds[g + 1]], x[lo:hi], w[lo:hi], values[lo:hi, : degrees[n] + 1])
-        for g, (n, lo, hi) in enumerate(zip(group_target.tolist(), node_bounds, node_bounds[1:]))
-    )
-    return singular, groups
+    # rows in the order of `pairs`, then of `singular`
+    moments = np.zeros((len(betas), target.size, int(degrees.max()) + 1))
+    if pairs.size:
+        a, b, group_degrees = nodes[group_target], nodes[group_target + 1], degrees[group_target].tolist()
+        x, w = _gauss_legendre(group_count, a, b)
+        values = legendre_values(x, a.repeat(group_count), b.repeat(group_count), max(group_degrees))
+        pair_z = z[pairs, None]
+        pair_bounds = [*starts.tolist(), pairs.size]
+        node_bounds = [0, *group_count.cumsum().tolist()]
+        for g, q in enumerate(group_degrees):
+            lo, hi, first, last = node_bounds[g], node_bounds[g + 1], pair_bounds[g], pair_bounds[g + 1]
+            group_x, group_w, group_z = x[lo:hi], w[lo:hi], pair_z[first:last]
+            weights = np.array([_left_weights(group_x, group_w, group_z, beta) for beta in betas])
+            moments[:, first:last, : q + 1] = np.matmul(weights[:, :, None, :], values[lo:hi, : q + 1])[:, :, 0]
+    if singular.size:
+        n = target[singular]
+        tl, tr, q, points = nodes[n].tolist(), nodes[n + 1].tolist(), degrees[n].tolist(), z[singular].tolist()
+        rules = [power_rule(a, b, s, beta, p) for beta in betas for a, b, s, p in zip(tl, tr, points, q)]
+        sizes = [x.size for x, _ in rules]
+        repeats = np.array(sizes)
+        values = legendre_values(
+            np.concatenate([x for x, _ in rules]),
+            np.array(tl * len(betas)).repeat(repeats),
+            np.array(tr * len(betas)).repeat(repeats),
+            max(q),
+        )
+        rule = node = 0
+        beta_index = [k for k in range(len(betas)) for _ in q]
+        for (k, p, size), run in groupby(zip(beta_index, q * len(betas), sizes)):
+            count = len(list(run))
+            stop = node + count * size
+            first = pairs.size + rule - k * singular.size
+            if count == 1:
+                moments[k, first, : p + 1] = rules[rule][1] @ values[node:stop, : p + 1]
+            else:
+                run_values = values[node:stop].reshape(count, size, -1)[:, :, : p + 1]
+                weights = np.array([w for _, w in rules[rule : rule + count]])
+                moments[k, first : first + count, : p + 1] = np.matmul(weights[:, None, :], run_values)[:, 0]
+            rule, node = rule + count, stop
+    out = np.empty_like(moments)
+    out[:, np.concatenate([pairs, singular])] = moments
+    return out
 
 
 # Bound on the entries of the build's table; a graded N=150, p=2 build
@@ -666,80 +696,23 @@ def memory_block(mesh, j, n, order, degrees=None):
     return _near_block(sl, sr, tl, tr, alpha, p_n, p_j)
 
 
-def _diagonal_jump_columns(nodes, alpha, target_degrees):
-    """The exact (j == n) jump columns of `_jump_columns`, one row per
-    target n, unscaled: the moment vector of `power_rule(t_{n-1}, t_n,
-    t_{n-1}, alpha, q_n)`, bit for bit.
-
-    Each pair keeps its own `power_rule`, whose Gauss-Jacobi rule depends
-    on alpha.  One `legendre_values` recurrence at the largest degree
-    evaluates the basis at the nodes of every rule, and each pair reads
-    its first q_n+1 columns.  A run of consecutive targets of one degree
-    shares one node count, so its moments are one stacked matrix-vector
-    product, which rounds as the one-pair product; a run of one target
-    makes that one-pair product itself.
-    """
-    bounds = nodes.tolist()
-    rules = [power_rule(tl, tr, tl, alpha, q) for tl, tr, q in zip(bounds, bounds[1:], target_degrees)]
-    sizes = [x.size for x, _ in rules]
-    values = legendre_values(
-        np.concatenate([x for x, _ in rules]),
-        np.repeat(bounds[:-1], sizes),
-        np.repeat(bounds[1:], sizes),
-        max(target_degrees),
-    )
-    rows = []
-    node = 0
-    for q, run in groupby(target_degrees):
-        run_rules = rules[len(rows) : len(rows) + len(list(run))]
-        count = run_rules[0][0].size
-        stop = node + len(run_rules) * count
-        if len(run_rules) == 1:
-            rows.append(values[node:stop, : q + 1].T @ run_rules[0][1])
-        else:
-            run_values = values[node:stop].reshape(len(run_rules), count, -1)[:, :, : q + 1]
-            weights = np.array([w for _, w in run_rules])
-            rows.extend(np.matmul(run_values.transpose(0, 2, 1), weights[:, :, None])[:, :, 0])
-        node = stop
-    return rows
-
-
 def _jump_columns(nodes, alpha, target_degrees):
     """Every jump column of a mesh with these nodes, one (n, q_n+1) array per
     target n, row j-1 that of source j:
 
         column[i] = int_{I_n} P_i(t) w(t - t_{j-1}) dt,
 
-    the weight of v(0+) for j = 1 and of the jump [v]^{j-1} after it.  It is
-    the moment vector of `power_rule(t_{n-1}, t_n, t_{j-1}, alpha, q_n)`,
-    bit for bit.  One grouped rule pass over the lower triangle
-    (`_left_rule_groups`) sorts the pairs.  The exact (j == n) pairs take
-    one `power_rule` each and share one basis evaluation and, per run of
-    targets of one degree, one product (`_diagonal_jump_columns`).  The
-    difference pairs, rare on graded meshes, take `power_rule` and a basis
-    evaluation one at a time.  The Gauss-Legendre pairs come in groups of
-    one target and one point count, whose rules and basis values the pass
-    built all at once: each group takes the kernel powers of its sources
-    together and makes one stacked product, which rounds as the one-pair
-    product.
+    the weight of v(0+) for j = 1 and of the jump [v]^{j-1} after it: the
+    moment vector of `power_rule(t_{n-1}, t_n, t_{j-1}, alpha, q_n)`, bit
+    for bit.  One `_left_moments` pass covers every pair j <= n in the
+    order of `np.tril_indices`, so each target's columns are one slice of
+    its result, scaled in place.
     """
-    scale = _kernel_scale(alpha)
-    columns = [np.empty((n, q + 1)) for n, q in enumerate(target_degrees, start=1)]
     # every pair j <= n, as 0-based target and source indices
     target, source = np.tril_indices(len(target_degrees))
-    singular, groups = _left_rule_groups(nodes, target_degrees, target, nodes[source])
-    for n, row in enumerate(_diagonal_jump_columns(nodes, alpha, target_degrees)):
-        columns[n][n] = row * scale
-    difference = singular[target[singular] != source[singular]]
-    for n, j in zip(target[difference].tolist(), source[difference].tolist()):
-        tl, tr, q = float(nodes[n]), float(nodes[n + 1]), target_degrees[n]
-        x, weights = power_rule(tl, tr, float(nodes[j]), alpha, q)
-        columns[n][j] = (legendre_values(x, tl, tr, q).T @ weights) * scale
-    for n, pairs, x, w, values in groups:
-        rows = source[pairs]
-        weights = _left_weights(x, w, nodes[rows, None], alpha)
-        columns[n][rows] = np.matmul(weights[:, None, :], values)[:, 0] * scale
-    return columns
+    moments = _left_moments(nodes, target_degrees, target, nodes[source], (alpha,))[0]
+    moments *= _kernel_scale(alpha)
+    return [moments[n * (n - 1) // 2 : n * (n + 1) // 2, : q + 1] for n, q in enumerate(target_degrees, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +748,22 @@ def _stacked(coeffs):
     return out
 
 
+def _degree_key(name, degrees, count):
+    """The degree vector as a tuple of ints; ValueError naming it unless it
+    holds one non-negative integer per interval, as a `TimeMesh`'s does."""
+    values = degrees.tolist() if isinstance(degrees, np.ndarray) else degrees
+    try:
+        key = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        key = None
+    if key is None or len(key) != count or min(key) < 0 or key != tuple(values):
+        raise ValueError(f"{name} degrees {values} are not one non-negative integer per interval of {count}")
+    return key
+
+
 def _operator_key(mesh, alpha, source_degrees, target_degrees):
-    degrees = (tuple(map(int, d)) for d in (source_degrees, target_degrees))
+    vectors = (("source", source_degrees), ("target", target_degrees))
+    degrees = (_degree_key(name, d, mesh.interval_count) for name, d in vectors)
     return (mesh.nodes.tobytes(), _check_alpha(alpha), *degrees)
 
 
@@ -866,11 +853,18 @@ def memory_operator(mesh, alpha, source_degrees, target_degrees):
 
 
 def _form_degrees(count, coeffs_v, coeffs_w):
-    """Degrees of broken coefficients v and w; ValueError unless each has `count` blocks."""
+    """Degrees of broken coefficients v and w; ValueError unless each has
+    `count` blocks, one non-empty vector per interval."""
+    degrees = []
     for name, coeffs in (("v", coeffs_v), ("w", coeffs_w)):
         if len(coeffs) != count:
             raise ValueError(f"{name} has {len(coeffs)} coefficient blocks, expected {count}, one per interval")
-    return [tuple(len(c) - 1 for c in coeffs) for coeffs in (coeffs_v, coeffs_w)]
+        shapes = [c.shape for c in map(np.asanyarray, coeffs)]
+        for n, shape in enumerate(shapes, start=1):
+            if len(shape) != 1 or not shape[0]:
+                raise ValueError(f"{name} block {n} has shape {shape}, not a non-empty vector")
+        degrees.append(tuple(size - 1 for size, in shapes))
+    return degrees
 
 
 def memory_form(mesh, alpha, coeffs_v, coeffs_w):

@@ -18,13 +18,10 @@ each stack their coefficients once per call and get the operator from
 nothing keeps it after.
 
 Forcings are power sums (`problems.PowerSum`), so the load vectors are
-exact: `solve` computes every interval's before the march.  One grouped
-rule pass (`kernel._left_rule_groups`, the jump columns' too) maps every
-Gauss-Legendre interval's rule and evaluates its basis once per solve.
-The exact rule of interval 1, and a difference rule, depend on the
-exponent: such an interval takes `kernel.power_rule` for each exponent.
-Each exponent's moment on an interval is shared by every sum that carries
-it.
+exact: `solve` computes every interval's before the march, from one
+left-singular moment pass (`kernel._left_moments`, the jump columns' too)
+over every interval and forcing exponent.  Each exponent's moment on an
+interval is shared by every sum that carries it.
 """
 
 import math
@@ -37,14 +34,12 @@ from .kernel import (
     _gauss_legendre,
     _jacobi_rule,
     _jump_values,
-    _left_rule_groups,
-    _left_weights,
+    _left_moments,
     _parity,
     _stacked,
     coercivity_constants,
     legendre_values,
     memory_operator,
-    power_rule,
 )
 # the block seam stays bound here too: the perfbench trace checks that it
 # wraps every binding of kernel.memory_block, this one included
@@ -121,29 +116,20 @@ def _power_moments(table, count, mesh):
     sums u of a `_power_table` on every interval n of the mesh: one
     (count, p_n+1) array per interval, one row per sum; exact.
 
-    The rules are those of `kernel.power_rule` with singular point t_0 = 0.
-    One grouped rule pass (`kernel._left_rule_groups`) maps every
-    Gauss-Legendre interval's rule and evaluates its basis, which do not
-    depend on the exponent; an interval whose rule is exact or a difference
-    takes `power_rule` per exponent.  On each interval every exponent in
-    increasing order, as each sum's terms are, takes its power and one
-    moment, added only into the rows of the sums that carry it (a sum
+    One `kernel._left_moments` pass with singular point t_0 = 0 gives the
+    moment of every exponent on every interval, those of `power_rule` bit
+    for bit.  Every exponent in increasing order, as each sum's terms are,
+    adds its moments only into the rows of the sums that carry it (a sum
     without it never sees that moment, finite or not).
     """
-    moments = [np.zeros((count, p + 1)) for p in mesh.degrees]
-    if not table:
-        return moments
-    nodes, intervals = mesh.nodes, mesh.interval_count
-    singular, groups = _left_rule_groups(nodes, mesh.degrees, np.arange(intervals), np.zeros(intervals))
-    for n in singular.tolist():
-        a, b, p = float(nodes[n]), float(nodes[n + 1]), int(mesh.degrees[n])
-        for exponent, rows, coeffs in table:
-            x, weights = power_rule(a, b, 0.0, exponent, p)
-            moments[n][rows] += coeffs * (weights @ legendre_values(x, a, b, p))
-    for n, _, x, w, values in groups:
-        for exponent, rows, coeffs in table:
-            moments[n][rows] += coeffs * (_left_weights(x, w, 0.0, exponent) @ values)
-    return moments
+    intervals = mesh.interval_count
+    moments = np.zeros((count, intervals, max(mesh.degrees) + 1))
+    if table:
+        exponents = [exponent for exponent, _, _ in table]
+        power = _left_moments(mesh.nodes, mesh.degrees, np.arange(intervals), np.zeros(intervals), exponents)
+        for row, (_, rows, coeffs) in zip(power, table):
+            moments[rows] += coeffs[:, None] * row
+    return [moments[:, n, : p + 1] for n, p in enumerate(mesh.degrees.tolist())]
 
 
 def _power_values(table, count, t):
@@ -251,8 +237,8 @@ def solve(problems, mesh, alpha):
     coefficients: the blocks go into one (N, P+1, modes) array, zero past
     each degree, and the history of interval n applies its first n-1 rows;
     the solution's blocks are (p_n+1, modes) views into it.  Every
-    interval's loads are computed before the march, from one grouped rule
-    pass (`_power_moments`): one moment per forcing exponent and interval,
+    interval's loads are computed before the march, from one moment pass
+    (`_power_moments`): one moment per forcing exponent and interval,
     shared by every mode that carries that exponent.  The operator comes from
     `kernel.memory_operator`, and the solution holds it
     (`DgSolution.memory_operator`) for `stability_report` and the forms.
@@ -344,16 +330,21 @@ def _forcing_increments(problems, mesh, alpha):
     return out
 
 
-def stability_report(solution, problems, alpha, slack=1e-8):
+# relative slack of the energy inequality before a node counts as a violation
+_STABILITY_SLACK = 1e-8
+
+
+def stability_report(solution, problems, alpha):
     """Evaluate the discrete energy inequality
 
         |U_-^n|^2 + |U_+^{n-1}|^2 + 2 int_0^{t_n} A(B U, U) dt
             <= 4 |U_-^0|^2 + 4 d^2 int_0^{t_n} |<g, A^{-1} f>| dt
 
-    at every node and flag violations beyond the relative slack.  The memory
-    term applies the operator of the mesh, its degrees and alpha
-    (`kernel.memory_operator`): the march's while the solution holds it,
-    else a new build.  ValueError unless there is one problem per mode.
+    at every node and flag violations beyond the relative slack
+    `_STABILITY_SLACK` (plus 1e-12).  The memory term applies the operator
+    of the mesh, its degrees and alpha (`kernel.memory_operator`): the
+    march's while the solution holds it, else a new build.  ValueError
+    unless there is one problem per mode.
     """
     problems = list(problems)
     if len(problems) != solution.mode_count:
@@ -378,6 +369,6 @@ def stability_report(solution, problems, alpha, slack=1e-8):
     violations = tuple(
         int(n)
         for n in range(1, mesh.interval_count + 1)
-        if lhs[n - 1] > rhs[n - 1] * (1.0 + slack) + 1e-12
+        if lhs[n - 1] > rhs[n - 1] * (1.0 + _STABILITY_SLACK) + 1e-12
     )
     return StabilityReport(mesh.nodes[1:], lhs, rhs, violations)

@@ -1,12 +1,12 @@
 """Helpers the tests share that the package itself never calls: the
 one-mode manufactured problem t^nu, the loads of one interval one
-exponent at a time that the grouped loads of `stepper._power_moments`
-must reproduce, the interpolatory projection of power-sum profiles, the
-semilog fit of an hp convergence history, the
+exponent at a time that the loads of `stepper._power_moments` (one
+`kernel._left_moments` pass) must reproduce, the interpolatory projection
+of power-sum profiles, the semilog fit of an hp convergence history, the
 bilinear form through a given operator, the history sum one source at a
 time that the stacked `MemoryOperator.apply` must reproduce, one memory
-block with its jump column, the jump columns one pair at a time that
-the flat pass of `kernel._jump_columns` must reproduce, one
+block with its jump column, the jump columns one pair at a time that the
+`kernel._left_moments` pass of `kernel._jump_columns` must reproduce, one
 Gauss-Legendre rule mapped alone, the per-group
 near-field rows that the flat rule set of
 `kernel._right_power_rules` must reproduce, the per-layer t-rules that

@@ -196,7 +196,7 @@ def test_05_stability_randomized():
             terms = [(rng.standard_normal(), e) for e in range(int(rng.integers(1, 4)))]
             modes.append(ModeProblem(lam, PowerSum.of(*terms), rng.standard_normal()))
         solution = solve(modes, mesh, alpha)
-        report = stability_report(solution, modes, alpha, slack=1e-8)
+        report = stability_report(solution, modes, alpha)
         worst = min(worst, float(np.min((report.rhs - report.lhs) / report.rhs)))
         if not report.ok:
             failures.append(run)

@@ -509,6 +509,22 @@ def test_memory_operator_zero_degree_sources_give_zero_slices():
             assert block.shape == (3, 1) and np.array_equal(block, np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize(
+    "degrees",
+    [[2] * 7, [2] * 5, [2, 2, 2.5, 2, 2, 2], [2, 2, 2, -1, 2, 2], [2, 2, 2, 2, 2, np.nan], np.full((6, 1), 2), 2],
+    ids=["one too many", "one too few", "not an integer", "negative", "nan", "a column", "a scalar"],
+)
+@pytest.mark.parametrize("name", ["source", "target"])
+def test_operator_rejects_malformed_degree_vectors(degrees, name):
+    # seven source degrees on six intervals built, and 2.5 became 2; the
+    # others failed deep in the build
+    mesh = graded_mesh(T=1.0, N=6, gamma=1.0, p=2)
+    vectors = {"source": mesh.degrees, "target": mesh.degrees, name: degrees}
+    for build in (kernel.MemoryOperator, kernel.memory_operator):
+        with pytest.raises(ValueError, match=f"{name} degrees .* not one non-negative integer per interval of 6"):
+            build(mesh, -0.4, vectors["source"], vectors["target"])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     alpha=st.floats(-0.95, -0.05),
@@ -1034,12 +1050,12 @@ def _basis_asker(frame):
 
 
 def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
-    # within one build, one recurrence of the grouped rule pass evaluates
-    # the basis of every Gauss-Legendre jump column, over all its (point
-    # count, target) groups, and one more that of every exact (j == n)
-    # column; each difference column evaluates it once; no rule evaluates
-    # it for them.  Graded N=40, then three steps each 100 times the one
-    # before: their (n, n-1) pairs are difference pairs
+    # within one build, one recurrence of the left-singular moment pass
+    # evaluates the basis of every Gauss-Legendre jump column, over all its
+    # (point count, target) groups, and one more that of every exact
+    # (j == n) and difference column; none is made per pair, and no rule
+    # evaluates it for them.  Graded N=40, then three steps each 100 times
+    # the one before: their (n, n-1) pairs are difference pairs
     alpha = -0.7
     graded = graded_mesh(T=1.0, N=40, gamma=2.3, p=2)
     steps = np.diff(graded.nodes)[-1] * 100.0 ** np.arange(1, 4)
@@ -1055,9 +1071,7 @@ def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
                 difference += 1
     assert len(keys) > 1 and difference > 1
     real_legvander = kernel._legvander
-    counts = dict.fromkeys(
-        ["_left_rule_groups", "_diagonal_jump_columns", "_jump_columns", "_interval_rule", "power_rule"], 0
-    )
+    counts = dict.fromkeys(["_left_moments", "_jump_columns", "_interval_rule", "power_rule"], 0)
 
     def legvander(*args):
         caller = _basis_asker(sys._getframe(1))
@@ -1067,13 +1081,7 @@ def test_jump_columns_evaluate_the_basis_once_per_rule(monkeypatch):
 
     monkeypatch.setattr(kernel, "_legvander", legvander)
     kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
-    assert counts == {
-        "_left_rule_groups": 1,
-        "_diagonal_jump_columns": 1,
-        "_jump_columns": difference,
-        "_interval_rule": 0,
-        "power_rule": 0,
-    }
+    assert counts == {"_left_moments": 2, "_jump_columns": 0, "_interval_rule": 0, "power_rule": 0}
 
 
 def test_each_build_starts_with_an_empty_table(monkeypatch):
@@ -1127,8 +1135,7 @@ def test_loads_evaluate_the_basis_once_per_solve(monkeypatch):
     # a load's rule (power_rule, singular point t_0 = 0) evaluates no basis:
     # the loads of a solve evaluate it at every Gauss-Legendre interval (all
     # past interval 1 here) in one recurrence, shared by every exponent,
-    # and on interval 1, whose exact rule depends on the exponent, once per
-    # exponent
+    # and at the exact rules of interval 1, one per exponent, in one more
     real_legvander = kernel._legvander
     calls = []
 
@@ -1150,7 +1157,7 @@ def test_loads_evaluate_the_basis_once_per_solve(monkeypatch):
         a, b = mesh.interval(n)
         assert kernel._ellipse_rho(a, b - a) >= kernel._DIFF_RHO
     solve(problems, mesh, -0.7)
-    assert sorted(calls) == ["_left_rule_groups"] + ["_power_moments"] * len(forcings)
+    assert calls == ["_left_moments"] * 2
 
 
 def _straddling_intervals(tl, tr, margin, degrees):
@@ -1353,6 +1360,14 @@ def test_forms_reject_a_block_count_other_than_the_intervals(count):
         for name, v, w in (("v", bad, good), ("w", good, bad)):
             with pytest.raises(ValueError, match=f"{name} has {count} coefficient blocks, expected 3"):
                 form(v, w)
+    # an empty block raised IndexError from memory_form and gave l2_form 0.0;
+    # a block that is not a vector is refused too
+    for block, shape in ((np.ones(0), r"\(0,\)"), (np.ones((3, 1)), r"\(3, 1\)"), (np.float64(1.0), r"\(\)")):
+        malformed = [np.ones(3), block, np.ones(3)]
+        for form in forms:
+            for name, v, w in (("v", malformed, good), ("w", good, malformed)):
+                with pytest.raises(ValueError, match=f"{name} block 2 has shape {shape}, not a non-empty vector"):
+                    form(v, w)
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,8 @@ def test_non_finite_load_names_interval_and_mode(monkeypatch):
     # the moment of t^0, which only mode 2 carries, turns nan past t = 0.5,
     # inside interval 3 of 4; mode 1 shares t^0.5 with it and stays finite.
     # Intervals 2 to 4 take the grouped Gauss-Legendre loads, whose weights
-    # for each exponent come from `_left_weights`
-    real_weights = stepper_mod._left_weights
+    # for each exponent come from `kernel._left_weights`
+    real_weights = kernel_mod._left_weights
 
     def left_weights(x, w, z, beta):
         weights = real_weights(x, w, z, beta)
@@ -290,7 +290,7 @@ def test_non_finite_load_names_interval_and_mode(monkeypatch):
             weights = np.full_like(weights, np.nan)
         return weights
 
-    monkeypatch.setattr(stepper_mod, "_left_weights", left_weights)
+    monkeypatch.setattr(kernel_mod, "_left_weights", left_weights)
     mesh = graded_mesh(1.0, 4, 1.0, 1)
     problems = [
         ModeProblem(1.0, PowerSum.of((1.0, 0.5)), 1.0),
