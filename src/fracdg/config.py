@@ -133,6 +133,14 @@ _PARSERS = {
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
+# The largest time degree a run may use.  Just below the switch to
+# Gauss-Legendre, the difference-of-rules branch of `kernel.power_rule`
+# meets the mpmath oracle on both sides up to degree 11 for every exponent
+# from -0.99 up (degree 12 misses by 1.2x at -0.99, degree 15 by 1.4x at
+# -0.95); a degree p solve takes it at degree p (loads, jump columns) and
+# p - 1 (near rows).
+_MAX_DEGREE = 11
+
 # (key, list key, requirement, test): the range of each numeric key, and
 # of every entry of its list key where it has one
 _RANGES = (
@@ -141,7 +149,7 @@ _RANGES = (
     ("T", None, "be positive", lambda v: v > 0.0),
     ("N", "Ns", "be >= 1", lambda v: v >= 1),
     ("gamma", "gammas", "be >= 1", lambda v: v >= 1.0),
-    ("p", "ps", "be >= 1", lambda v: v >= 1),
+    ("p", "ps", f"lie in [1, {_MAX_DEGREE}]", lambda v: 1 <= v <= _MAX_DEGREE),
     ("delta", "deltas", "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
     ("L", "Ls", "be >= 1", lambda v: v >= 1),
     ("mu", None, "be positive", lambda v: v > 0.0),
@@ -173,6 +181,13 @@ def _validate(config):
                 raise ConfigError(f"{list_key} entries must {rule}, got {entry}")
     if not 0.0 < config.T_1 <= config.T:
         raise ConfigError(f"T_1 must lie in (0, T], got {config.T_1}")
+    # the top degree floor(mu (L + 1)) of a geometric mesh, as `mesh.geometric_mesh`
+    # floors it, exceeds the bound where its argument reaches the next integer
+    levels, name = (max(config.Ls), "the largest Ls entry") if config.Ls else (config.L, "L")
+    if config.mu * (levels + 1) + 1e-12 >= _MAX_DEGREE + 1:
+        raise ConfigError(
+            f"mu = {config.mu} and {name}, {levels}, give a geometric top degree floor(mu (L + 1)) above {_MAX_DEGREE}"
+        )
 
 
 def parse_config(text):

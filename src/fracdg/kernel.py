@@ -29,8 +29,7 @@ count, every group's rule mapped and the basis evaluated at all their
 nodes at once, then each group takes its kernel power per exponent and
 one stacked product.  Its exact and difference rules depend on the
 exponent: one `power_rule` per exponent and pair, one basis evaluation
-for all of them, and one stacked product per run of rules of one
-exponent, degree and node count.  A singular point
+for all of them, and one product per rule.  A singular point
 right of its interval arises only where many time nodes share one source
 interval (the near-field blocks).  A near block's time nodes are its
 graded t-layers (`_near_t_layers`), a geometric composite Gauss rule
@@ -204,8 +203,9 @@ def _gauss_legendre(counts, a, b):
 # converges geometrically, its error rho^(-2n) small enough that
 # n = deg//2 + 2 + 22/ln(rho) points reach machine precision.  The
 # difference cancels digits as the degree grows: against the mpmath oracle
-# its moments meet the tolerance at the degrees the stepper uses (loads
-# p <= 8, near rows p - 1), but miss it from degree 16 on the right and by
+# its moments meet the tolerance on both sides up to degree 11, the
+# config's bound on every stepper degree, for exponents from -0.99 up, but
+# at -0.95 miss it from degree 15 on the left and 16 on the right, and by
 # about 1e6 (right) to 1e7 (left) at degree 64, the strict xfails of
 # test_power_rule_to_degree_64_against_oracle (ROADMAP item 6).
 _DIFF_RHO = 1.25
@@ -213,15 +213,13 @@ _DIFF_RHO = 1.25
 
 def _ellipse_rho(dist, length):
     # Bernstein ellipse parameter of a point `dist` beyond an interval of `length`
-    # (math.sqrt for a float: correctly rounded as np.sqrt is, and cheaper)
     x = 1.0 + 2.0 * dist / length
-    return x + (math.sqrt if isinstance(x, float) else np.sqrt)(x * x - 1.0)
+    return x + np.sqrt(x * x - 1.0)
 
 
 def _gl_point_count(deg, rho):
-    # rho a float or an array of them; np.log for both (math.log differs in the last ulp)
-    ratio = 22.0 / np.log(rho)
-    return deg // 2 + 2 + (math.ceil(ratio) if isinstance(ratio, float) else np.ceil(ratio).astype(int))
+    # rho a float or an array of them; np.log (math.log differs in the last ulp)
+    return deg // 2 + 2 + np.ceil(22.0 / np.log(rho)).astype(int)
 
 
 def power_rule(a, b, z, beta, deg):
@@ -420,16 +418,20 @@ def _left_moments(nodes, degrees, target, z, betas):
     z, betas[b], q_n)`, q_n = degrees[n], against P_0..P_{q_n}, bit for
     bit, and zeros past it up to the widest of `degrees`.
 
-    `_left_rule_order` sorts the pairs by branch.  A Gauss-Legendre rule
-    does not depend on beta: one `_gauss_legendre` call maps the rule of
-    every group of one target and point count, one basis recurrence
-    evaluates them all, and each group takes its kernel powers
-    (`_left_weights`) one beta at a time, then one stacked product for all
-    of them.  An exact or difference rule depends on beta: each (beta,
-    pair) takes `power_rule`, one basis recurrence covers all their nodes,
-    and each run of consecutive rules of one beta, degree and node count
-    makes one stacked product, a run of one the 2-D product.  A stacked
-    product rounds as the one-pair product.
+    `_left_rule_order` sorts the pairs by branch, in a function of its own
+    (inlined, it raised the traced peak of a graded N=600 jump-column pass
+    from 19.0 to 24.7 MB).  A Gauss-Legendre rule does not depend on beta:
+    one `_gauss_legendre` call maps the rule of every group of one target
+    and point count, one basis recurrence evaluates them all, and each
+    group takes its kernel powers (`_left_weights`) one scalar beta at a
+    time, then one stacked product for all of them, which rounds as the
+    one-pair product.  One broadcast power over two betas or more would
+    round some square roots (beta = 0.5) differently.  An exact or difference rule depends
+    on beta: each (beta, pair) takes `power_rule`, one basis recurrence
+    covers all their nodes, and each rule makes its own product.  The
+    moments fill one buffer in rule order, slice by slice, scattered to the
+    pairs' order once (written in place by fancy index, the graded N=150
+    jump columns took 7.8 ms against 7.0).
     """
     degrees = np.asarray(degrees)
     singular, pairs, starts, group_target, group_count = _left_rule_order(nodes, degrees, target, z)
@@ -452,41 +454,30 @@ def _left_moments(nodes, degrees, target, z, betas):
         tl, tr, q, points = nodes[n].tolist(), nodes[n + 1].tolist(), degrees[n].tolist(), z[singular].tolist()
         rules = [power_rule(a, b, s, beta, p) for beta in betas for a, b, s, p in zip(tl, tr, points, q)]
         sizes = [x.size for x, _ in rules]
-        repeats = np.array(sizes)
         values = legendre_values(
             np.concatenate([x for x, _ in rules]),
-            np.array(tl * len(betas)).repeat(repeats),
-            np.array(tr * len(betas)).repeat(repeats),
+            np.array(tl * len(betas)).repeat(sizes),
+            np.array(tr * len(betas)).repeat(sizes),
             max(q),
         )
-        rule = node = 0
-        beta_index = [k for k in range(len(betas)) for _ in q]
-        for (k, p, size), run in groupby(zip(beta_index, q * len(betas), sizes)):
-            count = len(list(run))
-            stop = node + count * size
-            first = pairs.size + rule - k * singular.size
-            if count == 1:
-                moments[k, first, : p + 1] = rules[rule][1] @ values[node:stop, : p + 1]
-            else:
-                run_values = values[node:stop].reshape(count, size, -1)[:, :, : p + 1]
-                weights = np.array([w for _, w in rules[rule : rule + count]])
-                moments[k, first : first + count, : p + 1] = np.matmul(weights[:, None, :], run_values)[:, 0]
-            rule, node = rule + count, stop
+        # the rows of the rules, in their order: beta, then pair
+        rows = (row for beta_rows in moments[:, pairs.size :] for row in beta_rows)
+        node = 0
+        for row, (_, w), p, size in zip(rows, rules, q * len(betas), sizes):
+            row[: p + 1] = w @ values[node : node + size, : p + 1]
+            node += size
     out = np.empty_like(moments)
     out[:, np.concatenate([pairs, singular])] = moments
     return out
 
 
-# Bound on the entries of the build's table; a graded N=150, p=2 build
-# fills 150, one per interval that is a far block's target or source.
-_TABLE_SIZE = 4096
-
-
-@lru_cache(maxsize=_TABLE_SIZE)
+@lru_cache(maxsize=None)
 def _interval_rule(npts, a, b):
     """The build's table: the nodes of the npts-point Gauss-Legendre rule
     mapped to (a, b), a read-only (npts, 1) column, the t or s nodes of
-    every far block on that interval."""
+    every far block on that interval.  Unbounded: each build empties it,
+    and a graded N=150, p=2 build fills 150 entries, one per interval that
+    is a far block's target or source."""
     return _read_only(_gauss_legendre(npts, a, b)[0].reshape(npts, 1))[0]
 
 
@@ -495,8 +486,7 @@ def _interval_rule(npts, a, b):
 # ---------------------------------------------------------------------------
 
 
-# reciprocal Gamma factor applied to every kernel integral, once per order
-@lru_cache(maxsize=256)
+# reciprocal Gamma factor applied to every kernel integral
 def _kernel_scale(alpha):
     return 1.0 / math.gamma(alpha + 1.0)
 

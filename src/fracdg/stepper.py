@@ -20,8 +20,12 @@ nothing keeps it after.
 Forcings are power sums (`problems.PowerSum`), so the load vectors are
 exact: `solve` computes every interval's before the march, from one
 left-singular moment pass (`kernel._left_moments`, the jump columns' too)
-over every interval and forcing exponent.  Each exponent's moment on an
-interval is shared by every sum that carries it.
+over every interval and forcing exponent: one mapped rule per
+Gauss-Legendre interval with one kernel power per exponent (one broadcast
+power over two exponents or more would move bits), and one `power_rule`
+and one product per exponent on the exact first interval and on each
+difference interval.  Each exponent's moment on an interval is shared by
+every sum that carries it.
 """
 
 import math

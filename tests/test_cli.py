@@ -423,7 +423,7 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "mesh",
-    ["family = geometric\ndelta = 0.1\nL = 400", "family = graded\nN = 4\ngamma = 1e308"],
+    ["family = geometric\ndelta = 0.1\nL = 400\nmu = 0.02", "family = graded\nN = 4\ngamma = 1e308"],
     ids=["geometric-underflow", "graded-collapse"],
 )
 def test_solve_on_a_mesh_the_library_rejects_is_a_config_error(tmp_path, capsys, mesh):
@@ -501,7 +501,7 @@ NON_DEFAULT = [
     ("problem", "alpha", "-0.6"), ("problem", "diffusivity", "2.0"),
     ("mesh", "family", "geometric"), ("mesh", "T", "2.0"), ("mesh", "N", "3"),
     ("mesh", "gamma", "1.5"), ("mesh", "p", "2"), ("mesh", "first_interval_linear", "true"),
-    ("mesh", "T_1", "0.5"), ("mesh", "delta", "0.3"), ("mesh", "L", "2"), ("mesh", "mu", "2.0"),
+    ("mesh", "T_1", "0.5"), ("mesh", "delta", "0.3"), ("mesh", "L", "2"), ("mesh", "mu", "1.5"),
     ("backend", "type", "fem"), ("backend", "elements", "4"), ("backend", "degree", "1"),
     ("study", "m", "3"), ("study", "gammas", "1.2"), ("study", "ps", "2"), ("study", "Ns", "3"),
     ("study", "deltas", "0.2"), ("study", "Ls", "3"), ("study", "alphas", "-0.4"),

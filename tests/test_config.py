@@ -120,7 +120,8 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = 0.3", "alpha must lie in (-1, 0)"),
         ("[problem]\nalpha = -0.5\n[mesh]\ngamma = 0.9", "gamma must be >= 1"),
         ("[problem]\nalpha = -0.5\n[mesh]\ndelta = 1.0", "delta must lie in (0, 1)"),
-        ("[problem]\nalpha = -0.5\n[mesh]\np = 0", "p must be >= 1"),
+        ("[problem]\nalpha = -0.5\n[mesh]\np = 0", "p must lie in [1, 11]"),
+        ("[problem]\nalpha = -0.5\n[mesh]\np = 12", "p must lie in [1, 11], got 12"),
         ("[problem]\nalpha = -0.5\n[study]\nm = 0", "m must be >= 1"),
         ("[problem]\nalpha = -0.5\n[study]\nNs = 4, -2", "Ns entries must be >= 1"),
         ("[problem]\nalpha = -0.5\n[study]\nNs = 4,,6", "Ns has an empty entry: '4,,6'"),
@@ -155,7 +156,11 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = -0.5\n[mesh]\nT = 0.5\nT_1 = 1.0", "T_1 must lie in (0, T], got 1.0"),
         ("[problem]\nalpha = -0.5\n[mesh]\nN = 0", "N must be >= 1, got 0"),
         ("[problem]\nalpha = -0.5\n[study]\ngammas = 1.5, 0.5", "gammas entries must be >= 1, got 0.5"),
-        ("[problem]\nalpha = -0.5\n[study]\nps = 1, 0", "ps entries must be >= 1, got 0"),
+        ("[problem]\nalpha = -0.5\n[study]\nps = 1, 0", "ps entries must lie in [1, 11], got 0"),
+        ("[problem]\nalpha = -0.5\n[study]\nps = 1, 12", "ps entries must lie in [1, 11], got 12"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nL = 11", "mu = 1.0 and L, 11, give a geometric top degree"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nL = 2\nmu = 3.0\n[study]\nLs = 3, 2",
+         "mu = 3.0 and the largest Ls entry, 3, give a geometric top degree floor(mu (L + 1)) above 11"),
         ("[problem]\nalpha = -0.5\n[study]\ndeltas = 0.2, 1.5",
          "deltas entries must lie in (0, 1), got 1.5"),
         ("[problem]\nalpha = -0.5\n[mesh]\nL = 0", "L must be >= 1, got 0"),
@@ -171,6 +176,13 @@ def test_validation_messages(snippet, fragment):
     with pytest.raises(ConfigError) as info:
         parse_config(snippet)
     assert fragment in str(info.value)
+
+
+def test_the_degree_bound_admits_its_own_degree():
+    # p, every ps entry and the geometric top degree floor(mu (L + 1)) may reach 11
+    assert parse_config(MINIMAL + "[mesh]\np = 11\nL = 10\n[study]\nps = 1, 11").p == 11
+    assert parse_config(MINIMAL + "[mesh]\nL = 12\nmu = 2.75\n[study]\nLs = 3, 2").mu == 2.75
+    assert parse_config(MINIMAL + "[mesh]\nL = 3\nmu = 2.75").L == 3
 
 
 def test_unset_T_1_refines_the_whole_horizon_below_one():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from fracdg import kernel
 from fracdg import stepper as stepper_mod
+from fracdg.config import _MAX_DEGREE
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
 from fracdg.problems import PowerSum, two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
@@ -226,6 +227,10 @@ def test_gathered_rules_are_the_single_count_rules_end_to_end(counts):
     singles = [np.polynomial.legendre.leggauss(count) for count in counts]
     assert same_bits(x, np.concatenate([nodes for nodes, _ in singles]))
     assert same_bits(w, np.concatenate([weights for _, weights in singles]))
+    # one numpy integer count, as `power_rule` passes, also one past the table
+    for count in [*counts, kernel._LEGENDRE[2].size]:
+        got, want = kernel._legendre_rules(np.int64(count)), np.polynomial.legendre.leggauss(count)
+        assert all(map(same_bits, got, want)), count
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -362,20 +367,22 @@ def test_power_rule_left_singularity_against_oracle():
                 assert abs(val - ref) <= 1e-10 * abs(ref) + 1e-13 * abs(mass)
 
 
-def power_rule_error(a, b, z, beta, k):
-    """Error of power_rule's P_k moment against the oracle, in units of the
-    two-term oracle tolerance of the tests above."""
+def power_rule_error(a, b, z, beta, k, moment=None):
+    """Error of the P_moment moment (P_k by default) of power_rule's degree
+    k rule against the oracle, in units of the two-term oracle tolerance of
+    the tests above."""
     from numpy.polynomial import legendre as leg
 
-    coeff = np.zeros(k + 1)
-    coeff[k] = 1.0
+    moment = k if moment is None else moment
+    coeff = np.zeros(moment + 1)
+    coeff[moment] = 1.0
     nodes, weights = (kernel.power_rule if z <= a else right_power_rule)(a, b, z, beta, k)
     val = float(weights @ leg.legval((2.0 * nodes - (a + b)) / (b - a), coeff))
     if z <= a:
-        ref = oracles.left_moment_oracle(a, b, z, k, beta)
+        ref = oracles.left_moment_oracle(a, b, z, moment, beta)
         mass = ((b - z) ** (beta + 1) - (a - z) ** (beta + 1)) / (beta + 1)
     else:
-        ref = oracles.moment_oracle(a, b, z, k, beta)
+        ref = oracles.moment_oracle(a, b, z, moment, beta)
         mass = oracles.kernel_mass(a, b, z, beta)
     return abs(val - ref) / (1e-10 * abs(ref) + 1e-13 * abs(mass))
 
@@ -383,7 +390,9 @@ def power_rule_error(a, b, z, beta, k):
 # Just below the switch the two Gauss-Jacobi rules cancel by far more than
 # the rho^deg the switch's comment allows: at degree 64 and beta = -0.95 the
 # moment is off by about 1e7 tolerances on the left and 1e6 on the right
-# (the right side misses from degree 16).  No stepper degree comes near.
+# (the left side misses from degree 15, the right from 16).  The config
+# bounds every stepper degree at `config._MAX_DEGREE`, which
+# test_difference_rule_to_the_degree_bound_against_oracle covers.
 _DIFFERENCE_LOSES_DIGITS = pytest.mark.xfail(
     strict=True, reason="difference of Gauss-Jacobi rules at high degree below the switch"
 )
@@ -407,6 +416,26 @@ def test_power_rule_to_degree_64_against_oracle(side, branch):
         for k in (9, 16, 31, 48, MAX_MOMENT_DEGREE):
             for beta in (-0.95, -0.4, 0.4):
                 worst = max(worst, power_rule_error(a, b, z, beta, k))
+    assert worst <= 1.0
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_difference_rule_to_the_degree_bound_against_oracle(side):
+    # every moment of the difference-of-rules branch at each degree from 9
+    # up to the config's bound, at three gaps below the switch, with
+    # exponents from near -1 (the jump columns and near rows take alpha)
+    # to the loads' positive ones
+    a, b = 0.3, 1.4
+    below, _ = diff_switch_gaps(a, b)
+    worst = 0.0
+    for gap in (below, 0.7 * below, 0.3 * below):
+        z = a - gap if side == "left" else b + gap
+        for k in range(9, _MAX_DEGREE + 1):
+            nodes, _ = (kernel.power_rule if side == "left" else right_power_rule)(a, b, z, -0.5, k)
+            assert nodes.size == 2 * (k // 2 + 1)
+            for beta in (-0.99, -0.95, -0.7, -0.4, 0.4, 2.5):
+                for moment in range(k + 1):
+                    worst = max(worst, power_rule_error(a, b, z, beta, k, moment))
     assert worst <= 1.0
 
 
@@ -1220,6 +1249,9 @@ def _load_switch_step(left, margin):
 @example(intervals=[(0.01, 3), (1.0, 8), (0.5, 0)], switch=(1, 1e-9), sums=[[(1.0, -0.7), (2.0, 0.5)], [(1.0, 0.5)]])
 @example(intervals=[(0.01, 3), (1.0, 8), (0.5, 2)], switch=(1, -1e-9), sums=[[], [(1.0, 0.0)], [(-1.0, 2.3)]])
 @example(intervals=[(0.3, 1), (0.2, 2)], switch=None, sums=[[], []])
+# three exponents in one Gauss-Legendre group: one broadcast power over them
+# rounds the square root differently from the scalar `** 0.5`
+@example(intervals=[(1.0, 0), (0.24787904880642087, 0)], switch=None, sums=[[(0.0, -0.7), (0.0, -0.3), (1.0, 0.5)]])
 def test_loads_equal_the_per_interval_loop_bytewise(intervals, switch, sums):
     # log-uniform steps give exact, difference and Gauss-Legendre loads, and
     # `switch` puts one interval just below or above the difference switch;
