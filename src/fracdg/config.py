@@ -141,10 +141,18 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 # p - 1 (near rows).
 _MAX_DEGREE = 11
 
+# The most negative order a run may use.  The same difference branch
+# cancels digits as 1/(beta + 1): up to degree `_MAX_DEGREE` it meets the
+# oracle for every exponent from -0.99 up, but at -0.999 it misses from
+# degree 8 and at -0.99999 from degree 3.  A run's exponents are alpha
+# (memory blocks, jump columns) and its loads' alpha, alpha + 1 and
+# 2 alpha + 2, none of them below alpha.
+_MIN_ALPHA = -0.99
+
 # (key, list key, requirement, test): the range of each numeric key, and
 # of every entry of its list key where it has one
 _RANGES = (
-    ("alpha", "alphas", "lie in (-1, 0)", lambda v: -1.0 < v < 0.0),
+    ("alpha", "alphas", f"lie in [{_MIN_ALPHA}, 0)", lambda v: _MIN_ALPHA <= v < 0.0),
     ("diffusivity", None, "be positive", lambda v: v > 0.0),
     ("T", None, "be positive", lambda v: v > 0.0),
     ("N", "Ns", "be >= 1", lambda v: v >= 1),

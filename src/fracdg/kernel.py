@@ -7,11 +7,11 @@ The operator of order alpha in (-1, 0) acts on a function v through
 For a piecewise polynomial v with breakpoints t_0 < t_1 < ... integration by
 parts turns this into the jump representation
 
-    (B v)(t) = w(t) v(0+) + sum_{t_i < t} w(t - t_i) [v]^i
-               + int_0^t w(t - s) v'(s) ds,
+    (B v)(t) = sum_{t_i < t} w(t - t_i) [v]^i + int_0^t w(t - s) v'(s) ds,
 
-where [v]^i = v(t_i+) - v(t_i-).  Every integral a DG time stepper then needs
-is a polynomial against a pure power kernel.  This module evaluates those
+where [v]^i = v(t_i+) - v(t_i-) and [v]^0 = v(0+), the history before t_0
+being zero.  Every integral a DG time stepper then needs is a polynomial
+against a pure power kernel.  This module evaluates those
 integrals with Gauss-Jacobi rules (`_jacobi_rule`, singular at either end;
 exact for the near-diagonal cases), differences of such rules, or
 Gauss-Legendre once the singularity is well separated from the integration
@@ -151,18 +151,12 @@ def _legendre_table(npoints):
 
 def _legendre_rules(counts):
     """The Gauss-Legendre rules on [-1, 1] of the point counts `counts` (an
-    int array), laid end to end as (x, w): one gather from the table, so
-    every rule keeps its bits.  For an int, the one rule is a read-only
-    slice of the table, without the gather's index arithmetic.
-    `_gauss_legendre` maps them, and `_weighted_reference_basis` tabulates
-    the basis at them.
+    int, or an int array), laid end to end as (x, w): one gather from the
+    table, so every rule keeps its bits.  `_gauss_legendre` maps them, and
+    `_weighted_reference_basis` tabulates the basis at them.
     """
+    counts = np.atleast_1d(counts)
     x, w, start = _LEGENDRE
-    if not isinstance(counts, np.ndarray):
-        if counts >= start.size:
-            x, w, start = _legendre_table(counts)
-        first = start[counts]
-        return x[first : first + counts], w[first : first + counts]
     try:
         first = start[counts]
     except IndexError:
@@ -692,11 +686,11 @@ def _jump_columns(nodes, alpha, target_degrees):
 
         column[i] = int_{I_n} P_i(t) w(t - t_{j-1}) dt,
 
-    the weight of v(0+) for j = 1 and of the jump [v]^{j-1} after it: the
-    moment vector of `power_rule(t_{n-1}, t_n, t_{j-1}, alpha, q_n)`, bit
-    for bit.  One `_left_moments` pass covers every pair j <= n in the
-    order of `np.tril_indices`, so each target's columns are one slice of
-    its result, scaled in place.
+    the weight of the jump [v]^{j-1}, with [v]^0 = v(0+), the history
+    before t_0 being zero: the moment vector of `power_rule(t_{n-1}, t_n,
+    t_{j-1}, alpha, q_n)`, bit for bit.  One `_left_moments` pass covers
+    every pair j <= n in the order of `np.tril_indices`, so each target's
+    columns are one slice of its result, scaled in place.
     """
     # every pair j <= n, as 0-based target and source indices
     target, source = np.tril_indices(len(target_degrees))
@@ -714,19 +708,22 @@ def _parity(p):
     return (-1.0) ** np.arange(p + 1)
 
 
-def _jump_values(coeffs):
-    """Values multiplying each source's jump column: v(0+), then [v]^1, [v]^2, ...
-
-    Each entry of `coeffs` is one interval's Legendre coefficients, a vector
-    or a (p+1, modes) block; the result has one row per interval.
-    """
-    vals = []
-    left = None
+def _traces(coeffs):
+    """End values (right, left) of a broken function, v(t_{n-1}+) and v(t_n-)
+    in row n-1; each entry of `coeffs` is one interval's Legendre
+    coefficients, a vector or a (p+1, modes) block."""
+    right, left = [], []
     for c in coeffs:
-        right_limit = _parity(len(c) - 1) @ c
-        vals.append(right_limit if left is None else right_limit - left)
-        left = np.sum(c, axis=0)
-    return np.array(vals)
+        right.append(_parity(len(c) - 1) @ c)
+        left.append(np.sum(c, axis=0))
+    return np.array(right), np.array(left)
+
+
+def _jump_values(coeffs):
+    """The jumps [v]^i = v(t_i+) - v(t_i-) that multiply the jump columns, one
+    row per interval (`_traces`): [v]^0 = v(0+), the history before t_0 being zero."""
+    right, left = _traces(coeffs)
+    return right - np.concatenate([np.zeros_like(left[:1]), left[:-1]])
 
 
 def _stacked(coeffs):
@@ -810,7 +807,8 @@ class MemoryOperator:
 
         coeffs is (J, P+1) or (J, P+1, modes): row j-1 the coefficients of
         source j, zero-padded past its degree to a common width (`_stacked`),
-        and jumps[j-1] the values multiplying its jump column (`_jump_values`).
+        and jumps[j-1] its jump [c]^{j-1} (`_jump_values`), with [c]^0 =
+        c(0+), the history before t_0 being zero.
         Each run of sources of one degree p is one stacked product over its
         first p+1 coefficients, never the padding, which would round the
         product differently; one broadcast forms every jump term.  The 2J

@@ -7,13 +7,15 @@ basis on I_n the matrix is
 
 where the first term is the upwind pairing w(t_{n-1}+) against the new
 right limit, T is the transport term int P_l' P_i, D is the local memory
-block and J its jump column.  Everything already computed on intervals
-1..n-1 enters the right-hand side through the memory load, one application
-of the memory operator (`kernel.MemoryOperator.apply`) to the coefficients
-stored so far, zero-padded in one (N, P+1, modes) array, so a full march
-costs O(N^2) block evaluations shared across modes.  The march, the
-stability report (energy term int A(B U, U) dt) and `kernel.memory_form`
-each stack their coefficients once per call and get the operator from
+block and J its jump column, the weight of [U]^{n-1} = U(t_{n-1}+) -
+U(t_{n-1}-): [U]^0 = U(0+), the history before t_0 being zero.  Everything
+already computed on intervals 1..n-1 enters the right-hand side through
+the memory load, one application of the memory operator
+(`kernel.MemoryOperator.apply`) to the coefficients stored so far,
+zero-padded in one (N, P+1, modes) array, so a full march costs O(N^2)
+block evaluations shared across modes.  The march, the stability report
+(energy term int A(B U, U) dt) and `kernel.memory_form` each stack their
+coefficients once per call and get the operator from
 `kernel.memory_operator`, shared by its key while the solution holds it;
 nothing keeps it after.
 
@@ -37,10 +39,10 @@ from .kernel import (
     MemoryOperator,
     _gauss_legendre,
     _jacobi_rule,
-    _jump_values,
     _left_moments,
     _parity,
     _stacked,
+    _traces,
     coercivity_constants,
     legendre_values,
     memory_operator,
@@ -196,19 +198,16 @@ class DgSolution:
 
     def left_traces(self):
         """U(t_n-) for n = 1..N, shape (N, modes)."""
-        return np.vstack([block.sum(axis=0) for block in self.coefficients])
+        return _traces(self.coefficients)[1]
 
     def right_traces(self):
         """U(t_{n-1}+) for n = 1..N, shape (N, modes)."""
-        return np.vstack(
-            [_parity(block.shape[0] - 1) @ block for block in self.coefficients]
-        )
+        return _traces(self.coefficients)[0]
 
     def jumps(self):
         """[U]^n = U(t_n+) - U(t_n-) at t_0..t_{N-1}, with [U]^0 against U0-."""
-        jumps = _jump_values(self.coefficients)
-        jumps[0] -= self.initial_values
-        return jumps
+        right, left = _traces(self.coefficients)
+        return right - np.vstack([self.initial_values, left[:-1]])
 
 
 def _solve_modes(systems, rhs, n):
@@ -255,7 +254,9 @@ def solve(problems, mesh, alpha):
     operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
     stacked = np.zeros((mesh.interval_count, max(mesh.degrees) + 1, modes))
     jump_vals = np.empty((mesh.interval_count, modes))
-    incoming = initial_values.copy()
+    # U(t_{n-1}-) as the upwind term sees it, u0 before t_0, and as the
+    # memory's jump [U]^{n-1} = U(t_{n-1}+) - U(t_{n-1}-) sees it, zero before t_0
+    incoming, memory_left = initial_values, np.zeros(modes)
     for n in range(1, mesh.interval_count + 1):
         p = mesh.degree(n)
         parity = _parity(p)
@@ -264,13 +265,11 @@ def solve(problems, mesh, alpha):
         base = np.outer(parity, parity) + _transport_matrix(p)
         memory = operator.matrices[n - 1][n - 1, :, : p + 1] + np.outer(local_jump, parity)
         rhs = incoming[:, None] * parity + loads[n - 1] - lam[:, None] * history.T
-        if n >= 2:
-            rhs += lam[:, None] * local_jump * incoming[:, None]
+        rhs += lam[:, None] * local_jump * memory_left[:, None]
         block = _solve_modes(base + lam[:, None, None] * memory, rhs, n)
         stacked[n - 1, : p + 1] = block
-        right_limit = parity @ block
-        jump_vals[n - 1] = right_limit if n == 1 else right_limit - incoming
-        incoming = block.sum(axis=0)
+        jump_vals[n - 1] = parity @ block - memory_left
+        incoming = memory_left = block.sum(axis=0)
     blocks = tuple(stacked[n, : p + 1] for n, p in enumerate(mesh.degrees))
     return DgSolution(mesh, initial_values, blocks, operator)
 
@@ -358,14 +357,14 @@ def stability_report(solution, problems, alpha):
     operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
     lam = np.array([pr.eigenvalue for pr in problems])
     coeffs = solution.coefficients
-    stacked, jumps = _stacked(coeffs), _jump_values(coeffs)
+    right, left = _traces(coeffs)
+    # the memory's jumps: [U]^0 = U(0+), the history before t_0 being zero
+    stacked, jumps = _stacked(coeffs), right - np.concatenate([np.zeros_like(left[:1]), left[:-1]])
     # per interval, int_{I_n} A(B U, U) dt: the operator's action against U
     increments = [
         float(lam @ np.einsum("im,im->m", c, operator.apply(n, stacked[:n], jumps[:n])))
         for n, c in enumerate(coeffs, start=1)
     ]
-    left = solution.left_traces()
-    right = solution.right_traces()
     energy = np.cumsum(increments)
     forcing = np.cumsum(_forcing_increments(problems, mesh, alpha))
     lhs = np.sum(left**2, axis=1) + np.sum(right**2, axis=1) + 2.0 * energy

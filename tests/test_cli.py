@@ -1,10 +1,17 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
+import contextlib
+import io
+import math
+import re
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracdg import analysis, cli, kernel
 from fracdg.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -434,6 +441,87 @@ def test_solve_on_a_mesh_the_library_rejects_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == "config error: mesh: nodes must be strictly increasing; step 1 has size 0.0\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_order_below_the_bound_is_a_config_error(tmp_path, capsys):
+    # below -0.99 the kernel's difference rules miss their oracle at the admitted degrees
+    cfg = _write_config(tmp_path, MINIMAL.replace("alpha = -0.7", "alpha = -0.995"))
+    status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_USAGE
+    assert capsys.readouterr().err == "config error: alpha must lie in [-0.99, 0), got -0.995\n"
+    assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def extreme_solve_configs(draw):
+    """Config text of a solve at the edges of what the config admits: alpha
+    in [-0.99, -1e-9], T and the diffusivity log-uniform over many decades,
+    gamma up to 12, and degrees up to the bound of 11."""
+    def log_uniform(low, high):
+        return 10.0 ** draw(st.floats(low, high))
+
+    def flag():
+        return "true" if draw(st.booleans()) else "false"
+
+    T = log_uniform(-12.0, 8.0)
+    lines = [
+        "[problem]",
+        f"alpha = {draw(st.floats(-0.99, -1e-9))!r}",
+        f"diffusivity = {log_uniform(-12.0, 12.0)!r}",
+        "[mesh]",
+        f"T = {T!r}",
+    ]
+    if draw(st.booleans()):
+        lines += [
+            "family = graded",
+            f"N = {draw(st.integers(1, 12))}",
+            f"gamma = {draw(st.floats(1.0, 12.0))!r}",
+            f"p = {draw(st.integers(1, 11))}",
+            f"first_interval_linear = {flag()}",
+        ]
+    else:
+        levels = draw(st.integers(1, 8))
+        lines += [
+            "family = geometric",
+            # at most three coarse intervals of width T_1 after the geometric ones
+            f"T_1 = {T * draw(st.floats(0.25, 1.0))!r}",
+            f"delta = {draw(st.floats(0.01, 0.99))!r}",
+            f"L = {levels}",
+            # the top degree floor(mu (L + 1)) stays within the bound of 11
+            f"mu = {draw(st.floats(0.05, 11.5 / (levels + 1)))!r}",
+        ]
+    lines += ["[study]", "m = 4", "[diagnostics]", f"stability_report = {flag()}", f"coercivity_check = {flag()}"]
+    return "\n".join(lines) + "\n"
+
+
+_EXTREME_GRADED = "[problem]\nalpha = {alpha}\ndiffusivity = {K}\n[mesh]\nT = {T}\nN = {N}\ngamma = {gamma}\np = {p}\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=extreme_solve_configs())
+@example(text=_EXTREME_GRADED.format(alpha=-0.99, K=1.0, T=1.0, N=12, gamma=12.0, p=11))
+@example(text=_EXTREME_GRADED.format(alpha=-1e-9, K=1e10, T=1e-12, N=12, gamma=1.0, p=11))
+@example(text=_EXTREME_GRADED.format(alpha=-0.5, K=1e-12, T=1e8, N=1, gamma=1.0, p=1))
+def test_extreme_valid_solves_finish_or_fail_loudly(text):
+    # exit 0 with a finite error and finite traces, or a config error naming
+    # the mesh, or a numerical failure naming the interval and the mode
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["solve", "--config", str(cfg), "--out", str(out)])
+        message = err.getvalue()
+        if status == EXIT_OK:
+            error = float((out / "summary.txt").read_text().split("error = ")[1].splitlines()[0])
+            assert math.isfinite(error), text
+            rows = (out / "solution.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")), text
+        elif status == EXIT_USAGE:
+            assert message.startswith("config error: mesh: "), (text, message)
+        else:
+            assert status == EXIT_NUMERICAL, (text, status, message)
+            assert re.search(r"on interval \d+, mode \d+", message), (text, message)
 
 
 GRIDS = {"h-study": "Ns = 4", "hp-study": "Ls = 2", "delta-sweep": "deltas = 0.3"}

@@ -116,8 +116,11 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
     "snippet,fragment",
     [
         ("[problem]\ndiffusivity = 1.0", "alpha"),
-        ("[problem]\nalpha = -1.5", "alpha must lie in (-1, 0)"),
-        ("[problem]\nalpha = 0.3", "alpha must lie in (-1, 0)"),
+        ("[problem]\nalpha = -1.5", "alpha must lie in [-0.99, 0)"),
+        ("[problem]\nalpha = 0.3", "alpha must lie in [-0.99, 0)"),
+        ("[problem]\nalpha = -0.995", "alpha must lie in [-0.99, 0), got -0.995"),
+        ("[problem]\nalpha = -0.5\n[study]\nalphas = -0.5, -0.995",
+         "alphas entries must lie in [-0.99, 0), got -0.995"),
         ("[problem]\nalpha = -0.5\n[mesh]\ngamma = 0.9", "gamma must be >= 1"),
         ("[problem]\nalpha = -0.5\n[mesh]\ndelta = 1.0", "delta must lie in (0, 1)"),
         ("[problem]\nalpha = -0.5\n[mesh]\np = 0", "p must lie in [1, 11]"),
@@ -147,7 +150,7 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = -0.5\n[expect]\nerror_max = nan", "error_max must be a finite number"),
         ("[problem]\nalpha = -0.5\n[mesh]\nT = soon", "T must be a number, got 'soon'"),
         ("[problem]\nalpha = -0.5\n[study]\nalphas = -0.5, 0.2",
-         "alphas entries must lie in (-1, 0), got 0.2"),
+         "alphas entries must lie in [-0.99, 0), got 0.2"),
         ("[problem]\nalpha = -0.5\ndiffusivity = 0", "diffusivity must be positive, got 0.0"),
         ("[problem]\nalpha = -0.5\n[mesh]\nfamily = uniform",
          "family must be graded or geometric, got 'uniform'"),
@@ -183,6 +186,13 @@ def test_the_degree_bound_admits_its_own_degree():
     assert parse_config(MINIMAL + "[mesh]\np = 11\nL = 10\n[study]\nps = 1, 11").p == 11
     assert parse_config(MINIMAL + "[mesh]\nL = 12\nmu = 2.75\n[study]\nLs = 3, 2").mu == 2.75
     assert parse_config(MINIMAL + "[mesh]\nL = 3\nmu = 2.75").L == 3
+
+
+def test_the_order_bound_admits_its_own_order():
+    # alpha and every alphas entry may reach -0.99, where the difference
+    # branch still meets its oracle at every degree up to 11
+    config = parse_config("[problem]\nalpha = -0.99\n[study]\nalphas = -0.99, -0.5")
+    assert (config.alpha, config.alphas) == (-0.99, (-0.99, -0.5))
 
 
 def test_unset_T_1_refines_the_whole_horizon_below_one():

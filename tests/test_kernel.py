@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from fracdg import kernel
 from fracdg import stepper as stepper_mod
-from fracdg.config import _MAX_DEGREE
+from fracdg.config import _MAX_DEGREE, _MIN_ALPHA
 from fracdg.mesh import TimeMesh, geometric_mesh, graded_mesh
 from fracdg.problems import PowerSum, two_mode_problem
 from fracdg.stepper import mode_problems, solve, stability_report
@@ -423,8 +423,8 @@ def test_power_rule_to_degree_64_against_oracle(side, branch):
 def test_difference_rule_to_the_degree_bound_against_oracle(side):
     # every moment of the difference-of-rules branch at each degree from 9
     # up to the config's bound, at three gaps below the switch, with
-    # exponents from near -1 (the jump columns and near rows take alpha)
-    # to the loads' positive ones
+    # exponents from the config's lowest order (the jump columns and near
+    # rows take alpha) to the loads' positive ones
     a, b = 0.3, 1.4
     below, _ = diff_switch_gaps(a, b)
     worst = 0.0
@@ -433,7 +433,7 @@ def test_difference_rule_to_the_degree_bound_against_oracle(side):
         for k in range(9, _MAX_DEGREE + 1):
             nodes, _ = (kernel.power_rule if side == "left" else right_power_rule)(a, b, z, -0.5, k)
             assert nodes.size == 2 * (k // 2 + 1)
-            for beta in (-0.99, -0.95, -0.7, -0.4, 0.4, 2.5):
+            for beta in (_MIN_ALPHA, -0.95, -0.7, -0.4, 0.4, 2.5):
                 for moment in range(k + 1):
                     worst = max(worst, power_rule_error(a, b, z, beta, k, moment))
     assert worst <= 1.0
