@@ -149,6 +149,16 @@ _MAX_DEGREE = 11
 # 2 alpha + 2, none of them below alpha.
 _MIN_ALPHA = -0.99
 
+# The longest horizon a run may use.  The exact solution grows as
+# t^(alpha+2), and the error measure and the diagnostics square it.  With T
+# set to each power of ten, every draw of the generator of
+# tests/test_cli.py::test_extreme_valid_solves_finish_or_fail_loudly
+# exits 0 with finite numbers or exits 2 naming the interval and the mode
+# up to 1e61; at 1e62 a draw fails its stability report without naming
+# either, from 1e79 some exit 0 with an infinite error, and at 1e155
+# `_jacobi_rule` raises OverflowError.  T_1 <= T bounds T_1 with it.
+_MAX_T = 1e61
+
 # (key, list key, requirement, test): the range of each numeric key, and
 # of every entry of its list key where it has one
 _RANGES = (
@@ -187,6 +197,8 @@ def _validate(config):
         for entry in getattr(config, list_key) if list_key else ():
             if not holds(entry):
                 raise ConfigError(f"{list_key} entries must {rule}, got {entry}")
+    if config.T > _MAX_T:
+        raise ConfigError(f"T must be at most {_MAX_T:g}, got {config.T}")
     if not 0.0 < config.T_1 <= config.T:
         raise ConfigError(f"T_1 must lie in (0, T], got {config.T_1}")
     # the top degree floor(mu (L + 1)) of a geometric mesh, as `mesh.geometric_mesh`

@@ -16,9 +16,13 @@ integrals with Gauss-Jacobi rules (`_jacobi_rule`, singular at either end;
 exact for the near-diagonal cases), differences of such rules, or
 Gauss-Legendre once the singularity is well separated from the integration
 interval, and assembles them into the memory-matrix blocks that discretize
-the history term.  Every Gauss-Legendre rule comes from one table of the
-reference rules laid end to end (`_legendre_rules`) and is mapped onto its
-interval by one function, `_gauss_legendre`, one rule or many at once.
+the history term.  Every Gauss-Legendre rule comes from one table of
+numpy's `leggauss` reference rules laid end to end (`_legendre_rules`) and
+is mapped onto its interval by one function, `_gauss_legendre`, one rule or
+many at once.  Every Gauss-Jacobi reference rule (`_jacobi_ref`) is
+`_gauss_jacobi`'s, scipy's `roots_jacobi` recipe on numpy's symmetric
+eigensolver, except at exponent 0, where it is the table's Gauss-Legendre
+rule; no rule needs scipy.
 A singular point left of its interval takes `power_rule`: a load's
 t_0 = 0, and a jump column's source node (one column per source node and
 target interval).  One function computes every such moment, the jump
@@ -73,7 +77,6 @@ from itertools import groupby
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
-from scipy.special import roots_jacobi
 
 __all__ = [
     "MemoryOperator",
@@ -122,10 +125,67 @@ def _read_only(*arrays):
     return arrays
 
 
+def _jacobi_polynomial(n, a, b, x):
+    """P_n^(a,b)(x) by the recurrence in (x - 1) of scipy's `eval_jacobi`
+    at integer n, scaled by binom(n + a, n) as the product scipy's `binom`
+    takes for n < 20 (it takes a beta function from 20 on)."""
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return 0.5 * (2.0 * (a + 1.0) + (a + b + 2.0) * (x - 1.0))
+    d = (a + b + 2.0) * (x - 1.0) / (2.0 * (a + 1.0))
+    p = d + 1.0
+    for k in range(1, n):
+        t = 2.0 * k + a + b
+        d = (t * (t + 1.0) * (t + 2.0) * (x - 1.0) * p + 2.0 * k * (k + b) * (t + 2.0) * d) / (
+            2.0 * (k + a + 1.0) * (k + a + b + 1.0) * t
+        )
+        p = d + p
+    num = den = 1.0
+    for i in range(1, n + 1):
+        num *= i + (n + a) - n
+        den *= i
+    return num / den * p
+
+
+def _gauss_jacobi(npoints, exponent, at_a):
+    """Gauss-Jacobi rule of weight (1+x)^exponent on [-1, 1] at_a, else
+    (1-x)^exponent, exponent > -1, by the recipe of scipy's `roots_jacobi`
+    with (a, b) = (0, exponent), else (exponent, 0): Golub & Welsch
+    ("Calculation of Gauss quadrature rules", Math. Comp. 23, 1969), the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix; one Newton step
+    on P_n; weights 1 / (P_{n-1} P_n'), P_n' taken at the nodes before the
+    step and both factors log-normalised, rescaled to sum to
+    mu0 = 2^(a+b+1) B(a+1, b+1) = 2^(exponent+1) / (exponent+1).  That
+    closed form is within an ulp or two of the exact sum, where
+    exp(lgamma(...)) is up to 8 ulps off and moves every weight with it.
+    """
+    n = npoints
+    a, b = (0.0, exponent) if at_a else (exponent, 0.0)
+    k = np.arange(n, dtype=float)
+    diagonal = (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2.0))
+    diagonal[0] = (b - a) / (2.0 + a + b)
+    k = k[1:]
+    off = 2.0 / (2.0 * k + a + b) * np.sqrt((k + a) * (k + b) / (2.0 * k + a + b + 1.0))
+    off[1:] *= np.sqrt(k[1:] * (k[1:] + a + b) / (2.0 * k[1:] + a + b - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    dy = 0.5 * (n + a + b + 1.0) * _jacobi_polynomial(n - 1, a + 1.0, b + 1.0, x)
+    x -= _jacobi_polynomial(n, a, b, x) / dy
+    fm = _jacobi_polynomial(n - 1, a, b, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= 2.0 ** (exponent + 1.0) / (exponent + 1.0) / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=4096)
 def _jacobi_ref(npoints, exponent, at_a):
-    # read-only rule of weight (1+x)^exponent on [-1, 1] at_a, else (1-x)^exponent
-    rule = roots_jacobi(npoints, 0.0, exponent) if at_a else roots_jacobi(npoints, exponent, 0.0)
+    """Read-only rule of weight (1+x)^exponent on [-1, 1] at_a, else
+    (1-x)^exponent: `_gauss_jacobi`, or at exponent 0 the Gauss-Legendre
+    rule of `_legendre_rules`."""
+    rule = _legendre_rules(npoints) if exponent == 0.0 else _gauss_jacobi(npoints, exponent, at_a)
     return _read_only(*rule)
 
 

@@ -7,6 +7,11 @@ FEM backend assembles continuous piecewise-polynomial stiffness and mass
 matrices on a uniform grid and diagonalizes the generalized eigenproblem,
 producing mass-orthonormal discrete modes.  Either way the time stepper
 sees scalar mode problems u_m' + lambda_m B u_m = f_m.
+
+Its quadrature, `composite_gauss`, takes numpy's Gauss-Legendre rules
+(`leggauss`).  The generalized eigenproblem is solved by scipy's
+`scipy.linalg.eigh`, imported inside `fem_backend`: the package's only use
+of scipy, so a spectral run never imports it.
 """
 
 import math
@@ -14,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 __all__ = [
     "FemSpace",
@@ -138,6 +142,8 @@ def fem_backend(elements, r, K=1.0):
     if not 0.0 < K < math.inf:
         raise ValueError(f"diffusivity K must be positive and finite, got {K}")
     space = _assemble(elements, r, K)
+    from scipy.linalg import eigh
+
     lam, vecs = eigh(space.stiffness, space.mass)
     system = ModeSystem(lam, float(K), "fem", mode_shapes=vecs, space=space)
     return space, system

@@ -123,6 +123,27 @@ def left_moment_oracle(a, b, z, k, beta):
     return _stable_float(build)
 
 
+def jacobi_rule_moment_error(x, w, sigma):
+    """Largest |sum_i w_i P_k(x_i) - int_{-1}^1 (1+x)^sigma P_k(x) dx| over
+    k < 2n, n = x.size, relative to the weight's mass mu0 (k = 0), in 50
+    digits from the exact values of the doubles x and w.  The moments are
+    2^(sigma+1) Gamma(sigma+1)^2 / (Gamma(sigma+k+2) Gamma(sigma+1-k))
+    (Gradshteyn & Ryzhik 7.127), products of beta-function factors that no
+    sum cancels; the rule's sums take Bonnet's recurrence."""
+    count = 2 * len(x)
+    with mp.workdps(50):
+        s = mp.mpf(sigma)
+        scale = 2 ** (s + 1) * mp.gamma(s + 1) ** 2
+        exact = [scale * mp.rgamma(s + k + 2) * mp.rgamma(s + 1 - k) for k in range(count)]
+        sums = [mp.mpf(0)] * count
+        for xi, wi in zip(map(mp.mpf, np.asarray(x).tolist()), map(mp.mpf, np.asarray(w).tolist())):
+            previous, current = mp.mpf(0), mp.mpf(1)
+            for k in range(count):
+                sums[k] += wi * current
+                previous, current = current, ((2 * k + 1) * xi * current - k * previous) / (k + 1)
+        return float(max(abs(got - want) for got, want in zip(sums, exact)) / exact[0])
+
+
 def jump_entry_oracle(anchor, tl, tr, alpha, i):
     """int_{I_n} P_i(t) (t - anchor)^alpha dt / Gamma(alpha+1), anchor <= tl."""
     return left_moment_oracle(tl, tr, anchor, i, alpha) / math.gamma(alpha + 1.0)

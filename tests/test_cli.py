@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fracdg import analysis, cli, kernel
 from fracdg.cli import EXIT_GATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from fracdg.config import RunConfig, parse_config
+from fracdg.config import _MAX_T, RunConfig, parse_config
 
 MINIMAL = """
 [problem]
@@ -503,6 +503,10 @@ _EXTREME_GRADED = "[problem]\nalpha = {alpha}\ndiffusivity = {K}\n[mesh]\nT = {T
 @example(text=_EXTREME_GRADED.format(alpha=-1e-9, K=1e10, T=1e-12, N=12, gamma=1.0, p=11))
 @example(text=_EXTREME_GRADED.format(alpha=-0.5, K=1e-12, T=1e8, N=1, gamma=1.0, p=1))
 def test_extreme_valid_solves_finish_or_fail_loudly(text):
+    assert_solve_finishes_or_fails_loudly(text)
+
+
+def assert_solve_finishes_or_fails_loudly(text):
     # exit 0 with a finite error and finite traces, or a config error naming
     # the mesh, or a numerical failure naming the interval and the mode
     with tempfile.TemporaryDirectory() as tmp:
@@ -522,6 +526,41 @@ def test_extreme_valid_solves_finish_or_fail_loudly(text):
         else:
             assert status == EXIT_NUMERICAL, (text, status, message)
             assert re.search(r"on interval \d+, mode \d+", message), (text, message)
+
+
+_EXTREME_GEOMETRIC = (
+    "[problem]\nalpha = {alpha}\ndiffusivity = {K}\n[mesh]\nfamily = geometric\nT = {T}\nT_1 = {T_1}\nL = 8\nmu = 1.25\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _EXTREME_GRADED.format(alpha=-0.99, K=1.0, T=_MAX_T, N=12, gamma=12.0, p=11),
+        _EXTREME_GRADED.format(alpha=-1e-9, K=1e10, T=_MAX_T, N=12, gamma=1.0, p=11),
+        _EXTREME_GRADED.format(alpha=-0.5, K=1e-12, T=_MAX_T, N=1, gamma=1.0, p=1)
+        + "[diagnostics]\nstability_report = true\ncoercivity_check = true\n",
+        _EXTREME_GEOMETRIC.format(alpha=-0.3, K=1e-6, T=_MAX_T, T_1=_MAX_T) + "[diagnostics]\nstability_report = true\n",
+    ],
+    ids=["graded-steep", "graded-tiny-order", "graded-one-interval", "geometric"],
+)
+def test_a_solve_at_the_horizon_bound_finishes_or_fails_loudly(text):
+    # the bound itself is a valid horizon
+    assert_solve_finishes_or_fails_loudly(text)
+
+
+@pytest.mark.parametrize(
+    "T, T_1, bound",
+    [(_MAX_T * 10.0, _MAX_T, f"T must be at most {_MAX_T:g}"), (_MAX_T, _MAX_T * 10.0, "T_1 must lie in (0, T]")],
+    ids=["T", "T_1"],
+)
+def test_a_horizon_past_the_bound_is_a_config_error(tmp_path, capsys, T, T_1, bound):
+    # past the bound some solves overflow and exit 0 with an infinite
+    # error, or raise; the config refuses the horizon by name instead
+    cfg = _write_config(tmp_path, _EXTREME_GEOMETRIC.format(alpha=-0.5, K=1.0, T=T, T_1=T_1))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {bound}, got {_MAX_T * 10.0!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 GRIDS = {"h-study": "Ns = 4", "hp-study": "Ls = 2", "delta-sweep": "deltas = 0.3"}

@@ -7,6 +7,7 @@ import pytest
 
 from fracdg.cli import _SELFTEST_CONFIGS
 from fracdg.config import (
+    _MAX_T,
     _PARSERS,
     _RENAMED,
     _SECTIONS,
@@ -155,6 +156,8 @@ def test_hash_of_shipped_and_selftest_configs_is_pinned():
         ("[problem]\nalpha = -0.5\n[mesh]\nfamily = uniform",
          "family must be graded or geometric, got 'uniform'"),
         ("[problem]\nalpha = -0.5\n[mesh]\nT = -1", "T must be positive, got -1.0"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nT = 1e62", "T must be at most 1e+61, got 1e+62"),
+        ("[problem]\nalpha = -0.5\n[mesh]\nT = 1e61\nT_1 = 1e62", "T_1 must lie in (0, T], got 1e+62"),
         ("[problem]\nalpha = -0.5\n[mesh]\nT = 1.0\nT_1 = 2.0", "T_1 must lie in (0, T], got 2.0"),
         ("[problem]\nalpha = -0.5\n[mesh]\nT = 0.5\nT_1 = 1.0", "T_1 must lie in (0, T], got 1.0"),
         ("[problem]\nalpha = -0.5\n[mesh]\nN = 0", "N must be >= 1, got 0"),
@@ -186,6 +189,12 @@ def test_the_degree_bound_admits_its_own_degree():
     assert parse_config(MINIMAL + "[mesh]\np = 11\nL = 10\n[study]\nps = 1, 11").p == 11
     assert parse_config(MINIMAL + "[mesh]\nL = 12\nmu = 2.75\n[study]\nLs = 3, 2").mu == 2.75
     assert parse_config(MINIMAL + "[mesh]\nL = 3\nmu = 2.75").L == 3
+
+
+def test_the_horizon_bound_admits_its_own_horizon():
+    # T and T_1 may reach 1e61, where every extreme solve still finishes or fails loudly
+    config = parse_config("[problem]\nalpha = -0.5\n[mesh]\nfamily = geometric\nT = 1e61\nT_1 = 1e61")
+    assert (config.T, config.T_1) == (_MAX_T, _MAX_T) == (1e61, 1e61)
 
 
 def test_the_order_bound_admits_its_own_order():

@@ -3,6 +3,9 @@ door to the memory operator; and the table of config fields the CLI acts on."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -89,6 +92,61 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
+def test_only_the_fem_backend_imports_scipy():
+    # scipy serves one call, the FEM eigensolve, and is imported there, so
+    # that a run without FEM never pays for its import
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path.stem)
+        # each node's innermost enclosing function: ast.walk visits outer first
+        scope = {
+            id(node): function.name
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.append(f"{path.stem}.{scope.get(id(node), '<module>')}: {ast.unparse(node)}")
+    assert importers == ["spatial.fem_backend: from scipy.linalg import eigh"]
+
+
+SCIPY_PROBE = """
+import sys
+from pathlib import Path
+
+from fracdg import cli, spatial
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+config = Path(sys.argv[1]) / "solve.cfg"
+config.write_text(cli._SELFTEST_CONFIGS["solve"])
+status = cli.main(["solve", "--config", str(config), "--out", str(Path(sys.argv[1]) / "out")])
+print(status, scipy_modules())
+spatial.fem_backend(4, 2)
+print("scipy.linalg" in scipy_modules())
+"""
+
+
+def test_a_spectral_run_loads_no_scipy_and_the_fem_backend_loads_scipy_linalg(tmp_path):
+    # in a fresh interpreter: the CLI and a spectral solve with both
+    # diagnostics (its Gauss-Jacobi rules, exponent 0 included) import no
+    # scipy module; the FEM backend's set-up then loads scipy.linalg
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["0 []", "True"]
+
+
 def test_only_kernel_builds_a_memory_operator():
     # every other module goes through kernel.memory_operator, which shares
     # each live operator by its key
@@ -106,9 +164,10 @@ def test_only_kernel_builds_a_memory_operator():
 
 
 def test_only_the_mapping_and_the_far_tables_gather_reference_rules():
-    # every mapped Gauss-Legendre rule goes through kernel._gauss_legendre,
-    # and the far blocks' weighted basis tables read the reference rules
-    # unmapped; no other function gathers them
+    # every mapped Gauss-Legendre rule goes through kernel._gauss_legendre;
+    # the far blocks' weighted basis tables and the Gauss-Jacobi reference
+    # rules of exponent 0 read the reference rules unmapped; no other
+    # function gathers them
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         for function in ast.walk(parse(path.stem)):
@@ -119,7 +178,7 @@ def test_only_the_mapping_and_the_far_tables_gather_reference_rules():
                         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                         if name == "_legendre_rules":
                             callers.add(f"{path.stem}.{function.name}")
-    assert callers == {"kernel._gauss_legendre", "kernel._weighted_reference_basis"}
+    assert callers == {"kernel._gauss_legendre", "kernel._jacobi_ref", "kernel._weighted_reference_basis"}
 
 
 def test_every_export_is_named_by_program_code():
