@@ -159,6 +159,7 @@ def _coercivity_text(mesh, alpha, seed):
 
     The trial functions carry the mesh's degrees, so while the solution of
     the march on that mesh lives, every `memory_form` shares its operator.
+    Returns the report's text and its failing margins, each as its line.
     """
     rng = np.random.default_rng(seed)
     c_alpha, d_alpha = coercivity_constants(alpha)
@@ -172,14 +173,14 @@ def _coercivity_text(mesh, alpha, seed):
         coercive = qvv - c_alpha * mesh.horizon**alpha * l2_form(mesh, v, v)
         worst_coercive = min(worst_coercive, coercive)
         worst_continuous = min(worst_continuous, d_alpha**2 * qvv * qww - qvw**2)
-    ok = worst_coercive >= -1e-10 and worst_continuous >= -1e-10
+    margins = [f"coercivity_margin = {worst_coercive:.6e}", f"continuity_margin = {worst_continuous:.6e}"]
+    failed = [margin for margin, value in zip(margins, (worst_coercive, worst_continuous)) if not value >= -1e-10]
     return (
         f"trials = {_COERCIVITY_TRIALS}\n"
         f"seed = {seed}\n"
-        f"coercivity_margin = {worst_coercive:.6e}\n"
-        f"continuity_margin = {worst_continuous:.6e}\n"
-        f"ok = {'true' if ok else 'false'}\n"
-    ), ok
+        + "".join(f"{margin}\n" for margin in margins)
+        + f"ok = {'false' if failed else 'true'}\n"
+    ), failed
 
 
 def _check_gates(config, errors, rates):
@@ -217,24 +218,27 @@ def cmd_solve(config, out, seed):
         f"dofs = {dof_count(mesh)}",
         f"error = {error:.6e}",
     ]
-    status = EXIT_OK
+    failures = []
     if config.stability_report:
         report = stability_report(solution, problems, config.alpha)
         _write(out / "stability.csv", _stability_csv(report))
         summary.append(f"stability_ok = {'true' if report.ok else 'false'}")
         if not report.ok:
-            status = EXIT_NUMERICAL
+            n = report.violations[0]
+            failures.append(f"stability bound violated on interval {n}, t_n = {report.times[n - 1]:.12e}")
     if config.coercivity_check:
-        text, ok = _coercivity_text(mesh, config.alpha, seed)
+        text, failed = _coercivity_text(mesh, config.alpha, seed)
         _write(out / "coercivity.txt", text)
-        summary.append(f"coercivity_ok = {'true' if ok else 'false'}")
-        if not ok:
-            status = EXIT_NUMERICAL
+        summary.append(f"coercivity_ok = {'false' if failed else 'true'}")
+        failures += [f"coercivity check failed, {margin}" for margin in failed]
     _write(out / "summary.txt", "\n".join(summary) + "\n")
     print("\n".join(summary))
-    if status == EXIT_OK and _check_gates(config, [error], []):
-        status = EXIT_GATE
-    return status
+    if failures:
+        print(f"numerical failure: {'; '.join(failures)}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    if _check_gates(config, [error], []):
+        return EXIT_GATE
+    return EXIT_OK
 
 
 # study subcommand -> (runner, CSV name, plot curves of the report and

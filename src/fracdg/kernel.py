@@ -41,11 +41,9 @@ toward the source, mapped in one step; `_right_power_rules` builds the
 rules of all of them as one flat rule set: rows sorted by branch and point
 count, every Gauss-Legendre rule mapped and every kernel power taken at
 once.  Only the contraction with the basis values stays one product per
-group (`_near_rows`).  The t-sum takes one einsum per run of consecutive
-layers of one point count, with a layer axis that keeps each layer's
-bits, and one accumulate adds the layers in order: merging layers into
-one sum, or reducing over them (numpy may sum pairwise), would round
-differently.
+group (`_near_rows`).  The t-sum is one product over every t-node of the
+block, finest layer first, so that the layers next to the source, whose
+terms are small, are summed before the coarse ones.
 A far-field block is L K R: cached tables of the weighted basis at
 reference Gauss-Legendre nodes on either side of the kernel matrix
 K = (t_q - s_r)^alpha, the only factor built per pair.  On the graded
@@ -56,9 +54,9 @@ read-only column, emptied when each operator build starts; K is formed
 and raised to its power in place; and both products are `ndarray.dot`,
 which calls the same BLAS routine as `@` and gives the same bits in
 about half the time, without the matmul ufunc's dispatch.  Only 2-D
-products that go to BLAS take `.dot` (the far block's and
-`legendre_derivative_values`'): a stacked product done as one 2-D
-product, or a 1-D one done by `.dot`, rounds differently.
+products that go to BLAS take `.dot` (the far block's, the near block's
+t-sum and `legendre_derivative_values`'): a stacked product done as one
+2-D product, or a 1-D one done by `.dot`, rounds differently.
 
 `MemoryOperator` holds every block and jump column of one mesh, order and
 pair of degree vectors, built once; the DG march, the stability report and
@@ -73,7 +71,6 @@ bit.
 import math
 import weakref
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
@@ -588,7 +585,7 @@ _FAR_PADDING = 4
 
 def _near_t_layers(tl, tr, gap, deg):
     """Gauss-Legendre rules of the t-layers of a near block, laid end to
-    end: (nodes, weights, counts), layer k the next counts[k] entries.
+    end finest layer first, so that the nodes ascend: (nodes, weights).
 
     The inner integral loses analyticity in t as t approaches the source
     interval, which ends `gap` below tl, so the layers grade geometrically
@@ -603,15 +600,15 @@ def _near_t_layers(tl, tr, gap, deg):
     while offsets[-1] * _NEAR_SIGMA > max(gap, 1e-16 * k_n):
         offsets.append(offsets[-1] * _NEAR_SIGMA)
     offsets.append(0.0)
-    offsets = np.array(offsets)
-    lo_off = offsets[1:]
-    width = offsets[:-1] - lo_off
+    offsets = np.array(offsets[::-1])
+    lo_off = offsets[:-1]
+    width = offsets[1:] - lo_off
     kept = width > 1e-15 * k_n
     lo_off, width = lo_off[kept], width[kept]
     # singularity sits at sr = tl - gap, below each layer by gap + lo_off
     counts = _gl_point_count(deg, _ellipse_rho(gap + lo_off, width))
     lo = tl + lo_off
-    return (*_gauss_legendre(counts, lo, lo + width), counts)
+    return _gauss_legendre(counts, lo, lo + width)
 
 
 def _near_rows(sl, sr, t, alpha, p_j):
@@ -651,35 +648,18 @@ def _near_block(sl, sr, tl, tr, alpha, p_n, p_j):
     """Block for intervals too close for smooth tensor quadrature.
 
     At every time node the s-integral against the kernel is a signed power
-    rule, stable at any ratio of step sizes; the t-integral sums the graded
-    layers of `_near_t_layers`, which come laid end to end with their point
-    counts.  The rows and target basis values of every layer's nodes come
-    from one `_near_rows` and one `legendre_values` call.  Each run of
-    consecutive layers of one point count is contracted by one einsum
-    with a layer axis, which keeps each layer's sum as its own einsum
-    gives it, into slot 1, 2, ... of a stack whose slot 0 is zeros; one
-    accumulate then adds the layers onto zeros one after another, in
-    layer order.  Merging layers into one sum over their nodes, or
-    reducing the stack (which numpy may do pairwise), would round
-    differently.
+    rule, stable at any ratio of step sizes; the t-integral is the graded
+    composite rule of `_near_t_layers`.  The rows and target basis values
+    of every t-node come from one `_near_rows` and one `legendre_values`
+    call, and one product sums the t-rule over all the layers at once.
+    The nodes come finest layer first: the small terms of the layers next
+    to the source are added before the large ones, which keeps the sum
+    closer to its exact value than adding the coarse layers first.
     """
-    t_nodes, t_w, counts = _near_t_layers(tl, tr, tl - sr, p_n + p_j)
+    t_nodes, t_w = _near_t_layers(tl, tr, tl - sr, p_n + p_j)
     tvals = legendre_values(t_nodes, tl, tr, p_n)
     rows = _near_rows(sl, sr, t_nodes, alpha, p_j)
-    layers = np.zeros((counts.size + 1, p_n + 1, p_j + 1))
-    layer = node = 0
-    for count, run in groupby(counts.tolist()):
-        size = len(list(run))
-        stop = node + size * count
-        np.einsum(
-            "kq,kqi,kql->kil",
-            t_w[node:stop].reshape(size, count),
-            tvals[node:stop].reshape(size, count, p_n + 1),
-            rows[node:stop].reshape(size, count, p_j + 1),
-            out=layers[layer + 1 : layer + 1 + size],
-        )
-        layer, node = layer + size, stop
-    return np.add.accumulate(layers)[-1] * _kernel_scale(alpha)
+    return (t_w[:, None] * tvals).T.dot(rows) * _kernel_scale(alpha)
 
 
 def _far_block(sl, sr, tl, tr, alpha, p_n, p_j):

@@ -10,10 +10,10 @@ block with its jump column, the jump columns one pair at a time that the
 Gauss-Legendre rule mapped alone, the per-group
 near-field rows that the flat rule set of
 `kernel._right_power_rules` must reproduce, the per-layer t-rules that
-the flat t-layers of `kernel._near_t_layers` must reproduce, the far
-block and the basis derivative values as the matmul products whose bits
-their `ndarray.dot` products must keep, and the canonical config text
-that the round trip reads back."""
+the flat t-layers of `kernel._near_t_layers` must reproduce in reverse
+order, the far block and the basis derivative values as the matmul
+products whose bits their `ndarray.dot` products must keep, and the
+canonical config text that the round trip reads back."""
 
 import numpy as np
 
@@ -214,8 +214,8 @@ def grouped_near_rows(sl, sr, t, alpha, p_j):
 
 def near_t_layers(tl, tr, gap, deg):
     """Gauss-Legendre rules (nodes, weights) of the t-layers of a near block,
-    one `_gauss_legendre` per layer: the list that `kernel._near_t_layers`
-    lays end to end.
+    one `_gauss_legendre` per layer, coarse layer first: the list that
+    `kernel._near_t_layers` lays end to end finest layer first.
 
     The inner integral loses analyticity in t as t approaches the source
     interval, which ends `gap` below tl, so the layers grade geometrically

@@ -364,8 +364,30 @@ def test_stability_violation_exit(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, MINIMAL + "[diagnostics]\nstability_report = true\n")
     status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
     assert status == EXIT_NUMERICAL
-    assert "stability_ok = false" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "stability_ok = false" in captured.out
     assert "stability_ok = false" in (tmp_path / "out" / "summary.txt").read_text()
+    # the first violating interval and its right node as stability.csv
+    # prints it, t_1 = (1/18)^1.6
+    t_1 = (tmp_path / "out" / "stability.csv").read_text().splitlines()[1].split(",")[0]
+    assert float(t_1) == pytest.approx((1.0 / 18.0) ** 1.6)
+    assert captured.err == f"numerical failure: stability bound violated on interval 1, t_n = {t_1}\n"
+
+
+def test_coercivity_violation_exit(tmp_path, capsys, monkeypatch):
+    # a negative form fails the coercivity margin; the continuity margin,
+    # d^2 qvv qww - qvw^2 with every form -1, is d^2 - 1 >= 0
+    monkeypatch.setattr(cli, "memory_form", lambda *args: -1.0)
+    cfg = _write_config(tmp_path, MINIMAL + "[diagnostics]\ncoercivity_check = true\n")
+    status = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert status == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "coercivity_ok = false" in captured.out
+    assert "coercivity_ok = false" in (tmp_path / "out" / "summary.txt").read_text()
+    text = (tmp_path / "out" / "coercivity.txt").read_text()
+    margin = text.splitlines()[2]
+    assert margin.startswith("coercivity_margin = -") and "continuity_margin = " in text
+    assert captured.err == f"numerical failure: coercivity check failed, {margin}\n"
 
 
 def test_selftest_byte_identical(tmp_path, capsys):

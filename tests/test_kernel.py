@@ -10,7 +10,10 @@ noise in double precision no matter how they are computed.
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -930,19 +933,19 @@ def test_near_block_evaluates_the_basis_once_per_block(monkeypatch):
         # no t node lies on the source, so every 1-D group is Gauss-Legendre
         gauss_legendre = tuple(shape[0] for _, shape in groups if len(shape) == 1)
         assert len(gauss_legendre) > 1
-        assert gathers == [tuple(nodes.size for nodes, _ in expected), gauss_legendre]
+        # the t-layers gathered finest first
+        assert gathers == [tuple(nodes.size for nodes, _ in expected[::-1]), gauss_legendre]
 
 
-def per_layer_near_block(sl, sr, tl, tr, alpha, p_n, p_j):
-    """The near block as one `_near_rows` and basis evaluation per t-layer."""
-    if p_j == 0:
-        return np.zeros((p_n + 1, p_j + 1))
-    total = np.zeros((p_n + 1, p_j + 1))
-    for t_nodes, t_w in near_t_layers(tl, tr, tl - sr, p_n + p_j):
-        tvals = kernel.legendre_values(t_nodes, tl, tr, p_n)
-        rows = kernel._near_rows(sl, sr, t_nodes, alpha, p_j)
-        total += np.einsum("q,qi,ql->il", t_w, tvals, rows)
-    return total * kernel._kernel_scale(alpha)
+def finest_first_near_block(sl, sr, tl, tr, alpha, p_n, p_j):
+    """The near block as one product over the per-layer t-rules laid end to
+    end finest layer first, with the rows of `_near_rows`."""
+    layers = near_t_layers(tl, tr, tl - sr, p_n + p_j)[::-1]
+    t_nodes = np.concatenate([nodes for nodes, _ in layers])
+    t_w = np.concatenate([weights for _, weights in layers])
+    tvals = kernel.legendre_values(t_nodes, tl, tr, p_n)
+    rows = kernel._near_rows(sl, sr, t_nodes, alpha, p_j)
+    return (t_w[:, None] * tvals).T.dot(rows) * kernel._kernel_scale(alpha)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -958,11 +961,11 @@ def per_layer_near_block(sl, sr, tl, tr, alpha, p_n, p_j):
 @example(alpha=-0.7, gap_ratio=1e-4, log_step_ratio=3.0, p_n=4, p_j=4, source=(2.0, 0.0))
 # ... 35, 35, 35, 35, 33, 31 ...
 @example(alpha=-0.3, gap_ratio=1.9e-5, log_step_ratio=3.76, p_n=6, p_j=6, source=(2.0, 0.0))
-# ... 33, 33, 31, 31: each run's layers are added to the total one by one ...
+# ... 33, 33, 31, 31 ...
 @example(alpha=-0.7, gap_ratio=6.9e-4, log_step_ratio=-0.02, p_n=4, p_j=5, source=(2.0, 0.0))
 # ... and the smallest block, one row
 @example(alpha=-0.5, gap_ratio=1e-4, log_step_ratio=3.0, p_n=0, p_j=1, source=(2.0, 0.0))
-def test_near_block_equals_the_per_layer_sum_bitwise(alpha, gap_ratio, log_step_ratio, p_n, p_j, source):
+def test_near_block_equals_the_finest_first_sum_bitwise(alpha, gap_ratio, log_step_ratio, p_n, p_j, source):
     # source (sl, sl + 10^log_k_j); target k_n = ratio * k_j, gap below the far-field switch
     sl, log_k_j = source
     k_j = 10.0**log_k_j
@@ -970,7 +973,37 @@ def test_near_block_equals_the_per_layer_sum_bitwise(alpha, gap_ratio, log_step_
     k_n = k_j * 10.0**log_step_ratio
     tl = sr + gap_ratio * max(k_n, sr - sl)
     got = kernel._near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j)
-    assert same_bits(got, per_layer_near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j))
+    assert same_bits(got, finest_first_near_block(sl, sr, tl, tl + k_n, alpha, p_n, p_j))
+
+
+def test_near_t_sums_stay_close_to_long_double():
+    # every near block of the 20 Table 2 meshes (320 blocks): the block
+    # against a long-double sum of the same terms, t-rule weight times
+    # target basis value, then row; summed coarse layer first, the worst
+    # is 7.2e-15 of the anchor, finest first 1.3e-15
+    alpha = -0.7
+    scale = np.longdouble(kernel._kernel_scale(alpha))
+    worst, blocks = 0.0, 0
+    for delta in (0.21, 0.24, 0.27, 0.30):
+        for levels in (3, 4, 5, 6, 7):
+            mesh = geometric_mesh(1.0, 1.0, delta, levels, 1.0)
+            nodes = mesh.nodes
+            for n in range(2, mesh.interval_count + 1):
+                for j in range(1, n):
+                    sl, sr, tl, tr = (float(x) for x in (nodes[j - 1], nodes[j], nodes[n - 1], nodes[n]))
+                    p_j, p_n = mesh.degree(j), mesh.degree(n)
+                    if tl - sr >= kernel._FAR_RATIO * max(tr - tl, sr - sl):
+                        continue
+                    t_nodes, t_w = kernel._near_t_layers(tl, tr, tl - sr, p_n + p_j)
+                    terms = (t_w[:, None] * kernel.legendre_values(t_nodes, tl, tr, p_n)).astype(np.longdouble)
+                    rows = kernel._near_rows(sl, sr, t_nodes, alpha, p_j).astype(np.longdouble)
+                    exact = np.einsum("qi,ql->il", terms, rows) * scale
+                    got = kernel._near_block(sl, sr, tl, tr, alpha, p_n, p_j)
+                    anchor = oracles.block_anchor(sl, sr, tl, tr, alpha)
+                    worst = max(worst, float(np.max(np.abs(got - exact))) / anchor)
+                    blocks += 1
+    assert blocks == 320
+    assert worst < 3e-15
 
 
 def _ladder_offset(k_n, rungs):
@@ -1005,9 +1038,9 @@ def test_flat_t_layers_equal_the_per_layer_rules_bytewise(log_step_ratio, gap, d
     else:
         gap = value * max(k_n, 1.0)
     tl = sr + gap
-    nodes, weights, counts = kernel._near_t_layers(tl, tl + k_n, gap, deg)
-    layers = near_t_layers(tl, tl + k_n, gap, deg)
-    assert counts.tolist() == [layer_nodes.size for layer_nodes, _ in layers]
+    nodes, weights = kernel._near_t_layers(tl, tl + k_n, gap, deg)
+    # laid end to end finest layer first
+    layers = near_t_layers(tl, tl + k_n, gap, deg)[::-1]
     assert same_bits(nodes, np.concatenate([layer_nodes for layer_nodes, _ in layers]))
     assert same_bits(weights, np.concatenate([layer_weights for _, layer_weights in layers]))
 
@@ -1350,39 +1383,73 @@ def _mixed_degree_mesh():
     return TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]), [3, 0, 5, 1, 8, 2, 4, 0, 6, 2])
 
 
-def test_operator_arrays_keep_their_pinned_digest():
-    # sha256 over every matrix, then every jump column, of each operator in
-    # turn; an operator build must keep these bits
-    mixed = _mixed_degree_mesh()
-    nodes = mixed.nodes
-    rho = [
-        kernel._ellipse_rho(float(nodes[n - 1] - nodes[j - 1]), float(nodes[n] - nodes[n - 1]))
-        for n in range(2, mixed.interval_count + 1)
-        for j in range(1, n)
-    ]
-    assert sum(r < kernel._DIFF_RHO for r in rho) == 4
-    # each with the entries its build leaves in the table, where pinned: one
-    # far-node rule per interval of the graded N=150 mesh, and none for a
-    # geometric mesh, which has no far block
+def pinned_operators():
+    """The operators whose arrays the digest pins, each as (operator, mesh,
+    alpha, entries): the entries its build leaves in the far-node table,
+    where pinned.  Built one at a time, as the loop asks for them."""
     cases = [
         (graded_mesh(1.0, 150, 2.3, 2), -0.7, 150),
         (graded_mesh(1.0, 60, 2.3, 4), -0.3, None),
         (geometric_mesh(1.0, 1.0, 0.1, 12, 1.0), -0.5, 0),
-        (mixed, -0.85, None),
+        (_mixed_degree_mesh(), -0.85, None),
     ]
-    digest = hashlib.sha256()
     for mesh, alpha, entries in cases:
-        operator = kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees)
+        yield kernel.MemoryOperator(mesh, alpha, mesh.degrees, mesh.degrees), mesh, alpha, entries
+
+
+def operator_digest(operators):
+    # sha256 over every matrix, then every jump column, of each operator in turn
+    digest = hashlib.sha256()
+    for operator in operators:
+        for arrays in (operator.matrices, operator.jump_columns):
+            for array in arrays:
+                digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_operator_arrays_keep_their_pinned_digest():
+    # an operator build must keep these bits
+    nodes = _mixed_degree_mesh().nodes
+    rho = [
+        kernel._ellipse_rho(float(nodes[n - 1] - nodes[j - 1]), float(nodes[n] - nodes[n - 1]))
+        for n in range(2, nodes.size)
+        for j in range(1, n)
+    ]
+    assert sum(r < kernel._DIFF_RHO for r in rho) == 4
+    # one far-node rule per interval of the graded N=150 mesh, and none for
+    # a geometric mesh, which has no far block
+    operators = []
+    for operator, mesh, alpha, entries in pinned_operators():
         if entries is not None:
             # the march after the build adds no entry
             built = kernel._interval_rule.cache_info()
             assert built.currsize == built.misses == entries
             solve(mode_problems(two_mode_problem(alpha)), mesh, alpha)
             assert kernel._interval_rule.cache_info().currsize == entries
-        for arrays in (operator.matrices, operator.jump_columns):
-            for array in arrays:
-                digest.update(array.tobytes())
-    assert digest.hexdigest() == "9835a94ead2018426beade10be82201c61ca24c51374f482e264ff396400b7b4"
+        operators.append(operator)
+    assert operator_digest(operators) == "7e87dd64ab771f3e1f65c8b65a4d58a79f6366751c588323fe78339cd57c47d9"
+
+
+DIGEST_PROBE = """
+import test_kernel
+
+print(test_kernel.operator_digest(operator for operator, *_ in test_kernel.pinned_operators()))
+"""
+
+
+def test_operator_digest_is_the_same_at_one_and_two_blas_threads():
+    # in two fresh interpreters, one BLAS thread and two: the near blocks'
+    # t-sums and the far blocks are BLAS products
+    path = os.pathsep.join([str(Path(kernel.__file__).parents[1]), str(Path(__file__).parent)])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", DIGEST_PROBE], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.split()[-1])
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
