@@ -151,12 +151,15 @@ _MIN_ALPHA = -0.99
 
 # The longest horizon a run may use.  The exact solution grows as
 # t^(alpha+2), and the error measure and the diagnostics square it.  With T
-# set to each power of ten, every draw of the generator of
+# set to each power of ten up to 1e61, every draw of the generator of
 # tests/test_cli.py::test_extreme_valid_solves_finish_or_fail_loudly
-# exits 0 with finite numbers or exits 2 naming the interval and the mode
-# up to 1e61; at 1e62 a draw fails its stability report without naming
-# either, from 1e79 some exit 0 with an infinite error, and at 1e155
-# `_jacobi_rule` raises OverflowError.  T_1 <= T bounds T_1 with it.
+# exits 0 with finite numbers or exits 2 naming the interval and the mode.
+# At 1e61 that needs `stability_report` to refuse a non-finite energy or
+# bound by name: some draws overflow them (two are that test's examples).
+# Past the bound, scans with it lifted saw a draw fail its stability report
+# naming no mode at 1e62, some exit 0 with an infinite error from 1e79,
+# and `_jacobi_rule` raise OverflowError at 1e155.  T_1 <= T bounds T_1
+# with it.
 _MAX_T = 1e61
 
 # (key, list key, requirement, test): the range of each numeric key, and

@@ -61,13 +61,17 @@ t-sum and `legendre_derivative_values`'): a stacked product done as one
 `MemoryOperator` holds every block and jump column of one mesh, order and
 pair of degree vectors, built once; the DG march, the stability report and
 the bilinear form `memory_form` all get it from `memory_operator`, which
-shares every live operator by its key and retains none.  `apply` takes
-the sources' coefficients zero-padded and stacked (`_stacked`): one product
-per run of sources of one degree, never over the padding, and one sum of
-the terms in the order of a loop over the sources, so stacking moves no
-bit.
+shares every live operator by its key and retains none.  Each target's
+blocks form one block row, source j in the columns offsets[j-1]:offsets[j],
+so `apply` is two products: the block row against every source's
+coefficients laid end to end, and the jump columns against the jumps.  The
+first product sums all the history's block terms in one BLAS call, in
+BLAS's order: within gamma_K of a long-double sum of the same K terms, and
+on the march histories measured closer to it than a loop over the sources
+(ROADMAP, "Re-pins").
 """
 
+import itertools
 import math
 import weakref
 from functools import lru_cache
@@ -766,15 +770,6 @@ def _jump_values(coeffs):
     return right - np.concatenate([np.zeros_like(left[:1]), left[:-1]])
 
 
-def _stacked(coeffs):
-    """The blocks of `coeffs`, one per interval, zero-padded to the widest and
-    stacked: shape (N, P+1) for vectors, (N, P+1, modes) for blocks."""
-    out = np.zeros((len(coeffs), max(map(len, coeffs))) + np.shape(coeffs[0])[1:])
-    for j, c in enumerate(coeffs):
-        out[j, : len(c)] = c
-    return out
-
-
 def _degree_key(name, degrees, count):
     """The degree vector as a tuple of ints; ValueError naming it unless it
     holds one non-negative integer per interval, as a `TimeMesh`'s does."""
@@ -799,19 +794,18 @@ _live_operators = weakref.WeakValueDictionary()
 
 
 class MemoryOperator:
-    """Every memory block of one mesh and order, built once, stacked per target.
+    """Every memory block of one mesh and order, built once, one block row per target.
 
     Source interval j carries degree source_degrees[j-1] and target n degree
     target_degrees[n-1]; both are the mesh's degrees for the DG march, and
-    those of the two arguments for a bilinear form.  For target n,
-    matrices[n-1] has shape (n, q_n+1, P+1) with q_n its degree and P the
-    largest source degree: slice j-1 holds the block of source j in its
-    first p_j+1 columns and zeros after them.  jump_columns[n-1] has shape
-    (n, q_n+1), row j-1 the jump column of source j.  Each block comes from
-    `memory_block`, once per (j, n); the jump columns depend on no source
-    degree and come from one `_jump_columns` pass.  `_runs` holds (start,
-    stop, p) for each run of consecutive sources start+1..stop of one
-    degree p.
+    those of the two arguments for a bilinear form.  `offsets` holds the
+    cumulative source dofs (0, p_1+1, p_1+p_2+2, ...) as ints.  For target
+    n, matrices[n-1] is its block row, shape (q_n+1, offsets[n]) with q_n
+    its degree: the block of source j fills columns offsets[j-1]:offsets[j].
+    jump_columns[n-1] has shape (n, q_n+1), row j-1 the jump column of
+    source j.  Each block comes from `memory_block`, once per (j, n); the
+    jump columns depend on no source degree and come from one
+    `_jump_columns` pass.
 
     A build empties the far blocks' table of mapped nodes (`_interval_rule`)
     when it starts, so no build reads another's entries.
@@ -826,52 +820,32 @@ class MemoryOperator:
         _, alpha, source_degrees, target_degrees = self.key
         _interval_rule.cache_clear()
         jump_columns = _jump_columns(mesh.nodes, alpha, target_degrees)
-        width = max(source_degrees) + 1
+        self.offsets = tuple(itertools.accumulate((p + 1 for p in source_degrees), initial=0))
         matrices = []
-        for n in range(1, mesh.interval_count + 1):
-            q = target_degrees[n - 1]
-            target_matrices = np.zeros((n, q + 1, width))
-            for j in range(1, n + 1):
-                p = source_degrees[j - 1]
-                target_matrices[j - 1, :, : p + 1] = memory_block(mesh, j, n, alpha, degrees=(p, q))
-            _read_only(target_matrices, jump_columns[n - 1])
-            matrices.append(target_matrices)
+        for n, q in enumerate(target_degrees, start=1):
+            row = np.empty((q + 1, self.offsets[n]))
+            for j, p in enumerate(source_degrees[:n], start=1):
+                row[:, self.offsets[j - 1] : self.offsets[j]] = memory_block(mesh, j, n, alpha, degrees=(p, q))
+            matrices.append(_read_only(row, jump_columns[n - 1])[0])
         self.matrices = tuple(matrices)
         self.jump_columns = tuple(jump_columns)
-        edges = [0, *(np.flatnonzero(np.diff(source_degrees)) + 1).tolist(), len(source_degrees)]
-        self._runs = tuple((a, b, source_degrees[a]) for a, b in zip(edges, edges[1:]))
         _live_operators[self.key] = self
 
     def apply(self, n, coeffs, jumps):
-        """Sum over sources j = 1..J <= n of M_jn c_j + J_jn (x) [c]_j on target n.
+        """Sum over sources j = 1..J of M_jn c_j + J_jn (x) [c]^{j-1} on
+        target n, J = len(jumps) <= n.
 
-        coeffs is (J, P+1) or (J, P+1, modes): row j-1 the coefficients of
-        source j, zero-padded past its degree to a common width (`_stacked`),
-        and jumps[j-1] its jump [c]^{j-1} (`_jump_values`), with [c]^0 =
-        c(0+), the history before t_0 being zero.
-        Each run of sources of one degree p is one stacked product over its
-        first p+1 coefficients, never the padding, which would round the
-        product differently; one broadcast forms every jump term.  The 2J
-        terms sit interleaved, M_1 c_1, J_1 [c]_1, M_2 c_2, ..., and one sum
-        over them adds them one after another, in that order.
+        coeffs holds the coefficients of sources 1, 2, ... laid end to end
+        (`np.concatenate` of their blocks), a vector or (dofs, modes), of
+        which the first offsets[J] rows are read; jumps[j-1] is the jump
+        [c]^{j-1} (`_jump_values`), with [c]^0 = c(0+), the history before
+        t_0 being zero.  Two products: the first offsets[J] columns of the
+        block row against the coefficients, and the first J jump columns
+        against the jumps.
         """
-        count = len(coeffs)
-        matrices = self.matrices[n - 1]
-        shape = matrices.shape[1:2] + np.shape(jumps)[1:]
-        modes = math.prod(shape[1:])  # a vector is a block of one mode
-        coeffs = coeffs.reshape(count, coeffs.shape[1], modes)
-        terms = np.empty((count, 2, shape[0], modes))
-        for start, stop, p in self._runs:
-            if start >= count:
-                break
-            stop = min(stop, count)
-            np.matmul(matrices[start:stop, :, : p + 1], coeffs[start:stop, : p + 1], out=terms[start:stop, 0])
-        np.multiply(self.jump_columns[n - 1][:count, :, None], jumps.reshape(count, 1, modes), out=terms[:, 1])
-        # numpy sums the rows one after another while a row has two entries
-        # or more, but a column pairwise: one entry per term accumulates
-        terms = terms.reshape(2 * count, shape[0] * modes)
-        out = np.add.accumulate(terms)[-1] if terms.shape[1] == 1 and count else np.add.reduce(terms)
-        return out.reshape(shape)
+        count = len(jumps)
+        dofs = self.offsets[count]
+        return self.matrices[n - 1][:, :dofs] @ coeffs[:dofs] + self.jump_columns[n - 1][:count].T @ jumps
 
 
 def memory_operator(mesh, alpha, source_degrees, target_degrees):
@@ -904,9 +878,9 @@ def memory_form(mesh, alpha, coeffs_v, coeffs_w):
     """
     degrees = _form_degrees(mesh.interval_count, coeffs_v, coeffs_w)
     operator = memory_operator(mesh, alpha, *degrees)
-    stacked, jumps = _stacked(coeffs_v), _jump_values(coeffs_v)
+    coeffs, jumps = np.concatenate(coeffs_v), _jump_values(coeffs_v)
     return sum(
-        float(w_n @ operator.apply(n, stacked[:n], jumps[:n]))
+        float(w_n @ operator.apply(n, coeffs, jumps[:n]))
         for n, w_n in enumerate(coeffs_w, start=1)
     )
 

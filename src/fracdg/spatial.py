@@ -15,6 +15,7 @@ of scipy, so a spectral run never imports it.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -104,10 +105,15 @@ class ModeSystem:
         return (self.space.basis_values(x) @ self.mode_shapes).T
 
 
+def _check_count(name, value, least):
+    """ValueError naming the count unless it is an integer (numpy's too) >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def spectral_backend(M, K=1.0):
     """Exact sine eigensystem on (0, 1): lambda_m = K m^2 pi^2."""
-    if M < 1:
-        raise ValueError(f"mode count M must be >= 1, got {M}")
+    _check_count("mode count M", M, 1)
     if not 0.0 < K < math.inf:
         raise ValueError(f"diffusivity K must be positive and finite, got {K}")
     m = np.arange(1, M + 1)
@@ -135,10 +141,8 @@ def _assemble(elements, r, K):
 
 def fem_backend(elements, r, K=1.0):
     """Uniform P_r space and its mass-orthonormal discrete eigensystem."""
-    if elements < 2:
-        raise ValueError(f"element count must be >= 2, got {elements}")
-    if r < 1:
-        raise ValueError(f"polynomial degree r must be >= 1, got {r}")
+    _check_count("element count", elements, 2)
+    _check_count("polynomial degree r", r, 1)
     if not 0.0 < K < math.inf:
         raise ValueError(f"diffusivity K must be positive and finite, got {K}")
     space = _assemble(elements, r, K)

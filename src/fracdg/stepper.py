@@ -11,11 +11,11 @@ block and J its jump column, the weight of [U]^{n-1} = U(t_{n-1}+) -
 U(t_{n-1}-): [U]^0 = U(0+), the history before t_0 being zero.  Everything
 already computed on intervals 1..n-1 enters the right-hand side through
 the memory load, one application of the memory operator
-(`kernel.MemoryOperator.apply`) to the coefficients stored so far,
-zero-padded in one (N, P+1, modes) array, so a full march costs O(N^2)
+(`kernel.MemoryOperator.apply`) to the coefficients stored so far, laid
+end to end in one (dofs, modes) array, so a full march costs O(N^2)
 block evaluations shared across modes.  The march, the stability report
-(energy term int A(B U, U) dt) and `kernel.memory_form` each stack their
-coefficients once per call and get the operator from
+(energy term int A(B U, U) dt) and `kernel.memory_form` each lay their
+coefficients end to end once per call and get the operator from
 `kernel.memory_operator`, shared by its key while the solution holds it;
 nothing keeps it after.
 
@@ -41,7 +41,6 @@ from .kernel import (
     _jacobi_rule,
     _left_moments,
     _parity,
-    _stacked,
     _traces,
     coercivity_constants,
     legendre_values,
@@ -237,9 +236,10 @@ def solve(problems, mesh, alpha):
 
     Memory blocks depend only on the interval pair, so the memory operator
     builds each once per (j, n) and applies it to every mode's stored
-    coefficients: the blocks go into one (N, P+1, modes) array, zero past
-    each degree, and the history of interval n applies its first n-1 rows;
-    the solution's blocks are (p_n+1, modes) views into it.  Every
+    coefficients: the blocks go end to end into one (dofs, modes) array,
+    interval n in rows offsets[n-1]:offsets[n] (`MemoryOperator.offsets`),
+    and the history of interval n applies the rows before its own; the
+    solution's blocks are (p_n+1, modes) views into it.  Every
     interval's loads are computed before the march, from one moment pass
     (`_power_moments`): one moment per forcing exponent and interval,
     shared by every mode that carries that exponent.  The operator comes from
@@ -252,25 +252,27 @@ def solve(problems, mesh, alpha):
     initial_values = np.array([pr.initial_value for pr in problems], dtype=float)
     loads = _power_moments(_power_table([pr.forcing for pr in problems]), modes, mesh)
     operator = memory_operator(mesh, alpha, mesh.degrees, mesh.degrees)
-    stacked = np.zeros((mesh.interval_count, max(mesh.degrees) + 1, modes))
+    offsets = operator.offsets
+    coeffs = np.empty((offsets[-1], modes))
     jump_vals = np.empty((mesh.interval_count, modes))
     # U(t_{n-1}-) as the upwind term sees it, u0 before t_0, and as the
     # memory's jump [U]^{n-1} = U(t_{n-1}+) - U(t_{n-1}-) sees it, zero before t_0
     incoming, memory_left = initial_values, np.zeros(modes)
     for n in range(1, mesh.interval_count + 1):
-        p = mesh.degree(n)
+        lo, hi = offsets[n - 1], offsets[n]
+        p = hi - lo - 1
         parity = _parity(p)
-        history = operator.apply(n, stacked[: n - 1], jump_vals[: n - 1])
+        history = operator.apply(n, coeffs[:lo], jump_vals[: n - 1])
         local_jump = operator.jump_columns[n - 1][n - 1]
         base = np.outer(parity, parity) + _transport_matrix(p)
-        memory = operator.matrices[n - 1][n - 1, :, : p + 1] + np.outer(local_jump, parity)
+        memory = operator.matrices[n - 1][:, lo:hi] + np.outer(local_jump, parity)
         rhs = incoming[:, None] * parity + loads[n - 1] - lam[:, None] * history.T
         rhs += lam[:, None] * local_jump * memory_left[:, None]
         block = _solve_modes(base + lam[:, None, None] * memory, rhs, n)
-        stacked[n - 1, : p + 1] = block
+        coeffs[lo:hi] = block
         jump_vals[n - 1] = parity @ block - memory_left
         incoming = memory_left = block.sum(axis=0)
-    blocks = tuple(stacked[n, : p + 1] for n, p in enumerate(mesh.degrees))
+    blocks = tuple(coeffs[lo:hi] for lo, hi in zip(offsets, offsets[1:]))
     return DgSolution(mesh, initial_values, blocks, operator)
 
 
@@ -347,7 +349,10 @@ def stability_report(solution, problems, alpha):
     `_STABILITY_SLACK` (plus 1e-12).  The memory term applies the operator
     of the mesh, its degrees and alpha (`kernel.memory_operator`): the
     march's while the solution holds it, else a new build.  ValueError
-    unless there is one problem per mode.
+    unless there is one problem per mode.  RuntimeError names the first
+    node where either side is not finite (a long horizon overflows the
+    squares and the energy) and a mode: the first whose own terms there
+    are not finite, else the one with the largest.
     """
     problems = list(problems)
     if len(problems) != solution.mode_count:
@@ -359,16 +364,26 @@ def stability_report(solution, problems, alpha):
     coeffs = solution.coefficients
     right, left = _traces(coeffs)
     # the memory's jumps: [U]^0 = U(0+), the history before t_0 being zero
-    stacked, jumps = _stacked(coeffs), right - np.concatenate([np.zeros_like(left[:1]), left[:-1]])
-    # per interval, int_{I_n} A(B U, U) dt: the operator's action against U
-    increments = [
-        float(lam @ np.einsum("im,im->m", c, operator.apply(n, stacked[:n], jumps[:n])))
-        for n, c in enumerate(coeffs, start=1)
-    ]
-    energy = np.cumsum(increments)
+    flat, jumps = np.concatenate(coeffs), right - np.concatenate([np.zeros_like(left[:1]), left[:-1]])
     forcing = np.cumsum(_forcing_increments(problems, mesh, alpha))
-    lhs = np.sum(left**2, axis=1) + np.sum(right**2, axis=1) + 2.0 * energy
-    rhs = 4.0 * float(np.sum(solution.initial_values**2)) + 4.0 * d_alpha**2 * forcing
+    # an overflow warns nothing: the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per interval and mode, int_{I_n} (B U, U) dt: the operator's action against U
+        actions = [
+            np.einsum("im,im->m", c, operator.apply(n, flat, jumps[:n])) for n, c in enumerate(coeffs, start=1)
+        ]
+        energy = np.cumsum([float(lam @ action) for action in actions])
+        lhs = np.sum(left**2, axis=1) + np.sum(right**2, axis=1) + 2.0 * energy
+        rhs = 4.0 * float(np.sum(solution.initial_values**2)) + 4.0 * d_alpha**2 * forcing
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        if not finite.all():
+            n = int(np.flatnonzero(~finite)[0])
+            # each mode's own terms of both sides at t_n
+            own = left[n] ** 2 + right[n] ** 2 + 2.0 * lam * np.sum(actions[: n + 1], axis=0)
+            own = np.abs(own) + 4.0 * solution.initial_values**2
+            bad = np.flatnonzero(~np.isfinite(own))
+            m = int(bad[0] if bad.size else np.argmax(own))
+            raise RuntimeError(f"non-finite energy bound on interval {n + 1}, mode {m + 1}")
     violations = tuple(
         int(n)
         for n in range(1, mesh.interval_count + 1)

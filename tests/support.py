@@ -4,7 +4,7 @@ exponent at a time that the loads of `stepper._power_moments` (one
 `kernel._left_moments` pass) must reproduce, the interpolatory projection
 of power-sum profiles, the semilog fit of an hp convergence history, the
 bilinear form through a given operator, the history sum one source at a
-time that the stacked `MemoryOperator.apply` must reproduce, one memory
+time in long double that `MemoryOperator.apply` must stay close to, one memory
 block with its jump column, the jump columns one pair at a time that the
 `kernel._left_moments` pass of `kernel._jump_columns` must reproduce, one
 Gauss-Legendre rule mapped alone, the per-group
@@ -33,7 +33,6 @@ from fracdg.kernel import (
     _legendre_derivative_matrix,
     _legvander,
     _map_to_reference,
-    _stacked,
     _weighted_reference_basis,
     legendre_derivative_values,
     legendre_values,
@@ -111,24 +110,34 @@ def semilog_fit(errors, dofs):
 def form_through(operator, coeffs_v, coeffs_w):
     """int_0^T (B v)(t) w(t) dt applied through `operator`, built for the
     degrees of v and w, in the order of summation `kernel.memory_form` uses."""
-    stacked, jumps = _stacked(coeffs_v), _jump_values(coeffs_v)
+    coeffs, jumps = np.concatenate(coeffs_v), _jump_values(coeffs_v)
     return sum(
-        float(w_n @ operator.apply(n, stacked[:n], jumps[:n]))
+        float(w_n @ operator.apply(n, coeffs, jumps[:n]))
         for n, w_n in enumerate(coeffs_w, start=1)
     )
 
 
 def apply_per_source(operator, n, coeffs, jumps):
-    """`MemoryOperator.apply` one source at a time: coeffs[j-1] the unpadded
-    coefficients of source j, and M_jn c_j, then J_jn (x) [c]_j, added to a
-    zero sum for j = 1, 2, ... in turn."""
-    matrices = operator.matrices[n - 1]
-    jump_columns = operator.jump_columns[n - 1]
-    out = np.zeros(matrices.shape[1:2] + np.shape(jumps)[1:])
+    """`MemoryOperator.apply` one source at a time, in long double:
+    coeffs[j-1] the coefficients of source j, and M_jn c_j, then
+    J_jn (x) [c]^{j-1}, added to a zero sum for j = 1, 2, ... in turn.
+    Returns (sum, magnitude), both long double: the sum, and the same sum
+    over the terms' absolute values, the scale of a float64 sum's rounding
+    error."""
+    offsets = operator.offsets
+    row = operator.matrices[n - 1].astype(np.longdouble)
+    jump_columns = operator.jump_columns[n - 1].astype(np.longdouble)
+    total = np.zeros(row.shape[:1] + np.shape(jumps)[1:], dtype=np.longdouble)
+    magnitude = np.zeros_like(total)
     for j, (c, jump) in enumerate(zip(coeffs, jumps)):
-        out += matrices[j, :, : len(c)] @ c
-        out += np.multiply.outer(jump_columns[j], jump)
-    return out
+        block = row[:, offsets[j] : offsets[j + 1]]
+        c = np.asarray(c, dtype=np.longdouble)
+        jump_term = np.multiply.outer(jump_columns[j], np.asarray(jump, dtype=np.longdouble))
+        total += block @ c
+        total += jump_term
+        magnitude += np.abs(block) @ np.abs(c)
+        magnitude += np.abs(jump_term)
+    return total, magnitude
 
 
 def block_and_jump_column(mesh, j, n, order, degrees=None):

@@ -524,6 +524,20 @@ _EXTREME_GRADED = "[problem]\nalpha = {alpha}\ndiffusivity = {K}\n[mesh]\nT = {T
 @example(text=_EXTREME_GRADED.format(alpha=-0.99, K=1.0, T=1.0, N=12, gamma=12.0, p=11))
 @example(text=_EXTREME_GRADED.format(alpha=-1e-9, K=1e10, T=1e-12, N=12, gamma=1.0, p=11))
 @example(text=_EXTREME_GRADED.format(alpha=-0.5, K=1e-12, T=1e8, N=1, gamma=1.0, p=1))
+# at the horizon bound the energy term overflowed with a numpy warning, and
+# an infinite right side of the energy inequality passed as stability_ok
+@example(
+    text=_EXTREME_GRADED.format(
+        alpha=-0.0032105427183409807, K=2969917879.777759, T=_MAX_T, N=6, gamma=9.534608868272938, p=1
+    )
+    + "[diagnostics]\nstability_report = true\n"
+)
+@example(
+    text=_EXTREME_GRADED.format(
+        alpha=-0.00348037319349237, K=681.4955482555522, T=_MAX_T, N=6, gamma=1.466649639690163, p=9
+    )
+    + "[diagnostics]\nstability_report = true\ncoercivity_check = true\n"
+)
 def test_extreme_valid_solves_finish_or_fail_loudly(text):
     assert_solve_finishes_or_fails_loudly(text)
 
@@ -541,8 +555,10 @@ def assert_solve_finishes_or_fails_loudly(text):
         if status == EXIT_OK:
             error = float((out / "summary.txt").read_text().split("error = ")[1].splitlines()[0])
             assert math.isfinite(error), text
-            rows = (out / "solution.csv").read_text().splitlines()[1:]
-            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")), text
+            # the solution and, where reported, both sides of the energy inequality
+            for csv in [out / "solution.csv", *out.glob("stability.csv")]:
+                rows = csv.read_text().splitlines()[1:]
+                assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")), (csv.name, text)
         elif status == EXIT_USAGE:
             assert message.startswith("config error: mesh: "), (text, message)
         else:

@@ -605,13 +605,13 @@ def test_memory_block_piecewise_constant_jump_weight(j, n, branch):
 
 
 def test_memory_operator_zero_degree_sources_give_zero_slices():
-    # constant sources against quadratic targets: every block, whatever its
-    # branch, is an exact (3, 1) zero
+    # constant sources against quadratic targets: one column per source, and
+    # every block, whatever its branch, is an exact (3, 1) zero
     mesh = graded_mesh(T=1.0, N=6, gamma=1.0, p=2)
     operator = kernel.MemoryOperator(mesh, -0.4, np.zeros(6, dtype=int), np.full(6, 2))
-    for matrices in operator.matrices:
-        for block in matrices:
-            assert block.shape == (3, 1) and np.array_equal(block, np.zeros((3, 1)))
+    assert operator.offsets == tuple(range(7)) and all(type(offset) is int for offset in operator.offsets)
+    for n, row in enumerate(operator.matrices, start=1):
+        assert row.shape == (3, n) and np.array_equal(row, np.zeros((3, n)))
 
 
 @pytest.mark.parametrize(
@@ -630,6 +630,26 @@ def test_operator_rejects_malformed_degree_vectors(degrees, name):
             build(mesh, -0.4, vectors["source"], vectors["target"])
 
 
+EPS = np.finfo(float).eps
+
+
+def gamma_bound(terms):
+    # gamma_K = K u / (1 - K u), u = eps/2: a sum of K products in any order
+    return terms * EPS / 2.0 / (1.0 - terms * EPS / 2.0)
+
+
+def assert_near_long_double(operator, n, coeffs, jumps, bound):
+    """`apply` on target n, given every source's coefficients laid end to
+    end and the jumps of the first J, against the long-double per-source
+    sum, entry by entry: within bound(K) times the sum of the terms'
+    absolute values, K the number of terms."""
+    count = len(jumps)
+    got = operator.apply(n, np.concatenate(coeffs), jumps)
+    want, magnitude = apply_per_source(operator, n, coeffs[:count], jumps)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound(operator.offsets[count] + count) * magnitude)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     alpha=st.floats(-0.95, -0.05),
@@ -638,25 +658,37 @@ def test_operator_rejects_malformed_degree_vectors(degrees, name):
     modes=st.one_of(st.none(), st.just(1), st.integers(2, 299)),
     seed=st.integers(0, 2**16),
 )
-# one entry per term, which numpy would sum pairwise; and table2_fem's mode count
+# constant sources, as vectors and as one mode; and table2_fem's mode count
 @example(alpha=-0.5, gamma=1.0, degrees=[(0, 0), (2, 0)] * 5, modes=None, seed=0)
 @example(alpha=-0.5, gamma=2.0, degrees=[(0, 0), (2, 0)] * 5, modes=1, seed=1)
 @example(alpha=-0.7, gamma=2.0, degrees=[(1, 2), (1, 2), (3, 3)] * 3, modes=299, seed=2)
-def test_stacked_apply_equals_the_per_source_loop_bytewise(alpha, gamma, degrees, modes, seed):
+def test_apply_is_within_gamma_k_of_a_long_double_per_source_sum(alpha, gamma, degrees, modes, seed):
     # every target and every prefix J <= n of its sources, over mixed source
-    # and target degrees, constant sources, vectors and 1 to 299 modes
+    # and target degrees, constant sources, vectors and 1 to 299 modes: one
+    # BLAS product may sum the terms in any order, but a float64 sum of K
+    # products is within gamma_K of their absolute sum whatever the order
     source_degrees, target_degrees = zip(*degrees)
     mesh = graded_mesh(1.0, len(degrees), gamma, 1)
     operator = kernel.MemoryOperator(mesh, alpha, source_degrees, target_degrees)
     rng = np.random.default_rng(seed)
     tail = () if modes is None else (modes,)
     coeffs = [rng.standard_normal((p + 1,) + tail) for p in source_degrees]
-    stacked, jumps = kernel._stacked(coeffs), kernel._jump_values(coeffs)
+    jumps = kernel._jump_values(coeffs)
     for n in range(1, len(degrees) + 1):
         for count in range(n + 1):
-            got = operator.apply(n, stacked[:count], jumps[:count])
-            want = apply_per_source(operator, n, coeffs[:count], jumps[:count])
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert_near_long_double(operator, n, coeffs, jumps[:count], gamma_bound)
+
+
+def test_march_histories_are_within_six_eps_of_a_long_double_sum():
+    # graded N=150, p=2: the 149 histories of the march, each target's sum
+    # over every earlier source.  A loop over the sources reaches 9.10 eps
+    # of the terms' absolute sum here, one product per block row 4.39
+    mesh = graded_mesh(1.0, 150, 2.3, 2)
+    solution = solve(mode_problems(two_mode_problem(-0.7)), mesh, -0.7)
+    coeffs, operator = solution.coefficients, solution.memory_operator
+    jumps = kernel._jump_values(coeffs)
+    for n in range(2, 151):
+        assert_near_long_double(operator, n, coeffs, jumps[: n - 1], lambda _: 6.0 * EPS)
 
 
 @pytest.mark.slow
@@ -1398,12 +1430,33 @@ def pinned_operators():
 
 
 def operator_digest(operators):
-    # sha256 over every matrix, then every jump column, of each operator in turn
+    # sha256 over every matrix, then every jump column, of each operator in
+    # turn; each block row re-padded to the layout the pin was taken in,
+    # (n, q_n+1, P+1) with block j-1 in the first p_j+1 columns of slice j-1
     digest = hashlib.sha256()
     for operator in operators:
-        for arrays in (operator.matrices, operator.jump_columns):
-            for array in arrays:
-                digest.update(array.tobytes())
+        offsets = operator.offsets
+        width = max(np.diff(offsets))
+        for n, row in enumerate(operator.matrices, start=1):
+            padded = np.zeros((n, row.shape[0], width))
+            for j in range(n):
+                padded[j, :, : offsets[j + 1] - offsets[j]] = row[:, offsets[j] : offsets[j + 1]]
+            digest.update(padded.tobytes())
+        for array in operator.jump_columns:
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def solution_digest():
+    # sha256 over the coefficients of spectral marches whose outputs are
+    # pinned: graded-long's, the selftest solve's and four table2 cells
+    meshes = [graded_mesh(1.0, 150, 2.3, 2), graded_mesh(1.0, 6, 1.6, 1)]
+    meshes += [geometric_mesh(1.0, 1.0, delta, L, 1.0) for delta in (0.21, 0.3) for L in (3, 7)]
+    problems = mode_problems(two_mode_problem(-0.7))
+    digest = hashlib.sha256()
+    for mesh in meshes:
+        for block in solve(problems, mesh, -0.7).coefficients:
+            digest.update(block.tobytes())
     return digest.hexdigest()
 
 
@@ -1434,12 +1487,13 @@ DIGEST_PROBE = """
 import test_kernel
 
 print(test_kernel.operator_digest(operator for operator, *_ in test_kernel.pinned_operators()))
+print(test_kernel.solution_digest())
 """
 
 
 def test_operator_digest_is_the_same_at_one_and_two_blas_threads():
     # in two fresh interpreters, one BLAS thread and two: the near blocks'
-    # t-sums and the far blocks are BLAS products
+    # t-sums, the far blocks and the march's histories are BLAS products
     path = os.pathsep.join([str(Path(kernel.__file__).parents[1]), str(Path(__file__).parent)])
     digests = []
     for threads in ("1", "2"):
@@ -1448,7 +1502,7 @@ def test_operator_digest_is_the_same_at_one_and_two_blas_threads():
             [sys.executable, "-c", DIGEST_PROBE], env=env, capture_output=True, text=True, timeout=300
         )
         assert result.returncode == 0, result.stderr
-        digests.append(result.stdout.split()[-1])
+        digests.append(result.stdout.split()[-2:])
     assert digests[0] == digests[1]
 
 

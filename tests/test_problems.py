@@ -38,6 +38,11 @@ NAN, INF = math.nan, math.inf
         pytest.param(lambda: spectral_backend(2, NAN), "diffusivity K", id="spectral_backend-K-nan"),
         pytest.param(lambda: spectral_backend(2, INF), "diffusivity K", id="spectral_backend-K-inf"),
         pytest.param(lambda: fem_backend(4, 1, NAN), "diffusivity K", id="fem_backend-K-nan"),
+        # a count that is not an integer gave 3 modes for 2.5, or a numpy TypeError
+        pytest.param(lambda: spectral_backend(2.5), "mode count M", id="spectral_backend-M-2.5"),
+        pytest.param(lambda: spectral_backend(NAN), "mode count M", id="spectral_backend-M-nan"),
+        pytest.param(lambda: fem_backend(4.5, 2), "element count", id="fem_backend-elements-4.5"),
+        pytest.param(lambda: fem_backend(4, 1.5), "polynomial degree r", id="fem_backend-r-1.5"),
         pytest.param(lambda: two_mode_problem(-0.5, NAN), "diffusivity K", id="two_mode_problem-K-nan"),
         pytest.param(lambda: ModeSystem([NAN], 1.0, "spectral"), "eigenvalues", id="ModeSystem-nan"),
         pytest.param(lambda: ModeSystem([1.0, INF], 1.0, "spectral"), "eigenvalues", id="ModeSystem-inf"),
@@ -63,6 +68,11 @@ def test_non_finite_arguments_are_refused_by_name(build, argument):
     # it through; each entry point names the argument instead
     with pytest.raises(ValueError, match=argument):
         build()
+
+
+def test_backends_take_numpy_integer_counts():
+    assert spectral_backend(np.int64(3)).mode_count == 3
+    assert fem_backend(np.int32(4), np.int64(2))[1].mode_count == 7
 
 
 def test_power_sum_derivative():

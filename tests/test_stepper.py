@@ -305,15 +305,15 @@ def per_mode_solve(problems, mesh, operator):
     lam = np.array([pr.eigenvalue for pr in problems])
     incoming = np.array([pr.initial_value for pr in problems], dtype=float)
     coeffs, jump_vals = [], np.empty((mesh.interval_count, len(problems)))
-    stacked = np.zeros((mesh.interval_count, max(mesh.degrees) + 1, len(problems)))
     for n in range(1, mesh.interval_count + 1):
         p = mesh.degree(n)
         a, b = mesh.interval(n)
+        lo = operator.offsets[n - 1]
         parity = kernel_mod._parity(p)
-        history = operator.apply(n, stacked[: n - 1], jump_vals[: n - 1])
+        history = operator.apply(n, np.concatenate([np.empty((0, len(problems))), *coeffs]), jump_vals[: n - 1])
         local_jump = operator.jump_columns[n - 1][n - 1]
         base = np.outer(parity, parity) + stepper_mod._transport_matrix(p)
-        memory = operator.matrices[n - 1][n - 1, :, : p + 1] + np.outer(local_jump, parity)
+        memory = operator.matrices[n - 1][:, lo : lo + p + 1] + np.outer(local_jump, parity)
         rhs = np.empty((len(problems), p + 1))
         for m, pr in enumerate(problems):
             load = np.zeros(p + 1)
@@ -325,7 +325,6 @@ def per_mode_solve(problems, mesh, operator):
                 rhs[m] += lam[m] * local_jump * incoming[m]
         block = stepper_mod._solve_modes(base + lam[:, None, None] * memory, rhs, n)
         coeffs.append(block)
-        stacked[n - 1, : p + 1] = block
         right_limit = parity @ block
         jump_vals[n - 1] = right_limit if n == 1 else right_limit - incoming
         incoming = block.sum(axis=0)
